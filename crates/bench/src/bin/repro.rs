@@ -6,7 +6,6 @@
 //! cargo run -p sla-bench --bin repro --release -- fig10 --quick
 //! cargo run -p sla-bench --bin repro --release -- --smoke  # CI smoke test
 //! cargo run -p sla-bench --bin repro --release -- --smoke --store persistent
-//! cargo run -p sla-bench --bin repro --release -- --exp-batch --batch-width 1,4,8
 //! cargo run -p sla-bench --bin repro --release -- scenario --scenario moving,mixed
 //! ```
 //!
@@ -25,28 +24,16 @@ struct Opts {
     /// Store backend for the smoke's end-to-end alert round
     /// (`contiguous` | `sharded` | `concurrent` | `persistent`).
     store: String,
-    /// Batch widths for the serial-vs-lockstep kernel rows of the
-    /// `primitives` figure (`--batch-width`, comma-separated).
-    batch_widths: Vec<usize>,
     /// Scenario families for the `scenario` matrix target
     /// (`--scenario`, comma-separated; defaults to all four).
     scenario_kinds: Vec<sla_scenarios::ScenarioKind>,
 }
 
-/// Typed rejection of a malformed command line. The lockstep kernels
-/// group lanes 8-then-4-then-scalar, so only power-of-two batch widths
-/// describe a configuration the dispatcher can actually run — anything
-/// else is refused up front instead of producing a misleading bench row.
+/// Typed rejection of a malformed command line: anything the binary
+/// cannot run is refused up front instead of producing a misleading
+/// bench row.
 #[derive(Debug, PartialEq, Eq)]
 enum ArgError {
-    /// `--batch-width` with no value.
-    Missing,
-    /// An entry that did not parse as an integer.
-    NotANumber(String),
-    /// `--batch-width 0`: a zero-wide ladder measures nothing.
-    Zero,
-    /// A width that is not a power of two.
-    NotPowerOfTwo(usize),
     /// `--scenario` with no value.
     MissingScenario,
     /// A scenario name outside `{moving, burst, mixed, zipf}`.
@@ -56,23 +43,6 @@ enum ArgError {
 impl std::fmt::Display for ArgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ArgError::Missing => {
-                write!(f, "--batch-width needs a number or comma-separated list")
-            }
-            ArgError::NotANumber(s) => {
-                write!(f, "--batch-width entry '{s}' is not a number")
-            }
-            ArgError::Zero => {
-                write!(
-                    f,
-                    "--batch-width 0 is rejected: a zero-wide batch measures nothing"
-                )
-            }
-            ArgError::NotPowerOfTwo(w) => write!(
-                f,
-                "--batch-width {w} is rejected: widths must be powers of two \
-                 (the lockstep kernels group lanes 8/4/1)"
-            ),
             ArgError::MissingScenario => {
                 write!(f, "--scenario needs a name or comma-separated list")
             }
@@ -88,32 +58,8 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// Parses a `--batch-width` value (`"8"` or `"1,4,8"`) into validated
-/// widths: every entry numeric, nonzero, and a power of two.
-fn parse_batch_widths(spec: &str) -> Result<Vec<usize>, ArgError> {
-    let mut widths = Vec::new();
-    for entry in spec.split(',') {
-        let entry = entry.trim();
-        let w: usize = entry
-            .parse()
-            .map_err(|_| ArgError::NotANumber(entry.to_string()))?;
-        if w == 0 {
-            return Err(ArgError::Zero);
-        }
-        if !w.is_power_of_two() {
-            return Err(ArgError::NotPowerOfTwo(w));
-        }
-        widths.push(w);
-    }
-    if widths.is_empty() {
-        return Err(ArgError::Missing);
-    }
-    Ok(widths)
-}
-
 /// Parses a `--scenario` value (`"moving"` or `"moving,mixed"`) into
-/// validated scenario kinds — unknown names are a typed, exit-2 error
-/// like the `--batch-width` validation above.
+/// validated scenario kinds — unknown names are a typed, exit-2 error.
 fn parse_scenarios(spec: &str) -> Result<Vec<sla_scenarios::ScenarioKind>, ArgError> {
     let mut kinds = Vec::new();
     for entry in spec.split(',') {
@@ -141,15 +87,10 @@ fn parse_args() -> Result<Opts, ArgError> {
     let mut parallel = false;
     let mut smoke = false;
     let mut store = "sharded".to_string();
-    let mut batch_widths = vec![1usize, 4, 8];
     let mut scenario_kinds = sla_scenarios::ScenarioKind::ALL.to_vec();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--batch-width" => {
-                let spec = args.next().ok_or(ArgError::Missing)?;
-                batch_widths = parse_batch_widths(&spec)?;
-            }
             "--scenario" => {
                 let spec = args.next().ok_or(ArgError::MissingScenario)?;
                 scenario_kinds = parse_scenarios(&spec)?;
@@ -184,7 +125,6 @@ fn parse_args() -> Result<Opts, ArgError> {
         parallel,
         smoke,
         store,
-        batch_widths,
         scenario_kinds,
     })
 }
@@ -214,30 +154,6 @@ fn resolve_store(name: &str) -> (sla_core::StoreBackend, Option<PathBuf>) {
     }
 }
 
-/// Fast end-to-end exercise of the bench/repro path for CI: primitives at
-/// the smallest size, one HVE phase measurement, and a miniature alert
-/// round with the live-vs-analytic invariants asserted. Panics (failing
-/// the CI step) on any mismatch; writes a side artifact so it never
-/// clobbers the tracked `BENCH_primitives.json`.
-/// Prints the end-to-end batched Encrypt/GenToken rows (shared by the
-/// smoke, the `primitives` figure, and the standalone `--exp-batch`
-/// target).
-fn print_exp_batch(rows: &[primitives::ExpBatchTimings]) {
-    for e in rows {
-        println!(
-            "exp_batch[{} bit N, l={}, {}]: batch {} at {:.1} -> {:.1} µs/op ({:.2}x, kernel {})",
-            e.modulus_bits,
-            e.width,
-            e.phase,
-            e.batch,
-            e.serial_ns / 1e3,
-            e.batch_ns / 1e3,
-            e.speedup(),
-            e.kernel,
-        );
-    }
-}
-
 fn print_scenarios(rows: &[scenarios::ScenarioRow]) {
     for r in rows {
         println!(
@@ -264,13 +180,17 @@ fn print_scenarios(rows: &[scenarios::ScenarioRow]) {
     }
 }
 
-fn run_smoke(out_dir: &std::path::Path, store: &str, batch_widths: &[usize]) {
+/// Fast end-to-end exercise of the bench/repro path for CI: primitives at
+/// the smallest size, one HVE phase measurement, and a miniature alert
+/// round with the live-vs-analytic invariants asserted. Panics (failing
+/// the CI step) on any mismatch; writes a side artifact so it never
+/// clobbers the tracked `BENCH_primitives.json`.
+fn run_smoke(out_dir: &std::path::Path, store: &str) {
     println!("# smoke: primitives");
     let rows = vec![primitives::measure(32, SEED)];
     let phases = vec![primitives::measure_phases(24, 8, SEED)];
     let churn = primitives::measure_churn(SEED);
-    let lockstep = primitives::measure_lockstep(32, batch_widths, SEED);
-    let exp_batch = primitives::measure_exp_batch(24, batch_widths, SEED);
+    let lockstep = primitives::measure_lockstep(32, SEED);
     for r in &rows {
         println!(
             "primitives[{} bit N]: mod_pow {:.0} -> {:.0} ns ({:.2}x), fixed-base {:.0} ns ({:.2}x)",
@@ -301,22 +221,20 @@ fn run_smoke(out_dir: &std::path::Path, store: &str, batch_widths: &[usize]) {
     }
     for l in &lockstep {
         println!(
-            "lockstep[{} bit N, batch {}]: {:.0} -> {:.0} ns/product ({:.2}x, kernel {})",
+            "lockstep[{} bit N, batch {}]: {:.0} -> {:.0} ns/product ({:.2}x)",
             l.modulus_bits,
             l.batch,
             l.serial_ns,
             l.lockstep_ns,
             l.speedup(),
-            l.kernel,
         );
     }
-    print_exp_batch(&exp_batch);
     let path = out_dir.join("BENCH_primitives_smoke.json");
     let write = std::fs::create_dir_all(out_dir)
         .and_then(|()| {
             std::fs::write(
                 &path,
-                primitives::to_json(&rows, &phases, &churn, &lockstep, &exp_batch),
+                primitives::to_json(&rows, &phases, &churn, &lockstep),
             )
         })
         .map(|()| path);
@@ -424,7 +342,7 @@ fn main() {
         std::process::exit(2);
     });
     if opts.smoke {
-        run_smoke(&opts.out_dir, &opts.store, &opts.batch_widths);
+        run_smoke(&opts.out_dir, &opts.store);
         return;
     }
     println!("# Reproducing EDBT 2021 'Location-based Alert Protocol using SE and Huffman Codes'");
@@ -574,57 +492,28 @@ fn main() {
                         c.users,
                     );
                 }
-                // Serial-vs-lockstep kernel rows at every modulus size
-                // (batch widths from --batch-width, default 1,4,8).
+                // Serial-vs-lockstep product rows at every modulus size.
                 let lockstep: Vec<_> = [32usize, 48, 64]
                     .iter()
-                    .flat_map(|&bits| primitives::measure_lockstep(bits, &opts.batch_widths, SEED))
+                    .flat_map(|&bits| primitives::measure_lockstep(bits, SEED))
                     .collect();
                 for l in &lockstep {
                     println!(
-                        "lockstep[{} bit N, batch {}]: {:.0} -> {:.0} ns/product \
-                         ({:.2}x, kernel {})",
+                        "lockstep[{} bit N, batch {}]: {:.0} -> {:.0} ns/product ({:.2}x)",
                         l.modulus_bits,
                         l.batch,
                         l.serial_ns,
                         l.lockstep_ns,
                         l.speedup(),
-                        l.kernel,
                     );
                 }
-                // End-to-end lockstep rows: the batched prepared
-                // Encrypt/GenToken entry points vs their serial loops,
-                // at every modulus size and --batch-width.
-                let exp_batch: Vec<_> = [32usize, 48, 64]
-                    .iter()
-                    .flat_map(|&bits| primitives::measure_exp_batch(bits, &opts.batch_widths, SEED))
-                    .collect();
-                print_exp_batch(&exp_batch);
                 let path = opts.out_dir.join("BENCH_primitives.json");
                 let write = std::fs::create_dir_all(&opts.out_dir)
                     .and_then(|()| {
                         std::fs::write(
                             &path,
-                            primitives::to_json(&rows, &phases, &churn, &lockstep, &exp_batch),
+                            primitives::to_json(&rows, &phases, &churn, &lockstep),
                         )
-                    })
-                    .map(|()| path);
-                report(write);
-            }
-            "exp-batch" | "exp_batch" => {
-                // Standalone Encrypt/GenToken batching rows — the fast
-                // way to re-measure the lockstep-ladder win without
-                // rerunning the full primitives sweep. Writes a side
-                // artifact so it never clobbers BENCH_primitives.json.
-                let exp_batch: Vec<_> = [32usize, 48, 64]
-                    .iter()
-                    .flat_map(|&bits| primitives::measure_exp_batch(bits, &opts.batch_widths, SEED))
-                    .collect();
-                print_exp_batch(&exp_batch);
-                let path = opts.out_dir.join("BENCH_exp_batch.json");
-                let write = std::fs::create_dir_all(&opts.out_dir)
-                    .and_then(|()| {
-                        std::fs::write(&path, primitives::to_json(&[], &[], &[], &[], &exp_batch))
                     })
                     .map(|()| path);
                 report(write);
@@ -641,8 +530,7 @@ fn main() {
                     sla_scenarios::GranularityLevel(2),
                 ];
                 let stores = ["sharded", "concurrent"];
-                let rows =
-                    scenarios::run_matrix(&opts.scenario_kinds, &levels, &stores, &config);
+                let rows = scenarios::run_matrix(&opts.scenario_kinds, &levels, &stores, &config);
                 print_scenarios(&rows);
                 let mismatches: u64 = rows.iter().map(|r| r.mismatches).sum();
                 assert_eq!(
@@ -656,7 +544,7 @@ fn main() {
                 report(write);
             }
             other => eprintln!(
-                "unknown figure '{other}' (expected fig7..fig14, primitives, exp-batch, or scenario)"
+                "unknown figure '{other}' (expected fig7..fig14, primitives, or scenario)"
             ),
         }
         println!();
@@ -673,19 +561,6 @@ fn report(result: std::io::Result<PathBuf>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batch_widths_accept_powers_of_two() {
-        assert_eq!(parse_batch_widths("8"), Ok(vec![8]));
-        assert_eq!(parse_batch_widths("1, 4,8"), Ok(vec![1, 4, 8]));
-        assert_eq!(parse_batch_widths("16"), Ok(vec![16]));
-    }
-
-    #[test]
-    fn batch_width_zero_is_a_typed_error() {
-        assert_eq!(parse_batch_widths("0"), Err(ArgError::Zero));
-        assert_eq!(parse_batch_widths("4,0,8"), Err(ArgError::Zero));
-    }
 
     #[test]
     fn scenarios_parse_and_dedupe() {
@@ -709,28 +584,5 @@ mod tests {
         );
         assert_eq!(parse_scenarios(""), Err(ArgError::MissingScenario));
         assert_eq!(parse_scenarios(" , "), Err(ArgError::MissingScenario));
-    }
-
-    #[test]
-    fn batch_width_non_power_of_two_is_a_typed_error() {
-        assert_eq!(parse_batch_widths("6"), Err(ArgError::NotPowerOfTwo(6)));
-        assert_eq!(parse_batch_widths("1,4,7"), Err(ArgError::NotPowerOfTwo(7)));
-    }
-
-    #[test]
-    fn batch_width_garbage_is_a_typed_error() {
-        assert_eq!(
-            parse_batch_widths("four"),
-            Err(ArgError::NotANumber("four".to_string()))
-        );
-        assert_eq!(
-            parse_batch_widths(""),
-            Err(ArgError::NotANumber(String::new()))
-        );
-        // The messages are what the operator sees — keep them loud.
-        assert!(ArgError::Zero.to_string().contains("rejected"));
-        assert!(ArgError::NotPowerOfTwo(6)
-            .to_string()
-            .contains("powers of two"));
     }
 }

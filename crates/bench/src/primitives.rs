@@ -61,20 +61,16 @@ impl PrimitiveTimings {
 /// Lockstep batch-multiplication timings (ns **per product**, medians)
 /// for one (modulus size, batch width) — the `lockstep` rows of
 /// `BENCH_primitives.json`. Serial drives each product one at a time
-/// through the active single-op kernel; lockstep hands the whole batch
-/// to `MontgomeryCtx::mont_mul_batch`, which advances four products per
-/// instruction through the SoA SIMD kernels. Both paths are
-/// byte-identical by the kernel contract, so the delta is pure
-/// throughput.
+/// through the scalar CIOS; lockstep hands the whole batch to
+/// `MontgomeryCtx::mont_mul_batch`, which advances eight, then four,
+/// products through interleaved u128 carry chains. Both paths are
+/// byte-identical, so the delta is pure throughput.
 #[derive(Debug, Clone)]
 pub struct LockstepTimings {
     /// Bit length of the composite modulus `N = P·Q`.
     pub modulus_bits: usize,
     /// Number of independent products per batch call.
     pub batch: usize,
-    /// Active kernel name (`scalar`, `portable`, `avx2`, `neon`) — what
-    /// `SLA_SIMD`/runtime detection resolved to during the measurement.
-    pub kernel: &'static str,
     /// ns per product, one `mont_mul` at a time.
     pub serial_ns: f64,
     /// ns per product through `mont_mul_batch`.
@@ -88,29 +84,27 @@ impl LockstepTimings {
     }
 }
 
+/// Batch widths of the `lockstep` rows: a lone product (the scalar
+/// remainder path), one narrow group and one wide group.
+const LOCKSTEP_BATCHES: [usize; 3] = [1, 4, 8];
+
 /// Measures serial vs lockstep Montgomery products for a modulus with
-/// `prime_bits`-bit factors at each batch width in `batch_widths`.
-pub fn measure_lockstep(
-    prime_bits: usize,
-    batch_widths: &[usize],
-    seed: u64,
-) -> Vec<LockstepTimings> {
+/// `prime_bits`-bit factors at batch widths 1, 4 and 8.
+pub fn measure_lockstep(prime_bits: usize, seed: u64) -> Vec<LockstepTimings> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x10c5);
     let p = gen_prime(prime_bits, &mut rng);
     let q = gen_prime(prime_bits, &mut rng);
     let n = &p * &q;
     let ctx = MontgomeryCtx::new(&n).expect("N = P·Q is odd");
-    let kernel = ctx.kernel().name();
 
     // Full-width residue-domain operands, as the pairing engine holds.
     let elems: Vec<BigUint> = (1..=16u64)
         .map(|i| ctx.to_mont(&(&n - &BigUint::from_u64(i * 977 + 5))))
         .collect();
 
-    batch_widths
+    LOCKSTEP_BATCHES
         .iter()
-        .map(|&w| {
-            let width = w.max(1);
+        .map(|&width| {
             let pairs: Vec<(&BigUint, &BigUint)> = (0..width)
                 .map(|i| (&elems[i % elems.len()], &elems[(i * 5 + 3) % elems.len()]))
                 .collect();
@@ -125,132 +119,11 @@ pub fn measure_lockstep(
             LockstepTimings {
                 modulus_bits: n.bit_len(),
                 batch: width,
-                kernel,
                 serial_ns,
                 lockstep_ns,
             }
         })
         .collect()
-}
-
-/// End-to-end lockstep-exponentiation timings (ns **per operation**,
-/// medians) for one HVE phase at one (modulus size, batch width) — the
-/// `exp_batch` rows of `BENCH_primitives.json`. Serial drives the
-/// prepared path one call at a time; batch hands the whole slice to
-/// `encrypt_prepared_batch` / `gen_token_prepared_batch`, whose
-/// exponentiations run as 4/8-wide lockstep ladders through the SIMD
-/// kernels. Both paths are byte-identical against the same RNG, so the
-/// delta is pure throughput.
-#[derive(Debug, Clone)]
-pub struct ExpBatchTimings {
-    /// `"encrypt"` or `"gen_token"`.
-    pub phase: &'static str,
-    /// Bit length of the composite modulus `N = P·Q`.
-    pub modulus_bits: usize,
-    /// HVE width `l`.
-    pub width: usize,
-    /// Items per batch call.
-    pub batch: usize,
-    /// Active kernel name during the measurement.
-    pub kernel: &'static str,
-    /// ns per operation through the serial prepared path.
-    pub serial_ns: f64,
-    /// ns per operation through the batch entry point.
-    pub batch_ns: f64,
-}
-
-impl ExpBatchTimings {
-    /// Batch-vs-serial speedup per operation.
-    pub fn speedup(&self) -> f64 {
-        self.serial_ns / self.batch_ns
-    }
-}
-
-/// Measures serial vs batched prepared Encrypt/GenToken for a modulus
-/// with `prime_bits`-bit factors at each batch width in `batch_widths`
-/// (HVE width 16, a mid-range codebook).
-pub fn measure_exp_batch(
-    prime_bits: usize,
-    batch_widths: &[usize],
-    seed: u64,
-) -> Vec<ExpBatchTimings> {
-    let width = 16usize;
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xeb47);
-    let p = gen_prime(prime_bits, &mut rng);
-    let q = gen_prime(prime_bits, &mut rng);
-    let n = &p * &q;
-    let kernel = MontgomeryCtx::new(&n)
-        .expect("N = P·Q is odd")
-        .kernel()
-        .name();
-    let group = SimulatedGroup::new(sla_pairing::GroupParams::from_factors(p, q));
-    let scheme = HveScheme::new(&group, width);
-    let (pk, sk) = scheme.setup(&mut rng);
-    let ppk = scheme.prepare_public_key(&pk);
-    let psk = scheme.prepare_secret_key(&sk);
-
-    let indexes: Vec<AttributeVector> = (0..16usize)
-        .map(|i| {
-            AttributeVector::from_bits(&(0..width).map(|j| (i + j) % 3 == 0).collect::<Vec<_>>())
-        })
-        .collect();
-    let msgs: Vec<sla_pairing::GtElem> = (0..16u64).map(|i| scheme.encode_message(i)).collect();
-    let patterns: Vec<SearchPattern> = (0..16usize)
-        .map(|i| {
-            let symbols: Vec<Option<bool>> = (0..width)
-                .map(|j| ((i + j) % 2 == 0).then_some((i + j) % 3 == 0))
-                .collect();
-            SearchPattern::from_symbols(&symbols)
-        })
-        .collect();
-
-    let mut out = Vec::new();
-    for &w in batch_widths {
-        let w = w.max(1);
-        let enc_items: Vec<(&AttributeVector, &sla_pairing::GtElem)> = (0..w)
-            .map(|i| (&indexes[i % indexes.len()], &msgs[i % msgs.len()]))
-            .collect();
-        let pats: Vec<&SearchPattern> = (0..w).map(|i| &patterns[i % patterns.len()]).collect();
-        let iters = (60 / w).max(8);
-
-        let serial_ns = time_ns(iters, || {
-            enc_items
-                .iter()
-                .map(|(idx, msg)| scheme.encrypt_prepared(&ppk, idx, msg, &mut rng))
-                .collect::<Vec<_>>()
-        }) / w as f64;
-        let batch_ns = time_ns(iters, || {
-            scheme.encrypt_prepared_batch(&ppk, &enc_items, &mut rng)
-        }) / w as f64;
-        out.push(ExpBatchTimings {
-            phase: "encrypt",
-            modulus_bits: n.bit_len(),
-            width,
-            batch: w,
-            kernel,
-            serial_ns,
-            batch_ns,
-        });
-
-        let serial_ns = time_ns(iters, || {
-            pats.iter()
-                .map(|pat| scheme.gen_token_prepared(&psk, pat, &mut rng))
-                .collect::<Vec<_>>()
-        }) / w as f64;
-        let batch_ns = time_ns(iters, || {
-            scheme.gen_token_prepared_batch(&psk, &pats, &mut rng)
-        }) / w as f64;
-        out.push(ExpBatchTimings {
-            phase: "gen_token",
-            modulus_bits: n.bit_len(),
-            width,
-            batch: w,
-            kernel,
-            serial_ns,
-            batch_ns,
-        });
-    }
-    out
 }
 
 /// Timings (ns/op medians) for the HVE phases at one (modulus, width).
@@ -703,18 +576,16 @@ fn measure_persistent_sharded_churn(
 }
 
 /// Renders the timing series as the `BENCH_primitives.json` artifact
-/// (schema v6: primitive rows, per-phase HVE timings, per-backend store
+/// (schema v7: primitive rows, per-phase HVE timings, per-backend store
 /// churn timings — including the four-writer `persistent_sharded` row —
-/// serial-vs-lockstep kernel timings, and end-to-end batched
-/// Encrypt/GenToken timings).
+/// and serial-vs-lockstep product timings).
 pub fn to_json(
     rows: &[PrimitiveTimings],
     phases: &[PhaseTimings],
     churn: &[ChurnTimings],
     lockstep: &[LockstepTimings],
-    exp_batch: &[ExpBatchTimings],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"sla-bench/primitives/v6\",\n  \"rows\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"sla-bench/primitives/v7\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"modulus_bits\": {}, \"mod_mul_naive_ns\": {:.1}, \"mod_mul_mont_ns\": {:.1}, \
@@ -776,32 +647,14 @@ pub fn to_json(
     out.push_str("  ],\n  \"lockstep\": [\n");
     for (i, l) in lockstep.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"modulus_bits\": {}, \"batch\": {}, \"kernel\": \"{}\", \
+            "    {{\"modulus_bits\": {}, \"batch\": {}, \
              \"serial_ns\": {:.1}, \"lockstep_ns\": {:.1}, \"speedup\": {:.2}}}{}\n",
             l.modulus_bits,
             l.batch,
-            l.kernel,
             l.serial_ns,
             l.lockstep_ns,
             l.speedup(),
             if i + 1 == lockstep.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n  \"exp_batch\": [\n");
-    for (i, e) in exp_batch.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"phase\": \"{}\", \"modulus_bits\": {}, \"width\": {}, \"batch\": {}, \
-             \"kernel\": \"{}\", \"serial_ns\": {:.0}, \"batch_ns\": {:.0}, \
-             \"speedup\": {:.2}}}{}\n",
-            e.phase,
-            e.modulus_bits,
-            e.width,
-            e.batch,
-            e.kernel,
-            e.serial_ns,
-            e.batch_ns,
-            e.speedup(),
-            if i + 1 == exp_batch.len() { "" } else { "," },
         ));
     }
     out.push_str("  ]\n}\n");
@@ -826,31 +679,25 @@ mod tests {
         ] {
             assert!(v.is_finite() && v > 0.0);
         }
-        let json = to_json(&[t], &[], &[], &[], &[]);
-        assert!(json.contains("\"schema\": \"sla-bench/primitives/v6\""));
+        let json = to_json(&[t], &[], &[], &[]);
+        assert!(json.contains("\"schema\": \"sla-bench/primitives/v7\""));
         assert!(json.contains("\"modulus_bits\": 64"));
         assert!(json.contains("fixed_base_speedup"));
     }
 
     #[test]
     fn measure_lockstep_produces_sane_rows() {
-        let rows = measure_lockstep(32, &[1, 4, 8], 7);
+        let rows = measure_lockstep(32, 7);
         let batches: Vec<usize> = rows.iter().map(|l| l.batch).collect();
         assert_eq!(batches, vec![1, 4, 8]);
         for l in &rows {
             assert_eq!(l.modulus_bits, 64);
-            assert!(
-                ["scalar", "portable", "avx2", "neon"].contains(&l.kernel),
-                "unknown kernel name {}",
-                l.kernel
-            );
             assert!(l.serial_ns.is_finite() && l.serial_ns > 0.0);
             assert!(l.lockstep_ns.is_finite() && l.lockstep_ns > 0.0);
         }
-        let json = to_json(&[], &[], &[], &rows, &[]);
+        let json = to_json(&[], &[], &[], &rows);
         assert!(json.contains("\"lockstep\""));
         assert!(json.contains("\"batch\": 8"));
-        assert!(json.contains("\"kernel\""));
     }
 
     #[test]
@@ -869,36 +716,11 @@ mod tests {
         ] {
             assert!(v.is_finite() && v > 0.0);
         }
-        let json = to_json(&[], &[p], &[], &[], &[]);
+        let json = to_json(&[], &[p], &[], &[]);
         assert!(json.contains("\"phases\""));
         assert!(json.contains("gen_token_speedup"));
         assert!(json.contains("query_batch_ns"));
         assert!(json.contains("query_speedup"));
-    }
-
-    #[test]
-    fn measure_exp_batch_produces_sane_rows() {
-        let rows = measure_exp_batch(24, &[1, 4], 7);
-        let phases: Vec<&str> = rows.iter().map(|e| e.phase).collect();
-        assert_eq!(phases, vec!["encrypt", "gen_token", "encrypt", "gen_token"]);
-        let batches: Vec<usize> = rows.iter().map(|e| e.batch).collect();
-        assert_eq!(batches, vec![1, 1, 4, 4]);
-        for e in &rows {
-            assert_eq!(e.modulus_bits, 48);
-            assert_eq!(e.width, 16);
-            assert!(
-                ["scalar", "portable", "avx2", "neon"].contains(&e.kernel),
-                "unknown kernel name {}",
-                e.kernel
-            );
-            assert!(e.serial_ns.is_finite() && e.serial_ns > 0.0);
-            assert!(e.batch_ns.is_finite() && e.batch_ns > 0.0);
-            assert!(e.speedup().is_finite() && e.speedup() > 0.0);
-        }
-        let json = to_json(&[], &[], &[], &[], &rows);
-        assert!(json.contains("\"exp_batch\""));
-        assert!(json.contains("\"phase\": \"gen_token\""));
-        assert!(json.contains("\"batch\": 4"));
     }
 
     #[test]
@@ -923,7 +745,7 @@ mod tests {
                 c.backend
             );
         }
-        let json = to_json(&[], &[], &churn, &[], &[]);
+        let json = to_json(&[], &[], &churn, &[]);
         assert!(json.contains("\"churn\""));
         assert!(json.contains("persistent_fsync"));
         assert!(json.contains("persistent_sharded"));

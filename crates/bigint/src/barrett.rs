@@ -20,7 +20,7 @@ use crate::pow::{window_pow_res, ResidueOps};
 use crate::BigUint;
 
 /// Limb cap for the fixed stack-buffer reduction path (512-bit moduli,
-/// mirroring the CIOS kernels' cap). Larger moduli take the allocating
+/// mirroring the Montgomery batch path's cap). Larger moduli take the allocating
 /// `BigUint` path.
 const STACK_K: usize = 8;
 

@@ -108,70 +108,6 @@ impl FixedBaseTable {
         }
         acc
     }
-
-    /// `base^exp mod N` for a batch of independent exponents, canonical
-    /// results — the lockstep analogue of [`FixedBaseTable::pow`].
-    pub fn pow_batch(&self, exps: &[&BigUint]) -> Vec<BigUint> {
-        self.pow_residue_batch(exps)
-            .iter()
-            .map(|r| self.reducer.from_residue(r))
-            .collect()
-    }
-
-    /// `base^exp mod N` for a batch of independent exponents with the
-    /// results left in the residue domain: the per-digit table products
-    /// run as one batched sweep per row across every exponent whose
-    /// digit is non-zero (subset-packed, so mixed-magnitude exponents
-    /// share one schedule). Exponents beyond the precomputation fall
-    /// back to the lockstep generic ladder as their own batch. Results
-    /// equal mapping [`FixedBaseTable::pow_residue`] over the slice, in
-    /// order.
-    pub fn pow_residue_batch(&self, exps: &[&BigUint]) -> Vec<BigUint> {
-        let mut out: Vec<Option<BigUint>> = vec![None; exps.len()];
-        // Long exponents: batched generic ladder on the residue base.
-        let long: Vec<usize> = (0..exps.len())
-            .filter(|&i| exps[i].bit_len() > self.max_bits)
-            .collect();
-        if !long.is_empty() {
-            let items: Vec<(&BigUint, &BigUint)> =
-                long.iter().map(|&i| (&self.base_res, exps[i])).collect();
-            for (&i, r) in long.iter().zip(self.reducer.residue_pow_batch(&items)) {
-                out[i] = Some(r);
-            }
-        }
-        // Table path, row by row across the remaining lanes.
-        let short: Vec<usize> = (0..exps.len())
-            .filter(|&i| exps[i].bit_len() <= self.max_bits)
-            .collect();
-        let mut acc: Vec<BigUint> = short.iter().map(|_| self.reducer.residue_one()).collect();
-        for (i, row) in self.rows.iter().enumerate() {
-            let sel: Vec<(usize, usize)> = short
-                .iter()
-                .enumerate()
-                .filter_map(|(pos, &lane)| {
-                    let d = crate::pow::window_digit(exps[lane], i * self.window, self.window);
-                    (d != 0).then_some((pos, d))
-                })
-                .collect();
-            if sel.is_empty() {
-                continue;
-            }
-            let pairs: Vec<(&BigUint, &BigUint)> = sel
-                .iter()
-                .map(|&(pos, d)| (&acc[pos], &row[d - 1]))
-                .collect();
-            let prods = self.reducer.residue_mul_batch(&pairs);
-            for (&(pos, _), p) in sel.iter().zip(prods) {
-                acc[pos] = p;
-            }
-        }
-        for (pos, &lane) in short.iter().enumerate() {
-            out[lane] = Some(std::mem::replace(&mut acc[pos], BigUint::zero()));
-        }
-        out.into_iter()
-            .map(|r| r.expect("every lane resolved"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -220,34 +156,6 @@ mod tests {
             let t = table(m, 3, 64, w);
             let e = b(0x0123_4567_89ab_cdef);
             assert_eq!(t.pow(&e), b(3).mod_pow_naive(&e, &b(m)), "w = {w}");
-        }
-    }
-
-    #[test]
-    fn pow_batch_matches_serial_with_mixed_magnitudes() {
-        // Odd and even moduli; exponents straddling the table cap so the
-        // batched long-exponent fallback and the table path mix lanes.
-        for m in [1_000_003u128, (1u128 << 80) + 4] {
-            let t = table(m, 0xdead_beef, 48, 4);
-            let exps: Vec<BigUint> = [
-                0u128,
-                1,
-                2,
-                0xffff,
-                (1 << 47) + 5,
-                (1 << 90) - 1, // beyond max_bits: generic-ladder lane
-                (1 << 48) - 1,
-                3,
-                (1 << 91) + 7, // beyond max_bits
-            ]
-            .iter()
-            .map(|&e| b(e))
-            .collect();
-            let refs: Vec<&BigUint> = exps.iter().collect();
-            let want: Vec<BigUint> = refs.iter().map(|e| t.pow(e)).collect();
-            assert_eq!(t.pow_batch(&refs), want, "m = {m}");
-            let want_res: Vec<BigUint> = refs.iter().map(|e| t.pow_residue(e)).collect();
-            assert_eq!(t.pow_residue_batch(&refs), want_res, "m = {m} (residue)");
         }
     }
 

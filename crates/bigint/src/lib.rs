@@ -24,22 +24,15 @@
 //!   prime generation ([`gen_prime`]).
 //! * Random sampling — [`random_below`], [`random_bits`].
 //!
-//! Montgomery multiplication additionally dispatches through runtime-
-//! detected kernels ([`KernelKind`]; AVX2 digit kernels on x86-64, NEON
-//! on aarch64, a portable u128 lockstep path everywhere) with the
-//! scalar CIOS loop kept as the always-available oracle: batches of
-//! independent products ([`MontgomeryCtx::mont_mul_batch`]) advance
-//! eight (then four) elements in lockstep, and batch exponentiation
-//! ([`Reducer::mod_pow_batch`], [`FixedBaseTable::pow_batch`]) runs N
-//! windowed ladders on a shared fixed-window schedule so every squaring
-//! and table product is one lockstep sweep. Single products stay on the
-//! scalar loop unless the `SLA_SIMD` environment variable
-//! (`auto|scalar|portable|avx2|neon`) forces a kernel.
+//! Every single Montgomery product runs one scalar CIOS pass. Batches of
+//! independent products ([`MontgomeryCtx::mont_mul_batch`], reached from
+//! [`Reducer::residue_mul_batch`]) advance eight, then four, products in
+//! lockstep through interleaved u128 carry chains — the same arithmetic
+//! per lane, so the results are byte-identical to the scalar loop.
 //!
-//! The crate is `#![deny(unsafe_code)]` — the sole sanctioned exception
-//! is the `std::arch` intrinsics inside the kernel module — and
-//! deterministic given a seeded RNG, which the experiment harness
-//! relies on for reproducibility.
+//! The crate is `#![forbid(unsafe_code)]` and deterministic given a
+//! seeded RNG, which the experiment harness relies on for
+//! reproducibility.
 //!
 //! ## Example
 //!
@@ -52,7 +45,7 @@
 //! assert_eq!((&a * &b) % &n, (&b % &n * &(a % &n)) % &n);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arith;
@@ -60,7 +53,6 @@ mod barrett;
 mod biguint;
 mod div;
 mod fixed_base;
-mod kernels;
 mod modular;
 mod montgomery;
 mod pow;
@@ -71,7 +63,6 @@ mod reducer;
 pub use barrett::BarrettCtx;
 pub use biguint::{BigUint, ParseBigUintError};
 pub use fixed_base::FixedBaseTable;
-pub use kernels::KernelKind;
 pub use montgomery::MontgomeryCtx;
 pub use prime::{gen_prime, is_probable_prime, MillerRabinConfig};
 pub use random::{random_below, random_bits, random_nonzero_below};

@@ -20,13 +20,21 @@
 //! [`crate::Reducer`] dispatch routes those moduli through the Barrett
 //! context instead, keeping every `mod_pow` division-free.
 
-use crate::kernels::{self, KernelKind, LANES, LANES8};
 use crate::BigUint;
 
 /// Stack-buffer capacity in limbs (`k + 2` scratch for `k ≤ 32`, i.e.
 /// moduli up to 2048 bits — far beyond the simulation's group orders).
 /// Larger moduli transparently fall back to a heap scratch buffer.
 const STACK_LIMBS: usize = 34;
+
+/// Largest modulus limb count the lockstep batch path covers (512-bit
+/// moduli — beyond every group order the simulation uses). Larger
+/// moduli run batches as a serial map.
+const KMAX: usize = 8;
+/// Narrow lockstep width: the group that mops up after the wide ones.
+const LANES: usize = 4;
+/// Wide lockstep width: eight interleaved carry chains per sweep.
+const LANES8: usize = 2 * LANES;
 
 /// Precomputed per-modulus state for division-free modular arithmetic.
 ///
@@ -47,9 +55,6 @@ pub struct MontgomeryCtx {
     /// `R^2 mod N` — converts standard → Montgomery form via one
     /// `mont_mul`.
     r2: BigUint,
-    /// 32-bit digit expansion of `N`, padded for vector loads; empty
-    /// when `k` exceeds the SIMD kernels' limb cap.
-    n_digits: Vec<u64>,
 }
 
 impl MontgomeryCtx {
@@ -71,57 +76,13 @@ impl MontgomeryCtx {
 
         let r1 = &BigUint::one().shl_bits(64 * k) % n;
         let r2 = &BigUint::one().shl_bits(128 * k) % n;
-        let n_digits = if k <= kernels::KMAX {
-            kernels::modulus_digits(n.limbs())
-        } else {
-            Vec::new()
-        };
         Some(MontgomeryCtx {
             n: n.clone(),
             k,
             n0_inv,
             r1,
             r2,
-            n_digits,
         })
-    }
-
-    /// The kernel [`Self::mont_mul_batch`] dispatches to for this
-    /// modulus: the process-wide [`KernelKind::active`] choice, with two
-    /// measured adjustments under auto-detection — moduli beyond the
-    /// vector kernels' limb cap fall back to scalar, and AVX2 yields to
-    /// the portable lockstep below the limb count where its 32-bit-digit
-    /// recurrence reaches parity with four interleaved u128 carry
-    /// chains. A forced `SLA_SIMD` override is always honored verbatim.
-    pub fn kernel(&self) -> KernelKind {
-        let (kind, forced) = KernelKind::active_forced();
-        if self.k > kernels::KMAX {
-            return KernelKind::Scalar;
-        }
-        if forced {
-            return kind;
-        }
-        match kind {
-            KernelKind::Avx2 if self.k < kernels::AVX2_MIN_BATCH_LIMBS => KernelKind::Portable,
-            other => other,
-        }
-    }
-
-    /// The kernel a **single** multiplication dispatches to. One CIOS
-    /// pass is a serial carry chain, and the digit kernels measure
-    /// slower than the u128 scalar loop at every limb count they accept
-    /// (the 32-bit digit split doubles the iteration count without
-    /// independent work to fill the lanes), so auto-detected dispatch
-    /// keeps single ops scalar and reserves the vector kernels for the
-    /// lockstep batch path. An explicit `SLA_SIMD` override forces its
-    /// kernel into single ops too — that is what the oracle CI legs pin.
-    fn single_kernel(&self) -> KernelKind {
-        let (kind, forced) = KernelKind::active_forced();
-        if forced && self.k <= kernels::KMAX {
-            kind
-        } else {
-            KernelKind::Scalar
-        }
     }
 
     /// The modulus this context reduces by.
@@ -138,30 +99,9 @@ impl MontgomeryCtx {
     ///
     /// `t` is a zeroed scratch of `k + 2` limbs; `a`/`b` hold reduced
     /// operands (shorter-than-`k` slices are implicitly zero-padded).
-    /// Dispatches to the active SIMD kernel; the scalar loop below is
-    /// the oracle every kernel is pinned byte-identical to.
+    /// This u128 schoolbook loop is the oracle the lockstep batch path
+    /// is pinned byte-identical to.
     fn cios(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
-        self.cios_with(self.single_kernel(), a, b, t)
-    }
-
-    /// [`Self::cios`] through an explicit kernel (callers guarantee the
-    /// kernel is available and, for non-scalar kinds, `k ≤ KMAX`).
-    fn cios_with(&self, kernel: KernelKind, a: &[u64], b: &[u64], t: &mut [u64]) {
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            KernelKind::Avx2 => {
-                kernels::cios_avx2(self.n.limbs(), &self.n_digits, self.n0_inv, a, b, t)
-            }
-            #[cfg(target_arch = "aarch64")]
-            KernelKind::Neon => {
-                kernels::cios_neon(self.n.limbs(), &self.n_digits, self.n0_inv, a, b, t)
-            }
-            _ => self.cios_scalar(a, b, t),
-        }
-    }
-
-    /// The u128 schoolbook CIOS loop — the correctness oracle.
-    fn cios_scalar(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
         let k = self.k;
         let nl = self.n.limbs();
         debug_assert_eq!(t.len(), k + 2);
@@ -251,148 +191,49 @@ impl MontgomeryCtx {
         })
     }
 
-    /// [`Self::mont_mul`] through an **explicit** kernel, bypassing the
-    /// process-wide dispatch — the oracle hook for the proptest suite
-    /// (the `SLA_SIMD` override is process-global, so in-process
-    /// comparisons of several kernels need this API).
+    /// Montgomery products for a batch of independent reduced pairs.
     ///
-    /// # Panics
-    /// Panics if the requested kernel is not available on this CPU.
-    pub fn mont_mul_with(&self, a: &BigUint, b: &BigUint, kernel: KernelKind) -> BigUint {
-        assert!(
-            kernel.available(),
-            "kernel {} is not available on this CPU",
-            kernel.name()
-        );
-        debug_assert!(a < &self.n && b < &self.n, "operands must be reduced");
-        let kernel = if self.k <= kernels::KMAX {
-            kernel
-        } else {
-            KernelKind::Scalar
-        };
-        self.with_scratch(|t| {
-            self.cios_with(kernel, a.limbs(), b.limbs(), t);
-            BigUint::from_limbs(t[..self.k].to_vec())
-        })
-    }
-
-    /// Montgomery products for a batch of independent reduced pairs,
-    /// eight (then four) elements advanced in lockstep through a
-    /// struct-of-arrays layout (remainders fall back to
-    /// [`Self::mont_mul`]'s path). Results are byte-identical to
-    /// mapping [`Self::mont_mul`] over the slice, in order.
+    /// For moduli of up to eight limbs, groups of eight (then one group
+    /// of four) advance in lockstep: the scalar CIOS recurrence per lane,
+    /// with the lanes' u128 carry chains interleaved. The remaining
+    /// pairs, and every pair of a larger modulus, take the scalar CIOS of
+    /// [`Self::mont_mul`]. Results are byte-identical to mapping
+    /// [`Self::mont_mul`] over the slice, in order.
     pub fn mont_mul_batch(&self, pairs: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
-        self.mont_mul_batch_with(pairs, self.kernel())
+        let mut out = Vec::with_capacity(pairs.len());
+        let mut rest = pairs;
+        if self.k <= KMAX {
+            rest = self.lockstep_groups::<LANES8>(rest, &mut out);
+            rest = self.lockstep_groups::<LANES>(rest, &mut out);
+        }
+        out.extend(rest.iter().map(|(a, b)| self.mont_mul(a, b)));
+        out
     }
 
-    /// [`Self::mont_mul_batch`] through an explicit kernel (see
-    /// [`Self::mont_mul_with`]).
-    ///
-    /// # Panics
-    /// Panics if the requested kernel is not available on this CPU.
-    // The lane loop reads column `lane` across rows of `group`; an
-    // iterator over `group` would walk the wrong axis.
-    #[allow(clippy::needless_range_loop)]
-    pub fn mont_mul_batch_with(
+    /// Runs every whole group of `L` pairs at the front of `pairs`
+    /// through [`lockstep_portable`], appending the products to `out`,
+    /// and returns the pairs left over (fewer than `L`).
+    fn lockstep_groups<'p, 'v, const L: usize>(
         &self,
-        pairs: &[(&BigUint, &BigUint)],
-        kernel: KernelKind,
-    ) -> Vec<BigUint> {
-        assert!(
-            kernel.available(),
-            "kernel {} is not available on this CPU",
-            kernel.name()
-        );
-        let kernel = if self.k <= kernels::KMAX {
-            kernel
-        } else {
-            KernelKind::Scalar
-        };
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut i = 0;
-        if kernel != KernelKind::Scalar {
-            // Wide groups first: exponentiation ladders supply batches
-            // deep enough that most of the work runs 8 lanes per
-            // instruction stream, with one 4-lane group mopping up.
-            let mut group8 = [[0u64; LANES8]; kernels::KMAX];
-            while i + LANES8 <= pairs.len() {
-                let g = &pairs[i..i + LANES8];
-                debug_assert!(
-                    g.iter().all(|(a, b)| *a < &self.n && *b < &self.n),
-                    "operands must be reduced"
-                );
-                let a_ops: [&[u64]; LANES8] = std::array::from_fn(|l| g[l].0.limbs());
-                let b_ops: [&[u64]; LANES8] = std::array::from_fn(|l| g[l].1.limbs());
-                match kernel {
-                    #[cfg(target_arch = "x86_64")]
-                    KernelKind::Avx2 => kernels::lockstep_avx2_8(
-                        self.n.limbs(),
-                        &self.n_digits,
-                        self.n0_inv,
-                        &a_ops,
-                        &b_ops,
-                        &mut group8,
-                    ),
-                    // NEON batches share the portable lockstep path.
-                    _ => kernels::lockstep_portable::<LANES8>(
-                        self.n.limbs(),
-                        self.n0_inv,
-                        &a_ops,
-                        &b_ops,
-                        &mut group8,
-                    ),
-                }
-                for lane in 0..LANES8 {
-                    out.push(BigUint::from_limbs(
-                        (0..self.k).map(|j| group8[j][lane]).collect(),
-                    ));
-                }
-                i += LANES8;
-            }
-            let mut group = [[0u64; LANES]; kernels::KMAX];
-            while i + LANES <= pairs.len() {
-                let g = &pairs[i..i + LANES];
-                debug_assert!(
-                    g.iter().all(|(a, b)| *a < &self.n && *b < &self.n),
-                    "operands must be reduced"
-                );
-                let a_ops: [&[u64]; LANES] = std::array::from_fn(|l| g[l].0.limbs());
-                let b_ops: [&[u64]; LANES] = std::array::from_fn(|l| g[l].1.limbs());
-                match kernel {
-                    #[cfg(target_arch = "x86_64")]
-                    KernelKind::Avx2 => kernels::lockstep_avx2(
-                        self.n.limbs(),
-                        &self.n_digits,
-                        self.n0_inv,
-                        &a_ops,
-                        &b_ops,
-                        &mut group,
-                    ),
-                    // NEON batches share the portable lockstep path.
-                    _ => kernels::lockstep_portable::<LANES>(
-                        self.n.limbs(),
-                        self.n0_inv,
-                        &a_ops,
-                        &b_ops,
-                        &mut group,
-                    ),
-                }
-                for lane in 0..LANES {
-                    out.push(BigUint::from_limbs(
-                        (0..self.k).map(|j| group[j][lane]).collect(),
-                    ));
-                }
-                i += LANES;
-            }
+        pairs: &'p [(&'v BigUint, &'v BigUint)],
+        out: &mut Vec<BigUint>,
+    ) -> &'p [(&'v BigUint, &'v BigUint)] {
+        let mut groups = pairs.chunks_exact(L);
+        let mut group = [[0u64; L]; KMAX];
+        for g in &mut groups {
+            debug_assert!(
+                g.iter().all(|(a, b)| *a < &self.n && *b < &self.n),
+                "operands must be reduced"
+            );
+            let a_ops: [&[u64]; L] = std::array::from_fn(|l| g[l].0.limbs());
+            let b_ops: [&[u64]; L] = std::array::from_fn(|l| g[l].1.limbs());
+            lockstep_portable(self.n.limbs(), self.n0_inv, &a_ops, &b_ops, &mut group);
+            out.extend(
+                (0..L)
+                    .map(|lane| BigUint::from_limbs((0..self.k).map(|j| group[j][lane]).collect())),
+            );
         }
-        // Remainder lanes (fewer than LANES left): a lone product has no
-        // independent work to fill vector lanes with, so the scalar
-        // single-op path is the fast one — byte-identical by the kernel
-        // contract, as the oracle suite pins.
-        for (a, b) in &pairs[i..] {
-            out.push(self.mont_mul_with(a, b, KernelKind::Scalar));
-        }
-        out
+        groups.remainder()
     }
 
     /// `(a · b) mod N` without any division: one conversion pass plus one
@@ -429,41 +270,6 @@ impl MontgomeryCtx {
         }
     }
 
-    /// `(a · b) mod N` for a batch of independent canonical pairs: the
-    /// two CIOS passes of [`Self::mod_mul`] each run as one lockstep
-    /// sweep over the whole batch. Byte-identical to mapping
-    /// [`Self::mod_mul`] over the slice, in order.
-    pub fn mod_mul_batch(&self, pairs: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
-        let owned: Vec<(BigUint, BigUint)> = pairs
-            .iter()
-            .map(|(a, b)| {
-                (
-                    if *a < &self.n {
-                        (*a).clone()
-                    } else {
-                        *a % &self.n
-                    },
-                    if *b < &self.n {
-                        (*b).clone()
-                    } else {
-                        *b % &self.n
-                    },
-                )
-            })
-            .collect();
-        // Pass 1: a·R = mont_mul(a, R²) across the batch.
-        let pass1_pairs: Vec<(&BigUint, &BigUint)> =
-            owned.iter().map(|(a, _)| (a, &self.r2)).collect();
-        let a_mont = self.mont_mul_batch(&pass1_pairs);
-        // Pass 2: mont_mul(a·R, b) = a·b mod N across the batch.
-        let pass2_pairs: Vec<(&BigUint, &BigUint)> = a_mont
-            .iter()
-            .zip(&owned)
-            .map(|(am, (_, b))| (am, b))
-            .collect();
-        self.mont_mul_batch(&pass2_pairs)
-    }
-
     /// `base^exp mod N` with a sliding window over a table of odd powers,
     /// performed entirely in the Montgomery domain (the shared ladder in
     /// `pow.rs`, instantiated with CIOS products).
@@ -473,46 +279,6 @@ impl MontgomeryCtx {
         }
         let base_m = self.to_mont(base);
         self.from_mont(&crate::pow::window_pow_res(self, &base_m, exp))
-    }
-
-    /// `base^exp` for a batch of independent `(base, exp)` pairs, bases
-    /// and results in the Montgomery domain: N windowed ladders advanced
-    /// in lockstep, every squaring and table product a batched CIOS
-    /// sweep through the SIMD kernels. Byte-identical, in order, to the
-    /// serial per-element ladder (residues have a unique representative).
-    pub fn mont_pow_batch(&self, items: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
-        crate::pow::window_pow_res_batch(self, items)
-    }
-
-    /// `base^exp mod N` for a batch of independent canonical pairs: the
-    /// domain conversions run as lockstep sweeps and the ladders run via
-    /// [`Self::mont_pow_batch`]. Byte-identical, in order, to mapping
-    /// [`Self::mod_pow`] over the slice.
-    pub fn mod_pow_batch(&self, pairs: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
-        // Pass 1: canonicalize + convert every base (one lockstep sweep).
-        let reduced: Vec<BigUint> = pairs
-            .iter()
-            .map(|(b, _)| {
-                if *b < &self.n {
-                    (*b).clone()
-                } else {
-                    *b % &self.n
-                }
-            })
-            .collect();
-        let conv_pairs: Vec<(&BigUint, &BigUint)> = reduced.iter().map(|b| (b, &self.r2)).collect();
-        let bases_m = self.mont_mul_batch(&conv_pairs);
-        // Pass 2: the lockstep ladders.
-        let items: Vec<(&BigUint, &BigUint)> = bases_m
-            .iter()
-            .zip(pairs)
-            .map(|(bm, (_, e))| (bm, *e))
-            .collect();
-        let res = self.mont_pow_batch(&items);
-        // Pass 3: convert back (mont_mul by 1, one lockstep sweep).
-        let one = BigUint::one();
-        let back_pairs: Vec<(&BigUint, &BigUint)> = res.iter().map(|r| (r, &one)).collect();
-        self.mont_mul_batch(&back_pairs)
     }
 }
 
@@ -525,9 +291,6 @@ impl crate::pow::ResidueOps for MontgomeryCtx {
     }
     fn mul_res(&self, a: &BigUint, b: &BigUint) -> BigUint {
         self.mont_mul(a, b)
-    }
-    fn mul_res_batch(&self, pairs: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
-        self.mont_mul_batch(pairs)
     }
 }
 
@@ -554,6 +317,87 @@ pub(crate) fn limbs_sub_assign(a: &mut [u64], b: &[u64]) {
         borrow = (o1 as u64) + (o2 as u64);
     }
     debug_assert_eq!(borrow, 0, "montgomery conditional subtract underflow");
+}
+
+/// `L` independent CIOS passes in lockstep: the exact scalar recurrence
+/// of [`MontgomeryCtx::cios`] per lane, but with operands transposed into
+/// `[limb][lane]` (struct-of-arrays) buffers so the `L` u128 carry chains
+/// interleave — the compiler schedules them in parallel where the serial
+/// loop is one long dependency chain. Byte-identical to `L` scalar passes
+/// by construction (same arithmetic per lane).
+///
+/// Instantiated at [`LANES8`] and [`LANES`]; the width is a const
+/// generic so each instantiation unrolls its lane loops fully.
+///
+/// `out[limb][lane]` receives the reduced results (`out.len() >= k`).
+#[allow(clippy::needless_range_loop)] // lane/limb index math mirrors the SoA layout
+fn lockstep_portable<const L: usize>(
+    nl: &[u64],
+    n0_inv: u64,
+    a: &[&[u64]; L],
+    b: &[&[u64]; L],
+    out: &mut [[u64; L]],
+) {
+    let k = nl.len();
+    debug_assert!(k <= KMAX && out.len() >= k);
+    // SoA transpose of b: bt[limb][lane].
+    let mut bt = [[0u64; L]; KMAX];
+    for lane in 0..L {
+        for j in 0..k {
+            bt[j][lane] = b[lane].get(j).copied().unwrap_or(0);
+        }
+    }
+    let mut t = [[0u64; L]; KMAX + 2];
+    for i in 0..k {
+        let mut ai = [0u64; L];
+        for lane in 0..L {
+            ai[lane] = a[lane].get(i).copied().unwrap_or(0);
+        }
+        // t += a_i · b, L carry chains interleaved.
+        let mut carry = [0u128; L];
+        for j in 0..k {
+            for lane in 0..L {
+                let s = t[j][lane] as u128 + ai[lane] as u128 * bt[j][lane] as u128 + carry[lane];
+                t[j][lane] = s as u64;
+                carry[lane] = s >> 64;
+            }
+        }
+        let mut m = [0u64; L];
+        for lane in 0..L {
+            let s = t[k][lane] as u128 + carry[lane];
+            t[k][lane] = s as u64;
+            t[k + 1][lane] = (s >> 64) as u64;
+            m[lane] = t[0][lane].wrapping_mul(n0_inv);
+            carry[lane] = (t[0][lane] as u128 + m[lane] as u128 * nl[0] as u128) >> 64;
+        }
+        // t = (t + m·N) >> 64
+        for j in 1..k {
+            for lane in 0..L {
+                let s = t[j][lane] as u128 + m[lane] as u128 * nl[j] as u128 + carry[lane];
+                t[j - 1][lane] = s as u64;
+                carry[lane] = s >> 64;
+            }
+        }
+        for lane in 0..L {
+            let s = t[k][lane] as u128 + carry[lane];
+            t[k - 1][lane] = s as u64;
+            t[k][lane] = t[k + 1][lane].wrapping_add((s >> 64) as u64);
+            t[k + 1][lane] = 0;
+        }
+    }
+    for lane in 0..L {
+        let mut tl = [0u64; KMAX + 2];
+        for j in 0..=k {
+            tl[j] = t[j][lane];
+        }
+        if tl[k] != 0 || !limbs_lt(&tl[..k], nl) {
+            limbs_sub_assign(&mut tl[..=k], nl);
+        }
+        debug_assert_eq!(tl[k], 0);
+        for j in 0..k {
+            out[j][lane] = tl[j];
+        }
+    }
 }
 
 #[cfg(test)]
@@ -660,86 +504,6 @@ mod tests {
         for a in [2u128, 3, 65537, 999_999_999] {
             assert_eq!(ctx.mod_pow(&b(a), &(&p - &b(1))), BigUint::one());
         }
-    }
-
-    #[test]
-    fn explicit_kernels_match_scalar() {
-        let n = &b(0x8000_0000_0000_0000_0000_0001u128) + &b(6);
-        let ctx = MontgomeryCtx::new(&n).unwrap();
-        let mut x = ctx.to_mont(&b(0x0123_4567_89ab_cdef_1111_2222));
-        let mut y = ctx.to_mont(&b(0xfeed_face_dead_c0de_3333_4444));
-        for _ in 0..25 {
-            let want = ctx.mont_mul_with(&x, &y, KernelKind::Scalar);
-            for kernel in KernelKind::all_available() {
-                assert_eq!(ctx.mont_mul_with(&x, &y, kernel), want, "{}", kernel.name());
-            }
-            x = want;
-            y = ctx.mont_mul(&y, &y);
-        }
-    }
-
-    #[test]
-    fn batch_matches_serial_all_kernels_and_widths() {
-        let n = &b(0x8000_0000_0000_0000_0000_0001u128) + &b(6);
-        let ctx = MontgomeryCtx::new(&n).unwrap();
-        let elems: Vec<BigUint> = (0..9u64)
-            .map(|i| ctx.to_mont(&b(0x1234_5678_9abc_def0 + 977 * i as u128)))
-            .collect();
-        for width in 0..=elems.len() {
-            let pairs: Vec<(&BigUint, &BigUint)> = (0..width)
-                .map(|i| (&elems[i], &elems[(i * 7 + 3) % elems.len()]))
-                .collect();
-            let want: Vec<BigUint> = pairs
-                .iter()
-                .map(|(a, b)| ctx.mont_mul_with(a, b, KernelKind::Scalar))
-                .collect();
-            for kernel in KernelKind::all_available() {
-                assert_eq!(
-                    ctx.mont_mul_batch_with(&pairs, kernel),
-                    want,
-                    "kernel {}, width {width}",
-                    kernel.name()
-                );
-            }
-            assert_eq!(ctx.mont_mul_batch(&pairs), want, "active kernel");
-        }
-    }
-
-    #[test]
-    fn mod_mul_batch_matches_serial_with_unreduced_operands() {
-        let n = &b(0x8000_0000_0000_0000_0000_0001u128) + &b(6);
-        let ctx = MontgomeryCtx::new(&n).unwrap();
-        let elems: Vec<BigUint> = (0..7u64)
-            .map(|i| b(u128::MAX - 0xdead_beef * i as u128))
-            .collect();
-        let pairs: Vec<(&BigUint, &BigUint)> = elems
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a, &elems[(i + 3) % elems.len()]))
-            .collect();
-        let want: Vec<BigUint> = pairs.iter().map(|(a, b)| ctx.mod_mul(a, b)).collect();
-        assert_eq!(ctx.mod_mul_batch(&pairs), want);
-    }
-
-    #[test]
-    fn oversized_moduli_downgrade_to_scalar() {
-        let mut n = BigUint::one().shl_bits(64 * 12 + 3); // 13 limbs > KMAX
-        n.set_bit(0);
-        let ctx = MontgomeryCtx::new(&n).unwrap();
-        assert_eq!(ctx.kernel(), KernelKind::Scalar);
-        let x = ctx.to_mont(&BigUint::one().shl_bits(700));
-        let y = ctx.to_mont(&(&BigUint::one().shl_bits(765) - &b(3)));
-        for kernel in KernelKind::all_available() {
-            assert_eq!(
-                ctx.mont_mul_with(&x, &y, kernel),
-                ctx.mont_mul(&x, &y),
-                "{}",
-                kernel.name()
-            );
-        }
-        let pairs = [(&x, &y), (&y, &x), (&x, &x), (&y, &y), (&x, &y)];
-        let want: Vec<BigUint> = pairs.iter().map(|(a, b)| ctx.mont_mul(a, b)).collect();
-        assert_eq!(ctx.mont_mul_batch(&pairs), want);
     }
 
     #[test]

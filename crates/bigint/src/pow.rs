@@ -21,13 +21,6 @@ pub(crate) trait ResidueOps {
     fn to_res(&self, a: &BigUint) -> BigUint;
     /// Domain product of two domain residues.
     fn mul_res(&self, a: &BigUint, b: &BigUint) -> BigUint;
-    /// Domain products for a batch of **independent** pairs. Backends
-    /// with a lockstep batch path override this (Montgomery routes to
-    /// `mont_mul_batch`); the default is the serial map. Results equal
-    /// mapping [`ResidueOps::mul_res`] over the slice, in order.
-    fn mul_res_batch(&self, pairs: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
-        pairs.iter().map(|(a, b)| self.mul_res(a, b)).collect()
-    }
 }
 
 /// Window width for an exponent of `bits` significant bits: 1 for short
@@ -102,140 +95,6 @@ pub(crate) fn window_pow_res<R: ResidueOps>(
         i = lo - 1;
     }
     acc
-}
-
-/// Lanes per lockstep ladder group: bounds per-group table memory
-/// (`chunk · 2^w` residues) while staying wide enough that every batched
-/// product saturates the 8-wide kernel groups underneath.
-const LADDER_CHUNK: usize = 32;
-
-/// `base^exp` for a batch of **independent** `(base_res, exp)` pairs,
-/// bases and results in the residue domain — N exponentiation ladders
-/// advanced in lockstep.
-///
-/// A sliding window takes data-dependent steps (each lane would square
-/// and multiply on its own schedule), so lockstep execution uses a
-/// **fixed** radix-2^w window instead: one schedule — `w` squarings plus
-/// one table product per digit — shared by the whole group, with each
-/// lane's exponent digit selecting its own precomputed power. Per digit,
-/// the squarings run as one full-width batched product and the table
-/// multiplies are subset-packed over the lanes whose digit is non-zero
-/// (zero digits are masked out of the batch rather than multiplied by
-/// one). Short exponents simply see leading zero digits: their
-/// accumulator idles at the domain 1 (squaring 1 yields 1) until their
-/// first significant digit — the pad-and-mask that lets ragged lanes
-/// share one schedule.
-///
-/// The per-lane op *sequence* differs from [`window_pow_res`]'s sliding
-/// window, but residues have a unique representative in `[0, N)`, so the
-/// outputs are byte-identical to the serial ladder's — which is what the
-/// oracle proptests pin, per kernel, across widths.
-///
-/// # Dispatch policy (measured)
-///
-/// Whether the lockstep schedule actually runs is decided by
-/// [`lockstep_ladder_profitable`]: under auto-detected dispatch the
-/// serial sliding window (scalar single-mul CIOS) wins at every limb
-/// count the vector kernels accept, so the batch entry falls back to a
-/// per-lane serial map — same bytes, same count of recorded ops, just
-/// the faster schedule. A forced `SLA_SIMD` override keeps the lockstep
-/// ladder: that is the regime where it wins (2–7× over forcing the same
-/// vector kernel through serial singles) and the path the CI oracle
-/// legs pin.
-pub(crate) fn window_pow_res_batch<R: ResidueOps>(
-    ring: &R,
-    items: &[(&BigUint, &BigUint)],
-) -> Vec<BigUint> {
-    if !lockstep_ladder_profitable() {
-        return items
-            .iter()
-            .map(|(b, e)| window_pow_res(ring, b, e))
-            .collect();
-    }
-    let mut out = Vec::with_capacity(items.len());
-    for chunk in items.chunks(LADDER_CHUNK) {
-        ladder_chunk(ring, chunk, &mut out);
-    }
-    out
-}
-
-/// Whether the lockstep ladder beats N serial sliding windows under the
-/// process-wide kernel choice. Measured on the x86-64 reference host
-/// (8-wide batches, full-length exponents): under **auto** dispatch the
-/// serial ladder's scalar u128 single-mul chain wins at every limb
-/// count `1..=KMAX` (lockstep lands at 0.77×–0.93×, approaching parity
-/// at 8 limbs — the fixed-window schedule's extra table products and
-/// the SoA packing per batched product cost more than the ~1.1× the
-/// portable batch kernel returns per CIOS). Under a **forced**
-/// `SLA_SIMD` vector kernel the comparison flips hard (2.2×–7.3×): a
-/// forced kernel runs single muls too, and one CIOS pass is a serial
-/// carry chain the digit kernels lose on, so batching is the only way
-/// to fill the lanes. Hence: forced ⇒ lockstep, auto ⇒ serial map.
-fn lockstep_ladder_profitable() -> bool {
-    crate::kernels::KernelKind::active_forced().1
-}
-
-/// One lockstep group of [`window_pow_res_batch`]: the shared window
-/// width is chosen from the group's longest exponent.
-fn ladder_chunk<R: ResidueOps>(ring: &R, items: &[(&BigUint, &BigUint)], out: &mut Vec<BigUint>) {
-    let n = items.len();
-    let max_bits = items
-        .iter()
-        .map(|(_, e)| e.bit_len())
-        .max()
-        .unwrap_or_default();
-    if max_bits == 0 {
-        out.extend((0..n).map(|_| ring.one_res()));
-        return;
-    }
-    let window = window_for_bits(max_bits);
-
-    // Per-lane power tables, built in lockstep across lanes:
-    // powers[d][lane] = base_lane^d in the domain (powers[0] is the
-    // domain 1, which also serves the all-zero-digit lanes).
-    let mut powers: Vec<Vec<BigUint>> = Vec::with_capacity(1 << window);
-    powers.push((0..n).map(|_| ring.one_res()).collect());
-    powers.push(items.iter().map(|(b, _)| (*b).clone()).collect());
-    for d in 2..(1usize << window) {
-        let pairs: Vec<(&BigUint, &BigUint)> = (0..n)
-            .map(|lane| (&powers[d - 1][lane], items[lane].0))
-            .collect();
-        let row = ring.mul_res_batch(&pairs);
-        powers.push(row);
-    }
-
-    // MSB→LSB over the shared digit schedule. The top digit seeds the
-    // accumulators directly (squaring the domain 1 first would be a
-    // no-op ladder prologue).
-    let digits = max_bits.div_ceil(window);
-    let top = digits - 1;
-    let mut acc: Vec<BigUint> = (0..n)
-        .map(|lane| powers[window_digit(items[lane].1, top * window, window)][lane].clone())
-        .collect();
-    for idx in (0..top).rev() {
-        for _ in 0..window {
-            let pairs: Vec<(&BigUint, &BigUint)> = acc.iter().map(|a| (a, a)).collect();
-            acc = ring.mul_res_batch(&pairs);
-        }
-        // Subset-pack the lanes with a non-zero digit into one batch.
-        let sel: Vec<(usize, usize)> = (0..n)
-            .filter_map(|lane| {
-                let d = window_digit(items[lane].1, idx * window, window);
-                (d != 0).then_some((lane, d))
-            })
-            .collect();
-        if !sel.is_empty() {
-            let pairs: Vec<(&BigUint, &BigUint)> = sel
-                .iter()
-                .map(|&(lane, d)| (&acc[lane], &powers[d][lane]))
-                .collect();
-            let prods = ring.mul_res_batch(&pairs);
-            for (&(lane, _), p) in sel.iter().zip(prods) {
-                acc[lane] = p;
-            }
-        }
-    }
-    out.append(&mut acc);
 }
 
 /// Extracts the `width`-bit little-endian digit of `exp` starting at bit

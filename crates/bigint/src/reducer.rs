@@ -15,7 +15,7 @@
 //! the domain — one reduction pass per product, with no per-operation
 //! round trip.
 
-use crate::pow::{window_pow_res, window_pow_res_batch, ResidueOps};
+use crate::pow::{window_pow_res, ResidueOps};
 use crate::{BarrettCtx, BigUint, MontgomeryCtx};
 
 /// Division-free reduction context for an arbitrary modulus `N > 1`.
@@ -93,10 +93,10 @@ impl Reducer {
     }
 
     /// Residue-domain products for a batch of **independent** pairs:
-    /// Montgomery moduli advance four elements in lockstep through the
-    /// SIMD batch kernels (`MontgomeryCtx::mont_mul_batch`); Barrett
-    /// moduli reduce pair-by-pair. Byte-identical, in order, to mapping
-    /// [`Reducer::residue_mul`] over the slice.
+    /// Montgomery moduli take [`MontgomeryCtx::mont_mul_batch`] (eight,
+    /// then four, products in lockstep through interleaved u128 carry
+    /// chains); Barrett moduli reduce pair-by-pair. Byte-identical, in
+    /// order, to mapping [`Reducer::residue_mul`] over the slice.
     pub fn residue_mul_batch(&self, pairs: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
         match self {
             Reducer::Montgomery(ctx) => ctx.mont_mul_batch(pairs),
@@ -112,44 +112,11 @@ impl Reducer {
         }
     }
 
-    /// `(a · b) mod N` for a batch of independent canonical pairs (the
-    /// lockstep analogue of [`Reducer::mod_mul`]).
-    pub fn mod_mul_batch(&self, pairs: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
-        match self {
-            Reducer::Montgomery(ctx) => ctx.mod_mul_batch(pairs),
-            Reducer::Barrett(ctx) => pairs.iter().map(|(a, b)| ctx.mod_mul(a, b)).collect(),
-        }
-    }
-
     /// `base^exp mod N` via the windowed ladder of the active backend.
     pub fn mod_pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         match self {
             Reducer::Montgomery(ctx) => ctx.mod_pow(base, exp),
             Reducer::Barrett(ctx) => ctx.mod_pow(base, exp),
-        }
-    }
-
-    /// `base^exp mod N` for a batch of **independent** canonical pairs:
-    /// Montgomery moduli run N windowed ladders in lockstep — every
-    /// squaring and table product one batched CIOS sweep through the
-    /// SIMD kernels — while Barrett moduli exponentiate pair-by-pair
-    /// (their reduction has no lockstep kernel). Byte-identical, in
-    /// order, to mapping [`Reducer::mod_pow`] over the slice.
-    pub fn mod_pow_batch(&self, pairs: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
-        match self {
-            Reducer::Montgomery(ctx) => ctx.mod_pow_batch(pairs),
-            Reducer::Barrett(ctx) => pairs.iter().map(|(b, e)| ctx.mod_pow(b, e)).collect(),
-        }
-    }
-
-    /// `base^exp` for a batch of independent `(base_res, exp)` pairs
-    /// with bases and results in the residue domain — the lockstep
-    /// analogue of the crate-internal `pow_residue`, used by the fixed-base
-    /// tables' batched long-exponent fallback and the pairing engine.
-    pub fn residue_pow_batch(&self, items: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
-        match self {
-            Reducer::Montgomery(ctx) => window_pow_res_batch(ctx, items),
-            Reducer::Barrett(ctx) => window_pow_res_batch(ctx, items),
         }
     }
 
@@ -217,38 +184,6 @@ mod tests {
                 .collect();
             let want: Vec<BigUint> = pairs.iter().map(|(a, b)| r.residue_mul(a, b)).collect();
             assert_eq!(r.residue_mul_batch(&pairs), want, "m = {m}");
-
-            let canon: Vec<(&BigUint, &BigUint)> = pairs.clone();
-            let want_mod: Vec<BigUint> = canon.iter().map(|(a, b)| r.mod_mul(a, b)).collect();
-            assert_eq!(r.mod_mul_batch(&canon), want_mod, "m = {m}");
-        }
-    }
-
-    #[test]
-    fn batch_pow_matches_serial_both_backends() {
-        for m in [97u128, 4096, (1 << 90) + 6, (1 << 90) + 7] {
-            let r = Reducer::new(&b(m)).unwrap();
-            let order_minus_one = &b(m) - &BigUint::one();
-            let exps: Vec<BigUint> = vec![
-                BigUint::zero(),
-                BigUint::one(),
-                b(0xfeed_face),
-                order_minus_one,
-                b(2),
-                b((1 << 77) + 13),
-            ];
-            let bases: Vec<BigUint> = (0..exps.len() as u128)
-                .map(|i| b(0x1234_5678 + 97 * i))
-                .collect();
-            let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(&exps).collect();
-            let want: Vec<BigUint> = pairs.iter().map(|(bb, e)| r.mod_pow(bb, e)).collect();
-            assert_eq!(r.mod_pow_batch(&pairs), want, "m = {m}");
-
-            // Residue-domain entry point, same pins.
-            let bases_res: Vec<BigUint> = bases.iter().map(|bb| r.to_residue(bb)).collect();
-            let items: Vec<(&BigUint, &BigUint)> = bases_res.iter().zip(&exps).collect();
-            let want_res: Vec<BigUint> = items.iter().map(|(bb, e)| r.pow_residue(bb, e)).collect();
-            assert_eq!(r.residue_pow_batch(&items), want_res, "m = {m} (residue)");
         }
     }
 

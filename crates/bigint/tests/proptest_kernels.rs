@@ -1,21 +1,28 @@
-//! Property tests: every SIMD/lockstep Montgomery kernel must be
-//! **byte-identical** to the scalar CIOS oracle.
+//! Property tests: the lockstep batch path must be **byte-identical** to
+//! the scalar CIOS oracle.
 //!
-//! The scalar loop is the reference semantics; the AVX2 digit kernel,
-//! the NEON digit kernel and the portable/AVX2 lockstep batch kernels
-//! are all required to reproduce it exactly — same limbs, same
-//! normalization — for every limb count the vector paths accept
-//! (1..=KMAX = 8) and for every batch width, including the ragged
-//! remainder lanes. Random moduli here force an exact top limb count
-//! so each k in 1..=8 is genuinely exercised, and the directed vectors
-//! pin the carry edges (all-ones limbs, operands `N − 1`, zero,
-//! zero-padded short operands) that random sampling rarely hits.
+//! `MontgomeryCtx::mont_mul_batch` advances groups of eight, then four,
+//! products through interleaved u128 carry chains for moduli of up to
+//! eight limbs; the leftover pairs, and every pair of a larger modulus,
+//! take the scalar `mont_mul`. The batch must reproduce the serial
+//! `mont_mul` map exactly — same limbs, same normalization, same order —
+//! at every limb count 1..=8, for a modulus above eight limbs (the scalar
+//! fallback), and at every batch width 0..=17, which covers both 8+8+1
+//! and 8+4+remainder. Random moduli force an exact top limb so each
+//! limb count is genuinely exercised, and the directed vectors pin the
+//! carry edges (all-ones limbs, operands `N − 1`, zero, zero-padded short
+//! operands) that random sampling rarely hits.
 
 use proptest::prelude::*;
-use sla_bigint::{BigUint, KernelKind, MontgomeryCtx};
+use sla_bigint::{BigUint, MontgomeryCtx};
 
-/// Odd modulus with **exactly** `k` limbs: top limb forced nonzero,
-/// bottom bit forced set.
+/// Widest batch checked: two wide groups plus one leftover pair.
+const MAX_WIDTH: usize = 17;
+/// Largest limb count checked: one past the lockstep path's cap.
+const MAX_LIMBS: usize = 9;
+
+/// Odd modulus with **exactly** `limbs.len()` limbs: top limb forced
+/// nonzero, bottom bit forced set.
 fn odd_modulus_exact(limbs: &[u64]) -> BigUint {
     let mut limbs = limbs.to_vec();
     let top = limbs.len() - 1;
@@ -24,118 +31,61 @@ fn odd_modulus_exact(limbs: &[u64]) -> BigUint {
     BigUint::from_limbs(limbs)
 }
 
-/// Reduces `raw` into `[0, n)` so it is a valid kernel operand.
+/// Reduces `raw` into `[0, n)` so it is a valid `mont_mul` operand.
 fn reduced(raw: &[u64], n: &BigUint) -> BigUint {
     &BigUint::from_limbs(raw.to_vec()) % n
 }
 
-/// Asserts every available kernel agrees with the scalar oracle on one
-/// `mont_mul` and on batches of every width in `0..=widths`.
-fn assert_all_kernels_agree(ctx: &MontgomeryCtx, a: &BigUint, b: &BigUint, widths: usize) {
-    let want = ctx.mont_mul_with(a, b, KernelKind::Scalar);
-    for kernel in KernelKind::all_available() {
-        let got = ctx.mont_mul_with(a, b, kernel);
-        assert_eq!(got, want, "single-op kernel {} diverged", kernel.name());
-        assert_eq!(
-            got.limbs(),
-            want.limbs(),
-            "kernel {} produced a non-canonical limb vector",
-            kernel.name()
-        );
-    }
-
-    // Batch parity at every width: lockstep groups of 4 plus the ragged
-    // tail must both match a serial scalar map, in order.
-    let elems: Vec<BigUint> = (0..widths)
-        .map(|i| {
-            let mut v = a.clone();
-            for _ in 0..i {
-                v = ctx.mont_mul_with(&v, b, KernelKind::Scalar);
-            }
-            v
-        })
-        .collect();
-    let pairs: Vec<(&BigUint, &BigUint)> = elems
-        .iter()
-        .enumerate()
-        .map(|(i, x)| (x, &elems[(i * 7 + 3) % elems.len().max(1)]))
-        .collect();
+/// Asserts `mont_mul_batch` equals the serial `mont_mul` map, limb for
+/// limb and in order, on every prefix of `pairs`.
+fn assert_batch_matches_serial(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) {
+    let want: Vec<BigUint> = pairs.iter().map(|(a, b)| ctx.mont_mul(a, b)).collect();
     for w in 0..=pairs.len() {
-        let slice = &pairs[..w];
-        let want: Vec<BigUint> = slice
-            .iter()
-            .map(|(x, y)| ctx.mont_mul_with(x, y, KernelKind::Scalar))
-            .collect();
-        for kernel in KernelKind::all_available() {
-            assert_eq!(
-                ctx.mont_mul_batch_with(slice, kernel),
-                want,
-                "batch kernel {} diverged at width {w}",
-                kernel.name()
-            );
+        let got = ctx.mont_mul_batch(&pairs[..w]);
+        assert_eq!(got, want[..w], "batch diverged at width {w}");
+        for (g, s) in got.iter().zip(&want) {
+            assert_eq!(g.limbs(), s.limbs(), "non-canonical limbs at width {w}");
         }
     }
 }
 
 proptest! {
-    /// Random moduli with an exact top limb for every k in 1..=8, random
-    /// reduced operands: all kernels equal the scalar oracle.
+    /// Random moduli with an exact top limb for every limb count
+    /// 1..=9 and per-lane random operands: every width prefix of a
+    /// 17-pair batch equals the serial scalar map.
     #[test]
-    fn kernels_match_scalar_on_random_inputs(
-        k in 1usize..9,
-        seed in prop::collection::vec(any::<u64>(), 8),
-        a_raw in prop::collection::vec(any::<u64>(), 1..9),
-        b_raw in prop::collection::vec(any::<u64>(), 1..9),
-    ) {
-        let n = odd_modulus_exact(&seed[..k]);
-        let ctx = MontgomeryCtx::new(&n).expect("odd modulus accepted");
-        let a = reduced(&a_raw, &n);
-        let b = reduced(&b_raw, &n);
-        assert_all_kernels_agree(&ctx, &a, &b, 5);
-    }
-
-    /// Batch widths 1..=9 with per-lane random operands: parity with the
-    /// serial scalar map must hold element-wise and in order.
-    #[test]
-    fn batch_widths_match_serial_scalar(
-        k in 1usize..9,
-        seed in prop::collection::vec(any::<u64>(), 8),
-        lanes in prop::collection::vec(prop::collection::vec(any::<u64>(), 8), 1..10),
+    fn batch_matches_serial_on_random_inputs(
+        k in 1usize..MAX_LIMBS + 1,
+        seed in prop::collection::vec(any::<u64>(), MAX_LIMBS),
+        lanes in prop::collection::vec(
+            prop::collection::vec(any::<u64>(), 2 * MAX_LIMBS),
+            MAX_WIDTH,
+        ),
     ) {
         let n = odd_modulus_exact(&seed[..k]);
         let ctx = MontgomeryCtx::new(&n).expect("odd modulus accepted");
         let elems: Vec<(BigUint, BigUint)> = lanes
             .iter()
-            .map(|raw| (reduced(&raw[..4], &n), reduced(&raw[4..], &n)))
+            .map(|raw| (reduced(&raw[..MAX_LIMBS], &n), reduced(&raw[MAX_LIMBS..], &n)))
             .collect();
-        let pairs: Vec<(&BigUint, &BigUint)> =
-            elems.iter().map(|(a, b)| (a, b)).collect();
-        let want: Vec<BigUint> = pairs
-            .iter()
-            .map(|(a, b)| ctx.mont_mul_with(a, b, KernelKind::Scalar))
-            .collect();
-        for kernel in KernelKind::all_available() {
-            prop_assert_eq!(
-                ctx.mont_mul_batch_with(&pairs, kernel),
-                want.clone(),
-                "kernel {}", kernel.name()
-            );
-        }
+        let pairs: Vec<(&BigUint, &BigUint)> = elems.iter().map(|(a, b)| (a, b)).collect();
+        assert_batch_matches_serial(&ctx, &pairs);
     }
 }
 
-/// Directed carry-edge vectors, exhaustively for every limb count the
-/// vector kernels accept: all-ones moduli (maximal `m·N` carries),
+/// Directed carry-edge vectors at every limb count 1..=9: all-ones
+/// moduli (maximal `m·N` carries) and sparse ones (mostly zero limbs),
 /// operands at `N − 1` (maximal partial products), zero and one
-/// (degenerate accumulators), and zero-padded short operands (the
-/// kernel must not read stale digits past a short slice).
+/// (degenerate accumulators), and zero-padded short operands (a lane
+/// must not read past a short slice). Every ordered operand pair forms
+/// one 25-pair batch, checked at every width prefix.
 #[test]
 fn directed_carry_edges_all_limb_counts() {
-    for k in 1usize..=8 {
+    for k in 1usize..=MAX_LIMBS {
         // 2^(64k) - 1: every limb all-ones. Odd, exact top limb.
         let all_ones = BigUint::from_limbs(vec![u64::MAX; k]);
         // 2^(64(k-1)) + 1 for k > 1: a single high bit over a long run
-        // of zero limbs, so most b-digits are zero mid-loop.
+        // of zero limbs, so most operand limbs are zero mid-loop.
         let sparse = if k > 1 {
             let mut limbs = vec![0u64; k];
             limbs[k - 1] = 1;
@@ -149,36 +99,16 @@ fn directed_carry_edges_all_limb_counts() {
             let n_minus_1 = &n - &BigUint::one();
             let half = &n >> 1;
             // Zero-padded short operand: value fits in one limb even
-            // when the modulus has eight.
+            // when the modulus has many.
             let short = BigUint::from_u64(0xdead_beef_cafe_f00d) % &n;
             let zero = BigUint::zero();
             let one = BigUint::one() % &n;
             let operands = [&n_minus_1, &half, &short, &zero, &one];
-            for a in operands {
-                for b in operands {
-                    assert_all_kernels_agree(&ctx, a, b, 9);
-                }
-            }
+            let pairs: Vec<(&BigUint, &BigUint)> = operands
+                .iter()
+                .flat_map(|&a| operands.iter().map(move |&b| (a, b)))
+                .collect();
+            assert_batch_matches_serial(&ctx, &pairs);
         }
-    }
-}
-
-/// `mod_mul_batch` (canonical-domain entry) also matches its serial
-/// counterpart for unreduced operands across all widths.
-#[test]
-fn mod_mul_batch_matches_serial_unreduced() {
-    let n = odd_modulus_exact(&[0x1234_5678_9abc_def1, 0xfeed_face, u64::MAX]);
-    let ctx = MontgomeryCtx::new(&n).expect("odd modulus accepted");
-    let elems: Vec<BigUint> = (0..9u64)
-        .map(|i| BigUint::from_limbs(vec![i.wrapping_mul(0x9e37_79b9_7f4a_7c15); 4]))
-        .collect();
-    let pairs: Vec<(&BigUint, &BigUint)> = elems
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (a, &elems[(i + 5) % elems.len()]))
-        .collect();
-    for w in 0..=pairs.len() {
-        let want: Vec<BigUint> = pairs[..w].iter().map(|(a, b)| ctx.mod_mul(a, b)).collect();
-        assert_eq!(ctx.mod_mul_batch(&pairs[..w]), want, "width {w}");
     }
 }

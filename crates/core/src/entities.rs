@@ -84,10 +84,9 @@ impl TrustedAuthority {
     /// key tables when [`Self::prepare`] has run.
     ///
     /// With a prepared key the whole set is generated through
-    /// [`HveScheme::gen_token_prepared_batch`], so the tokens'
-    /// exponentiations run in lockstep through the engine's SIMD batch
-    /// kernels — byte-identical to per-token generation against the same
-    /// RNG, with identical operation counts.
+    /// [`HveScheme::gen_token_prepared_batch`] — byte-identical to
+    /// per-token generation against the same RNG, with identical
+    /// operation counts.
     ///
     /// `Err(SlaError::CellOutOfRange)` on alert cells outside the grid.
     pub fn issue_tokens<G: BilinearGroup, R: Rng>(
@@ -716,8 +715,8 @@ impl ServiceProvider {
     ///
     /// Evaluation is **token-outer / lockstep-inner**: each token sweeps
     /// the whole chunk through [`HveScheme::match_token_batch`], which
-    /// drives the chunk's ciphertexts through one shared instruction
-    /// stream (the engine's SIMD batch kernels), and per-subscription
+    /// hands the chunk's pairings to the engine's batch multiplier in
+    /// one call per [`HveScheme::query_many`] chunk, and per-subscription
     /// hits are OR-accumulated across tokens. Notified ids are still
     /// pushed in subscription order, and every (token, ciphertext) pair
     /// is still decided by the same residue-domain primitive, so the

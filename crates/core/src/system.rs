@@ -280,12 +280,12 @@ impl AlertSystem {
         self.sp.upsert(&scheme, subscription)
     }
 
-    /// Bulk [`Self::subscribe_cell`]: encrypts every `(user_id, cell)`
-    /// update in one [`HveScheme::encrypt_prepared_batch`] call, so the
-    /// subscriptions' exponentiations run in lockstep through the
-    /// engine's SIMD batch kernels. Ciphertext `j` is byte-identical to
-    /// what the `j`-th serial `subscribe_cell` call would have stored
-    /// against the same RNG, and outcomes are returned in request order.
+    /// Bulk [`Self::subscribe_cell`]: validates every `(user_id, cell)`
+    /// update, then encrypts each through
+    /// [`HveScheme::encrypt_prepared`] in request order. Ciphertext `j`
+    /// is byte-identical to what the `j`-th serial `subscribe_cell` call
+    /// would have stored against the same RNG, and outcomes are returned
+    /// in request order.
     ///
     /// Validation is all-or-nothing: every request is checked
     /// (`CellOutOfRange`, `MessageOutOfDomain`) before any cryptography
@@ -308,8 +308,11 @@ impl AlertSystem {
             attrs.push(index_to_attribute(self.ta.codebook().index_of(cell)));
             msgs.push(scheme.try_encode_message(user_id)?);
         }
-        let items: Vec<_> = attrs.iter().zip(msgs.iter()).collect();
-        let cts = scheme.encrypt_prepared_batch(&self.ppk, &items, rng);
+        let cts: Vec<_> = attrs
+            .iter()
+            .zip(&msgs)
+            .map(|(attr, msg)| scheme.encrypt_prepared(&self.ppk, attr, msg, rng))
+            .collect();
         requests
             .iter()
             .zip(cts)

@@ -7,7 +7,7 @@ use crate::prepared::{PreparedPublicKey, PreparedSecretKey};
 use crate::vector::{AttributeVector, SearchPattern};
 use rand::Rng;
 use sla_bigint::BigUint;
-use sla_pairing::{BilinearGroup, GElem, GtElem, PreparedG};
+use sla_pairing::{BilinearGroup, GElem, GtElem};
 
 /// Bit size of the valid message domain used by
 /// [`HveScheme::encode_message`] / [`HveScheme::decode_message`].
@@ -19,11 +19,11 @@ use sla_pairing::{BilinearGroup, GElem, GtElem, PreparedG};
 /// valid message domain".
 pub const MESSAGE_DOMAIN_BITS: u32 = 32;
 
-/// Ciphertexts per lockstep chunk in [`HveScheme::query_many`].
+/// Ciphertexts per chunk in [`HveScheme::query_many`].
 ///
 /// Each chunk flattens `BATCH_CHUNK · (1 + 2·|J|)` pairings into one
-/// [`BilinearGroup::pair_batch`] call — large enough to keep the SIMD
-/// batch kernels saturated (the lockstep width is 4), small enough that
+/// [`BilinearGroup::pair_batch`] call — many times the eight-wide
+/// lockstep group of the batch multiplier below it, small enough that
 /// the pair scratch list and the chunk's `GT` outputs stay cache-resident.
 const BATCH_CHUNK: usize = 16;
 
@@ -148,132 +148,6 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
         self.encrypt_impl(EncKey::Prepared(ppk), index, message, rng)
     }
 
-    /// [`Self::encrypt_prepared`] over a batch of `(index, message)`
-    /// items sharing one key and one RNG: ciphertext `j` is
-    /// **byte-identical** to the `j`-th of `items.len()` serial
-    /// `encrypt_prepared` calls against the same RNG, and every counter
-    /// total advances exactly as the serial loop would.
-    ///
-    /// The speedup mechanism is *lockstep exponentiation*: randomness is
-    /// drawn first, item by item in the exact serial order, then the
-    /// exponentiations are regrouped by base role (`A^s`, `V^s`, the
-    /// per-position `C_{i,1}`/`C_{i,2}` powers) and handed to the
-    /// engine's batch-pow entry points, which drive 4/8 ladders per
-    /// instruction through the SIMD kernels. The cheap `mul_g`/`mul_gt`
-    /// folds replay serially per item afterwards.
-    ///
-    /// # Panics
-    /// Panics if any index's length differs from the scheme width.
-    pub fn encrypt_prepared_batch<R: Rng>(
-        &self,
-        ppk: &PreparedPublicKey,
-        items: &[(&AttributeVector, &GtElem)],
-        rng: &mut R,
-    ) -> Vec<Ciphertext> {
-        // Lockstep batching only wins when each exponentiation is
-        // genuinely expensive (a forced vector kernel): under auto
-        // dispatch the engine's single ops are already the fastest
-        // schedule and the gather/scatter bookkeeping below would cost
-        // more than it amortizes, so take the serial loop — the outputs
-        // and counter totals are identical either way.
-        if !self.group.prefers_batched_pow() {
-            return items
-                .iter()
-                .map(|(index, message)| self.encrypt_prepared(ppk, index, message, rng))
-                .collect();
-        }
-        let grp = self.group;
-        let l = self.width;
-
-        // Phase 1 — randomness, in the exact per-item serial draw order
-        // (s, Z, then Z_{i,1}, Z_{i,2} per position).
-        struct Draws {
-            s: BigUint,
-            z: GElem,
-            zi: Vec<(GElem, GElem)>,
-        }
-        let draws: Vec<Draws> = items
-            .iter()
-            .map(|(index, _)| {
-                assert_eq!(index.len(), l, "attribute width mismatch");
-                let s = grp.random_zn(rng);
-                let z = grp.random_gq(rng);
-                let zi = (0..l)
-                    .map(|_| (grp.random_gq(rng), grp.random_gq(rng)))
-                    .collect();
-                Draws { s, z, zi }
-            })
-            .collect();
-
-        // Phase 2 — exponentiations, regrouped by base role into lockstep
-        // sweeps. Set-bit positions first pay their metered `U_i·H_i`
-        // product (exactly one `mul_g` per set bit, like the serial path)
-        // and ride the ad-hoc-base sweep; everything else exponentiates
-        // straight off the key's fixed-base tables.
-        let a_items: Vec<_> = draws.iter().map(|d| (&ppk.a, &d.s)).collect();
-        let a_s = grp.pow_prepared_gt_batch(&a_items);
-        let v_items: Vec<_> = draws.iter().map(|d| (&ppk.v, &d.s)).collect();
-        let v_s = grp.pow_prepared_g_batch(&v_items);
-
-        let mut adhoc_bases: Vec<GElem> = Vec::new();
-        let mut adhoc_slots: Vec<(usize, usize)> = Vec::new(); // (item, i)
-        let mut prep_items: Vec<(&PreparedG, &BigUint)> = Vec::new();
-        let mut prep_slots: Vec<(usize, usize, bool)> = Vec::new(); // (item, i, is_c1)
-        for (j, (index, _)) in items.iter().enumerate() {
-            for i in 0..l {
-                if index.bit(i) {
-                    adhoc_bases.push(grp.mul_g(&ppk.pk.u[i], &ppk.pk.h[i]));
-                    adhoc_slots.push((j, i));
-                } else {
-                    prep_items.push((&ppk.h[i], &draws[j].s));
-                    prep_slots.push((j, i, true));
-                }
-                prep_items.push((&ppk.w[i], &draws[j].s));
-                prep_slots.push((j, i, false));
-            }
-        }
-        let adhoc_items: Vec<(&GElem, &BigUint)> = adhoc_slots
-            .iter()
-            .zip(&adhoc_bases)
-            .map(|(&(j, _), b)| (b, &draws[j].s))
-            .collect();
-        let adhoc_pows = grp.pow_g_batch(&adhoc_items);
-        let prep_pows = grp.pow_prepared_g_batch(&prep_items);
-
-        let mut c1: Vec<Vec<Option<GElem>>> = items.iter().map(|_| vec![None; l]).collect();
-        let mut c2: Vec<Vec<Option<GElem>>> = items.iter().map(|_| vec![None; l]).collect();
-        for (&(j, i), p) in adhoc_slots.iter().zip(adhoc_pows) {
-            c1[j][i] = Some(p);
-        }
-        for (&(j, i, is_c1), p) in prep_slots.iter().zip(prep_pows) {
-            if is_c1 {
-                c1[j][i] = Some(p);
-            } else {
-                c2[j][i] = Some(p);
-            }
-        }
-
-        // Phase 3 — per-item assembly (cheap metered folds, serial order).
-        items
-            .iter()
-            .enumerate()
-            .map(|(j, (_, message))| {
-                let d = &draws[j];
-                let c_prime = grp.mul_gt(message, &a_s[j]);
-                let c0 = grp.mul_g(&v_s[j], &d.z);
-                let c = (0..l)
-                    .map(|i| {
-                        let (z1, z2) = &d.zi[i];
-                        let p1 = c1[j][i].take().expect("every C_{i,1} lane resolved");
-                        let p2 = c2[j][i].take().expect("every C_{i,2} lane resolved");
-                        (grp.mul_g(&p1, z1), grp.mul_g(&p2, z2))
-                    })
-                    .collect();
-                Ciphertext { c_prime, c0, c }
-            })
-            .collect()
-    }
-
     /// Builds the per-base fixed-base tables for `pk` (once per key; every
     /// subsequent [`Self::encrypt_prepared`] reuses them).
     ///
@@ -375,10 +249,9 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
     }
 
     /// [`Self::gen_token_prepared`] over a batch of patterns sharing one
-    /// key and one RNG: token `j` is **byte-identical** to the `j`-th of
-    /// `patterns.len()` serial `gen_token_prepared` calls against the
-    /// same RNG, with identical counter totals — the lockstep analogue
-    /// of [`Self::encrypt_prepared_batch`] for the GenToken phase.
+    /// key and one RNG: token `j` is the `j`-th of `patterns.len()`
+    /// serial `gen_token_prepared` calls against the same RNG, with the
+    /// same counter totals.
     ///
     /// # Panics
     /// Panics if any pattern's length differs from the scheme width.
@@ -388,114 +261,9 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
         patterns: &[&SearchPattern],
         rng: &mut R,
     ) -> Vec<Token> {
-        // Same dispatch hint as `encrypt_prepared_batch`: the lockstep
-        // regrouping only amortizes under a forced vector kernel.
-        if !self.group.prefers_batched_pow() {
-            return patterns
-                .iter()
-                .map(|pat| self.gen_token_prepared(psk, pat, rng))
-                .collect();
-        }
-        let grp = self.group;
-        let sk = &psk.sk;
-
-        // Phase 1 — randomness, item by item in serial draw order
-        // (r_{i,1}, r_{i,2} per non-star position).
-        let draws: Vec<Vec<(BigUint, BigUint)>> = patterns
-            .iter()
-            .map(|pat| {
-                assert_eq!(pat.len(), self.width, "pattern width mismatch");
-                pat.non_star_positions()
-                    .into_iter()
-                    .map(|_| (grp.random_zp(rng), grp.random_zp(rng)))
-                    .collect()
-            })
-            .collect();
-
-        // Phase 2 — exponentiations regrouped into lockstep sweeps: the
-        // g^a seed, the ad-hoc `u_i·h_i` bases for set bits (metered
-        // product per position, like serial), and one prepared-base sweep
-        // covering clear-bit bases, every w_i power and both v powers.
-        let g_items: Vec<_> = patterns.iter().map(|_| (&psk.g, &sk.a)).collect();
-        let k0_seeds = grp.pow_prepared_g_batch(&g_items);
-
-        const BASE: u8 = 0;
-        const W: u8 = 1;
-        const V1: u8 = 2;
-        const V2: u8 = 3;
-        let mut adhoc_bases: Vec<GElem> = Vec::new();
-        let mut adhoc_slots: Vec<(usize, usize)> = Vec::new(); // (item, pos)
-        let mut prep_items: Vec<(&PreparedG, &BigUint)> = Vec::new();
-        let mut prep_slots: Vec<(usize, usize, u8)> = Vec::new(); // (item, pos, role)
-        for (j, pat) in patterns.iter().enumerate() {
-            for (pos, i) in pat.non_star_positions().into_iter().enumerate() {
-                let bit = pat.symbol(i).expect("non-star position");
-                let (r1, r2) = &draws[j][pos];
-                if bit {
-                    adhoc_bases.push(grp.mul_g(&sk.u[i], &sk.h[i]));
-                    adhoc_slots.push((j, pos));
-                } else {
-                    prep_items.push((&psk.h[i], r1));
-                    prep_slots.push((j, pos, BASE));
-                }
-                prep_items.push((&psk.w[i], r2));
-                prep_slots.push((j, pos, W));
-                prep_items.push((&psk.v, r1));
-                prep_slots.push((j, pos, V1));
-                prep_items.push((&psk.v, r2));
-                prep_slots.push((j, pos, V2));
-            }
-        }
-        let adhoc_items: Vec<(&GElem, &BigUint)> = adhoc_slots
-            .iter()
-            .zip(&adhoc_bases)
-            .map(|(&(j, pos), b)| (b, &draws[j][pos].0))
-            .collect();
-        let adhoc_pows = grp.pow_g_batch(&adhoc_items);
-        let prep_pows = grp.pow_prepared_g_batch(&prep_items);
-
-        // (base_pow, w_pow, v^{r1}, v^{r2}) per non-star position.
-        let mut grid: Vec<Vec<[Option<GElem>; 4]>> = patterns
-            .iter()
-            .map(|pat| {
-                (0..pat.non_star_count())
-                    .map(|_| [None, None, None, None])
-                    .collect()
-            })
-            .collect();
-        for (&(j, pos), p) in adhoc_slots.iter().zip(adhoc_pows) {
-            grid[j][pos][BASE as usize] = Some(p);
-        }
-        for (&(j, pos, role), p) in prep_slots.iter().zip(prep_pows) {
-            grid[j][pos][role as usize] = Some(p);
-        }
-
-        // Phase 3 — per-token K_0 folds (serial order, metered mul_g).
         patterns
             .iter()
-            .zip(k0_seeds)
-            .enumerate()
-            .map(|(j, (pat, seed))| {
-                let mut k0 = seed;
-                let mut k = Vec::with_capacity(pat.non_star_count());
-                for (pos, i) in pat.non_star_positions().into_iter().enumerate() {
-                    let slot = &mut grid[j][pos];
-                    let base_pow = slot[BASE as usize].take().expect("base lane resolved");
-                    k0 = grp.mul_g(&k0, &base_pow);
-                    let w_pow = slot[W as usize].take().expect("w lane resolved");
-                    k0 = grp.mul_g(&k0, &w_pow);
-                    k.push((
-                        i,
-                        slot[V1 as usize].take().expect("v1 lane resolved"),
-                        slot[V2 as usize].take().expect("v2 lane resolved"),
-                    ));
-                }
-                Token {
-                    pattern: (*pat).clone(),
-                    k0,
-                    k,
-                }
-            })
+            .map(|pat| self.gen_token_prepared(psk, pat, rng))
             .collect()
     }
 
@@ -560,11 +328,12 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
     /// shape of the alert protocol's hot loop (one subscription token
     /// swept over every reported ciphertext).
     ///
-    /// Ciphertexts are evaluated in lockstep chunks: each contributes its
+    /// Ciphertexts are evaluated in chunks: each contributes its
     /// `1 + 2·|J|` pairings to a flat, ciphertext-major pair list that is
     /// handed to [`BilinearGroup::pair_batch`] in one call per chunk, so
-    /// the engine can drive four pairings per instruction through the
-    /// SIMD batch kernels. The pair order within each ciphertext is
+    /// the engine can run the independent pairings in lockstep (the
+    /// simulated engine's batch multiplier interleaves eight, then four,
+    /// carry chains). The pair order within each ciphertext is
     /// exactly the serial [`Self::query`] order, and the `GT` folds
     /// replay per ciphertext afterwards — candidate `i` is
     /// **byte-identical** to `self.query(token, cts[i])` and every
@@ -997,39 +766,24 @@ mod tests {
 
     #[test]
     fn batch_prepared_paths_are_bit_and_count_identical() {
-        // encrypt_prepared_batch / gen_token_prepared_batch must consume
-        // the same RNG stream, record the same OpCounters deltas, and
-        // emit the same bytes as N serial prepared calls — the lockstep
-        // regrouping changes wall-clock only.
+        // gen_token_prepared_batch must consume the same RNG stream,
+        // record the same OpCounters deltas, and emit the same bytes as
+        // N serial prepared calls.
         let (grp, mut rng) = fixture(6);
         let scheme = HveScheme::new(&grp, 6);
-        let (pk, sk) = scheme.setup(&mut rng);
-        let ppk = scheme.prepare_public_key(&pk);
+        let (_, sk) = scheme.setup(&mut rng);
         let psk = scheme.prepare_secret_key(&sk);
 
-        let indexes: Vec<AttributeVector> = ["101101", "000000", "111111", "010010", "110001"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let msgs: Vec<GtElem> = (0..indexes.len() as u64)
-            .map(|i| scheme.encode_message(40 + i))
-            .collect();
         let patterns: Vec<SearchPattern> = ["1*11*1", "******", "000000", "*1*0**", "1*****"]
             .iter()
             .map(|s| s.parse().unwrap())
             .collect();
 
         for n in [0usize, 1, 3, 5] {
-            let enc_items: Vec<(&AttributeVector, &GtElem)> =
-                indexes[..n].iter().zip(&msgs[..n]).collect();
             let pats: Vec<&SearchPattern> = patterns[..n].iter().collect();
 
             let mut r1 = StdRng::seed_from_u64(0xfeed);
             let before = grp.counters().snapshot();
-            let cts_serial: Vec<Ciphertext> = enc_items
-                .iter()
-                .map(|(idx, msg)| scheme.encrypt_prepared(&ppk, idx, msg, &mut r1))
-                .collect();
             let tks_serial: Vec<Token> = pats
                 .iter()
                 .map(|pat| scheme.gen_token_prepared(&psk, pat, &mut r1))
@@ -1038,23 +792,16 @@ mod tests {
 
             let mut r2 = StdRng::seed_from_u64(0xfeed);
             let before = grp.counters().snapshot();
-            let cts_batch = scheme.encrypt_prepared_batch(&ppk, &enc_items, &mut r2);
             let tks_batch = scheme.gen_token_prepared_batch(&psk, &pats, &mut r2);
             let delta_batch = grp.counters().snapshot() - before;
 
-            assert_eq!(cts_batch, cts_serial, "n = {n}");
             assert_eq!(tks_batch, tks_serial, "n = {n}");
             assert_eq!(delta_batch, delta_serial, "op counts must match (n = {n})");
             assert_eq!(
-                serde_json::to_string(&cts_batch).unwrap(),
-                serde_json::to_string(&cts_serial).unwrap(),
+                serde_json::to_string(&tks_batch).unwrap(),
+                serde_json::to_string(&tks_serial).unwrap(),
                 "wire bytes must be identical (n = {n})"
             );
-            // the batch material still decrypts correctly
-            for (j, (ct, tk)) in cts_batch.iter().zip(&tks_batch).enumerate() {
-                let expect = pats[j].matches(&indexes[j]).then_some(40 + j as u64);
-                assert_eq!(scheme.query_decode(tk, ct), expect, "n = {n}, j = {j}");
-            }
         }
     }
 

@@ -37,17 +37,11 @@ impl OpCounters {
     pub(crate) fn record_g_exp(&self) {
         self.g_exps.fetch_add(1, Ordering::Relaxed);
     }
-    pub(crate) fn record_g_exps(&self, n: u64) {
-        self.g_exps.fetch_add(n, Ordering::Relaxed);
-    }
     pub(crate) fn record_gt_mult(&self) {
         self.gt_mults.fetch_add(1, Ordering::Relaxed);
     }
     pub(crate) fn record_gt_exp(&self) {
         self.gt_exps.fetch_add(1, Ordering::Relaxed);
-    }
-    pub(crate) fn record_gt_exps(&self, n: u64) {
-        self.gt_exps.fetch_add(n, Ordering::Relaxed);
     }
     pub(crate) fn record_canonicalization(&self) {
         self.canonicalizations.fetch_add(1, Ordering::Relaxed);

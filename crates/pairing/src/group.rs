@@ -53,64 +53,16 @@ pub trait BilinearGroup {
 
     /// The bilinear map over a batch of **independent** pairs.
     ///
-    /// Engines may drive all pairs through one lockstep instruction
-    /// stream (the simulated engine uses the SIMD batch kernels of the
-    /// bigint layer); the default is a serial loop. The contract is
+    /// Engines may evaluate the pairs together (the simulated engine
+    /// hands them to [`Reducer::residue_mul_batch`], whose portable
+    /// lockstep advances eight, then four, products through interleaved
+    /// u128 carry chains); the default is a serial loop. The contract is
     /// strict: output `i` is **byte-identical** to `self.pair(a_i, b_i)`,
     /// results are in input order, and the pairing counter advances by
     /// exactly `pairs.len()` — batching is a throughput optimization,
     /// never a semantic or accounting change.
     fn pair_batch(&self, pairs: &[(&GElem, &GElem)]) -> Vec<GtElem> {
         pairs.iter().map(|(a, b)| self.pair(a, b)).collect()
-    }
-
-    /// Exponentiation in `G` over a batch of **independent**
-    /// `(base, exponent)` pairs.
-    ///
-    /// Same strict contract as [`BilinearGroup::pair_batch`]: output `i`
-    /// is byte-identical to `self.pow_g(a_i, e_i)`, results are in input
-    /// order, and the `G`-exponentiation counter advances by exactly
-    /// `items.len()`. The simulated engine drives the whole batch
-    /// through one lockstep sweep; the default is a serial loop.
-    fn pow_g_batch(&self, items: &[(&GElem, &BigUint)]) -> Vec<GElem> {
-        items.iter().map(|(a, e)| self.pow_g(a, e)).collect()
-    }
-
-    /// Exponentiation in `GT` over a batch of independent pairs (see
-    /// [`BilinearGroup::pow_g_batch`] for the contract).
-    fn pow_gt_batch(&self, items: &[(&GtElem, &BigUint)]) -> Vec<GtElem> {
-        items.iter().map(|(a, e)| self.pow_gt(a, e)).collect()
-    }
-
-    /// Batched exponentiation through prepared `G` bases — metered and
-    /// byte-identical exactly like mapping
-    /// [`BilinearGroup::pow_prepared_g`] over the slice.
-    fn pow_prepared_g_batch(&self, items: &[(&PreparedG, &BigUint)]) -> Vec<GElem> {
-        items
-            .iter()
-            .map(|(b, e)| self.pow_prepared_g(b, e))
-            .collect()
-    }
-
-    /// Batched exponentiation through prepared `GT` bases (see
-    /// [`BilinearGroup::pow_prepared_g_batch`]).
-    fn pow_prepared_gt_batch(&self, items: &[(&PreparedGt, &BigUint)]) -> Vec<GtElem> {
-        items
-            .iter()
-            .map(|(b, e)| self.pow_prepared_gt(b, e))
-            .collect()
-    }
-
-    /// Dispatch hint for batch-pow **callers**: whether regrouping many
-    /// exponentiations into the `*_batch` entry points is expected to
-    /// beat calling the serial ops in a loop on this engine. The batch
-    /// entry points stay correct (byte-identical, identically metered)
-    /// either way — this only tells orchestration layers (e.g. the HVE
-    /// phase batchers) whether the gather/scatter bookkeeping they pay
-    /// to build a batch will amortize. Default: `true` (engines with
-    /// real ladder exponentiations win from lockstep batching).
-    fn prefers_batched_pow(&self) -> bool {
-        true
     }
 
     /// The canonical discrete log of a `GT` element, metered as one
@@ -274,37 +226,13 @@ impl SimulatedGroup {
     /// generators, otherwise one exponent conversion plus one domain
     /// product.
     fn pow_log(&self, log: &Log, e: &BigUint) -> BigUint {
-        let (l, r) = self.pow_log_operands(log, e);
-        self.reducer.residue_mul(&l, &r)
-    }
-
-    /// The `(left, right)` operand pair whose single domain product is
-    /// [`SimulatedGroup::pow_log`]: the cached generator tables'
-    /// `mul_ready` against the canonical exponent on a table hit, the
-    /// base residue against the exponent's domain image otherwise. The
-    /// batch exponentiation paths gather one pair per element and run a
-    /// single lockstep sweep — same operands, so byte-identical results.
-    fn pow_log_operands<'a>(
-        &'a self,
-        log: &'a Log,
-        e: &'a BigUint,
-    ) -> (Cow<'a, BigUint>, Cow<'a, BigUint>) {
         let r = self.residue_of(log);
         for table in [&self.g_table, &self.gp_table, &self.gq_table] {
             if *r == *table.base_res() {
-                return table.scalar_mul_operands(e);
+                return table.scalar_mul(e);
             }
         }
-        let er = self.reducer.to_residue(e);
-        (r, Cow::Owned(er))
-    }
-
-    /// Runs the gathered operand pairs of a batch exponentiation as one
-    /// lockstep sweep through [`Reducer::residue_mul_batch`].
-    fn pow_operands_batch(&self, ops: &[(Cow<'_, BigUint>, Cow<'_, BigUint>)]) -> Vec<BigUint> {
-        let refs: Vec<(&BigUint, &BigUint)> =
-            ops.iter().map(|(l, r)| (l.as_ref(), r.as_ref())).collect();
-        self.reducer.residue_mul_batch(&refs)
+        self.reducer.residue_mul(&r, &self.reducer.to_residue(e))
     }
 
     /// Wraps a residue-domain log as a `G` element of this engine.
@@ -350,31 +278,6 @@ impl BilinearGroup for SimulatedGroup {
         self.g_elem(self.pow_log(&a.0, e))
     }
 
-    fn pow_g_batch(&self, items: &[(&GElem, &BigUint)]) -> Vec<GElem> {
-        self.counters.record_g_exps(items.len() as u64);
-        let ops: Vec<_> = items
-            .iter()
-            .map(|(a, e)| self.pow_log_operands(&a.0, e))
-            .collect();
-        self.pow_operands_batch(&ops)
-            .into_iter()
-            .map(|r| self.g_elem(r))
-            .collect()
-    }
-
-    /// The simulated engine's "exponentiation" is a single residue
-    /// product (~tens of ns), so batch regrouping by callers only wins
-    /// when a forced `SLA_SIMD` kernel makes single ops the slow path
-    /// (one CIOS pass is a serial carry chain the digit kernels lose
-    /// on; batching is how they fill their lanes). Under auto dispatch
-    /// the scalar single-op schedule is already fastest and the hint
-    /// says so — measured on the x86-64 reference host: HVE batch
-    /// orchestration lands at 0.6–0.9× serial under auto, 1.2–1.3×
-    /// under a forced vector kernel.
-    fn prefers_batched_pow(&self) -> bool {
-        sla_bigint::KernelKind::active_forced().1
-    }
-
     fn inv_g(&self, a: &GElem) -> GElem {
         let ra = self.residue_of(&a.0);
         self.g_elem(BigUint::zero().mod_sub(&ra, &self.params.n))
@@ -389,18 +292,6 @@ impl BilinearGroup for SimulatedGroup {
     fn pow_gt(&self, a: &GtElem, e: &BigUint) -> GtElem {
         self.counters.record_gt_exp();
         self.gt_elem(self.pow_log(&a.0, e))
-    }
-
-    fn pow_gt_batch(&self, items: &[(&GtElem, &BigUint)]) -> Vec<GtElem> {
-        self.counters.record_gt_exps(items.len() as u64);
-        let ops: Vec<_> = items
-            .iter()
-            .map(|(a, e)| self.pow_log_operands(&a.0, e))
-            .collect();
-        self.pow_operands_batch(&ops)
-            .into_iter()
-            .map(|r| self.gt_elem(r))
-            .collect()
     }
 
     fn inv_gt(&self, a: &GtElem) -> GtElem {
@@ -428,11 +319,10 @@ impl BilinearGroup for SimulatedGroup {
 
     fn pair_batch(&self, pairs: &[(&GElem, &GElem)]) -> Vec<GtElem> {
         self.counters.record_pairings(pairs.len() as u64);
-        // Lockstep path: gather every log into the residue domain once,
-        // then hand the whole slice to the batch multiplier, which
-        // advances four products per instruction through the SIMD
-        // kernels. Cost burning stays per-output so the Calibrated model
-        // meters exactly as many modmuls as the serial path.
+        // Gather every log into the residue domain once, then hand the
+        // whole slice to the batch multiplier. Cost burning stays
+        // per-output so the Calibrated model meters exactly as many
+        // modmuls as the serial path.
         let residues: Vec<(Cow<'_, BigUint>, Cow<'_, BigUint>)> = pairs
             .iter()
             .map(|(a, b)| (self.residue_of(&a.0), self.residue_of(&b.0)))
@@ -468,21 +358,6 @@ impl BilinearGroup for SimulatedGroup {
         self.g_elem(res)
     }
 
-    fn pow_prepared_g_batch(&self, items: &[(&PreparedG, &BigUint)]) -> Vec<GElem> {
-        self.counters.record_g_exps(items.len() as u64);
-        let ops: Vec<_> = items
-            .iter()
-            .map(|(base, e)| match &base.table {
-                Some(t) if t.ctx().same_domain(&self.reducer) => t.scalar_mul_operands(e),
-                _ => self.pow_log_operands(&base.base.0, e),
-            })
-            .collect();
-        self.pow_operands_batch(&ops)
-            .into_iter()
-            .map(|r| self.g_elem(r))
-            .collect()
-    }
-
     fn prepare_gt(&self, a: &GtElem) -> PreparedGt {
         let res = self.residue_of(&a.0).into_owned();
         PreparedGt {
@@ -498,21 +373,6 @@ impl BilinearGroup for SimulatedGroup {
             _ => self.pow_log(&base.base.0, e),
         };
         self.gt_elem(res)
-    }
-
-    fn pow_prepared_gt_batch(&self, items: &[(&PreparedGt, &BigUint)]) -> Vec<GtElem> {
-        self.counters.record_gt_exps(items.len() as u64);
-        let ops: Vec<_> = items
-            .iter()
-            .map(|(base, e)| match &base.table {
-                Some(t) if t.ctx().same_domain(&self.reducer) => t.scalar_mul_operands(e),
-                _ => self.pow_log_operands(&base.base.0, e),
-            })
-            .collect();
-        self.pow_operands_batch(&ops)
-            .into_iter()
-            .map(|r| self.gt_elem(r))
-            .collect()
     }
 
     fn random_gp<R: Rng>(&self, rng: &mut R) -> GElem {
@@ -674,78 +534,6 @@ mod tests {
         let serial: Vec<GtElem> = pairs.iter().map(|(x, y)| grp.pair(x, y)).collect();
         assert_eq!(grp.pair_batch(&pairs), serial);
         assert_eq!(grp.counters().pairings(), 10);
-    }
-
-    #[test]
-    fn pow_batches_are_byte_identical_and_meter_like_serial() {
-        let (grp, mut rng) = setup();
-        let mut elems: Vec<GElem> = (0..7)
-            .map(|i| {
-                if i % 3 == 0 {
-                    grp.random_gq(&mut rng)
-                } else {
-                    grp.random_gp(&mut rng)
-                }
-            })
-            .collect();
-        // Generator-table hits and a canonical-form base exercise every
-        // operand-selection arm.
-        elems.push(grp.g());
-        elems.push(grp.gp_generator());
-        elems.push(GElem::canonical(elems[2].discrete_log()));
-        let exps: Vec<BigUint> = (0..elems.len())
-            .map(|i| {
-                if i == 0 {
-                    BigUint::zero()
-                } else {
-                    grp.random_zn(&mut rng)
-                }
-            })
-            .collect();
-        let items: Vec<(&GElem, &BigUint)> = elems.iter().zip(&exps).collect();
-
-        for w in 0..=items.len() {
-            let before = grp.counters().snapshot();
-            let serial: Vec<GElem> = items[..w].iter().map(|(a, e)| grp.pow_g(a, e)).collect();
-            let mid = grp.counters().snapshot();
-            let batched = grp.pow_g_batch(&items[..w]);
-            let after = grp.counters().snapshot();
-            assert_eq!(batched, serial, "width {w}");
-            assert_eq!((mid - before).g_exps, w as u64);
-            assert_eq!(after - mid, mid - before, "metering at width {w}");
-        }
-
-        // Prepared bases: precomputed tables plus an unprepared fallback.
-        let prepared: Vec<PreparedG> = elems.iter().map(|a| grp.prepare_g(a)).collect();
-        let mut prep_items: Vec<(&PreparedG, &BigUint)> = prepared.iter().zip(&exps).collect();
-        let plain = PreparedG::unprepared(elems[0].clone());
-        prep_items.push((&plain, &exps[1]));
-        let serial: Vec<GElem> = prep_items
-            .iter()
-            .map(|(b, e)| grp.pow_prepared_g(b, e))
-            .collect();
-        let before = grp.counters().snapshot();
-        assert_eq!(grp.pow_prepared_g_batch(&prep_items), serial);
-        let delta = grp.counters().snapshot() - before;
-        assert_eq!(delta.g_exps, prep_items.len() as u64);
-
-        // GT variants share the same machinery; pin one width each.
-        let gts: Vec<GtElem> = elems.iter().map(|a| grp.pair(a, &elems[1])).collect();
-        let gt_items: Vec<(&GtElem, &BigUint)> = gts.iter().zip(&exps).collect();
-        let serial: Vec<GtElem> = gt_items.iter().map(|(a, e)| grp.pow_gt(a, e)).collect();
-        assert_eq!(grp.pow_gt_batch(&gt_items), serial);
-        let pgts: Vec<PreparedGt> = gts.iter().map(|a| grp.prepare_gt(a)).collect();
-        let pgt_items: Vec<(&PreparedGt, &BigUint)> = pgts.iter().zip(&exps).collect();
-        let serial: Vec<GtElem> = pgt_items
-            .iter()
-            .map(|(b, e)| grp.pow_prepared_gt(b, e))
-            .collect();
-        let before = grp.counters().snapshot();
-        assert_eq!(grp.pow_prepared_gt_batch(&pgt_items), serial);
-        assert_eq!(
-            (grp.counters().snapshot() - before).gt_exps,
-            pgt_items.len() as u64
-        );
     }
 
     #[test]

@@ -27,7 +27,6 @@
 
 use crate::{GElem, GtElem};
 use sla_bigint::{BigUint, Reducer};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Per-base precomputation mapping an exponent to the base's power with a
@@ -71,28 +70,16 @@ impl FixedBaseMul {
 
     /// Residue of `log(base) · e mod N` — one reduction pass.
     pub(crate) fn scalar_mul(&self, e: &BigUint) -> BigUint {
-        let (l, r) = self.scalar_mul_operands(e);
-        self.ctx.residue_mul(&l, &r)
-    }
-
-    /// The `(left, right)` operand pair whose single domain product *is*
-    /// [`FixedBaseMul::scalar_mul`]. Batch exponentiation gathers one
-    /// pair per element and hands the whole slice to
-    /// [`Reducer::residue_mul_batch`], so N prepared exponentiations
-    /// advance in lockstep through the SIMD kernels while staying
-    /// byte-identical to N serial `scalar_mul` calls.
-    pub(crate) fn scalar_mul_operands<'a>(
-        &'a self,
-        e: &'a BigUint,
-    ) -> (Cow<'a, BigUint>, Cow<'a, BigUint>) {
         let n = self.ctx.modulus();
+        let folded;
         let e = if e < n {
-            Cow::Borrowed(e)
+            e
         } else {
             // log·e ≡ log·(e mod N); oversized exponents are cold-path.
-            Cow::Owned(e % n)
+            folded = e % n;
+            &folded
         };
-        (Cow::Borrowed(&self.mul_ready), e)
+        self.ctx.residue_mul(&self.mul_ready, e)
     }
 }
 
