@@ -190,7 +190,6 @@ fn run_smoke(out_dir: &std::path::Path, store: &str) {
     let rows = vec![primitives::measure(32, SEED)];
     let phases = vec![primitives::measure_phases(24, 8, SEED)];
     let churn = primitives::measure_churn(SEED);
-    let lockstep = primitives::measure_lockstep(32, SEED);
     for r in &rows {
         println!(
             "primitives[{} bit N]: mod_pow {:.0} -> {:.0} ns ({:.2}x), fixed-base {:.0} ns ({:.2}x)",
@@ -219,24 +218,9 @@ fn run_smoke(out_dir: &std::path::Path, store: &str) {
             c.backend, c.upsert_ns, c.remove_insert_ns, c.match_per_record_ns
         );
     }
-    for l in &lockstep {
-        println!(
-            "lockstep[{} bit N, batch {}]: {:.0} -> {:.0} ns/product ({:.2}x)",
-            l.modulus_bits,
-            l.batch,
-            l.serial_ns,
-            l.lockstep_ns,
-            l.speedup(),
-        );
-    }
     let path = out_dir.join("BENCH_primitives_smoke.json");
     let write = std::fs::create_dir_all(out_dir)
-        .and_then(|()| {
-            std::fs::write(
-                &path,
-                primitives::to_json(&rows, &phases, &churn, &lockstep),
-            )
-        })
+        .and_then(|()| std::fs::write(&path, primitives::to_json(&rows, &phases, &churn)))
         .map(|()| path);
     report(write);
 
@@ -492,28 +476,10 @@ fn main() {
                         c.users,
                     );
                 }
-                // Serial-vs-lockstep product rows at every modulus size.
-                let lockstep: Vec<_> = [32usize, 48, 64]
-                    .iter()
-                    .flat_map(|&bits| primitives::measure_lockstep(bits, SEED))
-                    .collect();
-                for l in &lockstep {
-                    println!(
-                        "lockstep[{} bit N, batch {}]: {:.0} -> {:.0} ns/product ({:.2}x)",
-                        l.modulus_bits,
-                        l.batch,
-                        l.serial_ns,
-                        l.lockstep_ns,
-                        l.speedup(),
-                    );
-                }
                 let path = opts.out_dir.join("BENCH_primitives.json");
                 let write = std::fs::create_dir_all(&opts.out_dir)
                     .and_then(|()| {
-                        std::fs::write(
-                            &path,
-                            primitives::to_json(&rows, &phases, &churn, &lockstep),
-                        )
+                        std::fs::write(&path, primitives::to_json(&rows, &phases, &churn))
                     })
                     .map(|()| path);
                 report(write);

@@ -58,74 +58,6 @@ impl PrimitiveTimings {
     }
 }
 
-/// Lockstep batch-multiplication timings (ns **per product**, medians)
-/// for one (modulus size, batch width) — the `lockstep` rows of
-/// `BENCH_primitives.json`. Serial drives each product one at a time
-/// through the scalar CIOS; lockstep hands the whole batch to
-/// `MontgomeryCtx::mont_mul_batch`, which advances eight, then four,
-/// products through interleaved u128 carry chains. Both paths are
-/// byte-identical, so the delta is pure throughput.
-#[derive(Debug, Clone)]
-pub struct LockstepTimings {
-    /// Bit length of the composite modulus `N = P·Q`.
-    pub modulus_bits: usize,
-    /// Number of independent products per batch call.
-    pub batch: usize,
-    /// ns per product, one `mont_mul` at a time.
-    pub serial_ns: f64,
-    /// ns per product through `mont_mul_batch`.
-    pub lockstep_ns: f64,
-}
-
-impl LockstepTimings {
-    /// Lockstep-vs-serial speedup per product.
-    pub fn speedup(&self) -> f64 {
-        self.serial_ns / self.lockstep_ns
-    }
-}
-
-/// Batch widths of the `lockstep` rows: a lone product (the scalar
-/// remainder path), one narrow group and one wide group.
-const LOCKSTEP_BATCHES: [usize; 3] = [1, 4, 8];
-
-/// Measures serial vs lockstep Montgomery products for a modulus with
-/// `prime_bits`-bit factors at batch widths 1, 4 and 8.
-pub fn measure_lockstep(prime_bits: usize, seed: u64) -> Vec<LockstepTimings> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x10c5);
-    let p = gen_prime(prime_bits, &mut rng);
-    let q = gen_prime(prime_bits, &mut rng);
-    let n = &p * &q;
-    let ctx = MontgomeryCtx::new(&n).expect("N = P·Q is odd");
-
-    // Full-width residue-domain operands, as the pairing engine holds.
-    let elems: Vec<BigUint> = (1..=16u64)
-        .map(|i| ctx.to_mont(&(&n - &BigUint::from_u64(i * 977 + 5))))
-        .collect();
-
-    LOCKSTEP_BATCHES
-        .iter()
-        .map(|&width| {
-            let pairs: Vec<(&BigUint, &BigUint)> = (0..width)
-                .map(|i| (&elems[i % elems.len()], &elems[(i * 5 + 3) % elems.len()]))
-                .collect();
-            let iters = (4_000 / width).max(500);
-            let serial_ns = time_ns(iters, || {
-                pairs
-                    .iter()
-                    .map(|(a, b)| ctx.mont_mul(a, b))
-                    .collect::<Vec<_>>()
-            }) / width as f64;
-            let lockstep_ns = time_ns(iters, || ctx.mont_mul_batch(&pairs)) / width as f64;
-            LockstepTimings {
-                modulus_bits: n.bit_len(),
-                batch: width,
-                serial_ns,
-                lockstep_ns,
-            }
-        })
-        .collect()
-}
-
 /// Timings (ns/op medians) for the HVE phases at one (modulus, width).
 #[derive(Debug, Clone)]
 pub struct PhaseTimings {
@@ -576,16 +508,15 @@ fn measure_persistent_sharded_churn(
 }
 
 /// Renders the timing series as the `BENCH_primitives.json` artifact
-/// (schema v7: primitive rows, per-phase HVE timings, per-backend store
-/// churn timings — including the four-writer `persistent_sharded` row —
-/// and serial-vs-lockstep product timings).
+/// (schema v8: primitive rows, per-phase HVE timings, and per-backend
+/// store churn timings — including the four-writer `persistent_sharded`
+/// row).
 pub fn to_json(
     rows: &[PrimitiveTimings],
     phases: &[PhaseTimings],
     churn: &[ChurnTimings],
-    lockstep: &[LockstepTimings],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"sla-bench/primitives/v7\",\n  \"rows\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"sla-bench/primitives/v8\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"modulus_bits\": {}, \"mod_mul_naive_ns\": {:.1}, \"mod_mul_mont_ns\": {:.1}, \
@@ -644,19 +575,6 @@ pub fn to_json(
             if i + 1 == churn.len() { "" } else { "," },
         ));
     }
-    out.push_str("  ],\n  \"lockstep\": [\n");
-    for (i, l) in lockstep.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"modulus_bits\": {}, \"batch\": {}, \
-             \"serial_ns\": {:.1}, \"lockstep_ns\": {:.1}, \"speedup\": {:.2}}}{}\n",
-            l.modulus_bits,
-            l.batch,
-            l.serial_ns,
-            l.lockstep_ns,
-            l.speedup(),
-            if i + 1 == lockstep.len() { "" } else { "," },
-        ));
-    }
     out.push_str("  ]\n}\n");
     out
 }
@@ -679,25 +597,10 @@ mod tests {
         ] {
             assert!(v.is_finite() && v > 0.0);
         }
-        let json = to_json(&[t], &[], &[], &[]);
-        assert!(json.contains("\"schema\": \"sla-bench/primitives/v7\""));
+        let json = to_json(&[t], &[], &[]);
+        assert!(json.contains("\"schema\": \"sla-bench/primitives/v8\""));
         assert!(json.contains("\"modulus_bits\": 64"));
         assert!(json.contains("fixed_base_speedup"));
-    }
-
-    #[test]
-    fn measure_lockstep_produces_sane_rows() {
-        let rows = measure_lockstep(32, 7);
-        let batches: Vec<usize> = rows.iter().map(|l| l.batch).collect();
-        assert_eq!(batches, vec![1, 4, 8]);
-        for l in &rows {
-            assert_eq!(l.modulus_bits, 64);
-            assert!(l.serial_ns.is_finite() && l.serial_ns > 0.0);
-            assert!(l.lockstep_ns.is_finite() && l.lockstep_ns > 0.0);
-        }
-        let json = to_json(&[], &[], &[], &rows);
-        assert!(json.contains("\"lockstep\""));
-        assert!(json.contains("\"batch\": 8"));
     }
 
     #[test]
@@ -716,7 +619,7 @@ mod tests {
         ] {
             assert!(v.is_finite() && v > 0.0);
         }
-        let json = to_json(&[], &[p], &[], &[]);
+        let json = to_json(&[], &[p], &[]);
         assert!(json.contains("\"phases\""));
         assert!(json.contains("gen_token_speedup"));
         assert!(json.contains("query_batch_ns"));
@@ -745,7 +648,7 @@ mod tests {
                 c.backend
             );
         }
-        let json = to_json(&[], &[], &churn, &[]);
+        let json = to_json(&[], &[], &churn);
         assert!(json.contains("\"churn\""));
         assert!(json.contains("persistent_fsync"));
         assert!(json.contains("persistent_sharded"));

@@ -24,11 +24,12 @@
 //!   prime generation ([`gen_prime`]).
 //! * Random sampling — [`random_below`], [`random_bits`].
 //!
-//! Every single Montgomery product runs one scalar CIOS pass. Batches of
-//! independent products ([`MontgomeryCtx::mont_mul_batch`], reached from
-//! [`Reducer::residue_mul_batch`]) advance eight, then four, products in
-//! lockstep through interleaved u128 carry chains — the same arithmetic
-//! per lane, so the results are byte-identical to the scalar loop.
+//! Every Montgomery product runs one scalar CIOS pass. Besides the
+//! `BigUint` API, [`MontgomeryCtx`] exposes the pass on caller-owned limb
+//! buffers ([`MontgomeryCtx::mont_mul_limbs`], with
+//! [`MontgomeryCtx::to_mont_limbs`], [`MontgomeryCtx::add_mod_limbs`] and
+//! [`MontgomeryCtx::sub_mod_limbs`]), so a hot loop over fixed-width
+//! arrays can chain products and sums without allocating.
 //!
 //! The crate is `#![forbid(unsafe_code)]` and deterministic given a
 //! seeded RNG, which the experiment harness relies on for

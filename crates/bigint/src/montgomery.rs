@@ -22,19 +22,10 @@
 
 use crate::BigUint;
 
-/// Stack-buffer capacity in limbs (`k + 2` scratch for `k ≤ 32`, i.e.
-/// moduli up to 2048 bits — far beyond the simulation's group orders).
-/// Larger moduli transparently fall back to a heap scratch buffer.
-const STACK_LIMBS: usize = 34;
-
-/// Largest modulus limb count the lockstep batch path covers (512-bit
-/// moduli — beyond every group order the simulation uses). Larger
-/// moduli run batches as a serial map.
-const KMAX: usize = 8;
-/// Narrow lockstep width: the group that mops up after the wide ones.
-const LANES: usize = 4;
-/// Wide lockstep width: eight interleaved carry chains per sweep.
-const LANES8: usize = 2 * LANES;
+/// Stack-buffer capacity in limbs: moduli of up to 32 limbs (2048
+/// bits, far beyond the simulation's group orders) run every CIOS pass
+/// in stack buffers. Larger moduli fall back to a heap scratch buffer.
+const STACK_LIMBS: usize = 32;
 
 /// Precomputed per-modulus state for division-free modular arithmetic.
 ///
@@ -95,66 +86,71 @@ impl MontgomeryCtx {
         self.r1.clone()
     }
 
-    /// One CIOS pass: `t[..k] = a·b·R^{-1} mod N`, reduced into `[0, N)`.
+    /// One CIOS pass: `out = a·b·R^{-1} mod N`, reduced into `[0, N)`.
     ///
-    /// `t` is a zeroed scratch of `k + 2` limbs; `a`/`b` hold reduced
-    /// operands (shorter-than-`k` slices are implicitly zero-padded).
-    /// This u128 schoolbook loop is the oracle the lockstep batch path
-    /// is pinned byte-identical to.
-    fn cios(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
-        let k = self.k;
-        let nl = self.n.limbs();
-        debug_assert_eq!(t.len(), k + 2);
+    /// `out` holds exactly `k` limbs; `a`/`b` hold at most `k` limbs
+    /// (shorter slices are implicitly zero-padded). The operands must
+    /// satisfy `a·b < N·R`, which holds whenever one of them is reduced:
+    /// the pass then ends below `2N`, and one conditional subtraction
+    /// normalizes it. Always inlined, so callers holding fixed-size
+    /// arrays get the loops at a constant width.
+    #[inline(always)]
+    fn cios(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        let k = out.len();
+        debug_assert_eq!(k, self.k);
+        let nl = &self.n.limbs()[..k];
+        out.fill(0);
+        // `hi` is limb k of the running sum; limb k + 1 is at most one
+        // and folds into it at the end of every round.
+        let mut hi = 0u64;
         for i in 0..k {
             let ai = a.get(i).copied().unwrap_or(0);
 
             // t += a_i · b
             let mut carry = 0u128;
-            for (j, tj) in t.iter_mut().enumerate().take(k) {
+            for (j, tj) in out.iter_mut().enumerate() {
                 let bj = b.get(j).copied().unwrap_or(0);
                 let s = *tj as u128 + ai as u128 * bj as u128 + carry;
                 *tj = s as u64;
                 carry = s >> 64;
             }
-            let s = t[k] as u128 + carry;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64; // cannot overflow: t[k+1] was 0
+            let s = hi as u128 + carry;
+            let (t_k, t_k1) = (s as u64, (s >> 64) as u64);
 
             // m = t[0] · n' mod 2^64 makes (t + m·N) divisible by 2^64.
-            let m = t[0].wrapping_mul(self.n0_inv);
+            let m = out[0].wrapping_mul(self.n0_inv);
 
             // t = (t + m·N) >> 64
-            let s = t[0] as u128 + m as u128 * nl[0] as u128;
+            let s = out[0] as u128 + m as u128 * nl[0] as u128;
             debug_assert_eq!(s as u64, 0);
             let mut carry = s >> 64;
             for j in 1..k {
-                let s = t[j] as u128 + m as u128 * nl[j] as u128 + carry;
-                t[j - 1] = s as u64;
+                let s = out[j] as u128 + m as u128 * nl[j] as u128 + carry;
+                out[j - 1] = s as u64;
                 carry = s >> 64;
             }
-            let s = t[k] as u128 + carry;
-            t[k - 1] = s as u64;
-            t[k] = t[k + 1].wrapping_add((s >> 64) as u64);
-            t[k + 1] = 0;
+            let s = t_k as u128 + carry;
+            out[k - 1] = s as u64;
+            hi = t_k1.wrapping_add((s >> 64) as u64);
         }
 
-        // t[..=k] < 2N at this point; one conditional subtraction
-        // normalizes into [0, N).
-        if t[k] != 0 || !limbs_lt(&t[..k], nl) {
-            limbs_sub_assign(&mut t[..=k], nl);
+        // t < 2N at this point; one conditional subtraction normalizes
+        // into [0, N), its borrow cancelling `hi`.
+        if hi != 0 || !limbs_lt(out, nl) {
+            let borrow = limbs_sub_wrapping(out, nl);
+            debug_assert_eq!(borrow, hi != 0);
         }
-        debug_assert_eq!(t[k], 0);
     }
 
-    /// Runs `f` with a zeroed `k + 2`-limb scratch buffer — on the stack
-    /// for every realistic modulus size.
+    /// Runs `f` with a `k`-limb result buffer — on the stack for every
+    /// realistic modulus size.
     #[inline]
     fn with_scratch<R>(&self, f: impl FnOnce(&mut [u64]) -> R) -> R {
-        if self.k + 2 <= STACK_LIMBS {
+        if self.k <= STACK_LIMBS {
             let mut t = [0u64; STACK_LIMBS];
-            f(&mut t[..self.k + 2])
+            f(&mut t[..self.k])
         } else {
-            let mut t = vec![0u64; self.k + 2];
+            let mut t = vec![0u64; self.k];
             f(&mut t)
         }
     }
@@ -171,7 +167,7 @@ impl MontgomeryCtx {
         };
         self.with_scratch(|t| {
             self.cios(al, self.r2.limbs(), t);
-            BigUint::from_limbs(t[..self.k].to_vec())
+            BigUint::from_limbs(t.to_vec())
         })
     }
 
@@ -187,53 +183,77 @@ impl MontgomeryCtx {
         debug_assert!(a < &self.n && b < &self.n, "operands must be reduced");
         self.with_scratch(|t| {
             self.cios(a.limbs(), b.limbs(), t);
-            BigUint::from_limbs(t[..self.k].to_vec())
+            BigUint::from_limbs(t.to_vec())
         })
     }
 
-    /// Montgomery products for a batch of independent reduced pairs.
-    ///
-    /// For moduli of up to eight limbs, groups of eight (then one group
-    /// of four) advance in lockstep: the scalar CIOS recurrence per lane,
-    /// with the lanes' u128 carry chains interleaved. The remaining
-    /// pairs, and every pair of a larger modulus, take the scalar CIOS of
-    /// [`Self::mont_mul`]. Results are byte-identical to mapping
-    /// [`Self::mont_mul`] over the slice, in order.
-    pub fn mont_mul_batch(&self, pairs: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut rest = pairs;
-        if self.k <= KMAX {
-            rest = self.lockstep_groups::<LANES8>(rest, &mut out);
-            rest = self.lockstep_groups::<LANES>(rest, &mut out);
-        }
-        out.extend(rest.iter().map(|(a, b)| self.mont_mul(a, b)));
-        out
+    /// Limb count `k` of `N` (`R = 2^{64k}`): the width of every buffer
+    /// the `*_limbs` primitives below take.
+    pub fn limb_count(&self) -> usize {
+        self.k
     }
 
-    /// Runs every whole group of `L` pairs at the front of `pairs`
-    /// through [`lockstep_portable`], appending the products to `out`,
-    /// and returns the pairs left over (fewer than `L`).
-    fn lockstep_groups<'p, 'v, const L: usize>(
-        &self,
-        pairs: &'p [(&'v BigUint, &'v BigUint)],
-        out: &mut Vec<BigUint>,
-    ) -> &'p [(&'v BigUint, &'v BigUint)] {
-        let mut groups = pairs.chunks_exact(L);
-        let mut group = [[0u64; L]; KMAX];
-        for g in &mut groups {
-            debug_assert!(
-                g.iter().all(|(a, b)| *a < &self.n && *b < &self.n),
-                "operands must be reduced"
-            );
-            let a_ops: [&[u64]; L] = std::array::from_fn(|l| g[l].0.limbs());
-            let b_ops: [&[u64]; L] = std::array::from_fn(|l| g[l].1.limbs());
-            lockstep_portable(self.n.limbs(), self.n0_inv, &a_ops, &b_ops, &mut group);
-            out.extend(
-                (0..L)
-                    .map(|lane| BigUint::from_limbs((0..self.k).map(|j| group[j][lane]).collect())),
-            );
+    /// Montgomery product `a·b·R^{-1} mod N` of two reduced `k`-limb
+    /// residues, written into `out`: one CIOS pass with no allocation.
+    /// Called with fixed-size arrays, the pass runs at a constant width.
+    ///
+    /// # Panics
+    /// Panics if a buffer is not `k` limbs wide.
+    #[inline]
+    pub fn mont_mul_limbs(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        assert!(
+            a.len() == self.k && b.len() == self.k && out.len() == self.k,
+            "limb buffers must be k limbs wide"
+        );
+        self.cios(a, b, out);
+    }
+
+    /// Lifts a canonical value of at most `k` limbs into the Montgomery
+    /// domain, `out = a·R mod N`: one CIOS pass against `R² mod N`, which
+    /// also reduces values in `[N, R)`.
+    ///
+    /// # Panics
+    /// Panics if `a` is wider than `k` limbs or `out` is not `k` limbs.
+    #[inline]
+    pub fn to_mont_limbs(&self, a: &[u64], out: &mut [u64]) {
+        assert!(
+            a.len() <= self.k && out.len() == self.k,
+            "limb buffers must be at most (a) and exactly (out) k limbs wide"
+        );
+        self.cios(a, self.r2.limbs(), out);
+    }
+
+    /// `acc = (acc + b) mod N` on reduced `k`-limb values, in place.
+    ///
+    /// # Panics
+    /// Panics if a buffer is not `k` limbs wide.
+    #[inline]
+    pub fn add_mod_limbs(&self, acc: &mut [u64], b: &[u64]) {
+        assert!(
+            acc.len() == self.k && b.len() == self.k,
+            "limb buffers must be k limbs wide"
+        );
+        let nl = self.n.limbs();
+        // The sum is below 2N; a carry out of limb k - 1 means it is at
+        // least R > N, and the subtraction's borrow cancels the carry.
+        if limbs_add_wrapping(acc, b) || !limbs_lt(acc, nl) {
+            limbs_sub_wrapping(acc, nl);
         }
-        groups.remainder()
+    }
+
+    /// `acc = (acc − b) mod N` on reduced `k`-limb values, in place.
+    ///
+    /// # Panics
+    /// Panics if a buffer is not `k` limbs wide.
+    #[inline]
+    pub fn sub_mod_limbs(&self, acc: &mut [u64], b: &[u64]) {
+        assert!(
+            acc.len() == self.k && b.len() == self.k,
+            "limb buffers must be k limbs wide"
+        );
+        if limbs_sub_wrapping(acc, b) {
+            limbs_add_wrapping(acc, self.n.limbs());
+        }
     }
 
     /// `(a · b) mod N` without any division: one conversion pass plus one
@@ -254,18 +274,17 @@ impl MontgomeryCtx {
             rb.limbs()
         };
         let k = self.k;
-        if k + 2 <= STACK_LIMBS {
+        if k <= STACK_LIMBS {
             let mut t1 = [0u64; STACK_LIMBS];
-            self.cios(al, self.r2.limbs(), &mut t1[..k + 2]);
+            self.cios(al, self.r2.limbs(), &mut t1[..k]);
             let mut t2 = [0u64; STACK_LIMBS];
-            self.cios(&t1[..k], bl, &mut t2[..k + 2]);
+            self.cios(&t1[..k], bl, &mut t2[..k]);
             BigUint::from_limbs(t2[..k].to_vec())
         } else {
-            let mut t1 = vec![0u64; k + 2];
+            let mut t1 = vec![0u64; k];
             self.cios(al, self.r2.limbs(), &mut t1);
-            let mut t2 = vec![0u64; k + 2];
-            self.cios(&t1[..k], bl, &mut t2);
-            t2.truncate(k);
+            let mut t2 = vec![0u64; k];
+            self.cios(&t1, bl, &mut t2);
             BigUint::from_limbs(t2)
         }
     }
@@ -319,85 +338,34 @@ pub(crate) fn limbs_sub_assign(a: &mut [u64], b: &[u64]) {
     debug_assert_eq!(borrow, 0, "montgomery conditional subtract underflow");
 }
 
-/// `L` independent CIOS passes in lockstep: the exact scalar recurrence
-/// of [`MontgomeryCtx::cios`] per lane, but with operands transposed into
-/// `[limb][lane]` (struct-of-arrays) buffers so the `L` u128 carry chains
-/// interleave — the compiler schedules them in parallel where the serial
-/// loop is one long dependency chain. Byte-identical to `L` scalar passes
-/// by construction (same arithmetic per lane).
-///
-/// Instantiated at [`LANES8`] and [`LANES`]; the width is a const
-/// generic so each instantiation unrolls its lane loops fully.
-///
-/// `out[limb][lane]` receives the reduced results (`out.len() >= k`).
-#[allow(clippy::needless_range_loop)] // lane/limb index math mirrors the SoA layout
-fn lockstep_portable<const L: usize>(
-    nl: &[u64],
-    n0_inv: u64,
-    a: &[&[u64]; L],
-    b: &[&[u64]; L],
-    out: &mut [[u64; L]],
-) {
-    let k = nl.len();
-    debug_assert!(k <= KMAX && out.len() >= k);
-    // SoA transpose of b: bt[limb][lane].
-    let mut bt = [[0u64; L]; KMAX];
-    for lane in 0..L {
-        for j in 0..k {
-            bt[j][lane] = b[lane].get(j).copied().unwrap_or(0);
-        }
+/// `a += b` modulo `2^{64·len}` over equal-length limb slices; returns
+/// the carry out of the top limb.
+#[inline(always)]
+fn limbs_add_wrapping(a: &mut [u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    let mut carry = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (s1, c1) = x.overflowing_add(y);
+        let (s2, c2) = s1.overflowing_add(carry as u64);
+        *x = s2;
+        carry = c1 | c2;
     }
-    let mut t = [[0u64; L]; KMAX + 2];
-    for i in 0..k {
-        let mut ai = [0u64; L];
-        for lane in 0..L {
-            ai[lane] = a[lane].get(i).copied().unwrap_or(0);
-        }
-        // t += a_i · b, L carry chains interleaved.
-        let mut carry = [0u128; L];
-        for j in 0..k {
-            for lane in 0..L {
-                let s = t[j][lane] as u128 + ai[lane] as u128 * bt[j][lane] as u128 + carry[lane];
-                t[j][lane] = s as u64;
-                carry[lane] = s >> 64;
-            }
-        }
-        let mut m = [0u64; L];
-        for lane in 0..L {
-            let s = t[k][lane] as u128 + carry[lane];
-            t[k][lane] = s as u64;
-            t[k + 1][lane] = (s >> 64) as u64;
-            m[lane] = t[0][lane].wrapping_mul(n0_inv);
-            carry[lane] = (t[0][lane] as u128 + m[lane] as u128 * nl[0] as u128) >> 64;
-        }
-        // t = (t + m·N) >> 64
-        for j in 1..k {
-            for lane in 0..L {
-                let s = t[j][lane] as u128 + m[lane] as u128 * nl[j] as u128 + carry[lane];
-                t[j - 1][lane] = s as u64;
-                carry[lane] = s >> 64;
-            }
-        }
-        for lane in 0..L {
-            let s = t[k][lane] as u128 + carry[lane];
-            t[k - 1][lane] = s as u64;
-            t[k][lane] = t[k + 1][lane].wrapping_add((s >> 64) as u64);
-            t[k + 1][lane] = 0;
-        }
+    carry
+}
+
+/// `a -= b` modulo `2^{64·len}` over equal-length limb slices; returns
+/// the borrow out of the top limb.
+#[inline(always)]
+fn limbs_sub_wrapping(a: &mut [u64], b: &[u64]) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d1, b1) = x.overflowing_sub(y);
+        let (d2, b2) = d1.overflowing_sub(borrow as u64);
+        *x = d2;
+        borrow = b1 | b2;
     }
-    for lane in 0..L {
-        let mut tl = [0u64; KMAX + 2];
-        for j in 0..=k {
-            tl[j] = t[j][lane];
-        }
-        if tl[k] != 0 || !limbs_lt(&tl[..k], nl) {
-            limbs_sub_assign(&mut tl[..=k], nl);
-        }
-        debug_assert_eq!(tl[k], 0);
-        for j in 0..k {
-            out[j][lane] = tl[j];
-        }
-    }
+    borrow
 }
 
 #[cfg(test)]

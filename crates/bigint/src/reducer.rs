@@ -92,18 +92,6 @@ impl Reducer {
         }
     }
 
-    /// Residue-domain products for a batch of **independent** pairs:
-    /// Montgomery moduli take [`MontgomeryCtx::mont_mul_batch`] (eight,
-    /// then four, products in lockstep through interleaved u128 carry
-    /// chains); Barrett moduli reduce pair-by-pair. Byte-identical, in
-    /// order, to mapping [`Reducer::residue_mul`] over the slice.
-    pub fn residue_mul_batch(&self, pairs: &[(&BigUint, &BigUint)]) -> Vec<BigUint> {
-        match self {
-            Reducer::Montgomery(ctx) => ctx.mont_mul_batch(pairs),
-            Reducer::Barrett(ctx) => pairs.iter().map(|(a, b)| ctx.mul_res(a, b)).collect(),
-        }
-    }
-
     /// `(a · b) mod N` on canonical operands.
     pub fn mod_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
         match self {
@@ -167,23 +155,6 @@ mod tests {
             let via_domain = r.from_residue(&r.residue_mul(&r.to_residue(&x), &r.to_residue(&y)));
             assert_eq!(via_domain, x.mod_mul(&y, &b(m)), "m = {m}");
             assert_eq!(r.mod_mul(&x, &y), x.mod_mul(&y, &b(m)), "m = {m}");
-        }
-    }
-
-    #[test]
-    fn batch_products_match_serial_both_backends() {
-        for m in [97u128, 4096, (1 << 80) + 2, (1 << 80) + 1] {
-            let r = Reducer::new(&b(m)).unwrap();
-            let elems: Vec<BigUint> = (0..9u128)
-                .map(|i| r.to_residue(&b(0xfeed_beef + 31 * i)))
-                .collect();
-            let pairs: Vec<(&BigUint, &BigUint)> = elems
-                .iter()
-                .enumerate()
-                .map(|(i, a)| (a, &elems[(i + 4) % elems.len()]))
-                .collect();
-            let want: Vec<BigUint> = pairs.iter().map(|(a, b)| r.residue_mul(a, b)).collect();
-            assert_eq!(r.residue_mul_batch(&pairs), want, "m = {m}");
         }
     }
 

@@ -97,4 +97,49 @@ proptest! {
         prop_assert_eq!(a.mod_sub(&b, &m), expect.clone());
         prop_assert_eq!(ar.mod_sub(&br, &m), expect);
     }
+
+    #[test]
+    fn limb_primitives_match_biguint_api(
+        m in prop::collection::vec(any::<u64>(), 1..9),
+        top_ones in any::<bool>(),
+        a in prop::collection::vec(any::<u64>(), 1..9),
+        b in prop::collection::vec(any::<u64>(), 1..9),
+    ) {
+        // The fixed-width primitives equal the BigUint API limb for
+        // limb. A modulus whose top limb is all ones puts sums next to
+        // R = 2^{64k}, where add_mod_limbs must handle the carry out.
+        let mut m = m;
+        if top_ones {
+            *m.last_mut().expect("non-empty") = u64::MAX;
+        }
+        let m = odd_modulus(&m);
+        let ctx = MontgomeryCtx::new(&m).expect("odd modulus accepted");
+        let k = ctx.limb_count();
+        prop_assert_eq!(k, m.limbs().len());
+        let (a, b) = (BigUint::from_limbs(a), BigUint::from_limbs(b));
+        let (ar, br) = (&a % &m, &b % &m);
+
+        let mut out = vec![0u64; k];
+        ctx.mont_mul_limbs(&padded(&ar, k), &padded(&br, k), &mut out);
+        prop_assert_eq!(&out, &padded(&ctx.mont_mul(&ar, &br), k));
+
+        // The lift takes any value below R, reduced or not.
+        let wide = BigUint::from_limbs(a.limbs().iter().copied().take(k).collect());
+        ctx.to_mont_limbs(wide.limbs(), &mut out);
+        prop_assert_eq!(&out, &padded(&ctx.to_mont(&wide), k));
+
+        let mut acc = padded(&ar, k);
+        ctx.add_mod_limbs(&mut acc, &padded(&br, k));
+        prop_assert_eq!(&acc, &padded(&ar.mod_add(&br, &m), k));
+        let mut acc = padded(&ar, k);
+        ctx.sub_mod_limbs(&mut acc, &padded(&br, k));
+        prop_assert_eq!(&acc, &padded(&ar.mod_sub(&br, &m), k));
+    }
+}
+
+/// `x`'s limbs zero-padded to `k`.
+fn padded(x: &BigUint, k: usize) -> Vec<u64> {
+    let mut v = x.limbs().to_vec();
+    v.resize(k, 0);
+    v
 }

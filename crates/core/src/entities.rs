@@ -13,7 +13,7 @@ use sla_hve::{
     Ciphertext, HveScheme, PreparedPublicKey, PreparedSecretKey, PublicKey, RegenStats, SecretKey,
     Token, TokenCache,
 };
-use sla_pairing::BilinearGroup;
+use sla_pairing::{BilinearGroup, QueryTarget};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -256,6 +256,31 @@ pub struct ServiceStats {
     /// Lifetime count of cells that exited a tracked alert zone
     /// relative to the previous epoch of the same tracker.
     pub cells_exited: u64,
+}
+
+/// What an exhaustive match of one alert's tokens over the store found,
+/// and the pairings its sweeps performed. The sweeps count their own
+/// pairings, so the count stays exact while other alerts or subscribes
+/// run on the same engine.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AlertMatch {
+    /// Users whose ciphertext matched at least one token, in store order.
+    pub notified: Vec<u64>,
+    /// Pairings evaluated: `Σ_tokens (1 + 2·|J|)` per ciphertext swept.
+    pub pairings: u64,
+}
+
+impl FromIterator<AlertMatch> for AlertMatch {
+    /// Concatenates the notified ids of `parts` in order and sums their
+    /// pairings.
+    fn from_iter<I: IntoIterator<Item = AlertMatch>>(parts: I) -> Self {
+        let mut all = AlertMatch::default();
+        for part in parts {
+            all.notified.extend(part.notified);
+            all.pairings += part.pairings;
+        }
+        all
+    }
 }
 
 /// The Service Provider: stores encrypted updates, evaluates tokens, and
@@ -689,23 +714,35 @@ impl ServiceProvider {
         scheme: &HveScheme<'_, G>,
         tokens: &[Token],
     ) -> SlaResult<Vec<u64>> {
+        self.match_alert_exhaustive_counted(scheme, tokens)
+            .map(|m| m.notified)
+    }
+
+    /// [`Self::match_alert_exhaustive`], also returning the pairings its
+    /// sweeps evaluated ([`AlertMatch::pairings`]). The engine's shared
+    /// counters advance by the same amount.
+    pub fn match_alert_exhaustive_counted<G: BilinearGroup>(
+        &self,
+        scheme: &HveScheme<'_, G>,
+        tokens: &[Token],
+    ) -> SlaResult<AlertMatch> {
         self.validate_tokens(scheme, tokens)?;
-        let mut notified = Vec::new();
-        match &self.store {
-            StoreHandle::Exclusive(store) => {
-                for shard in store.shards() {
-                    notified.extend(Self::match_chunk_exhaustive(shard, scheme, tokens));
-                }
-            }
-            StoreHandle::Concurrent(store) => {
-                for shard in 0..store.shard_count() {
+        Ok(match &self.store {
+            StoreHandle::Exclusive(store) => store
+                .shards()
+                .into_iter()
+                .map(|shard| Self::match_chunk_exhaustive(shard, scheme, tokens))
+                .collect(),
+            StoreHandle::Concurrent(store) => (0..store.shard_count())
+                .map(|shard| {
+                    let mut part = AlertMatch::default();
                     store.read_shard(shard, &mut |records| {
-                        notified.extend(Self::match_chunk_exhaustive(records, scheme, tokens));
+                        part = Self::match_chunk_exhaustive(records, scheme, tokens);
                     });
-                }
-            }
-        }
-        Ok(notified)
+                    part
+                })
+                .collect(),
+        })
     }
 
     /// Exhaustive matching of one chunk of the store; the unit of work
@@ -713,35 +750,40 @@ impl ServiceProvider {
     /// are identical by construction. Decides every pair in the residue
     /// domain — no canonical conversions.
     ///
-    /// Evaluation is **token-outer / lockstep-inner**: each token sweeps
-    /// the whole chunk through [`HveScheme::match_token_batch`], which
-    /// hands the chunk's pairings to the engine's batch multiplier in
-    /// one call per [`HveScheme::query_many`] chunk, and per-subscription
-    /// hits are OR-accumulated across tokens. Notified ids are still
-    /// pushed in subscription order, and every (token, ciphertext) pair
-    /// is still decided by the same residue-domain primitive, so the
-    /// result and the pairing count are identical to the old
-    /// subscription-outer loop.
+    /// Evaluation is **token-outer**: the chunk's query targets are built
+    /// once, each token sweeps all of them in one
+    /// [`HveScheme::match_token_sweep`] (the engine's fused query check),
+    /// and per-subscription hits are OR-accumulated across tokens.
+    /// Notified ids are pushed in subscription order, and the pairings
+    /// are the sum of what the sweeps recorded.
     fn match_chunk_exhaustive<G: BilinearGroup>(
         chunk: &[StoredSubscription],
         scheme: &HveScheme<'_, G>,
         tokens: &[Token],
-    ) -> Vec<u64> {
-        let pairs: Vec<(&Ciphertext, &sla_pairing::GtElem)> = chunk
+    ) -> AlertMatch {
+        let targets: Vec<QueryTarget<'_>> = chunk
             .iter()
-            .map(|sub| (&sub.ciphertext, &sub.expected))
+            .map(|sub| sub.ciphertext.query_target(&sub.expected))
             .collect();
         let mut hit = vec![false; chunk.len()];
+        let mut swept = vec![false; chunk.len()];
+        let mut pairings = 0;
         for token in tokens {
-            for (h, matched) in hit.iter_mut().zip(scheme.match_token_batch(token, &pairs)) {
-                *h |= matched;
+            pairings += scheme
+                .match_token_sweep(token, &targets, &mut swept)
+                .pairings;
+            for (h, s) in hit.iter_mut().zip(&swept) {
+                *h |= *s;
             }
         }
-        chunk
-            .iter()
-            .zip(hit)
-            .filter_map(|(sub, h)| h.then_some(sub.user_id))
-            .collect()
+        AlertMatch {
+            notified: chunk
+                .iter()
+                .zip(hit)
+                .filter_map(|(sub, h)| h.then_some(sub.user_id))
+                .collect(),
+            pairings,
+        }
     }
 
     /// Default chunk size for [`Self::process_alert_batch`]: a handful of
@@ -794,6 +836,19 @@ impl ServiceProvider {
         tokens: &[Token],
         chunk_size: usize,
     ) -> SlaResult<Vec<u64>> {
+        self.process_alert_batch_counted(scheme, tokens, chunk_size)
+            .map(|m| m.notified)
+    }
+
+    /// [`Self::process_alert_batch`], also returning the pairings its
+    /// sweeps evaluated ([`AlertMatch::pairings`]) — on a quiescent store
+    /// equal to [`Self::match_alert_exhaustive_counted`]'s.
+    pub fn process_alert_batch_counted<G: BilinearGroup + Sync>(
+        &self,
+        scheme: &HveScheme<'_, G>,
+        tokens: &[Token],
+        chunk_size: usize,
+    ) -> SlaResult<AlertMatch> {
         if chunk_size == 0 {
             return Err(SlaError::ZeroChunkSize);
         }
@@ -801,19 +856,21 @@ impl ServiceProvider {
         match &self.store {
             StoreHandle::Exclusive(store) => {
                 let units = store.chunked(chunk_size);
-                let per_chunk = Self::match_units(&units, scheme, tokens);
-                Ok(per_chunk.into_iter().flatten().collect())
+                Ok(Self::match_units(&units, scheme, tokens)
+                    .into_iter()
+                    .collect())
             }
             StoreHandle::Concurrent(store) => {
                 let shard_ids: Vec<usize> = (0..store.shard_count()).collect();
-                let per_shard = Self::match_shards_locked(
+                Ok(Self::match_shards_locked(
                     store.as_ref(),
                     &shard_ids,
                     scheme,
                     tokens,
                     chunk_size,
-                );
-                Ok(per_shard.into_iter().flatten().collect())
+                )
+                .into_iter()
+                .collect())
             }
         }
     }
@@ -827,14 +884,15 @@ impl ServiceProvider {
         scheme: &HveScheme<'_, G>,
         tokens: &[Token],
         chunk_size: usize,
-    ) -> Vec<u64> {
-        let mut notified = Vec::new();
+    ) -> AlertMatch {
+        let mut all = AlertMatch::default();
         store.read_shard(shard, &mut |records| {
-            for chunk in records.chunks(chunk_size) {
-                notified.extend(Self::match_chunk_exhaustive(chunk, scheme, tokens));
-            }
+            all = records
+                .chunks(chunk_size)
+                .map(|chunk| Self::match_chunk_exhaustive(chunk, scheme, tokens))
+                .collect();
         });
-        notified
+        all
     }
 
     #[cfg(feature = "parallel")]
@@ -844,7 +902,7 @@ impl ServiceProvider {
         scheme: &HveScheme<'_, G>,
         tokens: &[Token],
         chunk_size: usize,
-    ) -> Vec<Vec<u64>> {
+    ) -> Vec<AlertMatch> {
         use rayon::prelude::*;
         shard_ids
             .par_iter()
@@ -859,7 +917,7 @@ impl ServiceProvider {
         scheme: &HveScheme<'_, G>,
         tokens: &[Token],
         chunk_size: usize,
-    ) -> Vec<Vec<u64>> {
+    ) -> Vec<AlertMatch> {
         shard_ids
             .iter()
             .map(|&shard| Self::match_one_shard_locked(store, shard, scheme, tokens, chunk_size))
@@ -876,7 +934,7 @@ impl ServiceProvider {
         units: &[&[StoredSubscription]],
         scheme: &HveScheme<'_, G>,
         tokens: &[Token],
-    ) -> Vec<Vec<u64>> {
+    ) -> Vec<AlertMatch> {
         use rayon::prelude::*;
         units
             .par_iter()
@@ -889,7 +947,7 @@ impl ServiceProvider {
         units: &[&[StoredSubscription]],
         scheme: &HveScheme<'_, G>,
         tokens: &[Token],
-    ) -> Vec<Vec<u64>> {
+    ) -> Vec<AlertMatch> {
         units
             .iter()
             .map(|chunk| Self::match_chunk_exhaustive(chunk, scheme, tokens))

@@ -65,7 +65,9 @@ mod tracker;
 
 pub use convert::{codeword_to_pattern, index_to_attribute};
 pub use durable::PersistentStore;
-pub use entities::{MobileUser, ServiceProvider, ServiceStats, Subscription, TrustedAuthority};
+pub use entities::{
+    AlertMatch, MobileUser, ServiceProvider, ServiceStats, Subscription, TrustedAuthority,
+};
 pub use error::{SlaError, SlaResult, MAX_GROUP_BITS, MIN_GROUP_BITS};
 pub use store::{
     ConcurrentShardedStore, ConcurrentSubscriptionStore, DurabilityLaneStats, ShardedStore,

@@ -2,7 +2,7 @@
 //! the three parties together for long-lived service runs.
 
 use crate::convert::index_to_attribute;
-use crate::entities::{MobileUser, ServiceProvider, Subscription, TrustedAuthority};
+use crate::entities::{AlertMatch, MobileUser, ServiceProvider, Subscription, TrustedAuthority};
 use crate::error::{SlaError, SlaResult, MAX_GROUP_BITS, MIN_GROUP_BITS};
 use crate::store::{StoreBackend, StoreStats, UpsertOutcome};
 use crate::tracker::{TokenRegenStats, TrackedAlertOutcome, ZoneTracker};
@@ -129,7 +129,9 @@ pub struct AlertOutcome {
     pub tokens_issued: usize,
     /// Total non-star bits across the issued tokens.
     pub non_star_bits: u64,
-    /// Pairings actually performed by the SP (live engine counter delta).
+    /// Pairings the SP's matcher evaluated for this alert, counted by its
+    /// own sweeps — exact even while other alerts and subscribes run on
+    /// the same engine.
     pub pairings_used: u64,
     /// Pairings predicted by the analytic cost model
     /// `Σ_tokens (1 + 2·|J|) · n_ciphertexts`; the test-suite asserts this
@@ -409,11 +411,10 @@ impl AlertSystem {
         self.sp.sync()
     }
 
-    /// Shared alert pipeline: token issuance, analytic cost, counter
-    /// bracketing and outcome assembly; `match_fn` supplies the matching
-    /// strategy, which is the only difference between the serial and
-    /// batch entry points (keeping their outcomes identical by
-    /// construction).
+    /// Shared alert pipeline: token issuance, analytic cost, matching and
+    /// outcome assembly; `match_fn` supplies the matching strategy, which
+    /// is the only difference between the serial and batch entry points
+    /// (keeping their outcomes identical by construction).
     fn issue_alert_with<R: Rng>(
         &self,
         alert_cells: &[usize],
@@ -422,7 +423,7 @@ impl AlertSystem {
             &ServiceProvider,
             &HveScheme<'_, SimulatedGroup>,
             &[sla_hve::Token],
-        ) -> SlaResult<Vec<u64>>,
+        ) -> SlaResult<AlertMatch>,
     ) -> SlaResult<AlertOutcome> {
         let scheme = self.scheme();
         let tokens = self.ta.issue_tokens(&scheme, alert_cells, rng)?;
@@ -430,8 +431,8 @@ impl AlertSystem {
     }
 
     /// Second half of the alert pipeline, shared by the full-regeneration
-    /// and tracked (incremental) paths: analytic cost, counter bracketing
-    /// and outcome assembly over tokens already in hand.
+    /// and tracked (incremental) paths: analytic cost, matching and
+    /// outcome assembly over tokens already in hand.
     fn outcome_from_tokens(
         &self,
         scheme: &HveScheme<'_, SimulatedGroup>,
@@ -440,7 +441,7 @@ impl AlertSystem {
             &ServiceProvider,
             &HveScheme<'_, SimulatedGroup>,
             &[sla_hve::Token],
-        ) -> SlaResult<Vec<u64>>,
+        ) -> SlaResult<AlertMatch>,
     ) -> SlaResult<AlertOutcome> {
         let non_star_bits: u64 = tokens.iter().map(|t| t.non_star_count() as u64).sum();
         // The analytic model `Σ_tokens (1 + 2·|J|) · n` evaluated on the
@@ -448,16 +449,17 @@ impl AlertSystem {
         // a second time.
         let analytic = (tokens.len() as u64 + 2 * non_star_bits) * self.sp.n_subscriptions() as u64;
 
-        let before = self.group.counters().snapshot();
-        let mut notified = match_fn(&self.sp, scheme, &tokens)?;
-        let delta = self.group.counters().snapshot() - before;
+        let AlertMatch {
+            mut notified,
+            pairings,
+        } = match_fn(&self.sp, scheme, &tokens)?;
         notified.sort_unstable();
 
         Ok(AlertOutcome {
             notified,
             tokens_issued: tokens.len(),
             non_star_bits,
-            pairings_used: delta.pairings,
+            pairings_used: pairings,
             analytic_pairings: analytic,
         })
     }
@@ -469,8 +471,8 @@ impl AlertSystem {
     /// Takes `&self`: on the concurrent store backend, subscription churn
     /// through [`Self::subscribe_cell_shared`] /
     /// [`Self::unsubscribe_shared`] may proceed while the alert is being
-    /// matched. [`AlertOutcome::pairings_used`] is a counter *delta*, so
-    /// it is only meaningful when no other alert runs concurrently.
+    /// matched. [`AlertOutcome::pairings_used`] is counted by this alert's
+    /// own matcher, so it stays exact while other alerts run concurrently.
     ///
     /// `Err(SlaError::CellOutOfRange)` on alert cells outside the grid.
     pub fn issue_alert<R: Rng>(
@@ -479,7 +481,7 @@ impl AlertSystem {
         rng: &mut R,
     ) -> SlaResult<AlertOutcome> {
         self.issue_alert_with(alert_cells, rng, |sp, scheme, tokens| {
-            sp.match_alert_exhaustive(scheme, tokens)
+            sp.match_alert_exhaustive_counted(scheme, tokens)
         })
     }
 
@@ -507,7 +509,7 @@ impl AlertSystem {
     ) -> SlaResult<AlertOutcome> {
         self.issue_alert_with(alert_cells, rng, |sp, scheme, tokens| {
             let chunk = chunk_size.unwrap_or_else(|| sp.default_batch_chunk_size());
-            sp.process_alert_batch(scheme, tokens, chunk)
+            sp.process_alert_batch_counted(scheme, tokens, chunk)
         })
     }
 
@@ -548,7 +550,7 @@ impl AlertSystem {
         self.sp
             .note_regen(regen.generated as u64, cells_entered, cells_exited);
         let alert = self.outcome_from_tokens(&scheme, tokens, |sp, scheme, tokens| {
-            sp.match_alert_exhaustive(scheme, tokens)
+            sp.match_alert_exhaustive_counted(scheme, tokens)
         })?;
         Ok(TrackedAlertOutcome {
             alert,

@@ -3,7 +3,7 @@
 use crate::vector::SearchPattern;
 use serde::{Deserialize, Serialize};
 use sla_bigint::BigUint;
-use sla_pairing::{GElem, GtElem};
+use sla_pairing::{GElem, GtElem, QueryTarget};
 
 /// HVE secret key (held by the Trusted Authority in the alert protocol).
 ///
@@ -81,6 +81,17 @@ impl Ciphertext {
     /// ciphertext is used.
     pub fn from_parts(c_prime: GtElem, c0: GElem, c: Vec<(GElem, GElem)>) -> Self {
         Ciphertext { c_prime, c0, c }
+    }
+
+    /// The ciphertext as the target of a query check that passes when the
+    /// query recovers `expected` (see [`crate::HveScheme::match_token_sweep`]).
+    pub fn query_target<'a>(&'a self, expected: &'a GtElem) -> QueryTarget<'a> {
+        QueryTarget {
+            c_prime: &self.c_prime,
+            c0: &self.c0,
+            c: &self.c,
+            expected,
+        }
     }
 }
 

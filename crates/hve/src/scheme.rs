@@ -7,7 +7,7 @@ use crate::prepared::{PreparedPublicKey, PreparedSecretKey};
 use crate::vector::{AttributeVector, SearchPattern};
 use rand::Rng;
 use sla_bigint::BigUint;
-use sla_pairing::{BilinearGroup, GElem, GtElem};
+use sla_pairing::{query_candidate, BilinearGroup, CounterSnapshot, GElem, GtElem, QueryTarget};
 
 /// Bit size of the valid message domain used by
 /// [`HveScheme::encode_message`] / [`HveScheme::decode_message`].
@@ -19,12 +19,10 @@ use sla_pairing::{BilinearGroup, GElem, GtElem};
 /// valid message domain".
 pub const MESSAGE_DOMAIN_BITS: u32 = 32;
 
-/// Ciphertexts per chunk in [`HveScheme::query_many`].
-///
-/// Each chunk flattens `BATCH_CHUNK · (1 + 2·|J|)` pairings into one
-/// [`BilinearGroup::pair_batch`] call — many times the eight-wide
-/// lockstep group of the batch multiplier below it, small enough that
-/// the pair scratch list and the chunk's `GT` outputs stay cache-resident.
+/// Ciphertexts per chunk in [`HveScheme::query_many`]: each chunk's
+/// `BATCH_CHUNK · (1 + 2·|J|)` pairings go to one
+/// [`BilinearGroup::pair_batch`] call, whose pair list and `GT` outputs
+/// stay small and are reused from chunk to chunk.
 const BATCH_CHUNK: usize = 16;
 
 /// HVE scheme bound to a bilinear group engine and a fixed width `l`.
@@ -326,21 +324,18 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
 
     /// [`Self::query`] over many ciphertexts under **one token**, the
     /// shape of the alert protocol's hot loop (one subscription token
-    /// swept over every reported ciphertext).
+    /// swept over every reported ciphertext). This is the reference
+    /// evaluation that the match entry points are pinned to.
     ///
-    /// Ciphertexts are evaluated in chunks: each contributes its
-    /// `1 + 2·|J|` pairings to a flat, ciphertext-major pair list that is
-    /// handed to [`BilinearGroup::pair_batch`] in one call per chunk, so
-    /// the engine can run the independent pairings in lockstep (the
-    /// simulated engine's batch multiplier interleaves eight, then four,
-    /// carry chains). The pair order within each ciphertext is
-    /// exactly the serial [`Self::query`] order, and the `GT` folds
-    /// replay per ciphertext afterwards — candidate `i` is
-    /// **byte-identical** to `self.query(token, cts[i])` and every
-    /// counter total (`pairings`, `gt_mults`, …) advances exactly as the
-    /// serial loop would. The pair scratch buffer is reused across
-    /// chunks, so a sweep performs O(1) list allocations regardless of
-    /// batch size.
+    /// Ciphertexts are evaluated in chunks of 16: each contributes its
+    /// `1 + 2·|J|` pairings to a flat, ciphertext-major pair list handed
+    /// to [`BilinearGroup::pair_batch`] once per chunk, and the `GT`
+    /// folds of [`query_candidate`] replay per ciphertext afterwards.
+    /// The pair order within each ciphertext is exactly the serial
+    /// [`Self::query`] order, so candidate `i` is **byte-identical** to
+    /// `self.query(token, cts[i])` and every counter total (`pairings`,
+    /// `gt_mults`, …) advances exactly as the serial loop would. The pair
+    /// scratch buffer is reused across chunks.
     ///
     /// # Panics
     /// Panics if any ciphertext's width differs from the token's.
@@ -368,15 +363,8 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
             }
             let gts = grp.pair_batch(&pairs);
 
-            for (j, ct) in chunk.iter().enumerate() {
-                let mut slots = gts[j * per_ct..(j + 1) * per_ct].iter();
-                let numer = slots.next().expect("numerator pairing present");
-                let mut denom = GtElem::identity();
-                for gt in slots {
-                    denom = grp.mul_gt(&denom, gt);
-                }
-                let blinding = grp.div_gt(numer, &denom);
-                results.push(grp.div_gt(&ct.c_prime, &blinding));
+            for (ct, pairings) in chunk.iter().zip(gts.chunks_exact(per_ct)) {
+                results.push(query_candidate(grp, &ct.c_prime, pairings));
             }
         }
         results
@@ -407,29 +395,65 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
     /// `query_decode(token, ct) == Some(id)` (up to the same negligible
     /// false-positive probability ⊥ already carries).
     ///
-    /// Cost: exactly `1 + 2·|J|` pairings, like [`Self::query`].
+    /// Cost: exactly `1 + 2·|J|` pairings, like [`Self::query`]. Decided
+    /// by the engine's fused query check
+    /// ([`BilinearGroup::match_query_batch`]), which equals
+    /// `eq_gt(query(token, ct), expected)` in its decision and its
+    /// counters.
     ///
     /// # Panics
     /// Panics if token and ciphertext widths differ.
     pub fn match_token(&self, token: &Token, ct: &Ciphertext, expected: &GtElem) -> bool {
-        self.group.eq_gt(&self.query(token, ct), expected)
+        let mut hit = [false];
+        self.match_token_sweep(token, &[ct.query_target(expected)], &mut hit);
+        hit[0]
     }
 
-    /// Lockstep [`Self::match_token`] over `(ciphertext, expected)` pairs
-    /// sharing one token: candidates come from [`Self::query_many`] (one
-    /// `pair_batch` call per chunk), decisions stay in the residue domain
-    /// (zero canonicalizations). Decision `i` equals
-    /// `match_token(token, cts[i], expected_i)` exactly.
+    /// [`Self::match_token`] over `(ciphertext, expected)` pairs sharing
+    /// one token, in one sweep of the engine's query check. Decision `i`
+    /// equals `match_token(token, cts[i], expected_i)` exactly, and the
+    /// counters advance as the reference `query` + `eq_gt` loop would:
+    /// per pair `1 + 2·|J|` pairings, `2·|J| + 2` `GT` multiplications and
+    /// zero canonicalizations.
     ///
     /// # Panics
     /// Panics if any ciphertext's width differs from the token's.
     pub fn match_token_batch(&self, token: &Token, pairs: &[(&Ciphertext, &GtElem)]) -> Vec<bool> {
-        let cts: Vec<&Ciphertext> = pairs.iter().map(|(ct, _)| *ct).collect();
-        self.query_many(token, &cts)
+        let targets: Vec<QueryTarget<'_>> = pairs
             .iter()
-            .zip(pairs)
-            .map(|(candidate, (_, expected))| self.group.eq_gt(candidate, expected))
-            .collect()
+            .map(|(ct, expected)| ct.query_target(expected))
+            .collect();
+        let mut hits = vec![false; targets.len()];
+        self.match_token_sweep(token, &targets, &mut hits);
+        hits
+    }
+
+    /// The sweep under [`Self::match_token`] and
+    /// [`Self::match_token_batch`]: writes into `hits[i]` whether `token`
+    /// recovers `targets[i].expected` (see [`Ciphertext::query_target`]),
+    /// and returns the operations the sweep recorded in the engine's
+    /// counters. A matcher that reuses one target list across many tokens
+    /// calls this directly and sums the returned counts, which stay its
+    /// own when other threads share the engine.
+    ///
+    /// # Panics
+    /// Panics if `hits` and `targets` differ in length, or any target's
+    /// width differs from the token's.
+    pub fn match_token_sweep(
+        &self,
+        token: &Token,
+        targets: &[QueryTarget<'_>],
+        hits: &mut [bool],
+    ) -> CounterSnapshot {
+        for t in targets {
+            assert_eq!(
+                token.pattern.len(),
+                t.c.len(),
+                "token/ciphertext width mismatch"
+            );
+        }
+        self.group
+            .match_query_batch(&token.k0, &token.k, targets, hits)
     }
 
     /// Batch [`Self::query_decode`] against `(ciphertext, expected)`
@@ -895,7 +919,7 @@ mod tests {
 
     #[test]
     fn query_many_is_byte_identical_to_serial_query_with_equal_counters() {
-        // The lockstep sweep: candidates, counter totals and residue
+        // The chunked sweep: candidates, counter totals and residue
         // limbs must all equal the one-at-a-time loop, across batch
         // sizes that cover the empty batch, a partial chunk, an exact
         // chunk boundary and a ragged multi-chunk sweep.
@@ -950,16 +974,32 @@ mod tests {
         let pairs: Vec<(&Ciphertext, &GtElem)> =
             population.iter().map(|(ct, msg)| (ct, msg)).collect();
 
+        // The reference: the full query, then a residue-domain compare.
+        let before = grp.counters().snapshot();
+        let reference: Vec<bool> = pairs
+            .iter()
+            .map(|(ct, msg)| grp.eq_gt(&scheme.query(&tk, ct), msg))
+            .collect();
+        let reference_delta = grp.counters().snapshot() - before;
+        assert_eq!(reference.iter().filter(|&&b| b).count(), 4);
+
+        let before = grp.counters().snapshot();
         let serial: Vec<bool> = pairs
             .iter()
             .map(|(ct, msg)| scheme.match_token(&tk, ct, msg))
             .collect();
-        assert_eq!(serial.iter().filter(|&&b| b).count(), 4);
+        let serial_delta = grp.counters().snapshot() - before;
+        assert_eq!(serial, reference);
+        assert_eq!(serial_delta, reference_delta);
 
         let before = grp.counters().snapshot();
         let batched = scheme.match_token_batch(&tk, &pairs);
         let delta = grp.counters().snapshot() - before;
         assert_eq!(batched, serial);
+        assert_eq!(
+            delta, reference_delta,
+            "batch matching must meter exactly like query + eq_gt"
+        );
         assert_eq!(
             delta.canonicalizations, 0,
             "batch matching must decide in the residue domain"

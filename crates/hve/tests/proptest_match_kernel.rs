@@ -1,0 +1,177 @@
+//! Property test: the engine's fused query check behind `match_token`,
+//! `match_token_batch` and `match_token_sweep` decides every (token,
+//! ciphertext) pair exactly like the reference `eq_gt(query(tk, ct),
+//! expected)`, and moves the operation counters exactly as that
+//! reference does.
+//!
+//! Covered: group orders of one to four limbs; batches of 0 to 33
+//! ciphertexts, across the reference path's 16-ciphertext chunk edges;
+//! matching and non-matching rows, including rows whose components and
+//! payload are identity elements; and ciphertexts, payloads and tokens
+//! in three forms — residues of the engine that made them, canonical
+//! logs after a serde round trip (the state of recovered material), and
+//! residues of a second engine over the same group.
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sla_hve::{AttributeVector, Ciphertext, HveScheme, SearchPattern, Token};
+use sla_pairing::{BilinearGroup, GElem, GtElem, SimulatedGroup};
+
+/// How a row's material is held when it reaches the matcher.
+#[derive(Debug, Clone, Copy)]
+enum Form {
+    /// As the producing engine left it.
+    Residue,
+    /// Canonical logs, after a serde round trip.
+    Canonical,
+    /// Residues of another engine over the same parameters.
+    Foreign,
+}
+
+impl Form {
+    fn of(i: usize) -> Self {
+        [Form::Residue, Form::Canonical, Form::Foreign][i % 3]
+    }
+}
+
+fn foreign_g(other: &SimulatedGroup, x: &GElem) -> GElem {
+    other.mul_g(x, &GElem::identity())
+}
+
+fn foreign_gt(other: &SimulatedGroup, x: &GtElem) -> GtElem {
+    other.mul_gt(x, &GtElem::identity())
+}
+
+fn ciphertext_in(form: Form, other: &SimulatedGroup, ct: &Ciphertext) -> Ciphertext {
+    match form {
+        Form::Residue => ct.clone(),
+        Form::Canonical => serde_json::from_str(&serde_json::to_string(ct).unwrap()).unwrap(),
+        Form::Foreign => {
+            let (c_prime, c0, c) = ct.parts();
+            Ciphertext::from_parts(
+                foreign_gt(other, c_prime),
+                foreign_g(other, c0),
+                c.iter()
+                    .map(|(a, b)| (foreign_g(other, a), foreign_g(other, b)))
+                    .collect(),
+            )
+        }
+    }
+}
+
+fn payload_in(form: Form, other: &SimulatedGroup, m: &GtElem) -> GtElem {
+    match form {
+        Form::Residue => m.clone(),
+        Form::Canonical => GtElem::from_canonical_log(m.discrete_log()),
+        Form::Foreign => foreign_gt(other, m),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn kernel_equals_reference_query_check(
+        seed in any::<u64>(),
+        limbs in 1usize..5,
+        width in 1usize..7,
+        symbols in prop::collection::vec(0usize..3, 6),
+        n in 0usize..34,
+        token_form in 0usize..3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let grp = SimulatedGroup::generate(32 * limbs - 6, &mut rng);
+        prop_assert_eq!(grp.order().limbs().len(), limbs);
+        let other = SimulatedGroup::new(grp.params().clone());
+        let scheme = HveScheme::new(&grp, width);
+        let (pk, sk) = scheme.setup(&mut rng);
+
+        let pattern = SearchPattern::from_symbols(
+            &symbols[..width]
+                .iter()
+                .map(|&s| [Some(false), Some(true), None][s])
+                .collect::<Vec<_>>(),
+        );
+        // The token in one of the three forms too: a second engine's
+        // scheme derives it from the same secret key.
+        let tk = match Form::of(token_form) {
+            Form::Residue => scheme.gen_token(&sk, &pattern, &mut rng),
+            Form::Canonical => {
+                let tk = scheme.gen_token(&sk, &pattern, &mut rng);
+                serde_json::from_str::<Token>(&serde_json::to_string(&tk).unwrap()).unwrap()
+            }
+            Form::Foreign => HveScheme::new(&other, width).gen_token(&sk, &pattern, &mut rng),
+        };
+
+        let rows: Vec<(Ciphertext, GtElem)> = (0..n)
+            .map(|j| {
+                // Half the rows agree with the pattern on every non-star
+                // position; the rest draw their attribute at random.
+                let agree = rng.gen::<bool>();
+                let bits: Vec<bool> = (0..width)
+                    .map(|i| match pattern.symbol(i) {
+                        Some(b) if agree => b,
+                        _ => rng.gen(),
+                    })
+                    .collect();
+                let msg = scheme.encode_message(j as u64);
+                let mut ct = scheme.encrypt(&pk, &AttributeVector::from_bits(&bits), &msg, &mut rng);
+                let expected = match rng.gen_range(0, 4) {
+                    // The honest payload: a hit iff the pattern matches.
+                    0 | 1 => msg,
+                    // Someone else's payload: never a hit.
+                    2 => scheme.encode_message(j as u64 + 1),
+                    // Identity components, checked against the query's own
+                    // candidate (a hit) or the identity (almost never one).
+                    _ => {
+                        let (c_prime, _, c) = ct.parts();
+                        let mut c = c.to_vec();
+                        c[rng.gen_range(0, width as u64) as usize] = (GElem::identity(), GElem::identity());
+                        ct = Ciphertext::from_parts(c_prime.clone(), GElem::identity(), c);
+                        if rng.gen::<bool>() {
+                            scheme.query(&tk, &ct)
+                        } else {
+                            GtElem::identity()
+                        }
+                    }
+                };
+                let form = Form::of(rng.gen_range(0, 3) as usize);
+                (ciphertext_in(form, &other, &ct), payload_in(form, &other, &expected))
+            })
+            .collect();
+        let pairs: Vec<(&Ciphertext, &GtElem)> = rows.iter().map(|(ct, e)| (ct, e)).collect();
+
+        let before = grp.counters().snapshot();
+        let reference: Vec<bool> = pairs
+            .iter()
+            .map(|(ct, expected)| grp.eq_gt(&scheme.query(&tk, ct), expected))
+            .collect();
+        let reference_delta = grp.counters().snapshot() - before;
+        prop_assert_eq!(reference_delta.pairings, n as u64 * tk.pairing_cost());
+        prop_assert_eq!(reference_delta.canonicalizations, 0);
+
+        let before = grp.counters().snapshot();
+        let batch = scheme.match_token_batch(&tk, &pairs);
+        let batch_delta = grp.counters().snapshot() - before;
+        prop_assert_eq!(&batch, &reference);
+        prop_assert_eq!(batch_delta, reference_delta);
+
+        let before = grp.counters().snapshot();
+        let serial: Vec<bool> = pairs
+            .iter()
+            .map(|(ct, expected)| scheme.match_token(&tk, ct, expected))
+            .collect();
+        let serial_delta = grp.counters().snapshot() - before;
+        prop_assert_eq!(&serial, &reference);
+        prop_assert_eq!(serial_delta, reference_delta);
+
+        // The sweep reports exactly what it added to the shared counters.
+        let targets: Vec<_> = pairs.iter().map(|(ct, e)| ct.query_target(e)).collect();
+        let mut hits = vec![false; n];
+        let before = grp.counters().snapshot();
+        let recorded = scheme.match_token_sweep(&tk, &targets, &mut hits);
+        prop_assert_eq!(grp.counters().snapshot() - before, recorded);
+        prop_assert_eq!(recorded, reference_delta);
+        prop_assert_eq!(hits, reference);
+    }
+}

@@ -28,9 +28,6 @@ impl OpCounters {
     pub(crate) fn record_pairing(&self) {
         self.pairings.fetch_add(1, Ordering::Relaxed);
     }
-    pub(crate) fn record_pairings(&self, n: u64) {
-        self.pairings.fetch_add(n, Ordering::Relaxed);
-    }
     pub(crate) fn record_g_mult(&self) {
         self.g_mults.fetch_add(1, Ordering::Relaxed);
     }
@@ -45,6 +42,23 @@ impl OpCounters {
     }
     pub(crate) fn record_canonicalization(&self) {
         self.canonicalizations.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds a whole batch of operations at once: one atomic update per
+    /// non-zero counter.
+    pub(crate) fn record(&self, ops: &CounterSnapshot) {
+        for (counter, n) in [
+            (&self.pairings, ops.pairings),
+            (&self.g_mults, ops.g_mults),
+            (&self.g_exps, ops.g_exps),
+            (&self.gt_mults, ops.gt_mults),
+            (&self.gt_exps, ops.gt_exps),
+            (&self.canonicalizations, ops.canonicalizations),
+        ] {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Total bilinear pairings evaluated so far.

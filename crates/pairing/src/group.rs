@@ -1,8 +1,11 @@
 //! The [`BilinearGroup`] abstraction and its simulated implementation.
 
 use crate::element::Log;
+use crate::query::{match_query_reference, query_cost};
 use crate::table::FixedBaseMul;
-use crate::{CostModel, GElem, GroupParams, GtElem, OpCounters, PreparedG, PreparedGt};
+use crate::{
+    CounterSnapshot, GElem, GroupParams, GtElem, OpCounters, PreparedG, PreparedGt, QueryTarget,
+};
 use rand::Rng;
 use sla_bigint::{random_below, random_nonzero_below, BigUint, Reducer};
 use std::borrow::Cow;
@@ -51,18 +54,40 @@ pub trait BilinearGroup {
     /// The bilinear map `e : G × G → GT`.
     fn pair(&self, a: &GElem, b: &GElem) -> GtElem;
 
-    /// The bilinear map over a batch of **independent** pairs.
-    ///
-    /// Engines may evaluate the pairs together (the simulated engine
-    /// hands them to [`Reducer::residue_mul_batch`], whose portable
-    /// lockstep advances eight, then four, products through interleaved
-    /// u128 carry chains); the default is a serial loop. The contract is
-    /// strict: output `i` is **byte-identical** to `self.pair(a_i, b_i)`,
-    /// results are in input order, and the pairing counter advances by
-    /// exactly `pairs.len()` — batching is a throughput optimization,
-    /// never a semantic or accounting change.
+    /// The bilinear map over a batch of **independent** pairs: output `i`
+    /// is **byte-identical** to `self.pair(a_i, b_i)`, results are in
+    /// input order, and the pairing counter advances by exactly
+    /// `pairs.len()`. The default is a serial loop.
     fn pair_batch(&self, pairs: &[(&GElem, &GElem)]) -> Vec<GtElem> {
         pairs.iter().map(|(a, b)| self.pair(a, b)).collect()
+    }
+
+    /// HVE's query check for a batch of ciphertexts under one token
+    /// `(K_0, [(i, K_{i,1}, K_{i,2})])`: `hits[t]` becomes whether
+    /// `C' · Π_{i∈J} e(C_{i,1}, K_{i,1})·e(C_{i,2}, K_{i,2}) / e(C_0, K_0)`
+    /// of `targets[t]` equals its `expected` message.
+    ///
+    /// The default body is the reference evaluation: per ciphertext its
+    /// `1 + 2·|J|` pairings through [`Self::pair_batch`], the `GT` folds
+    /// of [`crate::query_candidate`], and [`Self::eq_gt`]. An engine may
+    /// fuse the evaluation, but its decisions and its counters must equal
+    /// the reference: per ciphertext, pairings advance by `1 + 2·|J|`,
+    /// `gt_mults` by `2·|J| + 2`, and no other counter moves.
+    ///
+    /// Returns the operations the sweep added to [`Self::counters`], so a
+    /// caller sharing the engine with other threads can count its own.
+    ///
+    /// # Panics
+    /// Panics if `hits` and `targets` differ in length, or a target has
+    /// no component at a position of the token.
+    fn match_query_batch(
+        &self,
+        k0: &GElem,
+        k: &[(usize, GElem, GElem)],
+        targets: &[QueryTarget<'_>],
+        hits: &mut [bool],
+    ) -> CounterSnapshot {
+        match_query_reference(self, k0, k, targets, hits)
     }
 
     /// The canonical discrete log of a `GT` element, metered as one
@@ -152,7 +177,6 @@ pub trait BilinearGroup {
 #[derive(Debug)]
 pub struct SimulatedGroup {
     params: GroupParams,
-    cost: CostModel,
     counters: OpCounters,
     /// Shared reduction context defining the residue domain of every
     /// element this engine produces.
@@ -178,7 +202,6 @@ impl SimulatedGroup {
         let gq_table = FixedBaseMul::new(reducer.clone(), reducer.to_residue(&params.p));
         SimulatedGroup {
             params,
-            cost: CostModel::default(),
             counters: OpCounters::new(),
             reducer,
             g_table,
@@ -192,12 +215,6 @@ impl SimulatedGroup {
         Self::new(GroupParams::generate(bits, rng))
     }
 
-    /// Sets the wall-clock cost model (see [`CostModel`]).
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// The group parameters.
     pub fn params(&self) -> &GroupParams {
         &self.params
@@ -207,7 +224,7 @@ impl SimulatedGroup {
     /// already lives in this engine's domain (the hot path), converted
     /// otherwise (identity elements, deserialized material, foreign
     /// engines).
-    fn residue_of<'a>(&self, log: &'a Log) -> Cow<'a, BigUint> {
+    pub(crate) fn residue_of<'a>(&self, log: &'a Log) -> Cow<'a, BigUint> {
         match log {
             Log::Residue { value, ctx }
                 if Arc::ptr_eq(ctx, &self.reducer) || ctx.same_domain(&self.reducer) =>
@@ -312,33 +329,37 @@ impl BilinearGroup for SimulatedGroup {
         // product is a *single* domain multiplication — the refactor
         // deleted the two per-op conversion passes this used to need.
         let (ra, rb) = (self.residue_of(&a.0), self.residue_of(&b.0));
-        let out = self.reducer.residue_mul(&ra, &rb);
-        self.cost.burn(&out, &self.reducer);
-        self.gt_elem(out)
+        self.gt_elem(self.reducer.residue_mul(&ra, &rb))
     }
 
-    fn pair_batch(&self, pairs: &[(&GElem, &GElem)]) -> Vec<GtElem> {
-        self.counters.record_pairings(pairs.len() as u64);
-        // Gather every log into the residue domain once, then hand the
-        // whole slice to the batch multiplier. Cost burning stays
-        // per-output so the Calibrated model meters exactly as many
-        // modmuls as the serial path.
-        let residues: Vec<(Cow<'_, BigUint>, Cow<'_, BigUint>)> = pairs
-            .iter()
-            .map(|(a, b)| (self.residue_of(&a.0), self.residue_of(&b.0)))
-            .collect();
-        let refs: Vec<(&BigUint, &BigUint)> = residues
-            .iter()
-            .map(|(ra, rb)| (ra.as_ref(), rb.as_ref()))
-            .collect();
-        self.reducer
-            .residue_mul_batch(&refs)
-            .into_iter()
-            .map(|out| {
-                self.cost.burn(&out, &self.reducer);
-                self.gt_elem(out)
-            })
-            .collect()
+    fn match_query_batch(
+        &self,
+        k0: &GElem,
+        k: &[(usize, GElem, GElem)],
+        targets: &[QueryTarget<'_>],
+        hits: &mut [bool],
+    ) -> CounterSnapshot {
+        assert_eq!(hits.len(), targets.len(), "one decision per target");
+        // The fused kernel covers every odd order of up to eight limbs
+        // (512 bits, the builder's largest group); even orders, which
+        // only tests construct, take the reference evaluation.
+        let Reducer::Montgomery(ctx) = self.reducer.as_ref() else {
+            return match_query_reference(self, k0, k, targets, hits);
+        };
+        match ctx.limb_count() {
+            1 => self.match_query_fused::<1>(ctx, k0, k, targets, hits),
+            2 => self.match_query_fused::<2>(ctx, k0, k, targets, hits),
+            3 => self.match_query_fused::<3>(ctx, k0, k, targets, hits),
+            4 => self.match_query_fused::<4>(ctx, k0, k, targets, hits),
+            5 => self.match_query_fused::<5>(ctx, k0, k, targets, hits),
+            6 => self.match_query_fused::<6>(ctx, k0, k, targets, hits),
+            7 => self.match_query_fused::<7>(ctx, k0, k, targets, hits),
+            8 => self.match_query_fused::<8>(ctx, k0, k, targets, hits),
+            _ => return match_query_reference(self, k0, k, targets, hits),
+        }
+        let cost = query_cost(k.len(), targets.len());
+        self.counters.record(&cost);
+        cost
     }
 
     fn prepare_g(&self, a: &GElem) -> PreparedG {
@@ -523,20 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_batch_burns_calibrated_cost_per_output() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let grp = SimulatedGroup::generate(32, &mut rng).with_cost_model(CostModel::Calibrated {
-            modmuls_per_pairing: 4,
-        });
-        let a = grp.random_gp(&mut rng);
-        let b = grp.random_gp(&mut rng);
-        let pairs = [(&a, &b), (&b, &a), (&a, &a), (&b, &b), (&a, &b)];
-        let serial: Vec<GtElem> = pairs.iter().map(|(x, y)| grp.pair(x, y)).collect();
-        assert_eq!(grp.pair_batch(&pairs), serial);
-        assert_eq!(grp.counters().pairings(), 10);
-    }
-
-    #[test]
     fn gt_division() {
         let (grp, mut rng) = setup();
         let a = grp.random_gp(&mut rng);
@@ -544,18 +551,6 @@ mod tests {
         let ab = grp.pair(&a, &b);
         let quotient = grp.div_gt(&ab, &ab);
         assert!(quotient.is_identity());
-    }
-
-    #[test]
-    fn calibrated_cost_model_still_correct() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let grp = SimulatedGroup::generate(32, &mut rng).with_cost_model(CostModel::Calibrated {
-            modmuls_per_pairing: 8,
-        });
-        let a = grp.random_gp(&mut rng);
-        let b = grp.random_gp(&mut rng);
-        assert_eq!(grp.pair(&a, &b), grp.pair(&b, &a));
-        assert_eq!(grp.counters().pairings(), 2);
     }
 
     #[test]

@@ -44,9 +44,17 @@
 //! ## Cost accounting
 //!
 //! The engine counts pairings / exponentiations / multiplications in
-//! [`OpCounters`] and can inject calibrated modular work per pairing via
-//! [`CostModel`] so that wall-clock benchmarks scale the way a real pairing
-//! backend would.
+//! [`OpCounters`]. A simulated pairing is one modular product, far
+//! cheaper than a curve pairing, so the counts, not the timings, are the
+//! portable cost.
+//!
+//! ## Query checks
+//!
+//! [`BilinearGroup::match_query_batch`] decides HVE's query check for a
+//! batch of ciphertexts ([`QueryTarget`]) under one token. Its default
+//! body is the reference fold over `GT` elements; [`SimulatedGroup`]
+//! decides the same predicate in fixed-width limbs on the stack, one
+//! CIOS pass per pairing, with identical decisions and counters.
 //!
 //! ## Example
 //!
@@ -70,16 +78,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cost;
 mod counters;
 mod element;
 mod group;
 mod params;
+mod query;
 mod table;
 
-pub use cost::CostModel;
 pub use counters::{CounterSnapshot, OpCounters};
 pub use element::{GElem, GtElem};
 pub use group::{BilinearGroup, SimulatedGroup};
 pub use params::GroupParams;
+pub use query::{query_candidate, QueryTarget};
 pub use table::{PreparedG, PreparedGt};

@@ -103,8 +103,8 @@ pub enum Response {
         notified: Vec<u64>,
         /// Tokens the TA issued after minimization.
         tokens_issued: u32,
-        /// Pairings the SP spent (live engine counter delta; only
-        /// meaningful when no other alert ran concurrently).
+        /// Pairings the SP's matcher spent on this alert, counted by the
+        /// alert's own sweeps (exact under concurrent requests).
         pairings_used: u64,
     },
     /// The serving stats snapshot.

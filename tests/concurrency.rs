@@ -9,6 +9,9 @@
 //! epoch/stats plane: `advance_epoch_shared` (TTL eviction through
 //! `&self`) racing the writers.
 //!
+//! A fourth harness runs alerts on several threads beside a writer and
+//! checks that every alert's `pairings_used` is its own analytic cost.
+//!
 //! The `stress_heavy_*` test is `#[ignore]` for local `cargo test`
 //! ergonomics; CI runs it with `--include-ignored` so the lock
 //! discipline is exercised under real parallelism every run.
@@ -21,6 +24,7 @@ use secure_location_alerts::core::{
 use secure_location_alerts::grid::{BoundingBox, Grid, ProbabilityMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 const N_CELLS: usize = 9;
 
@@ -322,4 +326,103 @@ fn quiescent_serial_vs_batch_identity_across_all_backends() {
         }
     }
     std::fs::remove_dir_all(&persist_dir).unwrap();
+}
+
+/// Each alert reports its own pairings while others share the engine:
+/// `ALERTERS` threads issue alerts (serial and batch matcher alike) on
+/// one `AlertSystem` while a writer keeps moving existing users, so the
+/// store size — and with it every alert's analytic cost — stays fixed.
+/// Every outcome's `pairings_used` must equal its analytic cost; a
+/// matcher that read the shared counters' delta would also count the
+/// other alerts' pairings and the writer's (two per subscribe). The
+/// shared counters still advance by exactly the sum of both.
+#[test]
+fn concurrent_alerts_each_count_their_own_pairings() {
+    const USERS: u64 = 240;
+    const ALERTERS: usize = 3;
+    const ALERTS: usize = 8;
+    /// Pairings one subscribe spends encoding its payloads, `e(g, g)` twice.
+    const SUBSCRIBE_PAIRINGS: u64 = 2;
+
+    /// Counts an alerter out when it returns or panics, so the writer
+    /// never outlives the alerters.
+    struct CountOut<'a>(&'a AtomicU64);
+    impl Drop for CountOut<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    let (system, mut rng) = concurrent_system(8);
+    for user in 0..USERS {
+        system
+            .subscribe_cell_shared(user, (user % N_CELLS as u64) as usize, &mut rng)
+            .expect("valid cell and id");
+    }
+    let zones: [&[usize]; 4] = [&[4], &[0, 1, 3], &[2, 5, 8], &[6]];
+    let costs: Vec<u64> = zones
+        .iter()
+        .map(|cells| system.analytic_cost(cells).unwrap())
+        .collect();
+    let before = system.counters().pairings();
+    let start = Barrier::new(ALERTERS + 1);
+    let alerting = AtomicU64::new(ALERTERS as u64);
+
+    let (moves, outcomes) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut rng = StdRng::seed_from_u64(0x5ab5);
+            start.wait();
+            let mut moves = 0u64;
+            while alerting.load(Ordering::SeqCst) > 0 {
+                let user = moves % USERS;
+                let cell = ((user + moves / USERS + 1) % N_CELLS as u64) as usize;
+                system
+                    .subscribe_cell_shared(user, cell, &mut rng)
+                    .expect("valid cell and id");
+                moves += 1;
+            }
+            moves
+        });
+        let alerters: Vec<_> = (0..ALERTERS)
+            .map(|a| {
+                let (system, start, alerting) = (&system, &start, &alerting);
+                scope.spawn(move || {
+                    let _count_out = CountOut(alerting);
+                    let mut rng = StdRng::seed_from_u64(0xa1e7 + a as u64);
+                    start.wait();
+                    (0..ALERTS)
+                        .map(|i| {
+                            let zone = (a + i) % zones.len();
+                            let outcome = if i % 2 == 0 {
+                                system.issue_alert(zones[zone], &mut rng)
+                            } else {
+                                system.issue_alert_batch(zones[zone], Some(16), &mut rng)
+                            };
+                            (zone, outcome.expect("valid alert"))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let outcomes: Vec<_> = alerters
+            .into_iter()
+            .flat_map(|h| h.join().expect("alerter finished"))
+            .collect();
+        (writer.join().expect("writer finished"), outcomes)
+    });
+
+    for (zone, outcome) in &outcomes {
+        assert_eq!(outcome.analytic_pairings, costs[*zone], "zone {zone}");
+        assert_eq!(
+            outcome.pairings_used, outcome.analytic_pairings,
+            "zone {zone}: an alert counted pairings that were not its own"
+        );
+    }
+    assert_eq!(system.n_subscriptions() as u64, USERS);
+    let alerted: u64 = outcomes.iter().map(|(_, o)| o.pairings_used).sum();
+    assert_eq!(
+        system.counters().pairings() - before,
+        alerted + SUBSCRIBE_PAIRINGS * moves,
+        "the shared counters advance by every alert's and subscribe's pairings"
+    );
 }
