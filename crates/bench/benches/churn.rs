@@ -1,12 +1,10 @@
 //! `churn` bench group: subscription lifecycle under load. Replays the
 //! datasets churn workload (moves / unsubscribes / re-subscriptions plus
-//! one alert per epoch) against every store backend — the contiguous
-//! `Vec` pays O(n) upserts, the sharded store O(1) plus per-shard
-//! parallel matching, the concurrent store per-shard `RwLock`s, and the
-//! persistent store a WAL append per mutation (group commit, so the
-//! fsync amortizes across a burst). The `churn_while_matching` entry
-//! overlaps writer threads with a running batch match on the concurrent
-//! backend — the regime the exclusive backends cannot serve at all.
+//! one alert per epoch) against both store backends — the volatile
+//! store's per-shard `RwLock`s, and the persistent store's WAL append
+//! per mutation (group commit, so the fsync amortizes across a burst).
+//! The `churn_while_matching` entry overlaps writer threads with a
+//! running batch match.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -47,7 +45,7 @@ fn build(grid: &Grid, probs: &ProbabilityMap, backend: StoreBackend) -> (AlertSy
 
 /// Applies one epoch's events; unsubscribes of already-departed users
 /// (possible when an epoch replays more than once) are ignored.
-fn apply_epoch(system: &mut AlertSystem, epoch: &sla_datasets::ChurnEpoch, rng: &mut StdRng) {
+fn apply_epoch(system: &AlertSystem, epoch: &sla_datasets::ChurnEpoch, rng: &mut StdRng) {
     for event in &epoch.events {
         match *event {
             ChurnEvent::Subscribe { user_id, cell } | ChurnEvent::Move { user_id, cell } => {
@@ -70,8 +68,6 @@ fn bench_churn(c: &mut Criterion) {
     let persist_dir =
         std::env::temp_dir().join(format!("sla-bench-churn-epoch-{}", std::process::id()));
     for (name, backend) in [
-        ("contiguous", StoreBackend::Contiguous),
-        ("sharded8", StoreBackend::Sharded { shards: 8 }),
         ("concurrent8", StoreBackend::ConcurrentSharded { shards: 8 }),
         (
             "persistent",
@@ -81,15 +77,15 @@ fn bench_churn(c: &mut Criterion) {
             },
         ),
     ] {
-        let (mut system, mut rng) = build(&grid, &probs, backend);
-        apply_epoch(&mut system, &workload.epochs[0], &mut rng);
+        let (system, mut rng) = build(&grid, &probs, backend);
+        apply_epoch(&system, &workload.epochs[0], &mut rng);
 
         let mut next = 1usize;
         g.bench_function(format!("epoch_replay_{name}"), |b| {
             b.iter(|| {
                 let epoch = &workload.epochs[next];
                 next = 1 + next % (workload.epochs.len() - 1);
-                apply_epoch(&mut system, epoch, &mut rng);
+                apply_epoch(&system, epoch, &mut rng);
                 system.advance_epoch();
                 system
                     .issue_alert_batch(&epoch.alert_cells, None, &mut rng)
@@ -104,11 +100,11 @@ fn bench_churn(c: &mut Criterion) {
 }
 
 /// The churn-while-matching regime: `WRITERS` threads replay an epoch's
-/// writer streams through `subscribe_cell_shared`/`unsubscribe_shared`
-/// while the measuring thread runs the epoch's batch match concurrently.
-/// Served by both concurrent-capable backends: the volatile sharded
-/// store and the persistent store, whose per-shard durability lanes let
-/// the four writers log without serializing on a single WAL gate.
+/// writer streams through `subscribe_cell`/`unsubscribe` while the
+/// measuring thread runs the epoch's batch match concurrently. Run on
+/// both backends: the volatile sharded store and the persistent store,
+/// whose per-shard durability lanes let the four writers log without
+/// serializing on a single WAL gate.
 fn bench_churn_while_matching(c: &mut Criterion) {
     const WRITERS: usize = 4;
     let (grid, probs, workload) = fixture();
@@ -141,7 +137,7 @@ fn bench_churn_while_matching(c: &mut Criterion) {
         for event in &workload.epochs[0].events {
             if let ChurnEvent::Subscribe { user_id, cell } = *event {
                 system
-                    .subscribe_cell_shared(user_id, cell, &mut rng)
+                    .subscribe_cell(user_id, cell, &mut rng)
                     .expect("workload cells are in range");
             }
         }
@@ -162,11 +158,11 @@ fn bench_churn_while_matching(c: &mut Criterion) {
                                     ChurnEvent::Subscribe { user_id, cell }
                                     | ChurnEvent::Move { user_id, cell } => {
                                         system
-                                            .subscribe_cell_shared(user_id, cell, &mut rng)
+                                            .subscribe_cell(user_id, cell, &mut rng)
                                             .expect("workload cells are in range");
                                     }
                                     ChurnEvent::Unsubscribe { user_id } => {
-                                        let _ = system.unsubscribe_shared(user_id);
+                                        let _ = system.unsubscribe(user_id);
                                     }
                                 }
                             }

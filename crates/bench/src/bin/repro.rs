@@ -22,7 +22,7 @@ struct Opts {
     parallel: bool,
     smoke: bool,
     /// Store backend for the smoke's end-to-end alert round
-    /// (`contiguous` | `sharded` | `concurrent` | `persistent`).
+    /// (`concurrent` | `persistent`).
     store: String,
     /// Scenario families for the `scenario` matrix target
     /// (`--scenario`, comma-separated; defaults to all four).
@@ -86,7 +86,7 @@ fn parse_args() -> Result<Opts, ArgError> {
     let mut out_dir = PathBuf::from("results");
     let mut parallel = false;
     let mut smoke = false;
-    let mut store = "sharded".to_string();
+    let mut store = "concurrent".to_string();
     let mut scenario_kinds = sla_scenarios::ScenarioKind::ALL.to_vec();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -134,8 +134,6 @@ fn parse_args() -> Result<Opts, ArgError> {
 /// up — repro runs must not leak files into the workspace).
 fn resolve_store(name: &str) -> (sla_core::StoreBackend, Option<PathBuf>) {
     match name {
-        "contiguous" => (sla_core::StoreBackend::Contiguous, None),
-        "sharded" => (sla_core::StoreBackend::Sharded { shards: 4 }, None),
         "concurrent" => (
             sla_core::StoreBackend::ConcurrentSharded { shards: 4 },
             None,
@@ -150,7 +148,7 @@ fn resolve_store(name: &str) -> (sla_core::StoreBackend, Option<PathBuf>) {
                 Some(dir),
             )
         }
-        other => panic!("unknown --store '{other}' (contiguous|sharded|concurrent|persistent)"),
+        other => panic!("unknown --store '{other}' (concurrent|persistent)"),
     }
 }
 
@@ -238,7 +236,7 @@ fn run_smoke(out_dir: &std::path::Path, store: &str) {
             .expect("smoke: valid configuration")
     };
     let mut rng = StdRng::seed_from_u64(SEED);
-    let mut system = build(&mut rng);
+    let system = build(&mut rng);
     for cell in 0..16 {
         system
             .subscribe_cell(100 + cell as u64, cell, &mut rng)
@@ -495,7 +493,7 @@ fn main() {
                     sla_scenarios::GranularityLevel(0),
                     sla_scenarios::GranularityLevel(2),
                 ];
-                let stores = ["sharded", "concurrent"];
+                let stores = ["concurrent"];
                 let rows = scenarios::run_matrix(&opts.scenario_kinds, &levels, &stores, &config);
                 print_scenarios(&rows);
                 let mismatches: u64 = rows.iter().map(|r| r.mismatches).sum();

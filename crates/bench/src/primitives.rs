@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use sla_bigint::{gen_prime, BigUint, FixedBaseTable, MontgomeryCtx, Reducer};
 use sla_core::{
     ConcurrentShardedStore, ConcurrentSubscriptionStore, FlushPolicy, PersistentStore,
-    ShardedStore, StoredSubscription, SubscriptionStore, VecStore,
+    StoredSubscription,
 };
 use sla_hve::{AttributeVector, HveScheme, SearchPattern};
 use sla_pairing::{BilinearGroup, SimulatedGroup};
@@ -245,9 +245,9 @@ pub fn measure_phases(prime_bits: usize, width: usize, seed: u64) -> PhaseTiming
 /// **matching cost is unchanged** (reads never touch the log).
 #[derive(Debug, Clone)]
 pub struct ChurnTimings {
-    /// Backend label (`contiguous`, `sharded8`, `concurrent8`,
-    /// `persistent`, `persistent_fsync`, `persistent_sharded` — the
-    /// last measured under four concurrent writers).
+    /// Backend label (`concurrent8`, `persistent`, `persistent_fsync`,
+    /// `persistent_sharded` — the last measured under four concurrent
+    /// writers).
     pub backend: &'static str,
     /// Store population during the measurement.
     pub users: usize,
@@ -259,62 +259,26 @@ pub struct ChurnTimings {
     pub match_per_record_ns: f64,
 }
 
-/// A store under measurement: exclusive (`&mut self`) and concurrent
-/// (`&self`) backends behind one face.
-enum BenchStore {
-    Exclusive(Box<dyn SubscriptionStore>),
-    Concurrent(Box<dyn ConcurrentSubscriptionStore>),
-}
-
-impl BenchStore {
-    fn upsert(&mut self, record: StoredSubscription) {
-        match self {
-            BenchStore::Exclusive(s) => {
-                s.upsert(record);
-            }
-            BenchStore::Concurrent(s) => {
-                s.upsert(record);
+/// Evaluates `token` against every record of `store`, shard by shard
+/// under each shard's read lock, returning the match count (a live data
+/// dependency so the loop cannot be optimized away).
+fn match_all<G: BilinearGroup>(
+    store: &dyn ConcurrentSubscriptionStore,
+    scheme: &HveScheme<'_, G>,
+    token: &sla_hve::Token,
+) -> usize {
+    let mut hits = 0;
+    let mut scan = |records: &[StoredSubscription]| {
+        for r in records {
+            if scheme.match_token(token, &r.ciphertext, &r.expected) {
+                hits += 1;
             }
         }
+    };
+    for shard in 0..store.shard_count() {
+        store.read_shard(shard, &mut scan);
     }
-
-    fn remove(&mut self, user_id: u64) -> bool {
-        match self {
-            BenchStore::Exclusive(s) => s.remove(user_id),
-            BenchStore::Concurrent(s) => s.remove(user_id),
-        }
-    }
-
-    /// Evaluates `token` against every stored record, returning the
-    /// match count (a live data dependency so the loop cannot be
-    /// optimized away).
-    fn match_all<G: BilinearGroup>(
-        &self,
-        scheme: &HveScheme<'_, G>,
-        token: &sla_hve::Token,
-    ) -> usize {
-        let mut hits = 0;
-        let mut scan = |records: &[StoredSubscription]| {
-            for r in records {
-                if scheme.match_token(token, &r.ciphertext, &r.expected) {
-                    hits += 1;
-                }
-            }
-        };
-        match self {
-            BenchStore::Exclusive(s) => {
-                for shard in s.shards() {
-                    scan(shard);
-                }
-            }
-            BenchStore::Concurrent(s) => {
-                for shard in 0..s.shard_count() {
-                    s.read_shard(shard, &mut scan);
-                }
-            }
-        }
-        hits
-    }
+    hits
 }
 
 /// Measures the subscription-lifecycle cost of every store backend,
@@ -340,26 +304,13 @@ pub fn measure_churn(seed: u64) -> Vec<ChurnTimings> {
 
     let tmp_base =
         std::env::temp_dir().join(format!("sla-bench-churn-{}-{seed:x}", std::process::id()));
-    let persistent = |name: &str, flush: FlushPolicy| {
+    let persistent = |name: &str, flush: FlushPolicy| -> Box<dyn ConcurrentSubscriptionStore> {
         let dir = tmp_base.join(name);
-        BenchStore::Concurrent(Box::new(
-            PersistentStore::open(&dir, flush).expect("scratch dir is writable"),
-        ))
+        Box::new(PersistentStore::open(&dir, flush).expect("scratch dir is writable"))
     };
 
-    let backends: Vec<(&'static str, BenchStore)> = vec![
-        (
-            "contiguous",
-            BenchStore::Exclusive(Box::new(VecStore::new())),
-        ),
-        (
-            "sharded8",
-            BenchStore::Exclusive(Box::new(ShardedStore::new(8))),
-        ),
-        (
-            "concurrent8",
-            BenchStore::Concurrent(Box::new(ConcurrentShardedStore::new(8))),
-        ),
+    let backends: Vec<(&'static str, Box<dyn ConcurrentSubscriptionStore>)> = vec![
+        ("concurrent8", Box::new(ConcurrentShardedStore::new(8))),
         (
             "persistent",
             persistent("grouped", FlushPolicy::Every(Duration::from_millis(5))),
@@ -371,7 +322,7 @@ pub fn measure_churn(seed: u64) -> Vec<ChurnTimings> {
     ];
 
     let mut out = Vec::with_capacity(backends.len());
-    for (name, mut store) in backends {
+    for (name, store) in backends {
         for user in 0..USERS {
             store.upsert(record(user));
         }
@@ -385,7 +336,8 @@ pub fn measure_churn(seed: u64) -> Vec<ChurnTimings> {
             store.remove(cursor);
             store.upsert(record(cursor));
         });
-        let match_per_record_ns = time_ns(16, || store.match_all(&scheme, &token)) / USERS as f64;
+        let match_per_record_ns =
+            time_ns(16, || match_all(store.as_ref(), &scheme, &token)) / USERS as f64;
         out.push(ChurnTimings {
             backend: name,
             users: USERS as usize,
@@ -479,20 +431,7 @@ fn measure_persistent_sharded_churn(
                 }
             });
         }
-        let per_scan = time_ns(8, || {
-            let mut hits = 0usize;
-            let mut scan = |records: &[StoredSubscription]| {
-                for r in records {
-                    if scheme.match_token(token, &r.ciphertext, &r.expected) {
-                        hits += 1;
-                    }
-                }
-            };
-            for shard in 0..store.shard_count() {
-                store.read_shard(shard, &mut scan);
-            }
-            hits
-        });
+        let per_scan = time_ns(8, || match_all(&store, scheme, token));
         stop.store(true, Ordering::Relaxed);
         per_scan / USERS as f64
     });
@@ -508,15 +447,15 @@ fn measure_persistent_sharded_churn(
 }
 
 /// Renders the timing series as the `BENCH_primitives.json` artifact
-/// (schema v8: primitive rows, per-phase HVE timings, and per-backend
-/// store churn timings — including the four-writer `persistent_sharded`
-/// row).
+/// (schema v9: primitive rows, per-phase HVE timings, and per-backend
+/// store churn timings over the two store backends — including the
+/// four-writer `persistent_sharded` row).
 pub fn to_json(
     rows: &[PrimitiveTimings],
     phases: &[PhaseTimings],
     churn: &[ChurnTimings],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"sla-bench/primitives/v8\",\n  \"rows\": [\n");
+    let mut out = String::from("{\n  \"schema\": \"sla-bench/primitives/v9\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"modulus_bits\": {}, \"mod_mul_naive_ns\": {:.1}, \"mod_mul_mont_ns\": {:.1}, \
@@ -598,7 +537,7 @@ mod tests {
             assert!(v.is_finite() && v > 0.0);
         }
         let json = to_json(&[t], &[], &[]);
-        assert!(json.contains("\"schema\": \"sla-bench/primitives/v8\""));
+        assert!(json.contains("\"schema\": \"sla-bench/primitives/v9\""));
         assert!(json.contains("\"modulus_bits\": 64"));
         assert!(json.contains("fixed_base_speedup"));
     }
@@ -633,8 +572,6 @@ mod tests {
         assert_eq!(
             names,
             vec![
-                "contiguous",
-                "sharded8",
                 "concurrent8",
                 "persistent",
                 "persistent_fsync",

@@ -83,8 +83,6 @@ impl ScenarioRow {
 /// scratch directory (returned for cleanup).
 fn resolve_backend(name: &str, tag: &str) -> (StoreBackend, Option<PathBuf>) {
     match name {
-        "contiguous" => (StoreBackend::Contiguous, None),
-        "sharded" => (StoreBackend::Sharded { shards: 4 }, None),
         "concurrent" => (StoreBackend::ConcurrentSharded { shards: 4 }, None),
         "persistent" => {
             let dir = std::env::temp_dir()
@@ -98,7 +96,7 @@ fn resolve_backend(name: &str, tag: &str) -> (StoreBackend, Option<PathBuf>) {
                 Some(dir),
             )
         }
-        other => panic!("unknown store '{other}' (contiguous|sharded|concurrent|persistent)"),
+        other => panic!("unknown store '{other}' (concurrent|persistent)"),
     }
 }
 
@@ -416,7 +414,7 @@ mod tests {
         let row = run_uniform(
             ScenarioKind::Moving,
             GranularityLevel::EXACT,
-            "contiguous",
+            "concurrent",
             &tiny(),
         );
         assert_eq!(row.mismatches, 0);
@@ -427,7 +425,7 @@ mod tests {
 
     #[test]
     fn mixed_row_unions_per_level_stores() {
-        let row = run_mixed("sharded", &tiny());
+        let row = run_mixed("concurrent", &tiny());
         assert_eq!(row.mismatches, 0);
         assert_eq!(row.level, "mixed");
         assert!(row.notified >= row.exact_notified);
@@ -438,7 +436,7 @@ mod tests {
         let rows = vec![run_uniform(
             ScenarioKind::Burst,
             GranularityLevel(2),
-            "contiguous",
+            "concurrent",
             &tiny(),
         )];
         let json = to_json(&tiny(), &rows);

@@ -37,8 +37,8 @@
 //! records are handed to a background thread that writes, fsyncs and
 //! atomically promotes a new **paged** snapshot for that lane only,
 //! then deletes its stale WAL generations. Other lanes keep appending
-//! throughout. See `sla_persist::sharded` for the crash matrix and the
-//! migration of pre-sharding directories.
+//! throughout. See `sla_persist::sharded` for the directory layout and
+//! the crash matrix.
 
 use crate::error::{SlaError, SlaResult};
 use crate::store::{
@@ -99,11 +99,11 @@ fn from_wire(record: Record) -> StoredSubscription {
 }
 
 impl PersistentStore {
-    /// Opens (creating, or migrating a pre-sharding directory, if
-    /// necessary) the durable store at `dir`, recovering the
-    /// subscription base from every lane's snapshot + WAL replay in
-    /// parallel. A torn final WAL record in any lane is truncated away;
-    /// corruption anywhere else surfaces as [`SlaError::Corrupt`].
+    /// Opens (creating if necessary) the durable store at `dir`,
+    /// recovering the subscription base from every lane's snapshot + WAL
+    /// replay in parallel. A torn final WAL record in any lane is
+    /// truncated away; corruption anywhere else — and a directory in the
+    /// pre-sharding layout — surfaces as [`SlaError::Corrupt`].
     pub fn open(dir: &Path, flush: FlushPolicy) -> SlaResult<Self> {
         Self::open_with(dir, flush, COMPACT_AFTER_OPS)
     }
@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn out_of_order_epoch_notes_never_regress_the_snapshot_epoch() {
-        // Regression: two racing `advance_epoch_shared` calls can reach
+        // Regression: two racing `advance_epoch` calls can reach
         // `note_epoch` out of order (the SP bumps its counter outside
         // the gates). The snapshot epoch must keep the maximum, or a
         // compaction that deletes the covered WAL generation (and the

@@ -3,10 +3,11 @@
 use crate::convert::{codeword_to_pattern, index_to_attribute};
 use crate::error::{SlaError, SlaResult};
 use crate::store::{
-    ConcurrentSubscriptionStore, DurabilityLaneStats, StoreBackend, StoreHandle, StoreStats,
-    StoredSubscription, UpsertOutcome,
+    ConcurrentSubscriptionStore, DurabilityLaneStats, StoreBackend, StoreStats, StoredSubscription,
+    UpsertOutcome,
 };
 use rand::Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use sla_encoding::CellCodebook;
 use sla_hve::{
@@ -306,20 +307,17 @@ impl FromIterator<AlertMatch> for AlertMatch {
 ///
 /// ## Concurrency
 ///
-/// All matching paths take `&self`. With the
-/// `StoreBackend::ConcurrentSharded` backend, [`Self::upsert_shared`] and
-/// [`Self::unsubscribe_shared`] also take `&self`, so writer threads can
-/// churn the store **while** a batch match runs: matching holds one
+/// Every lifecycle and matching call takes `&self`, so writer threads
+/// can churn the store **while** a batch match runs: matching holds one
 /// shard's read lock at a time, mutation one shard's write lock — never
 /// more than one lock per operation, so no interleaving can deadlock (see
 /// the [`ConcurrentSubscriptionStore`] consistency model for what the
-/// notified set means under concurrent churn). On the exclusive backends
-/// the shared entry points return [`SlaError::StoreNotConcurrent`].
+/// notified set means under concurrent churn).
 #[derive(Debug)]
 pub struct ServiceProvider {
-    store: StoreHandle,
-    /// The service epoch — atomic so [`Self::advance_epoch_shared`] can
-    /// advance it through `&self` while matching and churn are running.
+    store: Box<dyn ConcurrentSubscriptionStore>,
+    /// The service epoch — atomic so [`Self::advance_epoch`] can advance
+    /// it through `&self` while matching and churn are running.
     epoch: AtomicU64,
     ttl_epochs: Option<u64>,
     /// HVE width pinned by the first accepted ciphertext; every later
@@ -342,10 +340,11 @@ impl Default for ServiceProvider {
 }
 
 impl ServiceProvider {
-    /// An SP with an empty contiguous store and no TTL eviction.
+    /// An SP over an empty `ConcurrentSharded { shards: 8 }` store, with
+    /// no TTL eviction.
     pub fn new() -> Self {
-        Self::with_backend(StoreBackend::Contiguous, None)
-            .expect("contiguous backend is always constructible")
+        Self::with_backend(StoreBackend::default(), None)
+            .expect("a volatile sharded store is always constructible")
     }
 
     /// An SP over the chosen store backend;
@@ -386,8 +385,7 @@ impl ServiceProvider {
     }
 
     /// Number of stored ciphertexts (one per live user). Exact when
-    /// quiescent; may transiently lag under concurrent churn on the
-    /// concurrent backend.
+    /// quiescent; may transiently lag under concurrent churn.
     pub fn n_subscriptions(&self) -> usize {
         self.store.len()
     }
@@ -395,12 +393,6 @@ impl ServiceProvider {
     /// The current epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// `true` iff the store backend supports shared-reference mutation
-    /// ([`Self::upsert_shared`] / [`Self::unsubscribe_shared`]).
-    pub fn supports_shared_mutation(&self) -> bool {
-        matches!(self.store, StoreHandle::Concurrent(_))
     }
 
     /// Snapshot of the store layout and lifecycle counters.
@@ -444,27 +436,18 @@ impl ServiceProvider {
     /// equivalence tests (ciphertexts are deliberately not exposed).
     pub fn subscription_epochs(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::with_capacity(self.store.len());
-        match &self.store {
-            StoreHandle::Exclusive(store) => {
-                for shard in store.shards() {
-                    out.extend(shard.iter().map(|r| (r.user_id, r.epoch)));
-                }
-            }
-            StoreHandle::Concurrent(store) => {
-                for shard in 0..store.shard_count() {
-                    store.read_shard(shard, &mut |records| {
-                        out.extend(records.iter().map(|r| (r.user_id, r.epoch)));
-                    });
-                }
-            }
+        for shard in 0..self.store.shard_count() {
+            self.store.read_shard(shard, &mut |records| {
+                out.extend(records.iter().map(|r| (r.user_id, r.epoch)));
+            });
         }
         out.sort_unstable();
         out
     }
 
-    /// Validation shared by both upsert paths: width agreement with the
-    /// scheme and with previously pinned material, then assembly of the
-    /// stored record (expected payload + epoch stamp).
+    /// Upsert validation: width agreement with the scheme and with
+    /// previously pinned material, then assembly of the stored record
+    /// (expected payload + epoch stamp).
     fn validated_record<G: BilinearGroup>(
         &self,
         scheme: &HveScheme<'_, G>,
@@ -513,26 +496,18 @@ impl ServiceProvider {
         };
     }
 
-    /// The concurrent store, or `Err(SlaError::StoreNotConcurrent)` on an
-    /// exclusive backend.
-    fn concurrent_store(&self) -> SlaResult<&dyn ConcurrentSubscriptionStore> {
-        match &self.store {
-            StoreHandle::Concurrent(store) => Ok(store.as_ref()),
-            StoreHandle::Exclusive(_) => Err(SlaError::StoreNotConcurrent),
-        }
-    }
-
     /// Accepts (or refreshes) a user's encrypted location update: a
     /// re-subscribing user's previous ciphertext is **replaced**, so the
     /// old location stops matching alerts. The record is stamped with the
     /// current epoch and carries the precomputed expected payload for
-    /// residue-domain matching.
+    /// residue-domain matching. Takes only the target shard's write
+    /// lock, so writer threads can call it while a batch match runs.
     ///
     /// Errors: `WidthMismatch` when the ciphertext disagrees with the
     /// scheme or with previously stored material; `MessageOutOfDomain`
     /// when the user id cannot serve as an HVE payload.
     pub fn upsert<G: BilinearGroup>(
-        &mut self,
+        &self,
         scheme: &HveScheme<'_, G>,
         subscription: Subscription,
     ) -> SlaResult<UpsertOutcome> {
@@ -542,27 +517,19 @@ impl ServiceProvider {
         Ok(outcome)
     }
 
-    /// [`Self::upsert`] through a shared reference — the entry point
-    /// writer threads use while a batch match is running. Takes only the
-    /// target shard's write lock.
-    ///
-    /// `Err(SlaError::StoreNotConcurrent)` unless the SP was built over
-    /// `StoreBackend::ConcurrentSharded`.
+    /// Former name of [`Self::upsert`].
+    #[doc(hidden)]
     pub fn upsert_shared<G: BilinearGroup>(
         &self,
         scheme: &HveScheme<'_, G>,
         subscription: Subscription,
     ) -> SlaResult<UpsertOutcome> {
-        let store = self.concurrent_store()?;
-        let record = self.validated_record(scheme, subscription)?;
-        let outcome = store.upsert(record);
-        self.note_upsert(outcome);
-        Ok(outcome)
+        self.upsert(scheme, subscription)
     }
 
-    /// Removes a user's subscription;
+    /// Removes a user's subscription (target shard's write lock);
     /// `Err(SlaError::UnknownUser)` when none is stored.
-    pub fn unsubscribe(&mut self, user_id: u64) -> SlaResult<()> {
+    pub fn unsubscribe(&self, user_id: u64) -> SlaResult<()> {
         if self.store.remove(user_id) {
             self.unsubscribed.fetch_add(1, Ordering::Relaxed);
             Ok(())
@@ -571,18 +538,10 @@ impl ServiceProvider {
         }
     }
 
-    /// [`Self::unsubscribe`] through a shared reference (see
-    /// [`Self::upsert_shared`]).
-    ///
-    /// `Err(SlaError::StoreNotConcurrent)` on an exclusive backend,
-    /// `Err(SlaError::UnknownUser)` when no subscription is stored.
+    /// Former name of [`Self::unsubscribe`].
+    #[doc(hidden)]
     pub fn unsubscribe_shared(&self, user_id: u64) -> SlaResult<()> {
-        if self.concurrent_store()?.remove(user_id) {
-            self.unsubscribed.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        } else {
-            Err(SlaError::UnknownUser { user_id })
-        }
+        self.unsubscribe(user_id)
     }
 
     /// The TTL retention bound for `new_epoch`, if eviction applies.
@@ -599,9 +558,11 @@ impl ServiceProvider {
     /// *exactly* `ttl_epochs` old is dropped). Returns how many were
     /// evicted.
     ///
-    /// A durable backend logs the advance (and any eviction), so a
-    /// reopened store resumes at this epoch.
-    pub fn advance_epoch(&mut self) -> usize {
+    /// The epoch and stats plane is atomic and eviction locks one shard
+    /// at a time, exactly like a writer, so this can overlap churn and
+    /// matching. A durable backend logs the advance (and any eviction),
+    /// so a reopened store resumes at this epoch.
+    pub fn advance_epoch(&self) -> usize {
         let new_epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         self.store.note_epoch(new_epoch);
         let Some(min_epoch) = self.ttl_min_epoch(new_epoch) else {
@@ -610,24 +571,6 @@ impl ServiceProvider {
         let evicted = self.store.evict_before(min_epoch);
         self.evicted.fetch_add(evicted as u64, Ordering::Relaxed);
         evicted
-    }
-
-    /// [`Self::advance_epoch`] through a shared reference — the epoch
-    /// and stats plane is atomic, so eviction can overlap subscription
-    /// churn and matching on a concurrent-capable backend (eviction
-    /// locks one shard at a time, exactly like a writer).
-    ///
-    /// `Err(SlaError::StoreNotConcurrent)` on the exclusive backends.
-    pub fn advance_epoch_shared(&self) -> SlaResult<usize> {
-        let store = self.concurrent_store()?;
-        let new_epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        store.note_epoch(new_epoch);
-        let Some(min_epoch) = self.ttl_min_epoch(new_epoch) else {
-            return Ok(0);
-        };
-        let evicted = store.evict_before(min_epoch);
-        self.evicted.fetch_add(evicted as u64, Ordering::Relaxed);
-        Ok(evicted)
     }
 
     /// Flushes a durable store backend to stable storage, surfacing any
@@ -691,17 +634,8 @@ impl ServiceProvider {
                 }
             }
         };
-        match &self.store {
-            StoreHandle::Exclusive(store) => {
-                for shard in store.shards() {
-                    early_exit_chunk(shard);
-                }
-            }
-            StoreHandle::Concurrent(store) => {
-                for shard in 0..store.shard_count() {
-                    store.read_shard(shard, &mut early_exit_chunk);
-                }
-            }
+        for shard in 0..self.store.shard_count() {
+            self.store.read_shard(shard, &mut early_exit_chunk);
         }
         Ok(notified)
     }
@@ -727,22 +661,15 @@ impl ServiceProvider {
         tokens: &[Token],
     ) -> SlaResult<AlertMatch> {
         self.validate_tokens(scheme, tokens)?;
-        Ok(match &self.store {
-            StoreHandle::Exclusive(store) => store
-                .shards()
-                .into_iter()
-                .map(|shard| Self::match_chunk_exhaustive(shard, scheme, tokens))
-                .collect(),
-            StoreHandle::Concurrent(store) => (0..store.shard_count())
-                .map(|shard| {
-                    let mut part = AlertMatch::default();
-                    store.read_shard(shard, &mut |records| {
-                        part = Self::match_chunk_exhaustive(records, scheme, tokens);
-                    });
-                    part
-                })
-                .collect(),
-        })
+        Ok((0..self.store.shard_count())
+            .map(|shard| {
+                let mut part = AlertMatch::default();
+                self.store.read_shard(shard, &mut |records| {
+                    part = Self::match_chunk_exhaustive(records, scheme, tokens);
+                });
+                part
+            })
+            .collect())
     }
 
     /// Exhaustive matching of one chunk of the store; the unit of work
@@ -794,7 +721,7 @@ impl ServiceProvider {
     /// matching work. An explicit `chunk_size` always takes the parallel
     /// machinery, which is what the equivalence tests exercise.
     pub fn default_batch_chunk_size(&self) -> usize {
-        let threads = Self::match_threads();
+        let threads = rayon::current_num_threads();
         let len = self.store.len();
         if threads <= 1 || len < Self::PARALLEL_MIN_STORE {
             return len.max(1);
@@ -802,20 +729,9 @@ impl ServiceProvider {
         len.div_ceil(threads * 4).max(1)
     }
 
-    #[cfg(feature = "parallel")]
-    fn match_threads() -> usize {
-        rayon::current_num_threads()
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn match_threads() -> usize {
-        1
-    }
-
     /// Batch variant of [`Self::match_alert_exhaustive`]: partitions every
-    /// store shard into `chunk_size`-sized chunks and matches them in
-    /// parallel (rayon; `parallel` feature, on by default — serial chunks
-    /// otherwise).
+    /// store shard into `chunk_size`-sized chunks and matches the shards
+    /// in parallel (rayon).
     ///
     /// Chunk results are concatenated in shard order, so on a quiescent
     /// store the returned ids are **byte-identical** to the serial path's
@@ -823,11 +739,11 @@ impl ServiceProvider {
     /// [`sla_pairing::OpCounters`] see exactly the same number of
     /// pairings.
     ///
-    /// On the concurrent backend the parallel unit is a **shard**: each
-    /// worker takes one shard's read lock, walks that shard's chunks, and
-    /// releases — writers to other shards proceed in parallel, writers to
-    /// the locked shard wait for at most one shard scan (see the
-    /// [`ConcurrentSubscriptionStore`] consistency model).
+    /// The parallel unit is a **shard**: each worker takes one shard's
+    /// read lock, walks that shard's chunks, and releases — writers to
+    /// other shards proceed in parallel, writers to the locked shard wait
+    /// for at most one shard scan (see the [`ConcurrentSubscriptionStore`]
+    /// consistency model).
     ///
     /// `Err(SlaError::ZeroChunkSize)` when `chunk_size == 0`.
     pub fn process_alert_batch<G: BilinearGroup + Sync>(
@@ -853,31 +769,17 @@ impl ServiceProvider {
             return Err(SlaError::ZeroChunkSize);
         }
         self.validate_tokens(scheme, tokens)?;
-        match &self.store {
-            StoreHandle::Exclusive(store) => {
-                let units = store.chunked(chunk_size);
-                Ok(Self::match_units(&units, scheme, tokens)
-                    .into_iter()
-                    .collect())
-            }
-            StoreHandle::Concurrent(store) => {
-                let shard_ids: Vec<usize> = (0..store.shard_count()).collect();
-                Ok(Self::match_shards_locked(
-                    store.as_ref(),
-                    &shard_ids,
-                    scheme,
-                    tokens,
-                    chunk_size,
-                )
-                .into_iter()
-                .collect())
-            }
-        }
+        let store = self.store.as_ref();
+        let shard_ids: Vec<usize> = (0..store.shard_count()).collect();
+        let parts: Vec<AlertMatch> = shard_ids
+            .par_iter()
+            .map(|&shard| Self::match_one_shard_locked(store, shard, scheme, tokens, chunk_size))
+            .collect();
+        Ok(parts.into_iter().collect())
     }
 
-    /// Exhaustively matches one shard of the concurrent store under its
-    /// read lock, chunk by chunk in order — the per-worker unit of the
-    /// concurrent batch path.
+    /// Exhaustively matches one shard of the store under its read lock,
+    /// chunk by chunk in order — the per-worker unit of the batch path.
     fn match_one_shard_locked<G: BilinearGroup>(
         store: &dyn ConcurrentSubscriptionStore,
         shard: usize,
@@ -895,62 +797,8 @@ impl ServiceProvider {
         all
     }
 
-    #[cfg(feature = "parallel")]
-    fn match_shards_locked<G: BilinearGroup + Sync>(
-        store: &dyn ConcurrentSubscriptionStore,
-        shard_ids: &[usize],
-        scheme: &HveScheme<'_, G>,
-        tokens: &[Token],
-        chunk_size: usize,
-    ) -> Vec<AlertMatch> {
-        use rayon::prelude::*;
-        shard_ids
-            .par_iter()
-            .map(|&shard| Self::match_one_shard_locked(store, shard, scheme, tokens, chunk_size))
-            .collect()
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn match_shards_locked<G: BilinearGroup + Sync>(
-        store: &dyn ConcurrentSubscriptionStore,
-        shard_ids: &[usize],
-        scheme: &HveScheme<'_, G>,
-        tokens: &[Token],
-        chunk_size: usize,
-    ) -> Vec<AlertMatch> {
-        shard_ids
-            .iter()
-            .map(|&shard| Self::match_one_shard_locked(store, shard, scheme, tokens, chunk_size))
-            .collect()
-    }
-
     /// Below this store size [`Self::default_batch_chunk_size`] picks a
     /// single chunk, keeping the default path serial where parallelism
     /// cannot pay for its thread spawns.
     const PARALLEL_MIN_STORE: usize = 256;
-
-    #[cfg(feature = "parallel")]
-    fn match_units<G: BilinearGroup + Sync>(
-        units: &[&[StoredSubscription]],
-        scheme: &HveScheme<'_, G>,
-        tokens: &[Token],
-    ) -> Vec<AlertMatch> {
-        use rayon::prelude::*;
-        units
-            .par_iter()
-            .map(|chunk| Self::match_chunk_exhaustive(chunk, scheme, tokens))
-            .collect()
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn match_units<G: BilinearGroup + Sync>(
-        units: &[&[StoredSubscription]],
-        scheme: &HveScheme<'_, G>,
-        tokens: &[Token],
-    ) -> Vec<AlertMatch> {
-        units
-            .iter()
-            .map(|chunk| Self::match_chunk_exhaustive(chunk, scheme, tokens))
-            .collect()
-    }
 }

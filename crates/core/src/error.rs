@@ -55,10 +55,6 @@ pub enum SlaError {
     },
     /// A sharded store with zero shards.
     ZeroShardCount,
-    /// A shared-reference (`&self`) mutation on a store backend that
-    /// only supports exclusive (`&mut self`) access; pick
-    /// `StoreBackend::ConcurrentSharded` to mutate during matching.
-    StoreNotConcurrent,
     /// An explicit batch chunk size of zero.
     ZeroChunkSize,
     /// A token/ciphertext/key width that does not match the system's
@@ -141,11 +137,6 @@ impl fmt::Display for SlaError {
                 "group_bits {bits} outside the supported range [{MIN_GROUP_BITS}, {MAX_GROUP_BITS}]"
             ),
             SlaError::ZeroShardCount => write!(f, "sharded store needs at least one shard"),
-            SlaError::StoreNotConcurrent => write!(
-                f,
-                "store backend does not support shared-reference mutation \
-                 (use StoreBackend::ConcurrentSharded)"
-            ),
             SlaError::ZeroChunkSize => write!(f, "batch chunk size must be positive"),
             SlaError::WidthMismatch { expected, actual } => {
                 write!(

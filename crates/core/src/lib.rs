@@ -15,8 +15,9 @@
 //!
 //! [`AlertSystem`] wires the three parties together over a shared bilinear
 //! group engine — built through the fallible [`SystemBuilder`], with a
-//! pluggable [`SubscriptionStore`] and an upsert/unsubscribe/TTL
-//! subscription lifecycle — and [`metrics`] provides the *analytic*
+//! pluggable [`ConcurrentSubscriptionStore`] (volatile or durable, see
+//! [`StoreBackend`]) and an upsert/unsubscribe/TTL subscription lifecycle
+//! whose every call takes `&self` — and [`metrics`] provides the *analytic*
 //! pairing-cost evaluation used by the figure experiments (the paper
 //! reports pairing counts; the test-suite proves the analytic counts
 //! equal the live engine's counters).
@@ -35,10 +36,10 @@
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let grid = Grid::new(sla_grid::BoundingBox::new(0.0, 0.0, 0.1, 0.1), 2, 2);
 //! let probs = ProbabilityMap::new(vec![0.4, 0.1, 0.3, 0.2]);
-//! let mut system = SystemBuilder::new(grid)
+//! let system = SystemBuilder::new(grid)
 //!     .encoder(EncoderKind::Huffman)
 //!     .group_bits(48)
-//!     .store(StoreBackend::Sharded { shards: 2 })
+//!     .store(StoreBackend::ConcurrentSharded { shards: 2 })
 //!     .build(&probs, &mut rng)
 //!     .expect("valid configuration");
 //!
@@ -70,8 +71,8 @@ pub use entities::{
 };
 pub use error::{SlaError, SlaResult, MAX_GROUP_BITS, MIN_GROUP_BITS};
 pub use store::{
-    ConcurrentShardedStore, ConcurrentSubscriptionStore, DurabilityLaneStats, ShardedStore,
-    StoreBackend, StoreStats, StoredSubscription, SubscriptionStore, UpsertOutcome, VecStore,
+    ConcurrentShardedStore, ConcurrentSubscriptionStore, DurabilityLaneStats, StoreBackend,
+    StoreStats, StoredSubscription, UpsertOutcome,
 };
 pub use system::{AlertOutcome, AlertSystem, SystemBuilder};
 pub use tracker::{TokenRegenStats, TrackedAlertOutcome, ZoneTracker};

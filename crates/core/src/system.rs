@@ -23,10 +23,10 @@ use sla_pairing::{BilinearGroup, SimulatedGroup};
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let grid = Grid::new(BoundingBox::new(0.0, 0.0, 0.1, 0.1), 2, 2);
 /// let probs = ProbabilityMap::new(vec![0.4, 0.1, 0.3, 0.2]);
-/// let mut system = SystemBuilder::new(grid)
+/// let system = SystemBuilder::new(grid)
 ///     .encoder(EncoderKind::Huffman)
 ///     .group_bits(48)
-///     .store(StoreBackend::Sharded { shards: 4 })
+///     .store(StoreBackend::ConcurrentSharded { shards: 4 })
 ///     .ttl_epochs(24)
 ///     .build(&probs, &mut rng)
 ///     .expect("valid configuration");
@@ -43,13 +43,14 @@ pub struct SystemBuilder {
 
 impl SystemBuilder {
     /// Starts a builder over `grid` with the paper's defaults: Huffman
-    /// encoding, 48-bit prime factors, a contiguous store, no TTL.
+    /// encoding, 48-bit prime factors, a volatile
+    /// `ConcurrentSharded { shards: 8 }` store, no TTL.
     pub fn new(grid: Grid) -> Self {
         SystemBuilder {
             grid,
             encoder: EncoderKind::Huffman,
             group_bits: 48,
-            store: StoreBackend::Contiguous,
+            store: StoreBackend::default(),
             ttl_epochs: None,
         }
     }
@@ -148,7 +149,10 @@ pub struct AlertOutcome {
 /// reuses the per-base precomputation.
 ///
 /// Every entry point that takes user-supplied input is fallible — no
-/// panic is reachable through the public service API.
+/// panic is reachable through the public service API. Every entry point
+/// takes `&self`: subscription churn, epoch advances and alerts may run
+/// on many threads at once (see [`ServiceProvider`]'s concurrency
+/// model).
 #[derive(Debug)]
 pub struct AlertSystem {
     group: SimulatedGroup,
@@ -209,14 +213,6 @@ impl AlertSystem {
         self.sp.service_stats()
     }
 
-    /// `true` iff the store backend supports shared-reference mutation
-    /// (`subscribe_cell_shared` / `unsubscribe_shared` /
-    /// `advance_epoch_shared`) — what a multi-connection server needs to
-    /// serve churn and matching concurrently.
-    pub fn supports_shared_mutation(&self) -> bool {
-        self.sp.supports_shared_mutation()
-    }
-
     /// Every stored `(user_id, epoch)` pair, sorted — a cheap content
     /// fingerprint (see [`ServiceProvider::subscription_epochs`]).
     pub fn subscription_epochs(&self) -> Vec<(u64, u64)> {
@@ -227,59 +223,40 @@ impl AlertSystem {
         HveScheme::new(&self.group, self.codebook().width_bits())
     }
 
-    /// Shared body of the subscribe entry points: validates the cell and
-    /// encrypts the update under the prepared public key. Takes the
-    /// fields explicitly (not `&self`) so `subscribe_cell` can keep a
-    /// field-disjoint `&mut` borrow of the SP.
-    fn encrypted_subscription<'g, R: Rng>(
-        grid: &Grid,
-        group: &'g SimulatedGroup,
-        ppk: &PreparedPublicKey,
-        ta: &TrustedAuthority,
-        user_id: u64,
-        cell: usize,
-        rng: &mut R,
-    ) -> SlaResult<(HveScheme<'g, SimulatedGroup>, Subscription)> {
-        if cell >= grid.n_cells() {
-            return Err(SlaError::CellOutOfRange {
-                cell,
-                n_cells: grid.n_cells(),
-            });
-        }
-        let user = MobileUser::new(user_id, cell);
-        let scheme = HveScheme::new(group, ta.codebook().width_bits());
-        let ct = user.encrypt_update_prepared(&scheme, ppk, ta.codebook(), rng)?;
-        Ok((
-            scheme,
-            Subscription {
-                user_id,
-                ciphertext: ct,
-            },
-        ))
-    }
-
     /// A user at `cell` encrypts and submits a location update; a
     /// re-subscribing user's previous ciphertext is **replaced** (the old
-    /// location stops matching alerts).
+    /// location stops matching alerts). Each caller supplies its own
+    /// `rng`, so writer threads can subscribe while an alert is being
+    /// matched.
     ///
     /// Errors: `CellOutOfRange`, `MessageOutOfDomain` (ids double as HVE
     /// payloads and must fit the message domain).
     pub fn subscribe_cell<R: Rng>(
-        &mut self,
+        &self,
         user_id: u64,
         cell: usize,
         rng: &mut R,
     ) -> SlaResult<UpsertOutcome> {
-        let (scheme, subscription) = Self::encrypted_subscription(
-            &self.grid,
-            &self.group,
+        if cell >= self.grid.n_cells() {
+            return Err(SlaError::CellOutOfRange {
+                cell,
+                n_cells: self.grid.n_cells(),
+            });
+        }
+        let scheme = self.scheme();
+        let ciphertext = MobileUser::new(user_id, cell).encrypt_update_prepared(
+            &scheme,
             &self.ppk,
-            &self.ta,
-            user_id,
-            cell,
+            self.codebook(),
             rng,
         )?;
-        self.sp.upsert(&scheme, subscription)
+        self.sp.upsert(
+            &scheme,
+            Subscription {
+                user_id,
+                ciphertext,
+            },
+        )
     }
 
     /// Bulk [`Self::subscribe_cell`]: validates every `(user_id, cell)`
@@ -293,11 +270,11 @@ impl AlertSystem {
     /// (`CellOutOfRange`, `MessageOutOfDomain`) before any cryptography
     /// runs or any record is stored.
     pub fn subscribe_cells_bulk<R: Rng>(
-        &mut self,
+        &self,
         requests: &[(u64, usize)],
         rng: &mut R,
     ) -> SlaResult<Vec<UpsertOutcome>> {
-        let scheme = HveScheme::new(&self.group, self.ta.codebook().width_bits());
+        let scheme = self.scheme();
         let mut attrs = Vec::with_capacity(requests.len());
         let mut msgs = Vec::with_capacity(requests.len());
         for &(user_id, cell) in requests {
@@ -331,45 +308,11 @@ impl AlertSystem {
             .collect()
     }
 
-    /// [`Self::subscribe_cell`] through a shared reference — the entry
-    /// point concurrent writer threads use while an alert is being
-    /// matched. Each caller supplies its own `rng`.
-    ///
-    /// Requires the `StoreBackend::ConcurrentSharded` backend;
-    /// `Err(SlaError::StoreNotConcurrent)` otherwise. Other errors as
-    /// [`Self::subscribe_cell`].
-    pub fn subscribe_cell_shared<R: Rng>(
-        &self,
-        user_id: u64,
-        cell: usize,
-        rng: &mut R,
-    ) -> SlaResult<UpsertOutcome> {
-        let (scheme, subscription) = Self::encrypted_subscription(
-            &self.grid,
-            &self.group,
-            &self.ppk,
-            &self.ta,
-            user_id,
-            cell,
-            rng,
-        )?;
-        self.sp.upsert_shared(&scheme, subscription)
-    }
-
-    /// [`Self::unsubscribe`] through a shared reference (see
-    /// [`Self::subscribe_cell_shared`]).
-    ///
-    /// `Err(SlaError::StoreNotConcurrent)` on a non-concurrent backend,
-    /// `Err(SlaError::UnknownUser)` when no subscription is stored.
-    pub fn unsubscribe_shared(&self, user_id: u64) -> SlaResult<()> {
-        self.sp.unsubscribe_shared(user_id)
-    }
-
     /// A user at a geographic point subscribes;
     /// `Err(SlaError::PointOutsideGrid)` when the point lies outside the
     /// grid.
     pub fn subscribe_point<R: Rng>(
-        &mut self,
+        &self,
         user_id: u64,
         point: &Point,
         rng: &mut R,
@@ -385,23 +328,15 @@ impl AlertSystem {
 
     /// Removes a user's subscription;
     /// `Err(SlaError::UnknownUser)` when none is stored.
-    pub fn unsubscribe(&mut self, user_id: u64) -> SlaResult<()> {
+    pub fn unsubscribe(&self, user_id: u64) -> SlaResult<()> {
         self.sp.unsubscribe(user_id)
     }
 
     /// Advances the service epoch, evicting expired subscriptions when
     /// the builder configured a TTL. Returns how many were evicted.
-    pub fn advance_epoch(&mut self) -> usize {
+    /// Epoch advancement and TTL eviction can overlap churn and matching.
+    pub fn advance_epoch(&self) -> usize {
         self.sp.advance_epoch()
-    }
-
-    /// [`Self::advance_epoch`] through a shared reference — epoch
-    /// advancement and TTL eviction can overlap churn and matching on a
-    /// concurrent-capable backend.
-    ///
-    /// `Err(SlaError::StoreNotConcurrent)` on the exclusive backends.
-    pub fn advance_epoch_shared(&self) -> SlaResult<usize> {
-        self.sp.advance_epoch_shared()
     }
 
     /// Flushes a durable store backend ([`StoreBackend::Persistent`]) to
@@ -468,9 +403,8 @@ impl AlertSystem {
     /// tokens, the SP evaluates them exhaustively (the cost model's
     /// regime), and matched users are notified.
     ///
-    /// Takes `&self`: on the concurrent store backend, subscription churn
-    /// through [`Self::subscribe_cell_shared`] /
-    /// [`Self::unsubscribe_shared`] may proceed while the alert is being
+    /// Subscription churn through [`Self::subscribe_cell`] /
+    /// [`Self::unsubscribe`] may proceed while the alert is being
     /// matched. [`AlertOutcome::pairings_used`] is counted by this alert's
     /// own matcher, so it stays exact while other alerts run concurrently.
     ///
@@ -593,7 +527,7 @@ mod tests {
             EncoderKind::GraySgo,
             EncoderKind::BaryHuffman(3),
         ] {
-            let (mut system, mut rng) = small_system(encoder);
+            let (system, mut rng) = small_system(encoder);
             // users 0..6, one per cell
             for cell in 0..6 {
                 system
@@ -613,8 +547,8 @@ mod tests {
     fn tracked_alert_equals_full_and_feeds_stats() {
         // Two identically-seeded systems: one alerts through a tracker,
         // the other regenerates fully; every epoch's outcome must agree.
-        let (mut sys_delta, mut rng_d) = small_system(EncoderKind::Huffman);
-        let (mut sys_full, mut rng_f) = small_system(EncoderKind::Huffman);
+        let (sys_delta, mut rng_d) = small_system(EncoderKind::Huffman);
+        let (sys_full, mut rng_f) = small_system(EncoderKind::Huffman);
         for cell in 0..6 {
             sys_delta
                 .subscribe_cell(100 + cell as u64, cell, &mut rng_d)
@@ -674,7 +608,7 @@ mod tests {
 
     #[test]
     fn multiple_users_same_cell() {
-        let (mut system, mut rng) = small_system(EncoderKind::Huffman);
+        let (system, mut rng) = small_system(EncoderKind::Huffman);
         for id in [1u64, 2, 3] {
             system.subscribe_cell(id, 2, &mut rng).unwrap();
         }
@@ -685,7 +619,7 @@ mod tests {
 
     #[test]
     fn subscribe_by_point() {
-        let (mut system, mut rng) = small_system(EncoderKind::Huffman);
+        let (system, mut rng) = small_system(EncoderKind::Huffman);
         let inside = system.grid().cell_center(sla_grid::CellId(5));
         assert_eq!(
             system.subscribe_point(42, &inside, &mut rng),
@@ -702,7 +636,7 @@ mod tests {
 
     #[test]
     fn full_zone_alert_notifies_everyone() {
-        let (mut system, mut rng) = small_system(EncoderKind::Huffman);
+        let (system, mut rng) = small_system(EncoderKind::Huffman);
         for cell in 0..6 {
             system.subscribe_cell(cell as u64, cell, &mut rng).unwrap();
         }
@@ -718,7 +652,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let grid = Grid::new(BoundingBox::new(0.0, 0.0, 0.1, 0.1), 2, 2);
         let probs = ProbabilityMap::new(vec![0.4, 0.1, 0.3, 0.2]);
-        let mut system = AlertSystem::builder(grid)
+        let system = AlertSystem::builder(grid)
             .group_bits(48)
             .build(&probs, &mut rng)
             .unwrap();
@@ -752,13 +686,6 @@ mod tests {
             SlaError::InvalidGroupBits { bits: 8 }
         );
         assert_eq!(
-            SystemBuilder::new(grid.clone())
-                .store(StoreBackend::Sharded { shards: 0 })
-                .build(&probs4, &mut rng)
-                .unwrap_err(),
-            SlaError::ZeroShardCount
-        );
-        assert_eq!(
             SystemBuilder::new(grid)
                 .store(StoreBackend::ConcurrentSharded { shards: 0 })
                 .build(&probs4, &mut rng)
@@ -768,55 +695,42 @@ mod tests {
     }
 
     #[test]
-    fn shared_mutation_requires_concurrent_backend() {
+    fn default_system_serves_the_lifecycle_through_shared_refs() {
         let mut rng = StdRng::seed_from_u64(0x5afe);
         let grid = Grid::new(BoundingBox::new(0.0, 0.0, 0.1, 0.1), 2, 2);
         let probs = ProbabilityMap::new(vec![0.4, 0.1, 0.3, 0.2]);
-
-        // Exclusive backends reject &self mutation with a typed error.
-        let exclusive = SystemBuilder::new(grid.clone())
+        let system = SystemBuilder::new(grid)
             .group_bits(40)
             .build(&probs, &mut rng)
             .unwrap();
-        assert!(!exclusive.supports_shared_mutation());
-        assert_eq!(
-            exclusive.subscribe_cell_shared(1, 0, &mut rng).unwrap_err(),
-            SlaError::StoreNotConcurrent
-        );
-        assert_eq!(
-            exclusive.unsubscribe_shared(1).unwrap_err(),
-            SlaError::StoreNotConcurrent
-        );
+        let stats = system.store_stats();
+        assert_eq!((stats.backend, stats.shards), ("concurrent-sharded", 8));
 
-        // The concurrent backend accepts it and alerts observe the churn.
-        let concurrent = SystemBuilder::new(grid)
-            .group_bits(40)
-            .store(StoreBackend::ConcurrentSharded { shards: 3 })
-            .build(&probs, &mut rng)
-            .unwrap();
+        // Every lifecycle call goes through `&AlertSystem`.
+        let shared: &AlertSystem = &system;
         assert_eq!(
-            concurrent.subscribe_cell_shared(1, 0, &mut rng),
+            shared.subscribe_cell(1, 0, &mut rng),
             Ok(UpsertOutcome::Inserted)
         );
         assert_eq!(
-            concurrent.subscribe_cell_shared(1, 2, &mut rng),
+            shared.subscribe_cell(1, 2, &mut rng),
             Ok(UpsertOutcome::Replaced)
         );
-        assert_eq!(concurrent.subscription_epochs(), vec![(1, 0)]);
-        let outcome = concurrent.issue_alert(&[2], &mut rng).unwrap();
+        assert_eq!(shared.subscription_epochs(), vec![(1, 0)]);
+        let outcome = shared.issue_alert(&[2], &mut rng).unwrap();
         assert_eq!(outcome.notified, vec![1]);
-        concurrent.unsubscribe_shared(1).unwrap();
+        assert_eq!(shared.advance_epoch(), 0);
+        assert_eq!(shared.epoch(), 1);
+        shared.unsubscribe(1).unwrap();
         assert_eq!(
-            concurrent.unsubscribe_shared(1).unwrap_err(),
+            shared.unsubscribe(1).unwrap_err(),
             SlaError::UnknownUser { user_id: 1 }
         );
-        assert_eq!(concurrent.n_subscriptions(), 0);
-        assert_eq!(concurrent.store_stats().backend, "concurrent-sharded");
-        assert!(concurrent.supports_shared_mutation());
+        assert_eq!(shared.n_subscriptions(), 0);
         // The one-call serving snapshot agrees with the piecewise view
         // and reports no recovered epoch on a volatile backend.
-        let snapshot = concurrent.service_stats();
-        assert_eq!(snapshot.store, concurrent.store_stats());
+        let snapshot = shared.service_stats();
+        assert_eq!(snapshot.store, shared.store_stats());
         assert_eq!(snapshot.recovered_epoch, None);
         assert_eq!(snapshot.store.inserted, 1);
         assert_eq!(snapshot.store.replaced, 1);
@@ -830,7 +744,7 @@ mod tests {
         // counter deltas, outcomes in request order.
         let requests: Vec<(u64, usize)> = vec![(100, 1), (101, 4), (102, 1), (103, 0), (104, 5)];
 
-        let (mut serial_sys, _) = small_system(EncoderKind::Huffman);
+        let (serial_sys, _) = small_system(EncoderKind::Huffman);
         let mut r1 = StdRng::seed_from_u64(0xb01);
         let before = serial_sys.counters().snapshot();
         let serial_outcomes: Vec<UpsertOutcome> = requests
@@ -839,7 +753,7 @@ mod tests {
             .collect();
         let serial_delta = serial_sys.counters().snapshot() - before;
 
-        let (mut bulk_sys, _) = small_system(EncoderKind::Huffman);
+        let (bulk_sys, _) = small_system(EncoderKind::Huffman);
         let mut r2 = StdRng::seed_from_u64(0xb01);
         let before = bulk_sys.counters().snapshot();
         let bulk_outcomes = bulk_sys.subscribe_cells_bulk(&requests, &mut r2).unwrap();
@@ -875,14 +789,13 @@ mod tests {
     #[test]
     fn upsert_moves_a_user_between_cells() {
         for backend in [
-            StoreBackend::Contiguous,
-            StoreBackend::Sharded { shards: 3 },
+            StoreBackend::ConcurrentSharded { shards: 1 },
             StoreBackend::ConcurrentSharded { shards: 3 },
         ] {
             let mut rng = StdRng::seed_from_u64(0xa1e47);
             let grid = Grid::new(BoundingBox::new(0.0, 0.0, 0.1, 0.1), 2, 3);
             let probs = ProbabilityMap::new(vec![0.3, 0.1, 0.25, 0.05, 0.2, 0.1]);
-            let mut system = SystemBuilder::new(grid)
+            let system = SystemBuilder::new(grid)
                 .group_bits(40)
                 .store(backend.clone())
                 .build(&probs, &mut rng)

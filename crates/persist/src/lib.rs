@@ -22,13 +22,12 @@
 //!   checksummed** snapshot to `snapshot.tmp`, fsync'd, atomically
 //!   renamed over `snapshot.bin`, the directory fsync'd, and stale WAL
 //!   generations deleted; lane recovery replays snapshot + WAL suffix.
-//!   ([`snapshot`] keeps the pre-sharding monolithic format readable
-//!   for migration.)
 //! * [`sharded`] — the [`ShardedWal`] front: one independent durability
 //!   lane per store shard (`shard.NNN/` directories plus a `store.meta`
-//!   layout descriptor), parallel O(shards) recovery, per-lane deferred
-//!   errors aggregated so no lane's failure can be masked, and a
-//!   one-shot crash-safe migration of pre-sharding directories.
+//!   layout descriptor), parallel O(shards) recovery, and per-lane
+//!   deferred errors aggregated so no lane's failure can be masked. A
+//!   directory in the pre-sharding single-log layout is refused as
+//!   corrupt, untouched.
 //!
 //! The service-layer integration (`sla-core`'s
 //! `StoreBackend::Persistent`) layers [`ShardedWal`] under its in-memory
@@ -46,7 +45,6 @@ mod error;
 pub mod log;
 pub mod pages;
 pub mod sharded;
-pub mod snapshot;
 pub mod wal;
 
 pub use codec::{Record, WalOp};

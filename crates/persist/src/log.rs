@@ -1,6 +1,5 @@
 //! `Lane`: one durability lane — recovery, appending, and background
-//! snapshot compaction over one lane directory — plus the legacy
-//! (pre-sharding) recovery path used for one-shot migration.
+//! snapshot compaction over one lane directory.
 //!
 //! A lane is the single-log engine the sharded store runs one-per-shard
 //! (see [`crate::sharded`] for the layout and routing). Each lane owns
@@ -41,8 +40,7 @@
 
 use crate::codec::{Record, WalOp};
 use crate::error::{PersistError, PersistResult};
-use crate::pages::{self, ShardSnapshot};
-use crate::snapshot::{self, Snapshot, SNAPSHOT_TMP};
+use crate::pages::{self, ShardSnapshot, SNAPSHOT_FILE, SNAPSHOT_TMP};
 use crate::wal::{self, FlushPolicy, WalWriter};
 use std::collections::BTreeMap;
 use std::fs;
@@ -87,19 +85,19 @@ pub(crate) struct LaneRecovered {
 
 /// Replay state folded over snapshot records and WAL ops.
 #[derive(Debug, Default)]
-pub(crate) struct Fold {
-    pub by_user: BTreeMap<u64, Record>,
-    pub epoch: u64,
+struct Fold {
+    by_user: BTreeMap<u64, Record>,
+    epoch: u64,
 }
 
 impl Fold {
-    pub fn seed(&mut self, records: Vec<Record>) {
+    fn seed(&mut self, records: Vec<Record>) {
         for r in records {
             self.by_user.insert(r.user_id, r);
         }
     }
 
-    pub fn apply(&mut self, op: WalOp) {
+    fn apply(&mut self, op: WalOp) {
         match op {
             WalOp::Upsert(record) => {
                 self.by_user.insert(record.user_id, record);
@@ -131,42 +129,29 @@ fn wal_generations(dir: &Path) -> PersistResult<Vec<u64>> {
     Ok(generations)
 }
 
-/// `true` if `dir` holds any artifact of the pre-sharding single-log
-/// layout (a root-level snapshot, in-flight snapshot, or WAL).
-pub(crate) fn has_legacy_layout(dir: &Path) -> PersistResult<bool> {
-    if dir.join(snapshot::SNAPSHOT_FILE).exists() || dir.join(SNAPSHOT_TMP).exists() {
-        return Ok(true);
+/// Refuses a directory that holds any artifact of the pre-sharding
+/// single-log layout (a root-level snapshot, in-flight snapshot, or WAL)
+/// with a `Corrupt` error naming the file. Such directories are not
+/// migrated, and opening one as an empty sharded store would silently
+/// drop its subscriptions. Reads only; writes nothing.
+pub(crate) fn refuse_legacy_layout(dir: &Path) -> PersistResult<()> {
+    let wals = wal_generations(dir)?
+        .into_iter()
+        .map(|g| dir.join(wal::wal_file_name(g)));
+    let legacy = [SNAPSHOT_FILE, SNAPSHOT_TMP]
+        .into_iter()
+        .map(|name| dir.join(name))
+        .filter(|path| path.exists())
+        .chain(wals)
+        .next();
+    match legacy {
+        Some(path) => Err(PersistError::corrupt(
+            path,
+            0,
+            "pre-sharding single-log layout file; such directories are refused, not migrated",
+        )),
+        None => Ok(()),
     }
-    Ok(!wal_generations(dir)?.is_empty())
-}
-
-/// Recovers the pre-sharding layout read-only: loads the root v1
-/// snapshot (if any) and replays every newer root WAL, without creating
-/// or truncating anything. The migration in [`crate::sharded`] routes
-/// the result into per-shard lanes; the legacy files themselves are
-/// deleted only after the sharded layout has committed.
-pub(crate) fn recover_legacy(dir: &Path) -> PersistResult<Fold> {
-    let mut fold = Fold::default();
-    let covered = match snapshot::load_snapshot(dir)? {
-        Some(Snapshot {
-            covered_generation,
-            epoch,
-            records,
-        }) => {
-            fold.epoch = epoch;
-            fold.seed(records);
-            covered_generation
-        }
-        None => 0,
-    };
-    for gen in wal_generations(dir)?.into_iter().filter(|&g| g > covered) {
-        let path = dir.join(wal::wal_file_name(gen));
-        let replay = wal::replay_wal(&path, gen)?;
-        for op in replay.ops {
-            fold.apply(op);
-        }
-    }
-    Ok(fold)
 }
 
 /// Serialized appender state.
@@ -596,7 +581,7 @@ mod tests {
             lane.sync().unwrap();
             assert_eq!(lane.ops_since_snapshot(), 1);
         }
-        assert!(dir.join(SNAPSHOT_FILE_NAME).exists());
+        assert!(dir.join(SNAPSHOT_FILE).exists());
         // Exactly one wal file (the rotated generation) remains.
         let wals: Vec<_> = fs::read_dir(&dir)
             .unwrap()
@@ -613,8 +598,6 @@ mod tests {
         assert_eq!(state.replayed_ops, 1, "only the suffix replays");
         fs::remove_dir_all(&dir).unwrap();
     }
-
-    const SNAPSHOT_FILE_NAME: &str = crate::snapshot::SNAPSHOT_FILE;
 
     #[test]
     fn lane_snapshot_carries_shard_identity() {
@@ -679,35 +662,6 @@ mod tests {
         let (_lane, state) = open_lane(&dir, LogOptions::default());
         assert!(state.records.is_empty());
         assert!(!dir.join(SNAPSHOT_TMP).exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_recovery_folds_snapshot_and_wals() {
-        let dir = temp_dir("legacy");
-        assert!(!has_legacy_layout(&dir).unwrap());
-        snapshot::write_snapshot(
-            &dir,
-            &Snapshot {
-                covered_generation: 1,
-                epoch: 3,
-                records: vec![record(1, 0), record(2, 0)],
-            },
-        )
-        .unwrap();
-        {
-            let mut w = WalWriter::create(&dir, 2, FlushPolicy::EveryOp).unwrap();
-            w.append(&WalOp::Remove { user_id: 1 }).unwrap();
-            w.append(&WalOp::Upsert(record(9, 4))).unwrap();
-            w.append(&WalOp::Epoch { epoch: 5 }).unwrap();
-        }
-        assert!(has_legacy_layout(&dir).unwrap());
-        let fold = recover_legacy(&dir).unwrap();
-        assert_eq!(fold.by_user.keys().copied().collect::<Vec<_>>(), vec![2, 9]);
-        assert_eq!(fold.epoch, 5);
-        // Read-only: the legacy files are untouched.
-        assert!(dir.join(SNAPSHOT_FILE_NAME).exists());
-        assert!(has_legacy_layout(&dir).unwrap());
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,10 +9,10 @@
 //! checksum means a page cannot validate at the wrong position, so a
 //! copy that drops, duplicates, or swaps pages is caught as corruption.
 //!
-//! Like the legacy monolithic format, a paged snapshot is written to
-//! `snapshot.tmp`, fsync'd, atomically renamed over `snapshot.bin`, and
-//! the directory fsync'd — it can never legitimately be torn, so any
-//! checksum failure is real corruption and fails loud.
+//! A paged snapshot is written to `snapshot.tmp`, fsync'd, atomically
+//! renamed over `snapshot.bin` (rename within one directory is atomic on
+//! POSIX), and the directory fsync'd — it can never legitimately be
+//! torn, so any checksum failure is real corruption and fails loud.
 //!
 //! ## Layout
 //!
@@ -29,10 +29,16 @@
 use crate::codec::{self, FrameRead, Record};
 use crate::crc::crc32;
 use crate::error::{PersistError, PersistResult};
-use crate::snapshot::{sync_dir, SNAPSHOT_FILE, SNAPSHOT_TMP};
+use crate::wal::sync_dir;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
+
+/// The promoted snapshot's filename.
+pub const SNAPSHOT_FILE: &str = "snapshot.bin";
+
+/// The in-flight snapshot's filename (deleted on recovery if present).
+pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
 /// Magic bytes opening every paged (v2) snapshot's header frame.
 pub const SNAPSHOT2_MAGIC: &[u8; 8] = b"SLASNAP2";

@@ -21,31 +21,24 @@
 //! ## The meta file
 //!
 //! `store.meta` pins the layout (magic, format version, shard count)
-//! and doubles as the migration commit marker: it is written with the
-//! same tmp + fsync + rename + dir-fsync dance as snapshots, so a
-//! directory either has a committed sharded layout (meta present) or
-//! it does not — there is no in-between for recovery to misread.
-//! Opening with a different shard count than the meta records is
-//! corruption, not resharding: lane placement is baked into every
-//! record's lane at write time.
+//! and is the layout's commit marker: it is written with the same tmp +
+//! fsync + rename + dir-fsync dance as snapshots, so a directory either
+//! has a committed sharded layout (meta present) or it does not — there
+//! is no in-between for recovery to misread. Opening with a different
+//! shard count than the meta records is corruption, not resharding:
+//! lane placement is baked into every record's lane at write time.
 //!
-//! ## Migrating a pre-sharding directory
+//! ## Pre-sharding directories
 //!
-//! A directory from the single-log era (root `wal.N` + root
-//! `snapshot.bin`, no meta) is migrated on first open: the legacy state
-//! is recovered read-only, routed record-by-record into freshly created
-//! lanes, the lanes are fsync'd, the meta file is committed, and only
-//! then are the legacy files deleted. A crash anywhere before the meta
-//! rename redoes the whole migration from the untouched legacy files
-//! (half-built lanes are wiped); a crash after it leaves stray legacy
-//! files that the next open simply deletes, because a committed meta
-//! makes the lanes authoritative.
+//! A root-level `snapshot.bin`, `snapshot.tmp` or `wal.N` belongs to the
+//! single-log layout that predates the lanes. Such a directory is
+//! refused with [`PersistError::Corrupt`] naming the file, whether or
+//! not `store.meta` is present, and nothing in it is touched.
 
 use crate::codec::{self, FrameRead, Record, WalOp};
 use crate::error::{PersistError, PersistResult};
 use crate::log::{self, Lane, LogOptions};
-use crate::snapshot::{sync_dir, SNAPSHOT_FILE, SNAPSHOT_TMP};
-use crate::wal::{self, FlushPolicy, WalWriter};
+use crate::wal::sync_dir;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -97,8 +90,6 @@ pub struct ShardedRecovery {
     pub replayed_ops: usize,
     /// Whether any lane's WAL had a torn tail truncated away.
     pub torn_tail: bool,
-    /// Whether this open migrated a pre-sharding directory.
-    pub migrated: bool,
 }
 
 /// One lane's wait-free stats snapshot.
@@ -126,9 +117,10 @@ pub struct ShardedWal {
 }
 
 impl ShardedWal {
-    /// Opens (creating, or migrating a pre-sharding directory, if
-    /// necessary) the sharded log at `dir` with `shards` lanes and
-    /// recovers every lane in parallel.
+    /// Opens (creating if necessary) the sharded log at `dir` with
+    /// `shards` lanes and recovers every lane in parallel. A directory
+    /// holding pre-sharding root files is refused with
+    /// [`PersistError::Corrupt`] before anything is written.
     ///
     /// `router` must be the same placement function the owner's
     /// in-memory shard map uses; recovery validates that every
@@ -143,24 +135,15 @@ impl ShardedWal {
     ) -> PersistResult<(Self, ShardedRecovery)> {
         assert!(shards >= 1, "a sharded log needs at least one lane");
         fs::create_dir_all(dir).map_err(|e| PersistError::io("create dir", dir, e))?;
+        log::refuse_legacy_layout(dir)?;
         let meta_tmp = dir.join(META_TMP);
         if meta_tmp.exists() {
             fs::remove_file(&meta_tmp)
                 .map_err(|e| PersistError::io("remove store.meta.tmp", &meta_tmp, e))?;
         }
 
-        let mut migrated = false;
         if dir.join(META_FILE).exists() {
             read_meta(dir, shards)?;
-            // A committed meta makes the lanes authoritative; legacy
-            // files can only be leftovers of a migration that crashed
-            // after its commit point. Finish the cleanup.
-            if log::has_legacy_layout(dir)? {
-                delete_legacy_files(dir)?;
-            }
-        } else if log::has_legacy_layout(dir)? {
-            migrate_legacy(dir, shards, router, options.flush)?;
-            migrated = true;
         } else if existing_shard_dirs(dir)?.is_empty() {
             write_meta(dir, shards)?;
         } else {
@@ -245,7 +228,6 @@ impl ShardedWal {
                 epoch,
                 replayed_ops,
                 torn_tail,
-                migrated,
             },
         ))
     }
@@ -421,83 +403,11 @@ fn write_meta(dir: &Path, shards: usize) -> PersistResult<()> {
     sync_dir(dir)
 }
 
-/// Deletes the pre-sharding root files (snapshot, in-flight snapshot,
-/// WALs) and fsyncs the directory.
-fn delete_legacy_files(dir: &Path) -> PersistResult<()> {
-    for name in [SNAPSHOT_FILE, SNAPSHOT_TMP] {
-        let path = dir.join(name);
-        if path.exists() {
-            fs::remove_file(&path)
-                .map_err(|e| PersistError::io("remove legacy snapshot", &path, e))?;
-        }
-    }
-    let entries = fs::read_dir(dir).map_err(|e| PersistError::io("list dir", dir, e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| PersistError::io("list dir", dir, e))?;
-        if let Some(gen) = entry.file_name().to_str().and_then(wal::parse_wal_name) {
-            let path = dir.join(wal::wal_file_name(gen));
-            fs::remove_file(&path).map_err(|e| PersistError::io("remove legacy wal", &path, e))?;
-        }
-    }
-    sync_dir(dir)
-}
-
-/// Migrates a pre-sharding directory into `shards` lanes. Crash-safe by
-/// redo: until [`write_meta`]'s atomic rename commits, the legacy files
-/// are untouched and every partial lane build is wiped and rebuilt from
-/// them; after it, the lanes are authoritative and the legacy files are
-/// disposable (deleted here, or by a later open if this one crashes
-/// first).
-fn migrate_legacy(
-    dir: &Path,
-    shards: usize,
-    router: ShardRouter,
-    flush: FlushPolicy,
-) -> PersistResult<()> {
-    // Recover the legacy state first: if it is corrupt, fail before
-    // touching anything on disk.
-    let fold = log::recover_legacy(dir)?;
-
-    // Wipe half-built lanes from a previously crashed migration.
-    for shard in existing_shard_dirs(dir)? {
-        let lane_dir = dir.join(shard_dir_name(shard));
-        fs::remove_dir_all(&lane_dir)
-            .map_err(|e| PersistError::io("wipe partial lane", &lane_dir, e))?;
-    }
-
-    // Route every record into its lane's first WAL generation. The
-    // epoch is broadcast to every lane so each recovers the full
-    // service epoch independently (replay takes the max, so the
-    // duplication is harmless).
-    let mut writers = Vec::with_capacity(shards);
-    for shard in 0..shards {
-        let lane_dir = dir.join(shard_dir_name(shard));
-        fs::create_dir_all(&lane_dir)
-            .map_err(|e| PersistError::io("create lane dir", &lane_dir, e))?;
-        writers.push(WalWriter::create(&lane_dir, 1, flush)?);
-    }
-    let epoch = fold.epoch;
-    for (_, record) in fold.by_user {
-        let shard = router(record.user_id, shards);
-        writers[shard].append(&WalOp::Upsert(record))?;
-    }
-    for writer in &mut writers {
-        if epoch > 0 {
-            writer.append(&WalOp::Epoch { epoch })?;
-        }
-        writer.sync()?;
-    }
-    drop(writers);
-
-    // Commit point: after this rename the lanes are the store.
-    write_meta(dir, shards)?;
-    delete_legacy_files(dir)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{self, Snapshot};
+    use crate::pages::{SNAPSHOT_FILE, SNAPSHOT_TMP};
+    use crate::wal::{self, FlushPolicy, WalWriter};
     use sla_bigint::BigUint;
     use sla_hve::Ciphertext;
     use sla_pairing::{GElem, GtElem};
@@ -538,12 +448,28 @@ mod tests {
         state.records.iter().map(|r| r.user_id).collect()
     }
 
+    /// Every path under `dir` (lane directories included) with its
+    /// length: what an open must leave untouched when it refuses.
+    fn listing(dir: &Path) -> Vec<(PathBuf, u64)> {
+        let mut out = Vec::new();
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(listing(&path));
+            }
+            let len = fs::metadata(&path).unwrap().len();
+            out.push((path, len));
+        }
+        out.sort();
+        out
+    }
+
     #[test]
     fn per_lane_append_reopen_and_status() {
         let dir = temp_dir("reopen");
         {
             let (wal, state) = ShardedWal::open(&dir, 4, route, LogOptions::default()).unwrap();
-            assert!(state.records.is_empty() && !state.migrated);
+            assert!(state.records.is_empty());
             for id in 0..10 {
                 wal.append(route(id, 4), &WalOp::Upsert(record(id, 0)));
             }
@@ -568,7 +494,6 @@ mod tests {
         assert_eq!(ids(&state), vec![0, 1, 2, 4, 5, 6, 7, 8, 9]);
         assert_eq!(state.epoch, 7);
         assert_eq!(state.replayed_ops, 15);
-        assert!(!state.migrated);
         assert_eq!(wal.shards(), 4);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -622,86 +547,26 @@ mod tests {
     }
 
     #[test]
-    fn migrates_a_legacy_directory_once() {
-        let dir = temp_dir("migrate");
-        // Hand-roll a PR-5-format directory: root snapshot + newer WAL.
-        snapshot::write_snapshot(
-            &dir,
-            &Snapshot {
-                covered_generation: 2,
-                epoch: 3,
-                records: vec![record(1, 1), record(2, 1), record(6, 2)],
-            },
-        )
-        .unwrap();
-        {
-            let mut w = WalWriter::create(&dir, 3, FlushPolicy::EveryOp).unwrap();
-            w.append(&WalOp::Remove { user_id: 6 }).unwrap();
-            w.append(&WalOp::Upsert(record(9, 4))).unwrap();
-            w.append(&WalOp::Epoch { epoch: 5 }).unwrap();
+    fn pre_sharding_root_files_are_refused_untouched() {
+        // Every pre-sharding root file is refused by name, with or
+        // without a committed meta, and the open writes nothing.
+        for name in [SNAPSHOT_FILE, SNAPSHOT_TMP, "wal.000003"] {
+            for with_meta in [false, true] {
+                let dir = temp_dir("legacy");
+                if with_meta {
+                    let (wal, _) = ShardedWal::open(&dir, 2, route, LogOptions::default()).unwrap();
+                    wal.sync().unwrap();
+                }
+                fs::write(dir.join(name), b"pre-sharding bytes").unwrap();
+                let before = listing(&dir);
+                match ShardedWal::open(&dir, 2, route, LogOptions::default()) {
+                    Err(PersistError::Corrupt { path, .. }) => assert_eq!(path, dir.join(name)),
+                    other => panic!("{name} (meta: {with_meta}): {:?}", other.map(|_| ())),
+                }
+                assert_eq!(listing(&dir), before, "{name} (meta: {with_meta})");
+                fs::remove_dir_all(&dir).unwrap();
+            }
         }
-        let (_, state) = ShardedWal::open(&dir, 4, route, LogOptions::default()).unwrap();
-        assert!(state.migrated, "first open migrates");
-        assert_eq!(ids(&state), vec![1, 2, 9]);
-        assert_eq!(state.epoch, 5);
-        // Legacy files gone, meta + lanes in place.
-        assert!(!dir.join(SNAPSHOT_FILE).exists());
-        assert!(!dir.join(wal::wal_file_name(3)).exists());
-        assert!(dir.join(META_FILE).exists());
-        // Second open is a plain sharded recovery.
-        let (_, state) = ShardedWal::open(&dir, 4, route, LogOptions::default()).unwrap();
-        assert!(!state.migrated);
-        assert_eq!(ids(&state), vec![1, 2, 9]);
-        assert_eq!(state.epoch, 5);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn crashed_migration_redoes_from_legacy() {
-        let dir = temp_dir("redo");
-        snapshot::write_snapshot(
-            &dir,
-            &Snapshot {
-                covered_generation: 1,
-                epoch: 0,
-                records: vec![record(0, 0), record(1, 0)],
-            },
-        )
-        .unwrap();
-        // A half-built lane from a migration that crashed before the
-        // meta commit: it must be wiped, not trusted.
-        let partial = dir.join(shard_dir_name(0));
-        fs::create_dir_all(&partial).unwrap();
-        {
-            let mut w = WalWriter::create(&partial, 1, FlushPolicy::EveryOp).unwrap();
-            w.append(&WalOp::Upsert(record(100, 9))).unwrap();
-        }
-        let (_, state) = ShardedWal::open(&dir, 2, route, LogOptions::default()).unwrap();
-        assert!(state.migrated);
-        assert_eq!(ids(&state), vec![0, 1], "partial lane discarded");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn leftover_legacy_files_after_commit_are_deleted() {
-        let dir = temp_dir("leftover");
-        {
-            let (wal, _) = ShardedWal::open(&dir, 2, route, LogOptions::default()).unwrap();
-            wal.append(0, &WalOp::Upsert(record(0, 1)));
-            wal.sync().unwrap();
-        }
-        // Simulate a migration that crashed after the meta commit but
-        // before legacy deletion: a stray root WAL. It must be ignored
-        // (the lanes are authoritative) and cleaned up.
-        {
-            let mut w = WalWriter::create(&dir, 9, FlushPolicy::EveryOp).unwrap();
-            w.append(&WalOp::Upsert(record(42, 9))).unwrap();
-        }
-        let (_, state) = ShardedWal::open(&dir, 2, route, LogOptions::default()).unwrap();
-        assert!(!state.migrated);
-        assert_eq!(ids(&state), vec![0], "stray legacy WAL not replayed");
-        assert!(!dir.join(wal::wal_file_name(9)).exists(), "and deleted");
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

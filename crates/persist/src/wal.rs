@@ -21,7 +21,6 @@
 
 use crate::codec::{self, FrameRead, WalOp};
 use crate::error::{PersistError, PersistResult};
-use crate::snapshot::sync_dir;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -59,6 +58,13 @@ fn header_payload(generation: u64) -> Vec<u8> {
     payload.extend_from_slice(WAL_MAGIC);
     payload.extend_from_slice(&generation.to_le_bytes());
     payload
+}
+
+/// fsyncs a directory so a file creation or rename inside it is durable.
+pub fn sync_dir(dir: &Path) -> PersistResult<()> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| PersistError::io("fsync dir", dir, e))
 }
 
 /// An open WAL file positioned for appending.

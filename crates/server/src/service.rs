@@ -1,13 +1,10 @@
 //! The request executor: an [`AlertSystem`] behind `&self`, plus the
 //! server's own RPC counters and drain flag.
 //!
-//! Every RPC mutates the store through the shared-reference seams
-//! (`subscribe_cell_shared`, `unsubscribe_shared`, `issue_alert`), so
+//! Every RPC reaches the store through the system's `&self` lifecycle
+//! and alert calls (`subscribe_cell`, `unsubscribe`, `issue_alert`), so
 //! one [`AlertService`] serves all connections concurrently without an
-//! outer lock. The server therefore requires a concurrent-capable store
-//! backend ([`AlertService::new`] refuses anything else up front, so
-//! the misconfiguration fails at startup rather than on the first
-//! request).
+//! outer lock.
 
 use crate::wire::{error_response, wire_stats, Request, Response};
 use rand::Rng;
@@ -25,16 +22,9 @@ pub struct AlertService {
 }
 
 impl AlertService {
-    /// Wraps a system for serving.
-    ///
-    /// `Err(SlaError::StoreNotConcurrent)` unless the system's store
-    /// backend supports shared-reference mutation (ConcurrentSharded or
-    /// Persistent) — the server cannot serve concurrent churn through
-    /// an exclusive backend.
+    /// Wraps a system for serving. Always `Ok`: every store backend
+    /// serves concurrent churn.
     pub fn new(system: AlertSystem) -> SlaResult<Self> {
-        if !system.supports_shared_mutation() {
-            return Err(SlaError::StoreNotConcurrent);
-        }
         Ok(AlertService {
             system,
             ops: Default::default(),
@@ -96,7 +86,7 @@ impl AlertService {
                     Ok(c) => c,
                     Err(e) => return error_response(&e),
                 };
-                match self.system.subscribe_cell_shared(*user_id, cell, rng) {
+                match self.system.subscribe_cell(*user_id, cell, rng) {
                     Ok(outcome) => Response::Subscribed {
                         replaced: outcome == sla_core::UpsertOutcome::Replaced,
                     },
@@ -105,7 +95,7 @@ impl AlertService {
             }
             Request::Unsubscribe { user_id } => {
                 self.count_op(1);
-                match self.system.unsubscribe_shared(*user_id) {
+                match self.system.unsubscribe(*user_id) {
                     Ok(()) => Response::Unsubscribed,
                     Err(e) => error_response(&e),
                 }
@@ -199,22 +189,7 @@ mod tests {
             .store(StoreBackend::ConcurrentSharded { shards: 4 })
             .build(&probs, &mut rng)
             .expect("valid configuration");
-        (AlertService::new(system).expect("concurrent backend"), rng)
-    }
-
-    #[test]
-    fn exclusive_backend_is_refused_at_construction() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let grid = Grid::chicago_downtown_32();
-        let probs = ProbabilityMap::uniform(grid.n_cells());
-        let system = SystemBuilder::new(grid)
-            .group_bits(40)
-            .build(&probs, &mut rng)
-            .expect("valid configuration");
-        assert!(matches!(
-            AlertService::new(system),
-            Err(SlaError::StoreNotConcurrent)
-        ));
+        (AlertService::new(system).expect("always Ok"), rng)
     }
 
     #[test]

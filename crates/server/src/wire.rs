@@ -195,9 +195,9 @@ pub enum ErrorCode {
     UnknownUser = 2,
     /// A user id outside the HVE message domain.
     MessageOutOfDomain = 3,
-    /// The server's store backend cannot mutate through `&self`
-    /// (misconfiguration; the server refuses to start this way).
-    NotConcurrent = 4,
+    // 4 is retired: it reported a store backend without `&self`
+    // mutation, and no such backend is left. Never reuse 4, so a frame
+    // carrying it keeps failing to decode instead of changing meaning.
     /// Durable-store I/O failure underneath the request.
     Storage = 5,
     /// Durable-store corruption underneath the request.
@@ -219,7 +219,6 @@ impl ErrorCode {
             1 => ErrorCode::CellOutOfRange,
             2 => ErrorCode::UnknownUser,
             3 => ErrorCode::MessageOutOfDomain,
-            4 => ErrorCode::NotConcurrent,
             5 => ErrorCode::Storage,
             6 => ErrorCode::Corrupt,
             7 => ErrorCode::Io,
@@ -238,7 +237,6 @@ pub fn error_response(err: &SlaError) -> Response {
         SlaError::CellOutOfRange { .. } => ErrorCode::CellOutOfRange,
         SlaError::UnknownUser { .. } => ErrorCode::UnknownUser,
         SlaError::MessageOutOfDomain { .. } => ErrorCode::MessageOutOfDomain,
-        SlaError::StoreNotConcurrent => ErrorCode::NotConcurrent,
         SlaError::Storage { .. } => ErrorCode::Storage,
         SlaError::Corrupt { .. } => ErrorCode::Corrupt,
         SlaError::Io { .. } => ErrorCode::Io,
@@ -906,6 +904,19 @@ mod tests {
         put_u32(&mut payload, u32::MAX);
         let err = decode_request(&payload).unwrap_err();
         assert!(err.0.contains("remain"), "{err}");
+    }
+
+    #[test]
+    fn retired_error_code_4_is_rejected() {
+        let mut payload = encode_response(&Response::Error {
+            code: ErrorCode::MessageOutOfDomain,
+            detail: "retired".into(),
+        });
+        // The code byte follows the response tag.
+        assert_eq!(payload[1], ErrorCode::MessageOutOfDomain as u8);
+        payload[1] = 4;
+        let err = decode_response(&payload).unwrap_err();
+        assert!(err.0.contains("unknown error code 4"), "{err}");
     }
 
     #[test]

@@ -116,16 +116,15 @@ fn response_from(raw: &[u64]) -> Response {
             in_flight_limit: p.next() as u32,
         },
         _ => Response::Error {
-            code: match p.next() % 10 {
+            code: match p.next() % 9 {
                 0 => ErrorCode::CellOutOfRange,
                 1 => ErrorCode::UnknownUser,
                 2 => ErrorCode::MessageOutOfDomain,
-                3 => ErrorCode::NotConcurrent,
-                4 => ErrorCode::Storage,
-                5 => ErrorCode::Corrupt,
-                6 => ErrorCode::Io,
-                7 => ErrorCode::Protocol,
-                8 => ErrorCode::ShuttingDown,
+                3 => ErrorCode::Storage,
+                4 => ErrorCode::Corrupt,
+                5 => ErrorCode::Io,
+                6 => ErrorCode::Protocol,
+                7 => ErrorCode::ShuttingDown,
                 _ => ErrorCode::Internal,
             },
             detail: p.string(),

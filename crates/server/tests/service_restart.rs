@@ -127,7 +127,7 @@ fn restart_equivalence_over_the_wire() {
                 );
                 assert!(matches!(resp, Response::Subscribed { .. }), "{resp:?}");
                 mirror
-                    .subscribe_cell_shared(user_id, cell, &mut mirror_rng)
+                    .subscribe_cell(user_id, cell, &mut mirror_rng)
                     .unwrap();
             }
             None => {
@@ -135,7 +135,7 @@ fn restart_equivalence_over_the_wire() {
                     call(&mut stream, &Request::Unsubscribe { user_id }),
                     Response::Unsubscribed
                 );
-                mirror.unsubscribe_shared(user_id).unwrap();
+                mirror.unsubscribe(user_id).unwrap();
             }
         }
     }

@@ -18,10 +18,10 @@ fn main() {
         &mut rng,
     );
     let sampler = ZoneSampler::new(grid.clone(), &probs);
-    let mut system = SystemBuilder::new(grid)
+    let system = SystemBuilder::new(grid)
         .encoder(EncoderKind::Huffman)
         .group_bits(48)
-        .store(StoreBackend::Sharded { shards: 8 })
+        .store(StoreBackend::ConcurrentSharded { shards: 8 })
         .build(&probs, &mut rng)
         .expect("valid configuration");
     for user in 0..64u64 {

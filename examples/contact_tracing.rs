@@ -32,7 +32,7 @@ fn main() {
         &mut rng,
     );
 
-    let mut system = SystemBuilder::new(grid.clone())
+    let system = SystemBuilder::new(grid.clone())
         .encoder(EncoderKind::Huffman)
         .group_bits(48)
         .build(&probs, &mut rng)
@@ -85,7 +85,7 @@ fn main() {
     );
 
     // Compare against the fixed-length baseline on the same trajectory.
-    let mut baseline = SystemBuilder::new(grid)
+    let baseline = SystemBuilder::new(grid)
         .encoder(EncoderKind::BasicFixed)
         .group_bits(48)
         .build(&probs, &mut rng)

@@ -42,7 +42,7 @@ fn main() {
     //    coarser live grid keeps the cryptographic demo snappy.
     let live_grid = Grid::new(*grid.bbox(), 8, 8);
     let live_probs = coarsen(&probs, 32, 8);
-    let mut system = SystemBuilder::new(live_grid.clone())
+    let system = SystemBuilder::new(live_grid.clone())
         .encoder(EncoderKind::Huffman)
         .group_bits(48)
         .build(&live_probs, &mut rng)

@@ -25,10 +25,10 @@ fn main() {
     // 2. System initialization (Fig. 3): Huffman codebook + HVE keys.
     //    The builder validates the configuration (probability-map/grid
     //    coverage, group size, store shape) instead of panicking.
-    let mut system = SystemBuilder::new(grid)
+    let system = SystemBuilder::new(grid)
         .encoder(EncoderKind::Huffman)
         .group_bits(48)
-        .store(StoreBackend::Sharded { shards: 4 })
+        .store(StoreBackend::ConcurrentSharded { shards: 4 })
         .build(&probs, &mut rng)
         .expect("valid configuration");
     println!(

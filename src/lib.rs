@@ -31,9 +31,10 @@
 //! The service is assembled through the fallible [`core::SystemBuilder`]
 //! and exposes a full subscription lifecycle: `subscribe_cell` upserts
 //! (re-subscribing replaces the stored ciphertext), `unsubscribe`
-//! removes, and `advance_epoch` drives TTL eviction. Every entry point
-//! taking user input returns a typed [`core::SlaError`] instead of
-//! panicking.
+//! removes, and `advance_epoch` drives TTL eviction. Every lifecycle
+//! call takes `&self`, so churn and alerts can run on many threads at
+//! once. Every entry point taking user input returns a typed
+//! [`core::SlaError`] instead of panicking.
 //!
 //! ```
 //! use rand::{rngs::StdRng, SeedableRng};
@@ -44,10 +45,10 @@
 //! let mut rng = StdRng::seed_from_u64(42);
 //! let grid = Grid::new(BoundingBox::new(0.0, 0.0, 0.1, 0.1), 4, 4);
 //! let probs = ProbabilityMap::uniform(16);
-//! let mut system = SystemBuilder::new(grid)
+//! let system = SystemBuilder::new(grid)
 //!     .encoder(EncoderKind::Huffman)
 //!     .group_bits(48)
-//!     .store(StoreBackend::Sharded { shards: 4 })
+//!     .store(StoreBackend::ConcurrentSharded { shards: 4 })
 //!     .build(&probs, &mut rng)
 //!     .expect("valid configuration");
 //!

@@ -18,10 +18,10 @@ fn populated_system(encoder: EncoderKind, users: u64) -> (AlertSystem, ZoneSampl
         &mut rng,
     );
     let sampler = ZoneSampler::new(grid.clone(), &probs);
-    let mut system = SystemBuilder::new(grid)
+    let system = SystemBuilder::new(grid)
         .encoder(encoder)
         .group_bits(40)
-        .store(StoreBackend::Sharded { shards: 4 })
+        .store(StoreBackend::ConcurrentSharded { shards: 4 })
         .build(&probs, &mut rng)
         .expect("valid configuration");
     for user in 0..users {
@@ -141,7 +141,7 @@ fn batch_matches_ground_truth_membership() {
         &mut rng,
     );
     let sampler = ZoneSampler::new(grid.clone(), &probs);
-    let mut system = AlertSystem::builder(grid)
+    let system = AlertSystem::builder(grid)
         .encoder(EncoderKind::Huffman)
         .group_bits(40)
         .build(&probs, &mut rng)

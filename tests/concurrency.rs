@@ -1,13 +1,13 @@
-//! Churn-while-matching: writer threads upsert/remove through the shared
-//! (`&self`) entry points while batch matches run on the same
+//! Churn-while-matching: writer threads upsert/remove through the
+//! (`&self`) lifecycle calls while batch matches run on the same
 //! `AlertSystem` — the long-lived regime of the paper's system model
 //! (§2.2) at production concurrency. Asserts (a) no deadlock and no
 //! torn reads under real parallelism, (b) a deterministic final store
 //! state once quiescent (each user is owned by exactly one writer), and
-//! (c) serial-vs-batch outcome identity on a quiescent store for all
-//! four backends. The churn-while-evicting harness adds the sharded
-//! epoch/stats plane: `advance_epoch_shared` (TTL eviction through
-//! `&self`) racing the writers.
+//! (c) serial-vs-batch outcome identity on a quiescent store for both
+//! backends. The churn-while-evicting harness adds the sharded
+//! epoch/stats plane: `advance_epoch` (TTL eviction through `&self`)
+//! racing the writers.
 //!
 //! A fourth harness runs alerts on several threads beside a writer and
 //! checks that every alert's `pairings_used` is its own analytic cost.
@@ -85,12 +85,10 @@ fn run_stress(writers: u64, users_per_writer: u64, rounds: u64, matchers: usize)
                     for user in (w * users_per_writer)..((w + 1) * users_per_writer) {
                         let cell = ((user + round) % N_CELLS as u64) as usize;
                         system
-                            .subscribe_cell_shared(user, cell, &mut rng)
+                            .subscribe_cell(user, cell, &mut rng)
                             .expect("valid cell and id");
                         if (user + round).is_multiple_of(3) {
-                            system
-                                .unsubscribe_shared(user)
-                                .expect("user was just subscribed");
+                            system.unsubscribe(user).expect("user was just subscribed");
                         }
                     }
                 }
@@ -168,8 +166,8 @@ fn stress_heavy_churn_while_matching() {
 }
 
 /// Churn-while-evicting: writer threads upsert/remove through the
-/// shared entry points while another thread advances the epoch (TTL
-/// eviction enabled) through `advance_epoch_shared` — the sharded
+/// `&self` lifecycle calls while another thread advances the epoch (TTL
+/// eviction enabled) through `advance_epoch` — the sharded
 /// epoch/stats plane. Asserts no deadlock, the exact final epoch, the
 /// TTL retention invariant over the survivors, and that a full TTL of
 /// quiet advances drains the store completely.
@@ -187,13 +185,13 @@ fn run_evict_stress(backend: StoreBackend, writers: u64, users_per_writer: u64, 
                     for user in (w * users_per_writer)..((w + 1) * users_per_writer) {
                         let cell = ((user + round) % N_CELLS as u64) as usize;
                         system
-                            .subscribe_cell_shared(user, cell, &mut rng)
+                            .subscribe_cell(user, cell, &mut rng)
                             .expect("valid cell and id");
                         if (user + round).is_multiple_of(5) {
                             // Not `expect`: a concurrent eviction may
                             // legitimately beat this unsubscribe to a
                             // record stamped with an already-old epoch.
-                            let _ = system.unsubscribe_shared(user);
+                            let _ = system.unsubscribe(user);
                         }
                     }
                 }
@@ -202,7 +200,7 @@ fn run_evict_stress(backend: StoreBackend, writers: u64, users_per_writer: u64, 
         let system = &system;
         scope.spawn(move || {
             for _ in 0..ADVANCES {
-                system.advance_epoch_shared().expect("concurrent backend");
+                system.advance_epoch();
                 std::thread::yield_now();
             }
         });
@@ -221,9 +219,7 @@ fn run_evict_stress(backend: StoreBackend, writers: u64, users_per_writer: u64, 
     }
     // A quiet TTL of advances evicts everything that is left.
     let before = system.n_subscriptions();
-    let drained: usize = (0..TTL)
-        .map(|_| system.advance_epoch_shared().expect("concurrent backend"))
-        .sum();
+    let drained: usize = (0..TTL).map(|_| system.advance_epoch()).sum();
     assert_eq!(drained, before, "every survivor ages out within TTL");
     assert_eq!(system.n_subscriptions(), 0);
     assert_eq!(
@@ -268,7 +264,7 @@ fn stress_churn_while_evicting_persistent() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Quiescent-store outcome identity for all three backends: serial and
+/// Quiescent-store outcome identity for every backend: serial and
 /// batch matching agree field-for-field (`notified`, `tokens_issued`,
 /// `pairings_used`, `analytic_pairings`) at every chunk size, and all
 /// backends agree with each other.
@@ -277,8 +273,7 @@ fn quiescent_serial_vs_batch_identity_across_all_backends() {
     let persist_dir = temp_dir("quiescent");
     let mut reference: Option<(Vec<u64>, usize, u64, u64)> = None;
     for backend in [
-        StoreBackend::Contiguous,
-        StoreBackend::Sharded { shards: 4 },
+        StoreBackend::ConcurrentSharded { shards: 1 },
         StoreBackend::ConcurrentSharded { shards: 4 },
         StoreBackend::Persistent {
             dir: persist_dir.clone(),
@@ -288,7 +283,7 @@ fn quiescent_serial_vs_batch_identity_across_all_backends() {
         let mut rng = StdRng::seed_from_u64(0xbeef);
         let grid = Grid::new(BoundingBox::new(0.0, 0.0, 0.1, 0.1), 3, 3);
         let probs = ProbabilityMap::new(vec![0.2, 0.1, 0.05, 0.15, 0.1, 0.1, 0.1, 0.1, 0.1]);
-        let mut system = SystemBuilder::new(grid)
+        let system = SystemBuilder::new(grid)
             .group_bits(32)
             .store(backend.clone())
             .build(&probs, &mut rng)
@@ -321,7 +316,7 @@ fn quiescent_serial_vs_batch_identity_across_all_backends() {
             Some(r) => assert_eq!(
                 r,
                 &fingerprint(&serial),
-                "{backend:?} diverged from the contiguous reference"
+                "{backend:?} diverged from the one-shard reference"
             ),
         }
     }
@@ -356,7 +351,7 @@ fn concurrent_alerts_each_count_their_own_pairings() {
     let (system, mut rng) = concurrent_system(8);
     for user in 0..USERS {
         system
-            .subscribe_cell_shared(user, (user % N_CELLS as u64) as usize, &mut rng)
+            .subscribe_cell(user, (user % N_CELLS as u64) as usize, &mut rng)
             .expect("valid cell and id");
     }
     let zones: [&[usize]; 4] = [&[4], &[0, 1, 3], &[2, 5, 8], &[6]];
@@ -377,7 +372,7 @@ fn concurrent_alerts_each_count_their_own_pairings() {
                 let user = moves % USERS;
                 let cell = ((user + moves / USERS + 1) % N_CELLS as u64) as usize;
                 system
-                    .subscribe_cell_shared(user, cell, &mut rng)
+                    .subscribe_cell(user, cell, &mut rng)
                     .expect("valid cell and id");
                 moves += 1;
             }

@@ -61,7 +61,7 @@ fn all_encoders_agree_on_notifications() {
         EncoderKind::BaryHuffman(3),
     ] {
         let mut sys_rng = StdRng::seed_from_u64(6);
-        let mut system = SystemBuilder::new(grid.clone())
+        let system = SystemBuilder::new(grid.clone())
             .encoder(encoder)
             .group_bits(40)
             .build(&probs, &mut sys_rng)
@@ -96,7 +96,7 @@ fn notifications_match_plaintext_ground_truth() {
     let mut rng = StdRng::seed_from_u64(9);
     let sampler = ZoneSampler::new(grid.clone(), &probs);
 
-    let mut system = SystemBuilder::new(grid.clone())
+    let system = SystemBuilder::new(grid.clone())
         .encoder(EncoderKind::Huffman)
         .group_bits(40)
         .build(&probs, &mut rng)
@@ -145,7 +145,7 @@ fn huffman_cheaper_on_compact_zones_live() {
     let mut costs = Vec::new();
     for encoder in [EncoderKind::Huffman, EncoderKind::BasicFixed] {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut system = SystemBuilder::new(grid.clone())
+        let system = SystemBuilder::new(grid.clone())
             .encoder(encoder)
             .group_bits(40)
             .build(&probs, &mut rng)

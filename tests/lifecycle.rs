@@ -16,10 +16,8 @@ use secure_location_alerts::grid::{
 use secure_location_alerts::hve::{AttributeVector, HveScheme};
 use secure_location_alerts::pairing::SimulatedGroup;
 
-const BACKENDS: [StoreBackend; 4] = [
-    StoreBackend::Contiguous,
-    StoreBackend::Sharded { shards: 1 },
-    StoreBackend::Sharded { shards: 5 },
+const BACKENDS: [StoreBackend; 2] = [
+    StoreBackend::ConcurrentSharded { shards: 1 },
     StoreBackend::ConcurrentSharded { shards: 5 },
 ];
 
@@ -52,7 +50,7 @@ fn fingerprint(o: &AlertOutcome) -> (Vec<u64>, usize, u64, u64) {
 #[test]
 fn upsert_moves_user_on_both_backends_serial_and_batch() {
     for backend in BACKENDS {
-        let (mut system, mut rng) = small_grid_system(backend.clone(), 0xc4a2);
+        let (system, mut rng) = small_grid_system(backend.clone(), 0xc4a2);
         // Bystanders on the old and new cells keep both alerts non-empty.
         system.subscribe_cell(50, 2, &mut rng).unwrap();
         system.subscribe_cell(51, 7, &mut rng).unwrap();
@@ -100,7 +98,7 @@ fn upsert_moves_user_on_both_backends_serial_and_batch() {
 #[test]
 fn unsubscribe_removes_and_unknown_user_errors() {
     for backend in BACKENDS {
-        let (mut system, mut rng) = small_grid_system(backend.clone(), 0x5b5);
+        let (system, mut rng) = small_grid_system(backend.clone(), 0x5b5);
         system.subscribe_cell(1, 4, &mut rng).unwrap();
         system.subscribe_cell(2, 4, &mut rng).unwrap();
 
@@ -126,7 +124,7 @@ fn ttl_eviction_drops_stale_subscriptions_and_refresh_renews() {
         let mut rng = StdRng::seed_from_u64(0x77e);
         let grid = Grid::new(BoundingBox::new(0.0, 0.0, 0.1, 0.1), 2, 2);
         let probs = ProbabilityMap::uniform(4);
-        let mut system = SystemBuilder::new(grid)
+        let system = SystemBuilder::new(grid)
             .group_bits(40)
             .store(backend.clone())
             .ttl_epochs(2)
@@ -185,12 +183,11 @@ fn churn_workload_replays_identically_across_backends_and_paths() {
 
     let mut per_backend: Vec<Vec<(Vec<u64>, u64)>> = Vec::new();
     for backend in [
-        StoreBackend::Contiguous,
-        StoreBackend::Sharded { shards: 4 },
+        StoreBackend::ConcurrentSharded { shards: 1 },
         StoreBackend::ConcurrentSharded { shards: 4 },
     ] {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut system = SystemBuilder::new(grid.clone())
+        let system = SystemBuilder::new(grid.clone())
             .group_bits(40)
             .store(backend.clone())
             .build(&probs, &mut rng)
@@ -242,10 +239,6 @@ fn churn_workload_replays_identically_across_backends_and_paths() {
         per_backend[0], per_backend[1],
         "store backends must produce identical notified sets and pairing counts"
     );
-    assert_eq!(
-        per_backend[0], per_backend[2],
-        "the concurrent backend must replay churn identically to the exclusive backends"
-    );
 }
 
 /// Satellite: every former panic site returns its specific `SlaError`.
@@ -277,13 +270,13 @@ fn error_taxonomy_covers_every_former_panic_site() {
     );
     assert_eq!(
         SystemBuilder::new(grid.clone())
-            .store(StoreBackend::Sharded { shards: 0 })
+            .store(StoreBackend::ConcurrentSharded { shards: 0 })
             .build(&probs, &mut rng)
             .unwrap_err(),
         SlaError::ZeroShardCount
     );
 
-    let mut system = SystemBuilder::new(grid)
+    let system = SystemBuilder::new(grid)
         .group_bits(40)
         .build(&probs, &mut rng)
         .unwrap();
@@ -354,7 +347,7 @@ fn width_mismatch_is_a_typed_error_at_the_service_provider() {
         &mut rng,
     );
 
-    let mut sp = ServiceProvider::new();
+    let sp = ServiceProvider::new();
     // Ciphertext narrower than the scheme is rejected at upsert.
     assert_eq!(
         sp.upsert(
@@ -437,7 +430,7 @@ fn rejected_upsert_does_not_pin_width() {
         &mut rng,
     );
 
-    let mut sp = ServiceProvider::new();
+    let sp = ServiceProvider::new();
     // First upsert fails *after* the width checks (id outside the HVE
     // message domain) — the width must stay unpinned.
     let bad_id = 1u64 << 40;
@@ -487,7 +480,8 @@ fn early_exit_match_agrees_with_exhaustive_path() {
     let (pk, sk) = scheme.setup(&mut rng);
     let ppk = scheme.prepare_public_key(&pk);
 
-    let mut sp = ServiceProvider::with_backend(StoreBackend::Sharded { shards: 3 }, None).unwrap();
+    let sp =
+        ServiceProvider::with_backend(StoreBackend::ConcurrentSharded { shards: 3 }, None).unwrap();
     let mut population = Vec::new();
     for user in 0..30u64 {
         let cell = sampler.sample_epicenter_cell(&mut rng).0;
@@ -538,14 +532,15 @@ fn early_exit_match_agrees_with_exhaustive_path() {
 /// Store stats reflect the full lifecycle.
 #[test]
 fn store_stats_snapshot_counts_the_lifecycle() {
-    let (mut system, mut rng) = small_grid_system(StoreBackend::Sharded { shards: 5 }, 0x57a75);
+    let (system, mut rng) =
+        small_grid_system(StoreBackend::ConcurrentSharded { shards: 5 }, 0x57a75);
     system.subscribe_cell(1, 0, &mut rng).unwrap();
     system.subscribe_cell(2, 1, &mut rng).unwrap();
     system.subscribe_cell(1, 2, &mut rng).unwrap(); // move
     system.unsubscribe(2).unwrap();
 
     let stats = system.store_stats();
-    assert_eq!(stats.backend, "sharded");
+    assert_eq!(stats.backend, "concurrent-sharded");
     assert_eq!(stats.shards, 5);
     assert_eq!(stats.subscriptions, 1);
     assert_eq!(stats.inserted, 2);

@@ -4,9 +4,9 @@
 //! and `pairings_used`) to an in-memory backend given the same
 //! subscription history — including recovery from a torn final WAL
 //! record in one durability lane while every other lane recovers in
-//! full — plus migration of a pre-sharding (single WAL + monolithic
-//! snapshot) directory, cross-backend equivalence over random op
-//! sequences, and the error/lifecycle surface of the persistent backend.
+//! full — plus the refusal of a pre-sharding (root-level WAL) directory,
+//! cross-backend equivalence over random op sequences, and the
+//! error/lifecycle surface of the persistent backend.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -146,6 +146,7 @@ fn restart_serves_identical_outcomes_to_in_memory_backend() {
     assert!(!dir.join("snapshot.bin").exists(), "no monolithic snapshot");
     assert!(!lane_wal_files(&dir).is_empty(), "per-lane WALs exist");
 
+    let quiesced = dir_bytes(&dir);
     let (reopened, _) = build_system(StoreBackend::Persistent {
         dir: dir.clone(),
         flush: FlushPolicy::EveryOp,
@@ -165,6 +166,13 @@ fn restart_serves_identical_outcomes_to_in_memory_backend() {
             "post-restart divergence on {cells:?}"
         );
     }
+    // A read-only reopen rewrites no byte of the directory.
+    drop(reopened);
+    assert_eq!(
+        dir_bytes(&dir),
+        quiesced,
+        "a read-only reopen rewrote files"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -178,7 +186,7 @@ fn torn_final_wal_record_in_one_shard_recovers_state_at_last_complete_frame() {
     let dir = temp_dir("torn");
 
     // Reference: users 0..5 (the 6th subscribe never happened).
-    let (mut memory, mut mem_rng) = build_system(StoreBackend::ConcurrentSharded { shards: 4 });
+    let (memory, mut mem_rng) = build_system(StoreBackend::ConcurrentSharded { shards: 4 });
     for user in 0..5u64 {
         memory
             .subscribe_cell(user, user as usize % N_CELLS, &mut mem_rng)
@@ -187,7 +195,7 @@ fn torn_final_wal_record_in_one_shard_recovers_state_at_last_complete_frame() {
 
     let before;
     {
-        let (mut persistent, mut rng) = build_system(StoreBackend::Persistent {
+        let (persistent, mut rng) = build_system(StoreBackend::Persistent {
             dir: dir.clone(),
             flush: FlushPolicy::EveryOp,
         });
@@ -234,8 +242,8 @@ fn torn_final_wal_record_in_one_shard_recovers_state_at_last_complete_frame() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A record in the pre-sharding on-disk vocabulary (canonical discrete
-/// logs, so it round-trips the codec byte-exactly). Only `(user_id,
+/// A record in the on-disk vocabulary (canonical discrete logs, so it
+/// round-trips the codec byte-exactly). Only `(user_id,
 /// epoch)` is observable through `subscription_epochs`; the ciphertext
 /// just has to be structurally valid.
 fn legacy_record(user_id: u64, epoch: u64) -> sla_persist::Record {
@@ -275,34 +283,15 @@ fn dir_bytes(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
     out
 }
 
-/// Migration: a directory in the pre-sharding format — a monolithic v1
-/// `snapshot.bin`, a stale covered WAL, and a live root-level WAL —
-/// opens into exactly the state its history describes, is rewritten as
-/// the sharded layout on that first open, and is byte-stable across
-/// subsequent reopens.
+/// A directory in the pre-sharding format — root-level WALs and no
+/// layout meta — is refused with `SlaError::Corrupt` naming a root WAL,
+/// and the refused open leaves every byte of it as it was.
 #[test]
-fn pre_sharding_directory_migrates_to_lanes_on_first_open() {
-    use sla_persist::snapshot::{write_snapshot, Snapshot};
-    use sla_persist::wal::{wal_file_name, WalWriter};
+fn pre_sharding_directory_is_refused_untouched() {
+    use sla_persist::wal::WalWriter;
     use sla_persist::WalOp;
 
-    let dir = temp_dir("migration");
-
-    // Hand-write the PR-5 layout with the persist crate's own v1
-    // primitives: a snapshot covering generation 1 at epoch 1 with
-    // users {1, 4}, a stale generation-1 WAL whose contents the
-    // snapshot already covers (user 9 must NOT resurrect), and a live
-    // generation-2 WAL that re-subscribes user 4 and adds user 7 at
-    // epoch 2.
-    write_snapshot(
-        &dir,
-        &Snapshot {
-            covered_generation: 1,
-            epoch: 1,
-            records: vec![legacy_record(1, 1), legacy_record(4, 1)],
-        },
-    )
-    .unwrap();
+    let dir = temp_dir("pre-sharding");
     let mut stale = WalWriter::create(&dir, 1, FlushPolicy::EveryOp).unwrap();
     stale.append(&WalOp::Upsert(legacy_record(9, 0))).unwrap();
     drop(stale);
@@ -312,46 +301,18 @@ fn pre_sharding_directory_migrates_to_lanes_on_first_open() {
     live.append(&WalOp::Epoch { epoch: 2 }).unwrap();
     drop(live);
 
-    // The in-memory reference that lived the same history.
-    let (mut memory, mut mem_rng) = build_system(StoreBackend::ConcurrentSharded { shards: 4 });
-    memory.advance_epoch();
-    memory.subscribe_cell(1, 1, &mut mem_rng).unwrap();
-    memory.advance_epoch();
-    memory.subscribe_cell(4, 4, &mut mem_rng).unwrap();
-    memory.subscribe_cell(7, 7, &mut mem_rng).unwrap();
-
-    {
-        let (migrated, _) = build_system(StoreBackend::Persistent {
-            dir: dir.clone(),
-            flush: FlushPolicy::EveryOp,
-        });
-        assert_eq!(migrated.subscription_epochs(), memory.subscription_epochs());
-        assert_eq!(migrated.epoch(), 2, "epoch recovered from the live WAL");
-    }
-
-    // The first open rewrote the directory as the sharded layout and
-    // deleted every legacy file.
-    assert!(dir.join("store.meta").exists(), "layout meta committed");
-    assert!(!dir.join("snapshot.bin").exists(), "v1 snapshot deleted");
-    assert!(!dir.join(wal_file_name(1)).exists(), "stale WAL deleted");
-    assert!(!dir.join(wal_file_name(2)).exists(), "live WAL deleted");
-    assert!(!lane_wal_files(&dir).is_empty(), "per-lane WALs exist");
-
-    // Reopening the migrated directory is a no-op: identical state,
-    // byte-identical files.
-    let after_migration = dir_bytes(&dir);
-    {
-        let (reopened, _) = build_system(StoreBackend::Persistent {
-            dir: dir.clone(),
-            flush: FlushPolicy::EveryOp,
-        });
-        assert_eq!(reopened.subscription_epochs(), memory.subscription_epochs());
-        assert_eq!(reopened.epoch(), 2);
+    let before = dir_bytes(&dir);
+    match build_system_err(StoreBackend::Persistent {
+        dir: dir.clone(),
+        flush: FlushPolicy::EveryOp,
+    }) {
+        SlaError::Corrupt { detail } => assert!(detail.contains("wal.000001"), "{detail}"),
+        other => panic!("expected Corrupt, got {other:?}"),
     }
     assert_eq!(
         dir_bytes(&dir),
-        after_migration,
-        "second open rewrote the migrated layout"
+        before,
+        "the refused open touched the files"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -385,10 +346,10 @@ proptest! {
         let dir = temp_dir(&format!("prop-{case}"));
         let ops: Vec<Op> = raw_ops.iter().map(|&r| decode(r)).collect();
 
-        let (mut memory, mut mem_rng) =
+        let (memory, mut mem_rng) =
             build_system(StoreBackend::ConcurrentSharded { shards: 4 });
         {
-            let (mut persistent, mut rng) = build_system(StoreBackend::Persistent {
+            let (persistent, mut rng) = build_system(StoreBackend::Persistent {
                 dir: dir.clone(),
                 flush: FlushPolicy::Manual,
             });
@@ -428,11 +389,10 @@ proptest! {
     }
 }
 
-/// The persistent backend is concurrent-capable: the shared (`&self`)
-/// entry points work, and shared epoch advancement both evicts and is
-/// recorded durably.
+/// The persistent backend serves the lifecycle through `&self`, and an
+/// epoch advance both evicts and is recorded durably.
 #[test]
-fn persistent_backend_supports_shared_mutation_and_epochs() {
+fn persistent_backend_serves_the_lifecycle_and_epochs_through_shared_refs() {
     let dir = temp_dir("shared");
     {
         let (system, mut rng) = build_system(StoreBackend::Persistent {
@@ -440,23 +400,23 @@ fn persistent_backend_supports_shared_mutation_and_epochs() {
             flush: FlushPolicy::EveryOp,
         });
         assert_eq!(
-            system.subscribe_cell_shared(1, 0, &mut rng),
+            system.subscribe_cell(1, 0, &mut rng),
             Ok(UpsertOutcome::Inserted)
         );
         assert_eq!(
-            system.subscribe_cell_shared(1, 2, &mut rng),
+            system.subscribe_cell(1, 2, &mut rng),
             Ok(UpsertOutcome::Replaced)
         );
-        system.subscribe_cell_shared(2, 4, &mut rng).unwrap();
-        system.unsubscribe_shared(2).unwrap();
+        system.subscribe_cell(2, 4, &mut rng).unwrap();
+        system.unsubscribe(2).unwrap();
         assert_eq!(
-            system.unsubscribe_shared(2).unwrap_err(),
+            system.unsubscribe(2).unwrap_err(),
             SlaError::UnknownUser { user_id: 2 }
         );
         // TTL = 3: three shared advances evict user 1 (epoch-0 record).
-        assert_eq!(system.advance_epoch_shared(), Ok(0));
-        assert_eq!(system.advance_epoch_shared(), Ok(0));
-        assert_eq!(system.advance_epoch_shared(), Ok(1));
+        assert_eq!(system.advance_epoch(), 0);
+        assert_eq!(system.advance_epoch(), 0);
+        assert_eq!(system.advance_epoch(), 1);
         assert_eq!(system.n_subscriptions(), 0);
         system.sync().unwrap();
     }

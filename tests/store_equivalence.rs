@@ -1,7 +1,7 @@
 //! Store-backend equivalence: random interleavings of
 //! upsert / remove / evict-before (via `advance_epoch`) / match must
-//! leave the contiguous, hash-sharded, concurrent-sharded and persistent
-//! (WAL-backed) backends with identical contents — as sorted
+//! leave the volatile sharded store (one shard and four) and the
+//! persistent (WAL-backed) backend with identical contents — as sorted
 //! `(user_id, epoch)` sets — and identical notified sets under quiescent
 //! matching. Also pins the TTL boundary: a subscription **exactly**
 //! `ttl_epochs` old is evicted (the `epoch >= min_epoch` retain bound is
@@ -30,10 +30,9 @@ fn temp_dir() -> PathBuf {
     dir
 }
 
-fn backends(persist_dir: &std::path::Path) -> [StoreBackend; 4] {
+fn backends(persist_dir: &std::path::Path) -> [StoreBackend; 3] {
     [
-        StoreBackend::Contiguous,
-        StoreBackend::Sharded { shards: 4 },
+        StoreBackend::ConcurrentSharded { shards: 1 },
         StoreBackend::ConcurrentSharded { shards: 4 },
         StoreBackend::Persistent {
             dir: persist_dir.to_path_buf(),
@@ -97,7 +96,7 @@ proptest! {
 
         for (i, &op) in ops.iter().enumerate() {
             // Apply the op to every backend and compare observable
-            // outcomes pairwise against the contiguous reference.
+            // outcomes pairwise against the one-shard reference.
             let mut outcomes = Vec::new();
             for (backend, system, rng) in &mut systems {
                 let observed = match op {
@@ -172,7 +171,7 @@ proptest! {
 fn ttl_boundary_evicts_exactly_at_ttl_epochs() {
     let persist_dir = temp_dir();
     for backend in backends(&persist_dir) {
-        let (mut system, mut rng) = build_system(backend.clone()); // TTL = 3
+        let (system, mut rng) = build_system(backend.clone()); // TTL = 3
         system.subscribe_cell(1, 0, &mut rng).unwrap();
         // Ages 1 and 2: still stored.
         assert_eq!(system.advance_epoch(), 0, "{backend:?}: age 1");
