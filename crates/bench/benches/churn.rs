@@ -4,7 +4,7 @@
 //! store's per-shard `RwLock`s, and the persistent store's WAL append
 //! per mutation (group commit, so the fsync amortizes across a burst).
 //! The `churn_while_matching` entry overlaps writer threads with a
-//! running batch match.
+//! running alert.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -88,7 +88,7 @@ fn bench_churn(c: &mut Criterion) {
                 apply_epoch(&system, epoch, &mut rng);
                 system.advance_epoch();
                 system
-                    .issue_alert_batch(&epoch.alert_cells, None, &mut rng)
+                    .issue_alert(&epoch.alert_cells, &mut rng)
                     .expect("workload cells are in range")
             });
         });
@@ -101,7 +101,7 @@ fn bench_churn(c: &mut Criterion) {
 
 /// The churn-while-matching regime: `WRITERS` threads replay an epoch's
 /// writer streams through `subscribe_cell`/`unsubscribe` while the
-/// measuring thread runs the epoch's batch match concurrently. Run on
+/// measuring thread runs the epoch's alert concurrently. Run on
 /// both backends: the volatile sharded store and the persistent store,
 /// whose per-shard durability lanes let the four writers log without
 /// serializing on a single WAL gate.
@@ -170,7 +170,7 @@ fn bench_churn_while_matching(c: &mut Criterion) {
                     }
                     let mut match_rng = StdRng::seed_from_u64(SEED ^ 3);
                     system
-                        .issue_alert_batch(&epoch.alert_cells, Some(8), &mut match_rng)
+                        .issue_alert(&epoch.alert_cells, &mut match_rng)
                         .expect("workload cells are in range")
                 })
             });

@@ -1,7 +1,6 @@
 //! Times the Fig. 9 pipeline at a reduced workload size (the full run is
 //! the `repro` binary's job; here we time the cost-evaluation machinery),
-//! plus the live alert path serial-vs-batch (the batch variant fans
-//! ciphertext chunks out across cores).
+//! plus the live alert path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -49,13 +48,9 @@ fn bench_live_alert(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("fig09_live");
     g.sample_size(10);
-    g.bench_function("issue_alert_serial", |b| {
+    g.bench_function("issue_alert", |b| {
         let mut r = StdRng::seed_from_u64(1);
         b.iter(|| system.issue_alert(&cells, &mut r).unwrap());
-    });
-    g.bench_function("issue_alert_batch", |b| {
-        let mut r = StdRng::seed_from_u64(1);
-        b.iter(|| system.issue_alert_batch(&cells, None, &mut r).unwrap());
     });
     g.finish();
 }

@@ -242,22 +242,22 @@ fn run_smoke(out_dir: &std::path::Path, store: &str) {
             .subscribe_cell(100 + cell as u64, cell, &mut rng)
             .expect("smoke: cells are in range");
     }
-    let serial = system
+    let outcome = system
         .issue_alert(&[2, 3, 6], &mut rng)
         .expect("smoke: alert");
-    let batch = system
-        .issue_alert_batch(&[2, 3, 6], Some(4), &mut rng)
-        .expect("smoke: batch alert");
-    assert_eq!(serial.notified, vec![102, 103, 106], "smoke: wrong matches");
-    assert_eq!(serial.notified, batch.notified, "smoke: batch != serial");
     assert_eq!(
-        serial.pairings_used, serial.analytic_pairings,
+        outcome.notified,
+        vec![102, 103, 106],
+        "smoke: wrong matches"
+    );
+    assert_eq!(
+        outcome.pairings_used, outcome.analytic_pairings,
         "smoke: live counters diverge from the analytic model"
     );
     println!(
-        "smoke OK: {} users notified, {} pairings (= analytic), batch identical",
-        serial.notified.len(),
-        serial.pairings_used
+        "smoke OK: {} users notified, {} pairings (= analytic)",
+        outcome.notified.len(),
+        outcome.pairings_used
     );
 
     // The persistent backend additionally smokes the restart path: the
@@ -278,7 +278,7 @@ fn run_smoke(out_dir: &std::path::Path, store: &str) {
             .expect("smoke: alert after restart");
         assert_eq!(
             (recovered.notified, recovered.pairings_used),
-            (serial.notified, serial.pairings_used),
+            (outcome.notified, outcome.pairings_used),
             "smoke: restart changed the match outcome"
         );
         drop(reopened);

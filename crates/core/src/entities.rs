@@ -7,7 +7,6 @@ use crate::store::{
     UpsertOutcome,
 };
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use sla_encoding::CellCodebook;
 use sla_hve::{
@@ -299,6 +298,8 @@ impl FromIterator<AlertMatch> for AlertMatch {
 ///
 /// ## Matching
 ///
+/// [`Self::match_alert`] evaluates every token against every stored
+/// ciphertext, one whole shard at a time, on the calling thread.
 /// The stored ciphertexts (and the tokens handed in per alert) keep their
 /// group elements in the engine's Montgomery residue domain, and each
 /// record carries its expected payload, so matching is a pure
@@ -308,11 +309,11 @@ impl FromIterator<AlertMatch> for AlertMatch {
 /// ## Concurrency
 ///
 /// Every lifecycle and matching call takes `&self`, so writer threads
-/// can churn the store **while** a batch match runs: matching holds one
-/// shard's read lock at a time, mutation one shard's write lock — never
-/// more than one lock per operation, so no interleaving can deadlock (see
-/// the [`ConcurrentSubscriptionStore`] consistency model for what the
-/// notified set means under concurrent churn).
+/// can churn the store **while** an alert is matched: matching holds
+/// one shard's read lock at a time, mutation one shard's write lock —
+/// never more than one lock per operation, so no interleaving can
+/// deadlock (see the [`ConcurrentSubscriptionStore`] consistency model
+/// for what the notified set means under concurrent churn).
 #[derive(Debug)]
 pub struct ServiceProvider {
     store: Box<dyn ConcurrentSubscriptionStore>,
@@ -501,7 +502,7 @@ impl ServiceProvider {
     /// old location stops matching alerts. The record is stamped with the
     /// current epoch and carries the precomputed expected payload for
     /// residue-domain matching. Takes only the target shard's write
-    /// lock, so writer threads can call it while a batch match runs.
+    /// lock, so writer threads can call it while an alert is matched.
     ///
     /// Errors: `WidthMismatch` when the ciphertext disagrees with the
     /// scheme or with previously stored material; `MessageOutOfDomain`
@@ -608,197 +609,99 @@ impl ServiceProvider {
         Ok(())
     }
 
-    /// Evaluates the token set with an **early exit**: a subscription
-    /// stops evaluating tokens after its first match. This is the
-    /// latency-optimal production call — its pairing count depends on
-    /// *which* users match, so it does not reproduce the paper's
-    /// worst-case cost model; use [`Self::match_alert_exhaustive`] (or
-    /// the batch path) when live counters must equal the analytic
-    /// prediction. Both paths decide each (token, ciphertext) pair with
-    /// the same residue-domain primitive, so the notified set is
-    /// identical.
-    pub fn match_alert<G: BilinearGroup>(
-        &self,
-        scheme: &HveScheme<'_, G>,
-        tokens: &[Token],
-    ) -> SlaResult<Vec<u64>> {
-        self.validate_tokens(scheme, tokens)?;
-        let mut notified = Vec::new();
-        let mut early_exit_chunk = |chunk: &[StoredSubscription]| {
-            for sub in chunk {
-                for token in tokens {
-                    if scheme.match_token(token, &sub.ciphertext, &sub.expected) {
-                        notified.push(sub.user_id);
-                        break; // already matched; skip remaining tokens
-                    }
-                }
-            }
-        };
-        for shard in 0..self.store.shard_count() {
-            self.store.read_shard(shard, &mut early_exit_chunk);
-        }
-        Ok(notified)
-    }
-
-    /// Like [`Self::match_alert`] but evaluates *every* (token,
-    /// ciphertext) pair without early exit — the worst-case evaluation the
-    /// paper's cost model counts (`Σ_tokens (1+2·|J|) · n_ciphertexts`).
-    pub fn match_alert_exhaustive<G: BilinearGroup>(
-        &self,
-        scheme: &HveScheme<'_, G>,
-        tokens: &[Token],
-    ) -> SlaResult<Vec<u64>> {
-        self.match_alert_exhaustive_counted(scheme, tokens)
-            .map(|m| m.notified)
-    }
-
-    /// [`Self::match_alert_exhaustive`], also returning the pairings its
-    /// sweeps evaluated ([`AlertMatch::pairings`]). The engine's shared
+    /// The served matcher: evaluates *every* (token, ciphertext) pair —
+    /// the worst-case evaluation the paper's cost model counts
+    /// (`Σ_tokens (1+2·|J|) · n_ciphertexts`) — and returns who matched
+    /// and the pairings its sweeps performed. The engine's shared
     /// counters advance by the same amount.
-    pub fn match_alert_exhaustive_counted<G: BilinearGroup>(
+    ///
+    /// The shards are swept one after another on the calling thread, not
+    /// fanned out over threads: on a shared two-vCPU host a fan-out's
+    /// speed-up swings between none and 2× with the host's scheduling,
+    /// which makes alert latency unrepeatable, and writers would wait on
+    /// several read-locked shards at once.
+    pub fn match_alert<G: BilinearGroup>(
         &self,
         scheme: &HveScheme<'_, G>,
         tokens: &[Token],
     ) -> SlaResult<AlertMatch> {
         self.validate_tokens(scheme, tokens)?;
         Ok((0..self.store.shard_count())
-            .map(|shard| {
-                let mut part = AlertMatch::default();
-                self.store.read_shard(shard, &mut |records| {
-                    part = Self::match_chunk_exhaustive(records, scheme, tokens);
-                });
-                part
-            })
+            .map(|shard| self.match_shard(shard, scheme, tokens))
             .collect())
     }
 
-    /// Exhaustive matching of one chunk of the store; the unit of work
-    /// the serial and the parallel batch paths share, so their outcomes
-    /// are identical by construction. Decides every pair in the residue
-    /// domain — no canonical conversions.
+    /// Exhaustively matches one whole shard under its read lock.
+    /// Decides every pair in the residue domain, with no canonical
+    /// conversions.
     ///
-    /// Evaluation is **token-outer**: the chunk's query targets are built
+    /// Evaluation is **token-outer**: the shard's query targets are built
     /// once, each token sweeps all of them in one
     /// [`HveScheme::match_token_sweep`] (the engine's fused query check),
     /// and per-subscription hits are OR-accumulated across tokens.
     /// Notified ids are pushed in subscription order, and the pairings
     /// are the sum of what the sweeps recorded.
-    fn match_chunk_exhaustive<G: BilinearGroup>(
-        chunk: &[StoredSubscription],
-        scheme: &HveScheme<'_, G>,
-        tokens: &[Token],
-    ) -> AlertMatch {
-        let targets: Vec<QueryTarget<'_>> = chunk
-            .iter()
-            .map(|sub| sub.ciphertext.query_target(&sub.expected))
-            .collect();
-        let mut hit = vec![false; chunk.len()];
-        let mut swept = vec![false; chunk.len()];
-        let mut pairings = 0;
-        for token in tokens {
-            pairings += scheme
-                .match_token_sweep(token, &targets, &mut swept)
-                .pairings;
-            for (h, s) in hit.iter_mut().zip(&swept) {
-                *h |= *s;
-            }
-        }
-        AlertMatch {
-            notified: chunk
-                .iter()
-                .zip(hit)
-                .filter_map(|(sub, h)| h.then_some(sub.user_id))
-                .collect(),
-            pairings,
-        }
-    }
-
-    /// Default chunk size for [`Self::process_alert_batch`]: a handful of
-    /// chunks per available core so stragglers rebalance — or one single
-    /// chunk when only one core is available or the store is small, where
-    /// the rayon shim's per-call thread spawns (scoped threads, no
-    /// persistent pool — it is `forbid(unsafe_code)`) outweigh the
-    /// matching work. An explicit `chunk_size` always takes the parallel
-    /// machinery, which is what the equivalence tests exercise.
-    pub fn default_batch_chunk_size(&self) -> usize {
-        let threads = rayon::current_num_threads();
-        let len = self.store.len();
-        if threads <= 1 || len < Self::PARALLEL_MIN_STORE {
-            return len.max(1);
-        }
-        len.div_ceil(threads * 4).max(1)
-    }
-
-    /// Batch variant of [`Self::match_alert_exhaustive`]: partitions every
-    /// store shard into `chunk_size`-sized chunks and matches the shards
-    /// in parallel (rayon).
-    ///
-    /// Chunk results are concatenated in shard order, so on a quiescent
-    /// store the returned ids are **byte-identical** to the serial path's
-    /// regardless of thread count, and the engine's atomic
-    /// [`sla_pairing::OpCounters`] see exactly the same number of
-    /// pairings.
-    ///
-    /// The parallel unit is a **shard**: each worker takes one shard's
-    /// read lock, walks that shard's chunks, and releases — writers to
-    /// other shards proceed in parallel, writers to the locked shard wait
-    /// for at most one shard scan (see the [`ConcurrentSubscriptionStore`]
-    /// consistency model).
-    ///
-    /// `Err(SlaError::ZeroChunkSize)` when `chunk_size == 0`.
-    pub fn process_alert_batch<G: BilinearGroup + Sync>(
+    fn match_shard<G: BilinearGroup>(
         &self,
-        scheme: &HveScheme<'_, G>,
-        tokens: &[Token],
-        chunk_size: usize,
-    ) -> SlaResult<Vec<u64>> {
-        self.process_alert_batch_counted(scheme, tokens, chunk_size)
-            .map(|m| m.notified)
-    }
-
-    /// [`Self::process_alert_batch`], also returning the pairings its
-    /// sweeps evaluated ([`AlertMatch::pairings`]) — on a quiescent store
-    /// equal to [`Self::match_alert_exhaustive_counted`]'s.
-    pub fn process_alert_batch_counted<G: BilinearGroup + Sync>(
-        &self,
-        scheme: &HveScheme<'_, G>,
-        tokens: &[Token],
-        chunk_size: usize,
-    ) -> SlaResult<AlertMatch> {
-        if chunk_size == 0 {
-            return Err(SlaError::ZeroChunkSize);
-        }
-        self.validate_tokens(scheme, tokens)?;
-        let store = self.store.as_ref();
-        let shard_ids: Vec<usize> = (0..store.shard_count()).collect();
-        let parts: Vec<AlertMatch> = shard_ids
-            .par_iter()
-            .map(|&shard| Self::match_one_shard_locked(store, shard, scheme, tokens, chunk_size))
-            .collect();
-        Ok(parts.into_iter().collect())
-    }
-
-    /// Exhaustively matches one shard of the store under its read lock,
-    /// chunk by chunk in order — the per-worker unit of the batch path.
-    fn match_one_shard_locked<G: BilinearGroup>(
-        store: &dyn ConcurrentSubscriptionStore,
         shard: usize,
         scheme: &HveScheme<'_, G>,
         tokens: &[Token],
-        chunk_size: usize,
     ) -> AlertMatch {
-        let mut all = AlertMatch::default();
-        store.read_shard(shard, &mut |records| {
-            all = records
-                .chunks(chunk_size)
-                .map(|chunk| Self::match_chunk_exhaustive(chunk, scheme, tokens))
+        let mut found = AlertMatch::default();
+        self.store.read_shard(shard, &mut |records| {
+            let targets: Vec<QueryTarget<'_>> = records
+                .iter()
+                .map(|sub| sub.ciphertext.query_target(&sub.expected))
                 .collect();
+            let mut hit = vec![false; records.len()];
+            let mut swept = vec![false; records.len()];
+            let mut pairings = 0;
+            for token in tokens {
+                pairings += scheme
+                    .match_token_sweep(token, &targets, &mut swept)
+                    .pairings;
+                for (h, s) in hit.iter_mut().zip(&swept) {
+                    *h |= *s;
+                }
+            }
+            found = AlertMatch {
+                notified: records
+                    .iter()
+                    .zip(hit)
+                    .filter_map(|(sub, h)| h.then_some(sub.user_id))
+                    .collect(),
+                pairings,
+            };
         });
-        all
+        found
     }
 
-    /// Below this store size [`Self::default_batch_chunk_size`] picks a
-    /// single chunk, keeping the default path serial where parallelism
-    /// cannot pay for its thread spawns.
-    const PARALLEL_MIN_STORE: usize = 256;
+    /// [`Self::match_alert`] returning only the notified ids, under the
+    /// name the benchmark's trace calls.
+    #[doc(hidden)]
+    pub fn match_alert_exhaustive<G: BilinearGroup>(
+        &self,
+        scheme: &HveScheme<'_, G>,
+        tokens: &[Token],
+    ) -> SlaResult<Vec<u64>> {
+        self.match_alert(scheme, tokens).map(|m| m.notified)
+    }
+
+    /// [`Self::match_alert`] returning only the notified ids, under the
+    /// name the benchmark's trace calls; `chunk_size` is ignored.
+    #[doc(hidden)]
+    pub fn process_alert_batch<G: BilinearGroup>(
+        &self,
+        scheme: &HveScheme<'_, G>,
+        tokens: &[Token],
+        _chunk_size: usize,
+    ) -> SlaResult<Vec<u64>> {
+        self.match_alert(scheme, tokens).map(|m| m.notified)
+    }
+
+    /// A chunk size for `process_alert_batch`, which ignores it.
+    #[doc(hidden)]
+    pub fn default_batch_chunk_size(&self) -> usize {
+        self.store.len().max(1)
+    }
 }

@@ -55,8 +55,6 @@ pub enum SlaError {
     },
     /// A sharded store with zero shards.
     ZeroShardCount,
-    /// An explicit batch chunk size of zero.
-    ZeroChunkSize,
     /// A token/ciphertext/key width that does not match the system's
     /// HVE width.
     WidthMismatch {
@@ -137,7 +135,6 @@ impl fmt::Display for SlaError {
                 "group_bits {bits} outside the supported range [{MIN_GROUP_BITS}, {MAX_GROUP_BITS}]"
             ),
             SlaError::ZeroShardCount => write!(f, "sharded store needs at least one shard"),
-            SlaError::ZeroChunkSize => write!(f, "batch chunk size must be positive"),
             SlaError::WidthMismatch { expected, actual } => {
                 write!(
                     f,
@@ -266,7 +263,6 @@ mod tests {
                 },
                 "covers 3 cells",
             ),
-            (SlaError::ZeroChunkSize, "chunk size"),
             (
                 SlaError::WidthMismatch {
                     expected: 5,

@@ -2,11 +2,11 @@
 //!
 //! The paper's system model (§2.2) is a *long-lived* service: users keep
 //! re-submitting encrypted location updates as they move, so the SP's
-//! store needs upsert/remove semantics and a layout that batch matching
-//! can parallelize over — while both run at once. One seam exists,
+//! store needs upsert/remove semantics that can run while an alert is
+//! being matched. One seam exists,
 //! [`ConcurrentSubscriptionStore`]: interior-mutability (`&self`)
 //! upsert/remove/evict behind per-shard `RwLock`s, so subscription churn
-//! can proceed *while* a batch match is running.
+//! can proceed *while* an alert is being matched.
 //!
 //! Two backends implement it ([`StoreBackend`]).
 //! [`ConcurrentShardedStore`] is the volatile one; matching reads one
@@ -64,7 +64,7 @@ pub enum UpsertOutcome {
 pub enum StoreBackend {
     /// `shards` hash-buckets, each behind its own `RwLock`: upserts and
     /// removals take only the target shard's write lock, so churn
-    /// proceeds *while* a batch match holds read locks on other shards.
+    /// proceeds *while* a match holds read locks on other shards.
     /// The default (with 8 shards) of [`crate::SystemBuilder`] and
     /// [`crate::ServiceProvider`].
     ConcurrentSharded {
@@ -143,7 +143,7 @@ pub(crate) fn shard_index(user_id: u64, n_shards: usize) -> usize {
 /// [`ConcurrentSubscriptionStore::read_shard`] holds the shard's read
 /// lock for the whole callback, so each shard is observed as an atomic
 /// snapshot and no half-written record is ever visible. A multi-shard
-/// read (a batch match) observes different shards at different instants;
+/// read (a match) observes different shards at different instants;
 /// because a user's operations only ever touch that user's home shard,
 /// the combined result still corresponds to a serializable interleaving
 /// of the concurrent operations — per user, exactly the record state at
@@ -181,8 +181,8 @@ pub trait ConcurrentSubscriptionStore: fmt::Debug + Send + Sync {
     /// Runs `f` over shard `shard`'s records under that shard's read
     /// lock — a snapshot-consistent view of the shard. Record order is
     /// deterministic (insertion order with `swap_remove` backfill), so
-    /// serial and parallel matchers that walk shards in index order see
-    /// identical sequences on a quiescent store.
+    /// matchers that walk shards in index order see identical sequences
+    /// on a quiescent store.
     fn read_shard(&self, shard: usize, f: &mut dyn FnMut(&[StoredSubscription]));
 
     // -- Durability hooks (no-ops for volatile backends) ---------------

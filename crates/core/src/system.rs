@@ -346,25 +346,6 @@ impl AlertSystem {
         self.sp.sync()
     }
 
-    /// Shared alert pipeline: token issuance, analytic cost, matching and
-    /// outcome assembly; `match_fn` supplies the matching strategy, which
-    /// is the only difference between the serial and batch entry points
-    /// (keeping their outcomes identical by construction).
-    fn issue_alert_with<R: Rng>(
-        &self,
-        alert_cells: &[usize],
-        rng: &mut R,
-        match_fn: impl FnOnce(
-            &ServiceProvider,
-            &HveScheme<'_, SimulatedGroup>,
-            &[sla_hve::Token],
-        ) -> SlaResult<AlertMatch>,
-    ) -> SlaResult<AlertOutcome> {
-        let scheme = self.scheme();
-        let tokens = self.ta.issue_tokens(&scheme, alert_cells, rng)?;
-        self.outcome_from_tokens(&scheme, tokens, match_fn)
-    }
-
     /// Second half of the alert pipeline, shared by the full-regeneration
     /// and tracked (incremental) paths: analytic cost, matching and
     /// outcome assembly over tokens already in hand.
@@ -372,11 +353,6 @@ impl AlertSystem {
         &self,
         scheme: &HveScheme<'_, SimulatedGroup>,
         tokens: Vec<sla_hve::Token>,
-        match_fn: impl FnOnce(
-            &ServiceProvider,
-            &HveScheme<'_, SimulatedGroup>,
-            &[sla_hve::Token],
-        ) -> SlaResult<AlertMatch>,
     ) -> SlaResult<AlertOutcome> {
         let non_star_bits: u64 = tokens.iter().map(|t| t.non_star_count() as u64).sum();
         // The analytic model `Σ_tokens (1 + 2·|J|) · n` evaluated on the
@@ -387,7 +363,7 @@ impl AlertSystem {
         let AlertMatch {
             mut notified,
             pairings,
-        } = match_fn(&self.sp, scheme, &tokens)?;
+        } = self.sp.match_alert(scheme, &tokens)?;
         notified.sort_unstable();
 
         Ok(AlertOutcome {
@@ -401,7 +377,8 @@ impl AlertSystem {
 
     /// Issues an alert for a set of cells: the TA minimizes and signs
     /// tokens, the SP evaluates them exhaustively (the cost model's
-    /// regime), and matched users are notified.
+    /// regime) through [`ServiceProvider::match_alert`], and matched
+    /// users are notified.
     ///
     /// Subscription churn through [`Self::subscribe_cell`] /
     /// [`Self::unsubscribe`] may proceed while the alert is being
@@ -414,9 +391,9 @@ impl AlertSystem {
         alert_cells: &[usize],
         rng: &mut R,
     ) -> SlaResult<AlertOutcome> {
-        self.issue_alert_with(alert_cells, rng, |sp, scheme, tokens| {
-            sp.match_alert_exhaustive_counted(scheme, tokens)
-        })
+        let scheme = self.scheme();
+        let tokens = self.ta.issue_tokens(&scheme, alert_cells, rng)?;
+        self.outcome_from_tokens(&scheme, tokens)
     }
 
     /// Analytic pairing cost of an alert against the current store,
@@ -424,27 +401,6 @@ impl AlertSystem {
     pub fn analytic_cost(&self, alert_cells: &[usize]) -> SlaResult<u64> {
         self.ta
             .analytic_pairing_cost(alert_cells, self.sp.n_subscriptions() as u64)
-    }
-
-    /// Batch variant of [`Self::issue_alert`]: the SP evaluates the token
-    /// set over chunks of every store shard in parallel via
-    /// [`ServiceProvider::process_alert_batch`].
-    ///
-    /// `chunk_size` of `None` picks a per-core default;
-    /// `Err(SlaError::ZeroChunkSize)` for an explicit `Some(0)`. The
-    /// outcome is **identical** to [`Self::issue_alert`] for the same
-    /// tokens — same `notified`, `tokens_issued`, `pairings_used` — which
-    /// the `batch_matching` integration tests assert.
-    pub fn issue_alert_batch<R: Rng>(
-        &self,
-        alert_cells: &[usize],
-        chunk_size: Option<usize>,
-        rng: &mut R,
-    ) -> SlaResult<AlertOutcome> {
-        self.issue_alert_with(alert_cells, rng, |sp, scheme, tokens| {
-            let chunk = chunk_size.unwrap_or_else(|| sp.default_batch_chunk_size());
-            sp.process_alert_batch_counted(scheme, tokens, chunk)
-        })
     }
 
     /// Incremental variant of [`Self::issue_alert`] for **dynamic alert
@@ -483,9 +439,7 @@ impl AlertSystem {
         let (cells_entered, cells_exited) = tracker.note_cells(alert_cells);
         self.sp
             .note_regen(regen.generated as u64, cells_entered, cells_exited);
-        let alert = self.outcome_from_tokens(&scheme, tokens, |sp, scheme, tokens| {
-            sp.match_alert_exhaustive_counted(scheme, tokens)
-        })?;
+        let alert = self.outcome_from_tokens(&scheme, tokens)?;
         Ok(TrackedAlertOutcome {
             alert,
             regen: TokenRegenStats {

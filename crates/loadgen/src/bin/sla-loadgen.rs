@@ -144,7 +144,6 @@ fn run(opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
         ("subscribe", &report.ops.subscribe),
         ("unsubscribe", &report.ops.unsubscribe),
         ("alert", &report.ops.alert),
-        ("batch_alert", &report.ops.batch_alert),
         ("stats", &report.ops.stats),
     ] {
         if hist.count() == 0 {

@@ -7,10 +7,10 @@
 //! cell indices by construction. Each epoch's events are partitioned
 //! into per-user-ordered streams (`ChurnEpoch::writer_streams`), one
 //! per client thread, each thread holding its own connection; after the
-//! epoch's events land, one alert is issued over the epoch's zone
-//! (alternating the serial and batch server paths) and the notified set
-//! is checked against the workload's plaintext ground truth
-//! (`positions_after`) — the loadgen doubles as an end-to-end checker.
+//! epoch's events land, one alert is issued over the epoch's zone and
+//! the notified set is checked against the workload's plaintext ground
+//! truth (`positions_after`) — the loadgen doubles as an end-to-end
+//! checker.
 //!
 //! Latency is measured around [`Client::call_retrying`], so a `Busy`
 //! rejection's backoff-and-retry is *included* in the recorded value:
@@ -59,10 +59,8 @@ pub struct OpHistograms {
     pub subscribe: LatencyHistogram,
     /// `unsubscribe`.
     pub unsubscribe: LatencyHistogram,
-    /// Serial-path alerts.
+    /// `alert`.
     pub alert: LatencyHistogram,
-    /// Batch-path alerts.
-    pub batch_alert: LatencyHistogram,
     /// `stats` snapshots.
     pub stats: LatencyHistogram,
 }
@@ -72,17 +70,12 @@ impl OpHistograms {
         self.subscribe.merge(&other.subscribe);
         self.unsubscribe.merge(&other.unsubscribe);
         self.alert.merge(&other.alert);
-        self.batch_alert.merge(&other.batch_alert);
         self.stats.merge(&other.stats);
     }
 
     /// Total recorded operations.
     pub fn total(&self) -> u64 {
-        self.subscribe.count()
-            + self.unsubscribe.count()
-            + self.alert.count()
-            + self.batch_alert.count()
-            + self.stats.count()
+        self.subscribe.count() + self.unsubscribe.count() + self.alert.count() + self.stats.count()
     }
 }
 
@@ -233,20 +226,14 @@ pub fn replay(config: &ReplayConfig) -> SlaResult<ReplayReport> {
             busy_retries += busy;
         }
 
-        // The epoch's alert, alternating the serial and batch paths.
+        // The epoch's alert.
         let cells: Vec<u64> = epoch.alert_cells.iter().map(|&c| c as u64).collect();
-        let (req, slot) = if epoch_idx % 2 == 0 {
-            (Request::Alert { cells }, &mut ops.alert)
-        } else {
-            (
-                Request::BatchAlert {
-                    chunk_size: 0,
-                    cells,
-                },
-                &mut ops.batch_alert,
-            )
-        };
-        let resp = timed_call(&mut clients[0], &req, slot, &mut busy_retries)?;
+        let resp = timed_call(
+            &mut clients[0],
+            &Request::Alert { cells },
+            &mut ops.alert,
+            &mut busy_retries,
+        )?;
         if let Response::Alerted { notified, .. } = resp {
             let zone: BTreeSet<usize> = epoch.alert_cells.iter().copied().collect();
             let expected: Vec<u64> = workload
@@ -354,7 +341,6 @@ pub fn render_json(config: &ReplayConfig, report: &ReplayReport) -> String {
         ("subscribe", &report.ops.subscribe),
         ("unsubscribe", &report.ops.unsubscribe),
         ("alert", &report.ops.alert),
-        ("batch_alert", &report.ops.batch_alert),
         ("stats", &report.ops.stats),
     ]
     .iter()

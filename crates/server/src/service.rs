@@ -109,20 +109,6 @@ impl AlertService {
                     Err(e) => error_response(&e),
                 }
             }
-            Request::BatchAlert { chunk_size, cells } => {
-                self.count_op(2);
-                let chunk = if *chunk_size == 0 {
-                    None
-                } else {
-                    Some(*chunk_size as usize)
-                };
-                match cell_indices(cells, &self.system)
-                    .and_then(|cells| self.system.issue_alert_batch(&cells, chunk, rng))
-                {
-                    Ok(outcome) => alerted(outcome),
-                    Err(e) => error_response(&e),
-                }
-            }
             Request::Stats => {
                 self.count_op(3);
                 let ops = [
@@ -213,17 +199,6 @@ mod tests {
         assert_eq!(resp, Response::Subscribed { replaced: true });
 
         match svc.handle(&Request::Alert { cells: vec![13] }, &mut rng) {
-            Response::Alerted { notified, .. } => assert_eq!(notified, vec![7]),
-            other => panic!("{other:?}"),
-        }
-        // The batch path agrees.
-        match svc.handle(
-            &Request::BatchAlert {
-                chunk_size: 0,
-                cells: vec![13],
-            },
-            &mut rng,
-        ) {
             Response::Alerted { notified, .. } => assert_eq!(notified, vec![7]),
             other => panic!("{other:?}"),
         }

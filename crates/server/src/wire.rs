@@ -53,15 +53,8 @@ pub enum Request {
         /// The user unsubscribing.
         user_id: u64,
     },
-    /// Issue an alert over `cells`, serial matching path.
+    /// Issue an alert over `cells`.
     Alert {
-        /// The alert zone's cell indices.
-        cells: Vec<u64>,
-    },
-    /// Issue an alert over `cells` through the parallel batch path.
-    BatchAlert {
-        /// Explicit chunk size; `0` picks the server's per-core default.
-        chunk_size: u32,
         /// The alert zone's cell indices.
         cells: Vec<u64>,
     },
@@ -79,7 +72,6 @@ impl Request {
             Request::Subscribe { .. } => "subscribe",
             Request::Unsubscribe { .. } => "unsubscribe",
             Request::Alert { .. } => "alert",
-            Request::BatchAlert { .. } => "batch_alert",
             Request::Stats => "stats",
             Request::Shutdown => "shutdown",
         }
@@ -154,7 +146,7 @@ pub struct WireStats {
     pub ops_subscribe: u64,
     /// Unsubscribe requests served.
     pub ops_unsubscribe: u64,
-    /// Alert requests served (serial + batch).
+    /// Alert requests served.
     pub ops_alert: u64,
     /// Stats requests served.
     pub ops_stats: u64,
@@ -275,7 +267,10 @@ impl From<DecodeError> for SlaError {
 const REQ_SUBSCRIBE: u8 = 1;
 const REQ_UNSUBSCRIBE: u8 = 2;
 const REQ_ALERT: u8 = 3;
-const REQ_BATCH_ALERT: u8 = 4;
+// 4 is retired: it was `BatchAlert`, an alert through a second,
+// chunked matcher, and every alert now takes the one matcher tag 3
+// reaches. Never reuse 4, so a frame carrying it keeps failing to
+// decode instead of changing meaning.
 const REQ_STATS: u8 = 5;
 const REQ_SHUTDOWN: u8 = 6;
 
@@ -332,11 +327,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::Alert { cells } => {
             out.push(REQ_ALERT);
-            put_vec_u64(&mut out, cells);
-        }
-        Request::BatchAlert { chunk_size, cells } => {
-            out.push(REQ_BATCH_ALERT);
-            put_u32(&mut out, *chunk_size);
             put_vec_u64(&mut out, cells);
         }
         Request::Stats => out.push(REQ_STATS),
@@ -541,10 +531,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
             user_id: cur.u64()?,
         },
         REQ_ALERT => Request::Alert {
-            cells: cur.vec_u64()?,
-        },
-        REQ_BATCH_ALERT => Request::BatchAlert {
-            chunk_size: cur.u32()?,
             cells: cur.vec_u64()?,
         },
         REQ_STATS => Request::Stats,
@@ -791,10 +777,6 @@ mod tests {
             Request::Alert {
                 cells: vec![1, 2, 1 << 40],
             },
-            Request::BatchAlert {
-                chunk_size: 0,
-                cells: vec![9],
-            },
             Request::Stats,
             Request::Shutdown,
         ];
@@ -920,6 +902,17 @@ mod tests {
     }
 
     #[test]
+    fn retired_request_tag_4_is_rejected() {
+        // Tag 4 followed by what the retired `BatchAlert` carried: a
+        // chunk size and a cell list.
+        let mut payload = vec![4];
+        put_u32(&mut payload, 0);
+        put_vec_u64(&mut payload, &[9]);
+        let err = decode_request(&payload).unwrap_err();
+        assert!(err.0.contains("unknown request tag 4"), "{err}");
+    }
+
+    #[test]
     fn error_code_mapping_covers_the_taxonomy() {
         let io_err = SlaError::Io {
             detail: "reset".into(),
@@ -931,7 +924,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        match error_response(&SlaError::ZeroChunkSize) {
+        match error_response(&SlaError::ZeroShardCount) {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::Internal),
             other => panic!("{other:?}"),
         }

@@ -61,7 +61,7 @@ impl Pool<'_> {
 
 fn request_from(raw: &[u64]) -> Request {
     let mut p = Pool { raw, i: 0 };
-    match p.next() % 6 {
+    match p.next() % 5 {
         0 => Request::Subscribe {
             user_id: p.next(),
             cell: p.next(),
@@ -70,11 +70,7 @@ fn request_from(raw: &[u64]) -> Request {
         2 => Request::Alert {
             cells: p.small_vec(),
         },
-        3 => Request::BatchAlert {
-            chunk_size: p.next() as u32,
-            cells: p.small_vec(),
-        },
-        4 => Request::Stats,
+        3 => Request::Stats,
         _ => Request::Shutdown,
     }
 }

@@ -143,12 +143,7 @@ fn restart_equivalence_over_the_wire() {
     // --- Alerts agree byte-for-byte while the server is live. ---
     let alert_cells: Vec<usize> = vec![0, 1, 4, 6];
     let wire_cells: Vec<u64> = alert_cells.iter().map(|&c| c as u64).collect();
-    let wire_notified = match call(
-        &mut stream,
-        &Request::Alert {
-            cells: wire_cells.clone(),
-        },
-    ) {
+    let wire_notified = match call(&mut stream, &Request::Alert { cells: wire_cells }) {
         Response::Alerted { notified, .. } => notified,
         other => panic!("{other:?}"),
     };
@@ -158,17 +153,6 @@ fn restart_equivalence_over_the_wire() {
         .notified;
     assert_eq!(wire_notified, mirror_notified, "live wire vs in-process");
     assert!(!wire_notified.is_empty(), "test must actually notify users");
-    // The batch path over the wire agrees too.
-    match call(
-        &mut stream,
-        &Request::BatchAlert {
-            chunk_size: 2,
-            cells: wire_cells,
-        },
-    ) {
-        Response::Alerted { notified, .. } => assert_eq!(notified, wire_notified),
-        other => panic!("{other:?}"),
-    }
 
     // --- A second connection tearing a frame does not disturb us. ---
     {

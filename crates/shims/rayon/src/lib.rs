@@ -10,9 +10,8 @@
 //! There is **no persistent worker pool**: scoped threads are spawned per
 //! collect (a static pool taking borrowed closures needs `unsafe`, which
 //! this shim forbids), so each parallel call pays ~tens of µs of
-//! spawn/join. Callers with small work items should gate on input size —
-//! see `ServiceProvider::PARALLEL_MIN_STORE` in `sla-core` — or swap in
-//! the real rayon when network access exists.
+//! spawn/join. Callers with small work items should gate on input size,
+//! or swap in the real rayon when network access exists.
 
 #![forbid(unsafe_code)]
 

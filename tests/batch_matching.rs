@@ -1,15 +1,63 @@
-//! The parallel batch-matching path must be observationally identical to
-//! the serial exhaustive path: same notified users, same token count,
-//! same live pairing counter — for every chunk size, and with the
-//! analytic cost model still matching the engine's counters exactly.
+//! The SP's exhaustive sweep over a sharded store: the notified users,
+//! the token count and the pairings do not depend on how many shards the
+//! store is split into or on its backend, the notified users are the
+//! plaintext ground truth, and the analytic cost model matches the
+//! engine's counters exactly.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use secure_location_alerts::core::{AlertOutcome, AlertSystem, StoreBackend, SystemBuilder};
+use secure_location_alerts::core::{
+    AlertOutcome, AlertSystem, FlushPolicy, StoreBackend, SystemBuilder,
+};
 use secure_location_alerts::encoding::EncoderKind;
 use secure_location_alerts::grid::{BoundingBox, Grid, ProbabilityMap, SigmoidParams, ZoneSampler};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-fn populated_system(encoder: EncoderKind, users: u64) -> (AlertSystem, ZoneSampler, StdRng) {
+/// A fresh persistent backend in a unique scratch directory, removed when
+/// the returned guard drops.
+struct ScratchStore(PathBuf);
+
+impl ScratchStore {
+    fn new() -> Self {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "sla-batch-matching-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        ScratchStore(dir)
+    }
+
+    fn backend(&self) -> StoreBackend {
+        StoreBackend::Persistent {
+            dir: self.0.clone(),
+            flush: FlushPolicy::Every(Duration::from_millis(20)),
+        }
+    }
+}
+
+impl Drop for ScratchStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Runs `check` once on a volatile four-shard store and once on a
+/// persistent store.
+fn on_both_backends(mut check: impl FnMut(StoreBackend)) {
+    check(StoreBackend::ConcurrentSharded { shards: 4 });
+    let scratch = ScratchStore::new();
+    check(scratch.backend());
+}
+
+fn populated_system(
+    encoder: EncoderKind,
+    backend: StoreBackend,
+    users: u64,
+) -> (AlertSystem, ZoneSampler, StdRng) {
     let mut rng = StdRng::seed_from_u64(0xba7c4);
     let grid = Grid::new(BoundingBox::chicago_downtown(), 8, 8);
     let probs = ProbabilityMap::sigmoid_synthetic(
@@ -21,7 +69,7 @@ fn populated_system(encoder: EncoderKind, users: u64) -> (AlertSystem, ZoneSampl
     let system = SystemBuilder::new(grid)
         .encoder(encoder)
         .group_bits(40)
-        .store(StoreBackend::ConcurrentSharded { shards: 4 })
+        .store(backend)
         .build(&probs, &mut rng)
         .expect("valid configuration");
     for user in 0..users {
@@ -31,7 +79,7 @@ fn populated_system(encoder: EncoderKind, users: u64) -> (AlertSystem, ZoneSampl
     (system, sampler, rng)
 }
 
-/// The fields the batch path must reproduce byte-identically.
+/// The fields every store layout must reproduce identically.
 fn fingerprint(o: &AlertOutcome) -> (Vec<u64>, usize, u64, u64, u64) {
     (
         o.notified.clone(),
@@ -42,51 +90,53 @@ fn fingerprint(o: &AlertOutcome) -> (Vec<u64>, usize, u64, u64, u64) {
     )
 }
 
-#[test]
-fn batch_outcome_identical_to_serial_for_every_chunk_size() {
-    let (system, sampler, mut rng) = populated_system(EncoderKind::Huffman, 40);
-    let zone = sampler.sample_zone(900.0, &mut rng);
-    let cells = zone.cell_indices();
-
-    let serial = system.issue_alert(&cells, &mut rng).unwrap();
-    assert_eq!(serial.pairings_used, serial.analytic_pairings);
-    assert!(!serial.notified.is_empty(), "zone should catch someone");
-
-    for chunk in [1usize, 2, 3, 7, 16, 40, 1_000] {
-        let batch = system
-            .issue_alert_batch(&cells, Some(chunk), &mut rng)
-            .unwrap();
-        assert_eq!(
-            fingerprint(&batch),
-            fingerprint(&serial),
-            "chunk size {chunk} diverged from serial outcome"
-        );
+/// Serves the same alert over the same population on each backend and
+/// asserts that every outcome equals the first one's.
+fn same_outcome_on_every_backend(users: u64, radius_m: f64, backends: Vec<StoreBackend>) {
+    let mut reference: Option<AlertOutcome> = None;
+    for backend in backends {
+        let (system, sampler, mut rng) =
+            populated_system(EncoderKind::Huffman, backend.clone(), users);
+        let cells = sampler.sample_zone(radius_m, &mut rng).cell_indices();
+        let outcome = system.issue_alert(&cells, &mut rng).unwrap();
+        assert!(!outcome.notified.is_empty(), "zone should catch someone");
+        assert_eq!(outcome.pairings_used, outcome.analytic_pairings);
+        match &reference {
+            None => reference = Some(outcome),
+            Some(r) => assert_eq!(
+                fingerprint(&outcome),
+                fingerprint(r),
+                "{backend:?} diverged from the first layout"
+            ),
+        }
     }
-
-    // Default (per-core) chunk size too.
-    let batch = system.issue_alert_batch(&cells, None, &mut rng).unwrap();
-    assert_eq!(fingerprint(&batch), fingerprint(&serial));
 }
 
+/// From one shard to more shards than records, and on the persistent
+/// backend, a 40-record store serves the same outcome.
+#[test]
+fn sweep_identical_for_every_shard_count() {
+    let scratch = ScratchStore::new();
+    let backends = [1usize, 2, 3, 7, 16, 64]
+        .map(|shards| StoreBackend::ConcurrentSharded { shards })
+        .into_iter()
+        .chain([scratch.backend()])
+        .collect();
+    same_outcome_on_every_backend(40, 900.0, backends);
+}
+
+/// A 300-record store split into shards (four, or the persistent
+/// backend's sixteen) serves what the whole store swept as one shard
+/// serves.
 #[test]
 fn batch_identical_to_serial_on_large_store() {
-    // 300 subscriptions exceeds ServiceProvider::PARALLEL_MIN_STORE, so
-    // the default-chunk path fans out; explicit small chunks exercise the
-    // par_chunks plumbing with many work items regardless of store size.
-    let (system, sampler, mut rng) = populated_system(EncoderKind::Huffman, 300);
-    let zone = sampler.sample_zone(700.0, &mut rng);
-    let cells = zone.cell_indices();
-
-    let serial = system.issue_alert(&cells, &mut rng).unwrap();
-    assert_eq!(serial.pairings_used, serial.analytic_pairings);
-    for chunk in [Some(17), Some(64), None] {
-        let batch = system.issue_alert_batch(&cells, chunk, &mut rng).unwrap();
-        assert_eq!(
-            fingerprint(&batch),
-            fingerprint(&serial),
-            "chunk {chunk:?} diverged on a 300-ciphertext store"
-        );
-    }
+    let scratch = ScratchStore::new();
+    let backends = vec![
+        StoreBackend::ConcurrentSharded { shards: 1 },
+        StoreBackend::ConcurrentSharded { shards: 4 },
+        scratch.backend(),
+    ];
+    same_outcome_on_every_backend(300, 700.0, backends);
 }
 
 #[test]
@@ -98,71 +148,75 @@ fn batch_holds_analytic_invariant_across_encoders() {
         EncoderKind::GraySgo,
         EncoderKind::BaryHuffman(3),
     ] {
-        let (system, sampler, mut rng) = populated_system(encoder, 25);
+        let (system, sampler, mut rng) =
+            populated_system(encoder, StoreBackend::ConcurrentSharded { shards: 4 }, 25);
         for _ in 0..3 {
-            let zone = sampler.sample_zone(700.0, &mut rng);
-            let outcome = system
-                .issue_alert_batch(&zone.cell_indices(), None, &mut rng)
-                .unwrap();
+            let cells = sampler.sample_zone(700.0, &mut rng).cell_indices();
+            let outcome = system.issue_alert(&cells, &mut rng).unwrap();
             assert_eq!(
                 outcome.pairings_used, outcome.analytic_pairings,
-                "{encoder:?}: batch path must keep the analytic-pairings invariant"
+                "{encoder:?}: the sweep must keep the analytic-pairings invariant"
             );
+            assert_eq!(outcome.pairings_used, system.analytic_cost(&cells).unwrap());
         }
     }
 }
 
 #[test]
 fn batch_on_empty_store_is_a_noop() {
-    let mut rng = StdRng::seed_from_u64(3);
-    let grid = Grid::new(BoundingBox::chicago_downtown(), 4, 4);
-    let probs = ProbabilityMap::uniform(grid.n_cells());
-    let system = AlertSystem::builder(grid)
-        .encoder(EncoderKind::Huffman)
-        .group_bits(40)
-        .build(&probs, &mut rng)
-        .unwrap();
-    let outcome = system.issue_alert_batch(&[0, 1], None, &mut rng).unwrap();
-    assert!(outcome.notified.is_empty());
-    assert_eq!(outcome.pairings_used, 0);
-    assert_eq!(outcome.analytic_pairings, 0);
+    on_both_backends(|backend| {
+        let mut rng = StdRng::seed_from_u64(3);
+        let grid = Grid::new(BoundingBox::chicago_downtown(), 4, 4);
+        let probs = ProbabilityMap::uniform(grid.n_cells());
+        let system = AlertSystem::builder(grid)
+            .encoder(EncoderKind::Huffman)
+            .group_bits(40)
+            .store(backend)
+            .build(&probs, &mut rng)
+            .unwrap();
+        let outcome = system.issue_alert(&[0, 1], &mut rng).unwrap();
+        assert!(outcome.notified.is_empty());
+        assert_eq!(outcome.pairings_used, 0);
+        assert_eq!(outcome.analytic_pairings, 0);
+    });
 }
 
 #[test]
 fn batch_matches_ground_truth_membership() {
     // Track the plaintext population alongside the encrypted store, then
-    // check the batch path notifies exactly the users whose cells fall
+    // check the sweep notifies exactly the users whose cells fall
     // inside each zone.
-    let mut rng = StdRng::seed_from_u64(0x6e0);
-    let grid = Grid::new(BoundingBox::chicago_downtown(), 8, 8);
-    let probs = ProbabilityMap::sigmoid_synthetic(
-        grid.n_cells(),
-        SigmoidParams { a: 0.9, b: 100.0 },
-        &mut rng,
-    );
-    let sampler = ZoneSampler::new(grid.clone(), &probs);
-    let system = AlertSystem::builder(grid)
-        .encoder(EncoderKind::Huffman)
-        .group_bits(40)
-        .build(&probs, &mut rng)
-        .unwrap();
-    let population: Vec<(u64, usize)> = (0..30u64)
-        .map(|u| (u, sampler.sample_epicenter_cell(&mut rng).0))
-        .collect();
-    for &(user, cell) in &population {
-        system.subscribe_cell(user, cell, &mut rng).unwrap();
-    }
-
-    for _ in 0..3 {
-        let zone = sampler.sample_zone(800.0, &mut rng);
-        let cells = zone.cell_indices();
-        let batch = system.issue_alert_batch(&cells, Some(5), &mut rng).unwrap();
-        let mut expected: Vec<u64> = population
-            .iter()
-            .filter(|(_, c)| cells.contains(c))
-            .map(|(u, _)| *u)
+    on_both_backends(|backend| {
+        let mut rng = StdRng::seed_from_u64(0x6e0);
+        let grid = Grid::new(BoundingBox::chicago_downtown(), 8, 8);
+        let probs = ProbabilityMap::sigmoid_synthetic(
+            grid.n_cells(),
+            SigmoidParams { a: 0.9, b: 100.0 },
+            &mut rng,
+        );
+        let sampler = ZoneSampler::new(grid.clone(), &probs);
+        let system = AlertSystem::builder(grid)
+            .encoder(EncoderKind::Huffman)
+            .group_bits(40)
+            .store(backend)
+            .build(&probs, &mut rng)
+            .unwrap();
+        let population: Vec<(u64, usize)> = (0..30u64)
+            .map(|u| (u, sampler.sample_epicenter_cell(&mut rng).0))
             .collect();
-        expected.sort_unstable();
-        assert_eq!(batch.notified, expected);
-    }
+        for &(user, cell) in &population {
+            system.subscribe_cell(user, cell, &mut rng).unwrap();
+        }
+
+        for _ in 0..3 {
+            let cells = sampler.sample_zone(800.0, &mut rng).cell_indices();
+            let outcome = system.issue_alert(&cells, &mut rng).unwrap();
+            let expected: Vec<u64> = population
+                .iter()
+                .filter(|(_, c)| cells.contains(c))
+                .map(|(u, _)| *u)
+                .collect();
+            assert_eq!(outcome.notified, expected);
+        }
+    });
 }

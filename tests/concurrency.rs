@@ -1,13 +1,12 @@
 //! Churn-while-matching: writer threads upsert/remove through the
-//! (`&self`) lifecycle calls while batch matches run on the same
+//! (`&self`) lifecycle calls while alerts are matched on the same
 //! `AlertSystem` — the long-lived regime of the paper's system model
-//! (§2.2) at production concurrency. Asserts (a) no deadlock and no
-//! torn reads under real parallelism, (b) a deterministic final store
-//! state once quiescent (each user is owned by exactly one writer), and
-//! (c) serial-vs-batch outcome identity on a quiescent store for both
-//! backends. The churn-while-evicting harness adds the sharded
-//! epoch/stats plane: `advance_epoch` (TTL eviction through `&self`)
-//! racing the writers.
+//! (§2.2) at production concurrency. Asserts (a) no deadlock and no torn
+//! reads under real parallelism, (b) a deterministic final store state
+//! once quiescent (each user is owned by exactly one writer), and (c)
+//! that every backend serves the same quiescent outcome. The
+//! churn-while-evicting harness adds the sharded epoch/stats plane:
+//! `advance_epoch` (TTL eviction through `&self`) racing the writers.
 //!
 //! A fourth harness runs alerts on several threads beside a writer and
 //! checks that every alert's `pairings_used` is its own analytic cost.
@@ -70,8 +69,8 @@ fn final_position(user: u64, rounds: u64) -> Option<usize> {
 }
 
 /// Core stress harness: `writers` threads churn disjoint user ranges
-/// while `matchers + 1` threads issue batch alerts concurrently; after
-/// the scope joins, the store must hold exactly each user's final state.
+/// while `matchers + 1` threads issue alerts concurrently; after the
+/// scope joins, the store must hold exactly each user's final state.
 fn run_stress(writers: u64, users_per_writer: u64, rounds: u64, matchers: usize) {
     let (system, _) = concurrent_system(8);
     let all_cells: Vec<usize> = (0..N_CELLS).collect();
@@ -94,8 +93,8 @@ fn run_stress(writers: u64, users_per_writer: u64, rounds: u64, matchers: usize)
                 }
             });
         }
-        // Matcher threads run batch alerts against the whole grid while
-        // the writers churn; outcomes must always be well-formed (every
+        // Matcher threads issue full-grid alerts while the writers churn;
+        // outcomes must always be well-formed (every
         // notified id is a real user), but membership is race-dependent.
         for m in 0..=matchers {
             let system = &system;
@@ -104,7 +103,7 @@ fn run_stress(writers: u64, users_per_writer: u64, rounds: u64, matchers: usize)
                 let mut rng = StdRng::seed_from_u64(0x3a7c4 + m as u64);
                 for _ in 0..6 {
                     let outcome = system
-                        .issue_alert_batch(all_cells, Some(4), &mut rng)
+                        .issue_alert(all_cells, &mut rng)
                         .expect("valid alert");
                     for &id in &outcome.notified {
                         assert!(
@@ -126,20 +125,16 @@ fn run_stress(writers: u64, users_per_writer: u64, rounds: u64, matchers: usize)
         .collect();
     assert_eq!(system.subscription_epochs(), expected);
 
-    // And a quiescent full-grid alert notifies exactly the survivors,
-    // identically on the serial and the batch path.
+    // And a quiescent full-grid alert notifies exactly the survivors, at
+    // its analytic cost.
     let mut rng = StdRng::seed_from_u64(9);
-    let serial = system.issue_alert(&all_cells, &mut rng).unwrap();
-    let batch = system
-        .issue_alert_batch(&all_cells, Some(3), &mut rng)
-        .unwrap();
+    let outcome = system.issue_alert(&all_cells, &mut rng).unwrap();
     let survivors: Vec<u64> = expected.iter().map(|&(u, _)| u).collect();
-    assert_eq!(serial.notified, survivors);
-    assert_eq!(fingerprint(&serial), fingerprint(&batch));
-    assert_eq!(serial.pairings_used, serial.analytic_pairings);
+    assert_eq!(outcome.notified, survivors);
+    assert_eq!(outcome.pairings_used, outcome.analytic_pairings);
 }
 
-/// The fields serial and batch must reproduce identically.
+/// The fields every backend must reproduce identically.
 fn fingerprint(o: &AlertOutcome) -> (Vec<u64>, usize, u64, u64) {
     (
         o.notified.clone(),
@@ -149,9 +144,9 @@ fn fingerprint(o: &AlertOutcome) -> (Vec<u64>, usize, u64, u64) {
     )
 }
 
-/// Acceptance: ≥ 4 writer threads upserting/removing while batch matches
-/// run — completes without deadlock or data race, with a deterministic
-/// quiescent state.
+/// Acceptance: ≥ 4 writer threads upserting/removing while alerts are
+/// matched — completes without deadlock or data race, with a
+/// deterministic quiescent state.
 #[test]
 fn four_writers_churn_while_batch_matching() {
     run_stress(4, 6, 8, 1);
@@ -264,10 +259,9 @@ fn stress_churn_while_evicting_persistent() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Quiescent-store outcome identity for every backend: serial and
-/// batch matching agree field-for-field (`notified`, `tokens_issued`,
-/// `pairings_used`, `analytic_pairings`) at every chunk size, and all
-/// backends agree with each other.
+/// Quiescent-store outcome identity for every backend: the served alert
+/// agrees field-for-field (`notified`, `tokens_issued`, `pairings_used`,
+/// `analytic_pairings`) with the one-shard store's.
 #[test]
 fn quiescent_serial_vs_batch_identity_across_all_backends() {
     let persist_dir = temp_dir("quiescent");
@@ -295,27 +289,16 @@ fn quiescent_serial_vs_batch_identity_across_all_backends() {
         }
 
         let mut alert_rng = StdRng::seed_from_u64(7);
-        let serial = system.issue_alert(&[1, 4, 7], &mut alert_rng).unwrap();
-        for chunk in [1, 3, 7, 64] {
-            let mut alert_rng = StdRng::seed_from_u64(7);
-            let batch = system
-                .issue_alert_batch(&[1, 4, 7], Some(chunk), &mut alert_rng)
-                .unwrap();
-            assert_eq!(
-                fingerprint(&serial),
-                fingerprint(&batch),
-                "{backend:?}: batch(chunk={chunk}) diverged from serial"
-            );
-        }
+        let served = system.issue_alert(&[1, 4, 7], &mut alert_rng).unwrap();
         assert_eq!(
-            serial.pairings_used, serial.analytic_pairings,
+            served.pairings_used, served.analytic_pairings,
             "{backend:?}"
         );
         match &reference {
-            None => reference = Some(fingerprint(&serial)),
+            None => reference = Some(fingerprint(&served)),
             Some(r) => assert_eq!(
                 r,
-                &fingerprint(&serial),
+                &fingerprint(&served),
                 "{backend:?} diverged from the one-shard reference"
             ),
         }
@@ -324,9 +307,9 @@ fn quiescent_serial_vs_batch_identity_across_all_backends() {
 }
 
 /// Each alert reports its own pairings while others share the engine:
-/// `ALERTERS` threads issue alerts (serial and batch matcher alike) on
-/// one `AlertSystem` while a writer keeps moving existing users, so the
-/// store size — and with it every alert's analytic cost — stays fixed.
+/// `ALERTERS` threads issue alerts on one `AlertSystem` while a writer
+/// keeps moving existing users, so the store size — and with it every
+/// alert's analytic cost — stays fixed.
 /// Every outcome's `pairings_used` must equal its analytic cost; a
 /// matcher that read the shared counters' delta would also count the
 /// other alerts' pairings and the writer's (two per subscribe). The
@@ -388,11 +371,7 @@ fn concurrent_alerts_each_count_their_own_pairings() {
                     (0..ALERTS)
                         .map(|i| {
                             let zone = (a + i) % zones.len();
-                            let outcome = if i % 2 == 0 {
-                                system.issue_alert(zones[zone], &mut rng)
-                            } else {
-                                system.issue_alert_batch(zones[zone], Some(16), &mut rng)
-                            };
+                            let outcome = system.issue_alert(zones[zone], &mut rng);
                             (zone, outcome.expect("valid alert"))
                         })
                         .collect::<Vec<_>>()

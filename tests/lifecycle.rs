@@ -1,15 +1,15 @@
 //! Service-lifecycle integration: upsert/unsubscribe/TTL semantics over
-//! both store backends, serial-vs-batch equivalence under churn, and the
-//! typed error taxonomy of every former panic site.
+//! sharded stores, identical outcomes across shard layouts under churn,
+//! and the typed error taxonomy of every former panic site.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use secure_location_alerts::core::{
-    AlertOutcome, AlertSystem, ServiceProvider, SlaError, StoreBackend, Subscription,
-    SystemBuilder, UpsertOutcome,
+    codeword_to_pattern, AlertSystem, MobileUser, ServiceProvider, SlaError, StoreBackend,
+    Subscription, SystemBuilder, UpsertOutcome,
 };
 use secure_location_alerts::datasets::{ChurnConfig, ChurnEvent};
-use secure_location_alerts::encoding::EncoderKind;
+use secure_location_alerts::encoding::{CellCodebook, EncoderKind};
 use secure_location_alerts::grid::{
     BoundingBox, Grid, Point, ProbabilityMap, SigmoidParams, ZoneSampler,
 };
@@ -33,20 +33,9 @@ fn small_grid_system(backend: StoreBackend, seed: u64) -> (AlertSystem, StdRng) 
     (system, rng)
 }
 
-/// The fields serial and batch must reproduce identically.
-fn fingerprint(o: &AlertOutcome) -> (Vec<u64>, usize, u64, u64) {
-    (
-        o.notified.clone(),
-        o.tokens_issued,
-        o.pairings_used,
-        o.analytic_pairings,
-    )
-}
-
 /// Acceptance: after `upsert` at a new cell, an alert on the old cell
 /// does NOT notify the user and an alert on the new cell does — for both
-/// store backends, on the serial and the batch path, with identical
-/// `notified` and `pairings_used`.
+/// shard layouts, at the analytic pairing cost.
 #[test]
 fn upsert_moves_user_on_both_backends_serial_and_batch() {
     for backend in BACKENDS {
@@ -70,28 +59,17 @@ fn upsert_moves_user_on_both_backends_serial_and_batch() {
             "{backend:?}: one record per user"
         );
 
-        let old_serial = system.issue_alert(&[2], &mut rng).unwrap();
-        let old_batch = system.issue_alert_batch(&[2], Some(2), &mut rng).unwrap();
+        let old = system.issue_alert(&[2], &mut rng).unwrap();
         assert_eq!(
-            old_serial.notified,
+            old.notified,
             vec![50],
             "{backend:?}: stale ciphertext must not match"
         );
-        assert_eq!(
-            fingerprint(&old_serial),
-            fingerprint(&old_batch),
-            "{backend:?}: serial/batch diverged on the old cell"
-        );
+        assert_eq!(old.pairings_used, old.analytic_pairings);
 
-        let new_serial = system.issue_alert(&[7], &mut rng).unwrap();
-        let new_batch = system.issue_alert_batch(&[7], Some(2), &mut rng).unwrap();
-        assert_eq!(new_serial.notified, vec![9, 51], "{backend:?}");
-        assert_eq!(
-            fingerprint(&new_serial),
-            fingerprint(&new_batch),
-            "{backend:?}: serial/batch diverged on the new cell"
-        );
-        assert_eq!(new_serial.pairings_used, new_serial.analytic_pairings);
+        let new = system.issue_alert(&[7], &mut rng).unwrap();
+        assert_eq!(new.notified, vec![9, 51], "{backend:?}");
+        assert_eq!(new.pairings_used, new.analytic_pairings);
     }
 }
 
@@ -160,10 +138,10 @@ fn ttl_eviction_drops_stale_subscriptions_and_refresh_renews() {
     }
 }
 
-/// Churn acceptance: replaying the same churn workload over both
-/// backends, the encrypted system tracks the plaintext ground truth at
-/// every epoch, serial and batch paths agree pairing-for-pairing, and
-/// both backends notify identical user sets at identical pairing cost.
+/// Churn acceptance: replaying the same churn workload over both shard
+/// layouts, the encrypted system tracks the plaintext ground truth at
+/// every epoch at the analytic pairing cost, and both layouts notify
+/// identical user sets at identical pairing cost.
 #[test]
 fn churn_workload_replays_identically_across_backends_and_paths() {
     let mut gen_rng = StdRng::seed_from_u64(0xc0de);
@@ -207,16 +185,8 @@ fn churn_workload_replays_identically_across_backends_and_paths() {
                 }
             }
 
-            let serial = system.issue_alert(&epoch.alert_cells, &mut rng).unwrap();
-            let batch = system
-                .issue_alert_batch(&epoch.alert_cells, Some(3), &mut rng)
-                .unwrap();
-            assert_eq!(
-                fingerprint(&serial),
-                fingerprint(&batch),
-                "{backend:?}: serial/batch diverged at epoch {epoch_index}"
-            );
-            assert_eq!(serial.pairings_used, serial.analytic_pairings);
+            let served = system.issue_alert(&epoch.alert_cells, &mut rng).unwrap();
+            assert_eq!(served.pairings_used, served.analytic_pairings);
 
             // Plaintext ground truth from the workload itself.
             let expected: Vec<u64> = workload
@@ -226,11 +196,11 @@ fn churn_workload_replays_identically_across_backends_and_paths() {
                 .map(|(user, _)| user)
                 .collect();
             assert_eq!(
-                serial.notified, expected,
+                served.notified, expected,
                 "{backend:?}: encrypted matching diverged from ground truth at epoch {epoch_index}"
             );
 
-            outcomes.push((serial.notified, serial.pairings_used));
+            outcomes.push((served.notified, served.pairings_used));
             system.advance_epoch();
         }
         per_backend.push(outcomes);
@@ -318,15 +288,6 @@ fn error_taxonomy_covers_every_former_panic_site() {
         system.subscribe_cell(big_id, 0, &mut rng).unwrap_err(),
         SlaError::MessageOutOfDomain { id: big_id }
     );
-
-    // Zero chunk size (was: assert in process_alert_batch).
-    system.subscribe_cell(1, 0, &mut rng).unwrap();
-    assert_eq!(
-        system
-            .issue_alert_batch(&[0], Some(0), &mut rng)
-            .unwrap_err(),
-        SlaError::ZeroChunkSize
-    );
 }
 
 /// Satellite: width mismatches surface as typed errors from the SP
@@ -374,17 +335,9 @@ fn width_mismatch_is_a_typed_error_at_the_service_provider() {
 
     // A token of the wrong width is rejected before any pairing runs.
     let tk3 = scheme3.gen_token(&sk3, &"1*0".parse().unwrap(), &mut rng);
+    let tokens = std::slice::from_ref(&tk3);
     assert_eq!(
-        sp.match_alert(&scheme5, std::slice::from_ref(&tk3))
-            .unwrap_err(),
-        SlaError::WidthMismatch {
-            expected: 5,
-            actual: 3
-        }
-    );
-    assert_eq!(
-        sp.process_alert_batch(&scheme5, std::slice::from_ref(&tk3), 4)
-            .unwrap_err(),
+        sp.match_alert(&scheme5, tokens).unwrap_err(),
         SlaError::WidthMismatch {
             expected: 5,
             actual: 3
@@ -392,16 +345,11 @@ fn width_mismatch_is_a_typed_error_at_the_service_provider() {
     );
     // And a scheme of the wrong width cannot query stored material.
     assert_eq!(
-        sp.match_alert_exhaustive(&scheme3, &[tk3]).unwrap_err(),
+        sp.match_alert(&scheme3, tokens).unwrap_err(),
         SlaError::WidthMismatch {
             expected: 5,
             actual: 3
         }
-    );
-    // Zero chunk size at the SP level too.
-    assert_eq!(
-        sp.process_alert_batch(&scheme5, &[], 0).unwrap_err(),
-        SlaError::ZeroChunkSize
     );
 }
 
@@ -459,11 +407,11 @@ fn rejected_upsert_does_not_pin_width() {
     assert_eq!(sp.n_subscriptions(), 1);
 }
 
-/// The early-exit matcher notifies exactly the exhaustive path's user
-/// set (it shares the residue-domain match primitive) — its contract
-/// after dropping the old `debug_assert_eq` on decoded ids.
+/// The SP alone, fed by users and tokens made outside an `AlertSystem`,
+/// notifies exactly the users whose cells fall inside each zone, at the
+/// pairing cost the codebook predicts for its store.
 #[test]
-fn early_exit_match_agrees_with_exhaustive_path() {
+fn standalone_sp_sweep_matches_ground_truth() {
     let mut rng = StdRng::seed_from_u64(0xea);
     let grid = Grid::new(BoundingBox::chicago_downtown(), 8, 8);
     let probs = ProbabilityMap::sigmoid_synthetic(
@@ -474,8 +422,7 @@ fn early_exit_match_agrees_with_exhaustive_path() {
     let sampler = ZoneSampler::new(grid.clone(), &probs);
 
     let group = SimulatedGroup::generate(40, &mut rng);
-    let cb =
-        secure_location_alerts::encoding::CellCodebook::build(EncoderKind::Huffman, probs.raw());
+    let cb = CellCodebook::build(EncoderKind::Huffman, probs.raw());
     let scheme = HveScheme::new(&group, cb.width_bits());
     let (pk, sk) = scheme.setup(&mut rng);
     let ppk = scheme.prepare_public_key(&pk);
@@ -485,8 +432,7 @@ fn early_exit_match_agrees_with_exhaustive_path() {
     let mut population = Vec::new();
     for user in 0..30u64 {
         let cell = sampler.sample_epicenter_cell(&mut rng).0;
-        let user_obj = secure_location_alerts::core::MobileUser::new(user, cell);
-        let ct = user_obj
+        let ct = MobileUser::new(user, cell)
             .encrypt_update_prepared(&scheme, &ppk, &cb, &mut rng)
             .unwrap();
         sp.upsert(
@@ -501,31 +447,21 @@ fn early_exit_match_agrees_with_exhaustive_path() {
     }
 
     for _ in 0..3 {
-        let zone = sampler.sample_zone(900.0, &mut rng);
+        let cells = sampler.sample_zone(900.0, &mut rng).cell_indices();
         let tokens: Vec<_> = cb
-            .tokens_for(&zone.cell_indices())
+            .tokens_for(&cells)
             .iter()
-            .map(|cw| {
-                scheme.gen_token(
-                    &sk,
-                    &secure_location_alerts::core::codeword_to_pattern(cw),
-                    &mut rng,
-                )
-            })
+            .map(|cw| scheme.gen_token(&sk, &codeword_to_pattern(cw), &mut rng))
             .collect();
-        let mut early = sp.match_alert(&scheme, &tokens).unwrap();
-        let mut exhaustive = sp.match_alert_exhaustive(&scheme, &tokens).unwrap();
-        early.sort_unstable();
-        exhaustive.sort_unstable();
-        assert_eq!(early, exhaustive, "early-exit and exhaustive must agree");
-
-        let mut expected: Vec<u64> = population
+        let mut found = sp.match_alert(&scheme, &tokens).unwrap();
+        found.notified.sort_unstable();
+        let expected: Vec<u64> = population
             .iter()
-            .filter(|(_, c)| zone.cell_indices().contains(c))
+            .filter(|(_, c)| cells.contains(c))
             .map(|(u, _)| *u)
             .collect();
-        expected.sort_unstable();
-        assert_eq!(early, expected);
+        assert_eq!(found.notified, expected);
+        assert_eq!(found.pairings, cb.pairing_cost(&cells, 30));
     }
 }
 
