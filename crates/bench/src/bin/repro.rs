@@ -30,14 +30,22 @@ struct Opts {
 }
 
 /// Typed rejection of a malformed command line: anything the binary
-/// cannot run is refused up front instead of producing a misleading
-/// bench row.
+/// cannot run is refused up front (exit 2), before any figure runs or
+/// any file is written, instead of producing a misleading bench row.
 #[derive(Debug, PartialEq, Eq)]
 enum ArgError {
     /// `--scenario` with no value.
     MissingScenario,
     /// A scenario name outside `{moving, burst, mixed, zipf}`.
     UnknownScenario(String),
+    /// `--zones`, `--out` or `--store` with no value.
+    MissingValue(&'static str),
+    /// A `--zones` value that is not a number.
+    BadZones(String),
+    /// A `--store` name outside `{concurrent, persistent}`.
+    UnknownStore(String),
+    /// A figure name outside `fig7`..`fig14`, `primitives`, `scenario`.
+    UnknownFigure(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -52,6 +60,18 @@ impl std::fmt::Display for ArgError {
                     "--scenario entry '{s}' is rejected (expected moving, burst, mixed or zipf)"
                 )
             }
+            ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            ArgError::BadZones(v) => write!(f, "--zones needs a number, got '{v}'"),
+            ArgError::UnknownStore(s) => {
+                write!(
+                    f,
+                    "unknown --store '{s}' (expected concurrent or persistent)"
+                )
+            }
+            ArgError::UnknownFigure(s) => write!(
+                f,
+                "unknown figure '{s}' (expected fig7..fig14, primitives, or scenario)"
+            ),
         }
     }
 }
@@ -80,7 +100,25 @@ fn parse_scenarios(spec: &str) -> Result<Vec<sla_scenarios::ScenarioKind>, ArgEr
     Ok(kinds)
 }
 
-fn parse_args() -> Result<Opts, ArgError> {
+/// The figure names `repro` runs (each also accepted with a `--` prefix).
+const FIGURES: [&str; 14] = [
+    "fig7",
+    "fig07",
+    "fig8",
+    "fig08",
+    "fig9",
+    "fig09",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "primitives",
+    "scenario",
+    "scenarios",
+];
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Opts, ArgError> {
     let mut figures = Vec::new();
     let mut zones = 50usize;
     let mut out_dir = PathBuf::from("results");
@@ -88,7 +126,7 @@ fn parse_args() -> Result<Opts, ArgError> {
     let mut smoke = false;
     let mut store = "concurrent".to_string();
     let mut scenario_kinds = sla_scenarios::ScenarioKind::ALL.to_vec();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scenario" => {
@@ -99,19 +137,26 @@ fn parse_args() -> Result<Opts, ArgError> {
             "--parallel" => parallel = true,
             "--smoke" => smoke = true,
             "--zones" => {
-                zones = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--zones needs a number");
+                let v = args.next().ok_or(ArgError::MissingValue("--zones"))?;
+                zones = v.parse().map_err(|_| ArgError::BadZones(v))?;
             }
             "--out" => {
-                out_dir = PathBuf::from(args.next().expect("--out needs a path"));
+                out_dir = PathBuf::from(args.next().ok_or(ArgError::MissingValue("--out"))?);
             }
             "--store" => {
-                store = args.next().expect("--store needs a backend name");
+                store = args.next().ok_or(ArgError::MissingValue("--store"))?;
+                if !["concurrent", "persistent"].contains(&store.as_str()) {
+                    return Err(ArgError::UnknownStore(store));
+                }
             }
             "all" => figures.clear(),
-            other => figures.push(other.trim_start_matches("--").to_string()),
+            other => {
+                let name = other.trim_start_matches("--");
+                if !FIGURES.contains(&name) {
+                    return Err(ArgError::UnknownFigure(other.to_string()));
+                }
+                figures.push(name.to_string());
+            }
         }
     }
     if figures.is_empty() {
@@ -148,7 +193,7 @@ fn resolve_store(name: &str) -> (sla_core::StoreBackend, Option<PathBuf>) {
                 Some(dir),
             )
         }
-        other => panic!("unknown --store '{other}' (concurrent|persistent)"),
+        other => unreachable!("parse_args admits no --store '{other}'"),
     }
 }
 
@@ -218,7 +263,13 @@ fn run_smoke(out_dir: &std::path::Path, store: &str) {
     }
     let path = out_dir.join("BENCH_primitives_smoke.json");
     let write = std::fs::create_dir_all(out_dir)
-        .and_then(|()| std::fs::write(&path, primitives::to_json(&rows, &phases, &churn)))
+        .and_then(|()| {
+            let provenance = primitives::Provenance::current();
+            std::fs::write(
+                &path,
+                primitives::to_json(&provenance, &rows, &phases, &churn),
+            )
+        })
         .map(|()| path);
     report(write);
 
@@ -319,7 +370,7 @@ fn run_smoke(out_dir: &std::path::Path, store: &str) {
 }
 
 fn main() {
-    let opts = parse_args().unwrap_or_else(|e| {
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
@@ -477,7 +528,11 @@ fn main() {
                 let path = opts.out_dir.join("BENCH_primitives.json");
                 let write = std::fs::create_dir_all(&opts.out_dir)
                     .and_then(|()| {
-                        std::fs::write(&path, primitives::to_json(&rows, &phases, &churn))
+                        let provenance = primitives::Provenance::current();
+                        std::fs::write(
+                            &path,
+                            primitives::to_json(&provenance, &rows, &phases, &churn),
+                        )
                     })
                     .map(|()| path);
                 report(write);
@@ -507,9 +562,7 @@ fn main() {
                     .map(|()| path);
                 report(write);
             }
-            other => eprintln!(
-                "unknown figure '{other}' (expected fig7..fig14, primitives, or scenario)"
-            ),
+            other => unreachable!("parse_args admits no figure '{other}'"),
         }
         println!();
     }
@@ -537,6 +590,69 @@ mod tests {
         assert_eq!(
             parse_scenarios("burst,zipf"),
             Ok(vec![ScenarioKind::Burst, ScenarioKind::Zipf])
+        );
+    }
+
+    fn parse(args: &[&str]) -> Result<Opts, ArgError> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn unknown_figure_is_a_typed_error() {
+        assert_eq!(
+            parse(&["fig99"]).err(),
+            Some(ArgError::UnknownFigure("fig99".into()))
+        );
+        assert_eq!(
+            parse(&["--bogus"]).err(),
+            Some(ArgError::UnknownFigure("--bogus".into()))
+        );
+        let opts = parse(&["fig9", "--fig10", "primitives"]).unwrap();
+        assert_eq!(opts.figures, ["fig9", "fig10", "primitives"]);
+    }
+
+    #[test]
+    fn non_numeric_zones_is_a_typed_error() {
+        assert_eq!(
+            parse(&["--zones", "abc"]).err(),
+            Some(ArgError::BadZones("abc".into()))
+        );
+        assert_eq!(parse(&["--zones", "7"]).unwrap().zones, 7);
+    }
+
+    #[test]
+    fn zones_without_a_value_is_a_typed_error() {
+        assert_eq!(
+            parse(&["fig9", "--zones"]).err(),
+            Some(ArgError::MissingValue("--zones"))
+        );
+    }
+
+    #[test]
+    fn out_without_a_value_is_a_typed_error() {
+        assert_eq!(
+            parse(&["--out"]).err(),
+            Some(ArgError::MissingValue("--out"))
+        );
+    }
+
+    #[test]
+    fn store_without_a_value_is_a_typed_error() {
+        assert_eq!(
+            parse(&["--smoke", "--store"]).err(),
+            Some(ArgError::MissingValue("--store"))
+        );
+    }
+
+    #[test]
+    fn unknown_store_is_a_typed_error_before_the_smoke_runs() {
+        assert_eq!(
+            parse(&["--smoke", "--store", "bogus"]).err(),
+            Some(ArgError::UnknownStore("bogus".into()))
+        );
+        assert_eq!(
+            parse(&["--smoke", "--store", "persistent"]).unwrap().store,
+            "persistent"
         );
     }
 

@@ -11,8 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sla_bigint::{gen_prime, BigUint, FixedBaseTable, MontgomeryCtx, Reducer};
 use sla_core::{
-    ConcurrentShardedStore, ConcurrentSubscriptionStore, FlushPolicy, PersistentStore,
-    StoredSubscription,
+    ConcurrentShardedStore, ConcurrentSubscriptionStore, FlushPolicy, PersistentStore, Record,
 };
 use sla_hve::{AttributeVector, HveScheme, SearchPattern};
 use sla_pairing::{BilinearGroup, SimulatedGroup};
@@ -105,10 +104,48 @@ impl PhaseTimings {
     }
 }
 
+/// Timed samples behind every figure: each is the median of this many
+/// runs of `iters` iterations.
+pub const SAMPLES: usize = 5;
+
+/// Where a `BENCH_primitives.json` came from: the commit, the host's
+/// core count, and the timed samples behind each figure.
+#[derive(Debug, Clone)]
+pub struct Provenance {
+    /// `git describe --always --dirty` of the working directory (the
+    /// short commit, `-dirty` when the tree has uncommitted changes), or
+    /// `"unknown"` outside a git checkout.
+    pub commit: String,
+    /// `std::thread::available_parallelism` of the host.
+    pub nproc: usize,
+    /// Timed samples per figure ([`SAMPLES`]).
+    pub repetitions: usize,
+}
+
+impl Provenance {
+    /// The provenance of a run in the current directory on this host.
+    pub fn current() -> Self {
+        let commit = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string());
+        Provenance {
+            commit,
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            repetitions: SAMPLES,
+        }
+    }
+}
+
 /// Median ns/op of `f` over `iters` iterations, with warmup.
 fn time_ns<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
     std::hint::black_box(f());
-    let samples = 5;
+    let samples = SAMPLES;
     let mut medians = Vec::with_capacity(samples);
     for _ in 0..samples {
         let t = Instant::now();
@@ -239,10 +276,11 @@ pub fn measure_phases(prime_bits: usize, width: usize, seed: u64) -> PhaseTiming
 
 /// Store-lifecycle timings (ns/op medians) for one store backend — the
 /// `churn` rows of `BENCH_primitives.json`. Measured at the store seam
-/// (pre-encrypted records), so the deltas isolate what each backend
-/// itself costs: the persistent rows show the WAL append (group-commit
-/// vs per-op fsync) that durability adds to mutations, and that
-/// **matching cost is unchanged** (reads never touch the log).
+/// (records packed once, as the Service Provider packs them), so the
+/// deltas isolate what each backend itself costs: the persistent rows
+/// show the WAL append (group-commit vs per-op fsync) that durability
+/// adds to mutations, and that **matching cost is unchanged** (reads
+/// never touch the log).
 #[derive(Debug, Clone)]
 pub struct ChurnTimings {
     /// Backend label (`concurrent8`, `persistent`, `persistent_fsync`,
@@ -255,30 +293,49 @@ pub struct ChurnTimings {
     pub upsert_ns: f64,
     /// One unsubscribe + fresh subscribe cycle.
     pub remove_insert_ns: f64,
-    /// One full-store token evaluation, per record.
+    /// One full-store token evaluation through the served sweep (the
+    /// token prepared once, each shard's slab swept in place), per
+    /// record.
     pub match_per_record_ns: f64,
+    /// Bytes a shard's columns and slab hold per stored record (the
+    /// packed row plus the `user_id` and `epoch` words, by length).
+    pub resident_bytes_per_record: f64,
 }
 
-/// Evaluates `token` against every record of `store`, shard by shard
-/// under each shard's read lock, returning the match count (a live data
-/// dependency so the loop cannot be optimized away).
+/// Evaluates `token` against every record of `store` as the Service
+/// Provider does: the token prepared once, then each shard's slab swept
+/// in place under that shard's read lock. Returns the match count (a
+/// live data dependency so the loop cannot be optimized away).
 fn match_all<G: BilinearGroup>(
     store: &dyn ConcurrentSubscriptionStore,
     scheme: &HveScheme<'_, G>,
     token: &sla_hve::Token,
 ) -> usize {
+    let query = scheme.prepare_token(token);
     let mut hits = 0;
-    let mut scan = |records: &[StoredSubscription]| {
-        for r in records {
-            if scheme.match_token(token, &r.ciphertext, &r.expected) {
-                hits += 1;
-            }
-        }
-    };
+    let mut swept = Vec::new();
     for shard in 0..store.shard_count() {
-        store.read_shard(shard, &mut scan);
+        store.read_shard(shard, &mut |records| {
+            swept.clear();
+            swept.resize(records.len(), false);
+            scheme.match_rows(&query, records.rows(), &mut swept);
+            hits += swept.iter().filter(|h| **h).count();
+        });
     }
     hits
+}
+
+/// Bytes the shards' columns and slabs hold per record (see
+/// [`ChurnTimings::resident_bytes_per_record`]).
+fn resident_bytes_per_record(store: &dyn ConcurrentSubscriptionStore) -> f64 {
+    let (mut words, mut records) = (0, 0);
+    for shard in 0..store.shard_count() {
+        store.read_shard(shard, &mut |shard| {
+            words += shard.rows().as_limbs().len() + shard.user_ids().len() + shard.epochs().len();
+            records += shard.len();
+        });
+    }
+    (8 * words) as f64 / records.max(1) as f64
 }
 
 /// Measures the subscription-lifecycle cost of every store backend,
@@ -295,11 +352,11 @@ pub fn measure_churn(seed: u64) -> Vec<ChurnTimings> {
     let expected = scheme.encode_message(1);
     let ct = scheme.encrypt(&pk, &index, &expected, &mut rng);
     let token = scheme.gen_token(&sk, &"1**0".parse().expect("valid pattern"), &mut rng);
-    let record = |user_id: u64| StoredSubscription {
+    let row = scheme.pack(&ct, &expected);
+    let record = |user_id: u64| Record {
         user_id,
-        ciphertext: ct.clone(),
-        expected: expected.clone(),
         epoch: 0,
+        row: row.clone(),
     };
 
     let tmp_base =
@@ -324,17 +381,17 @@ pub fn measure_churn(seed: u64) -> Vec<ChurnTimings> {
     let mut out = Vec::with_capacity(backends.len());
     for (name, store) in backends {
         for user in 0..USERS {
-            store.upsert(record(user));
+            store.upsert(record(user)).expect("one HVE width");
         }
         let mut cursor = 0u64;
         let upsert_ns = time_ns(256, || {
             cursor = (cursor + 1) % USERS;
-            store.upsert(record(cursor)); // replace path
+            store.upsert(record(cursor)) // replace path
         });
         let remove_insert_ns = time_ns(128, || {
             cursor = (cursor + 1) % USERS;
             store.remove(cursor);
-            store.upsert(record(cursor));
+            store.upsert(record(cursor))
         });
         let match_per_record_ns =
             time_ns(16, || match_all(store.as_ref(), &scheme, &token)) / USERS as f64;
@@ -344,6 +401,7 @@ pub fn measure_churn(seed: u64) -> Vec<ChurnTimings> {
             upsert_ns,
             remove_insert_ns,
             match_per_record_ns,
+            resident_bytes_per_record: resident_bytes_per_record(store.as_ref()),
         });
         // Drop the store (flushes + joins the persistent machinery)
         // before its directory is removed below.
@@ -374,7 +432,7 @@ pub fn measure_churn(seed: u64) -> Vec<ChurnTimings> {
 /// the read-path claim that matching never touches the log.
 fn measure_persistent_sharded_churn(
     dir: &std::path::Path,
-    record: &(dyn Fn(u64) -> StoredSubscription + Sync),
+    record: &(dyn Fn(u64) -> Record + Sync),
     scheme: &HveScheme<'_, SimulatedGroup>,
     token: &sla_hve::Token,
 ) -> ChurnTimings {
@@ -386,7 +444,7 @@ fn measure_persistent_sharded_churn(
     let store = PersistentStore::open(dir, FlushPolicy::Every(Duration::from_millis(5)))
         .expect("scratch dir is writable");
     for user in 0..USERS {
-        store.upsert(record(user));
+        store.upsert(record(user)).expect("one HVE width");
     }
 
     // Each writer walks its own residue class mod WRITERS, so no two
@@ -410,11 +468,11 @@ fn measure_persistent_sharded_churn(
     };
 
     let upsert_ns = four_writer_ns(&|user| {
-        store.upsert(record(user));
+        store.upsert(record(user)).expect("one HVE width");
     });
     let remove_insert_ns = four_writer_ns(&|user| {
         store.remove(user);
-        store.upsert(record(user));
+        store.upsert(record(user)).expect("one HVE width");
     });
 
     // Churn-while-matching: the writers loop until the measured match
@@ -427,7 +485,7 @@ fn measure_persistent_sharded_churn(
                 let mut user = writer as u64;
                 while !stop.load(Ordering::Relaxed) {
                     user = (user + WRITERS as u64) % USERS;
-                    store.upsert(record(user));
+                    store.upsert(record(user)).expect("one HVE width");
                 }
             });
         }
@@ -435,6 +493,7 @@ fn measure_persistent_sharded_churn(
         stop.store(true, Ordering::Relaxed);
         per_scan / USERS as f64
     });
+    let resident_bytes_per_record = resident_bytes_per_record(&store);
     drop(store);
 
     ChurnTimings {
@@ -443,19 +502,26 @@ fn measure_persistent_sharded_churn(
         upsert_ns,
         remove_insert_ns,
         match_per_record_ns,
+        resident_bytes_per_record,
     }
 }
 
 /// Renders the timing series as the `BENCH_primitives.json` artifact
-/// (schema v9: primitive rows, per-phase HVE timings, and per-backend
-/// store churn timings over the two store backends — including the
-/// four-writer `persistent_sharded` row).
+/// (schema v10: provenance, primitive rows, per-phase HVE timings, and
+/// per-backend store churn timings over the two store backends —
+/// including the four-writer `persistent_sharded` row — with the bytes
+/// each stored record takes).
 pub fn to_json(
+    provenance: &Provenance,
     rows: &[PrimitiveTimings],
     phases: &[PhaseTimings],
     churn: &[ChurnTimings],
 ) -> String {
-    let mut out = String::from("{\n  \"schema\": \"sla-bench/primitives/v9\",\n  \"rows\": [\n");
+    let mut out = format!(
+        "{{\n  \"schema\": \"sla-bench/primitives/v10\",\n  \"provenance\": \
+         {{\"commit\": \"{}\", \"nproc\": {}, \"repetitions\": {}}},\n  \"rows\": [\n",
+        provenance.commit, provenance.nproc, provenance.repetitions
+    );
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"modulus_bits\": {}, \"mod_mul_naive_ns\": {:.1}, \"mod_mul_mont_ns\": {:.1}, \
@@ -505,12 +571,14 @@ pub fn to_json(
     for (i, c) in churn.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"backend\": \"{}\", \"users\": {}, \"upsert_ns\": {:.0}, \
-             \"remove_insert_ns\": {:.0}, \"match_per_record_ns\": {:.0}}}{}\n",
+             \"remove_insert_ns\": {:.0}, \"match_per_record_ns\": {:.0}, \
+             \"resident_bytes_per_record\": {:.0}}}{}\n",
             c.backend,
             c.users,
             c.upsert_ns,
             c.remove_insert_ns,
             c.match_per_record_ns,
+            c.resident_bytes_per_record,
             if i + 1 == churn.len() { "" } else { "," },
         ));
     }
@@ -536,8 +604,16 @@ mod tests {
         ] {
             assert!(v.is_finite() && v > 0.0);
         }
-        let json = to_json(&[t], &[], &[]);
-        assert!(json.contains("\"schema\": \"sla-bench/primitives/v9\""));
+        let provenance = Provenance {
+            commit: "abc1234".into(),
+            nproc: 2,
+            repetitions: SAMPLES,
+        };
+        let json = to_json(&provenance, &[t], &[], &[]);
+        assert!(json.contains("\"schema\": \"sla-bench/primitives/v10\""));
+        assert!(json.contains(
+            "\"provenance\": {\"commit\": \"abc1234\", \"nproc\": 2, \"repetitions\": 5}"
+        ));
         assert!(json.contains("\"modulus_bits\": 64"));
         assert!(json.contains("fixed_base_speedup"));
     }
@@ -558,7 +634,7 @@ mod tests {
         ] {
             assert!(v.is_finite() && v > 0.0);
         }
-        let json = to_json(&[], &[p], &[]);
+        let json = to_json(&Provenance::current(), &[], &[p], &[]);
         assert!(json.contains("\"phases\""));
         assert!(json.contains("gen_token_speedup"));
         assert!(json.contains("query_batch_ns"));
@@ -584,8 +660,12 @@ mod tests {
                 "{}: non-positive timing",
                 c.backend
             );
+            // Width 4 over a 64-bit order: 11 one-limb operands and the
+            // two column words.
+            assert_eq!(c.resident_bytes_per_record, 8.0 * 13.0, "{}", c.backend);
         }
-        let json = to_json(&[], &[], &churn);
+        let json = to_json(&Provenance::current(), &[], &[], &churn);
+        assert!(json.contains("resident_bytes_per_record"));
         assert!(json.contains("\"churn\""));
         assert!(json.contains("persistent_fsync"));
         assert!(json.contains("persistent_sharded"));

@@ -208,19 +208,19 @@ impl MontgomeryCtx {
         self.cios(a, b, out);
     }
 
-    /// Lifts a canonical value of at most `k` limbs into the Montgomery
-    /// domain, `out = a·R mod N`: one CIOS pass against `R² mod N`, which
-    /// also reduces values in `[N, R)`.
+    /// Returns a Montgomery-domain value of at most `k` limbs to standard
+    /// form, `out = a·R⁻¹ mod N`: one CIOS pass against 1, which also
+    /// reduces values in `[N, R)`.
     ///
     /// # Panics
     /// Panics if `a` is wider than `k` limbs or `out` is not `k` limbs.
     #[inline]
-    pub fn to_mont_limbs(&self, a: &[u64], out: &mut [u64]) {
+    pub fn from_mont_limbs(&self, a: &[u64], out: &mut [u64]) {
         assert!(
             a.len() <= self.k && out.len() == self.k,
             "limb buffers must be at most (a) and exactly (out) k limbs wide"
         );
-        self.cios(a, self.r2.limbs(), out);
+        self.cios(a, &[1], out);
     }
 
     /// `acc = (acc + b) mod N` on reduced `k`-limb values, in place.

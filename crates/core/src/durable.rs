@@ -5,10 +5,22 @@
 //! volatile concurrent backend, so match outcomes are byte-identical),
 //! and every mutation is additionally appended to an `sla-persist`
 //! [`ShardedWal`] — one durability lane per memory shard, lane-aligned
-//! with the shard map — before it is applied. Matching therefore runs
-//! at exactly in-memory speed — reads never touch the log — and **only
-//! mutations pay the durability cost** (one codec pass + one buffered
-//! write to the owning lane, plus an fsync per the [`FlushPolicy`]).
+//! with the shard map — right after it is applied. Matching therefore
+//! runs at exactly in-memory speed — reads never touch the log — and
+//! **only mutations pay the durability cost** (one codec pass + one
+//! buffered write to the owning lane, plus an fsync per the
+//! [`FlushPolicy`]). The WAL and the memory shards share one record
+//! vocabulary, [`Record`]: a packed row of canonical limbs, which the
+//! codec writes and reads without converting a log.
+//!
+//! ## Recovery
+//!
+//! Opening a directory replays every lane (snapshot + WAL) in parallel;
+//! the codec decodes each record straight into its packed row, at the
+//! width of the record's widest log, and the rows are copied into the
+//! shards' slabs. No group exists yet at open, so the rows keep that
+//! width until the Service Provider brings the store to its group
+//! ([`ConcurrentSubscriptionStore::fit_rows`]).
 //!
 //! ## Ordering
 //!
@@ -16,8 +28,8 @@
 //! each lane's WAL append order equals its shard's in-memory apply
 //! order — replaying the lanes is guaranteed to rebuild the exact live
 //! set. There is no global serialization anywhere: a user's upsert
-//! contends only with writers of the same shard, so the 16-way write
-//! parallelism of the volatile concurrent backend survives durability.
+//! contends only with writers of the same shard, so writers of different
+//! shards proceed in parallel, as on the volatile concurrent backend.
 //! Cross-shard order is deliberately unconstrained — every user lives
 //! in exactly one shard, so ops on different shards commute (the
 //! cross-backend equivalence suite pins this). Ops that span shards
@@ -43,17 +55,18 @@
 use crate::error::{SlaError, SlaResult};
 use crate::store::{
     shard_index, ConcurrentShardedStore, ConcurrentSubscriptionStore, DurabilityLaneStats,
-    StoredSubscription, UpsertOutcome,
+    ShardRecords, UpsertOutcome,
 };
+use sla_pairing::BigUint;
 use sla_persist::{FlushPolicy, LogOptions, Record, ShardedWal, WalOp};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// Lock shards of the in-memory index backing the durable store — same
-/// default the churn benchmarks use for the volatile concurrent backend.
-/// Also the number of durability lanes: lanes are aligned 1:1 with the
-/// memory shards.
+/// Lock shards of the in-memory index backing the durable store, and the
+/// number of durability lanes: lanes are aligned 1:1 with the memory
+/// shards. Twice the volatile backend's default of 8, and fixed: it is
+/// recorded in a directory's `store.meta`, which refuses another count.
 const MEMORY_SHARDS: usize = 16;
 
 /// Ops appended across all lanes since their last snapshots before
@@ -78,24 +91,6 @@ pub struct PersistentStore {
     recovered_epoch: Option<u64>,
     /// The latest epoch noted, snapshotted alongside the records.
     epoch: AtomicU64,
-}
-
-fn to_wire(record: &StoredSubscription) -> Record {
-    Record {
-        user_id: record.user_id,
-        epoch: record.epoch,
-        expected: record.expected.clone(),
-        ciphertext: record.ciphertext.clone(),
-    }
-}
-
-fn from_wire(record: Record) -> StoredSubscription {
-    StoredSubscription {
-        user_id: record.user_id,
-        ciphertext: record.ciphertext,
-        expected: record.expected,
-        epoch: record.epoch,
-    }
 }
 
 impl PersistentStore {
@@ -124,7 +119,9 @@ impl PersistentStore {
         let inner = ConcurrentShardedStore::new(MEMORY_SHARDS);
         let fresh = recovered.records.is_empty() && recovered.epoch == 0;
         for record in recovered.records {
-            inner.upsert(from_wire(record));
+            inner.upsert(record).map_err(|e| SlaError::Corrupt {
+                detail: format!("recovered records disagree on the HVE width: {e}"),
+            })?;
         }
         Ok(PersistentStore {
             inner,
@@ -156,7 +153,7 @@ impl PersistentStore {
         if self.wal.append(shard, op) && !self.wal.compaction_in_flight(shard) {
             let mut live = Vec::new();
             self.inner.read_shard(shard, &mut |records| {
-                live.extend(records.iter().map(to_wire));
+                live.extend((0..records.len()).map(|i| records.record(i)));
             });
             if let Err(e) = self
                 .wal
@@ -181,17 +178,17 @@ impl ConcurrentSubscriptionStore for PersistentStore {
         self.inner.len()
     }
 
-    fn upsert(&self, record: StoredSubscription) -> UpsertOutcome {
+    fn upsert(&self, record: Record) -> SlaResult<UpsertOutcome> {
         let shard = shard_index(record.user_id, MEMORY_SHARDS);
         let _gate = self.gate(shard);
-        // Apply-then-log (see `append_gated`): the wire image is taken
-        // first, the in-memory index updated, and only then the op
-        // logged, so a compaction triggered by this very append
-        // snapshots a live set that already contains the record.
-        let op = WalOp::Upsert(to_wire(&record));
-        let outcome = self.inner.upsert(record);
-        self.append_gated(shard, &op);
-        outcome
+        // Apply-then-log (see `append_gated`): the in-memory index takes
+        // a copy of the row first, and only then is the op logged, so a
+        // compaction triggered by this very append snapshots a live set
+        // that already contains the record. A refused record is not
+        // logged.
+        let outcome = self.inner.upsert_record(&record)?;
+        self.append_gated(shard, &WalOp::Upsert(record));
+        Ok(outcome)
     }
 
     fn remove(&self, user_id: u64) -> bool {
@@ -227,8 +224,14 @@ impl ConcurrentSubscriptionStore for PersistentStore {
         evicted
     }
 
-    fn read_shard(&self, shard: usize, f: &mut dyn FnMut(&[StoredSubscription])) {
+    fn read_shard(&self, shard: usize, f: &mut dyn FnMut(&ShardRecords)) {
         self.inner.read_shard(shard, f);
+    }
+
+    fn fit_rows(&self, n: &BigUint) {
+        // Memory only: the log keeps the canonical logs it was given,
+        // and a log the fit reduced is the same group element.
+        self.inner.fit_rows(n);
     }
 
     fn note_epoch(&self, epoch: u64) {
@@ -301,12 +304,11 @@ mod tests {
         scheme.encrypt(&pk, &attr, &scheme.encode_message(1), &mut rng)
     }
 
-    fn record(ct: &Ciphertext, user_id: u64, epoch: u64) -> StoredSubscription {
-        StoredSubscription {
+    fn record(ct: &Ciphertext, user_id: u64, epoch: u64) -> Record {
+        Record {
             user_id,
-            ciphertext: ct.clone(),
-            expected: GtElem::identity(),
             epoch,
+            row: ct.to_row(&GtElem::identity()),
         }
     }
 
@@ -314,7 +316,7 @@ mod tests {
         let mut ids = Vec::new();
         for shard in 0..store.shard_count() {
             store.read_shard(shard, &mut |records| {
-                ids.extend(records.iter().map(|r| r.user_id));
+                ids.extend_from_slice(records.user_ids());
             });
         }
         ids.sort_unstable();
@@ -329,9 +331,15 @@ mod tests {
             let store = PersistentStore::open(&dir, FlushPolicy::EveryOp).unwrap();
             assert_eq!(store.recovered_epoch(), None, "fresh directory");
             for id in 0..10 {
-                assert_eq!(store.upsert(record(&ct, id, 0)), UpsertOutcome::Inserted);
+                assert_eq!(
+                    store.upsert(record(&ct, id, 0)).unwrap(),
+                    UpsertOutcome::Inserted
+                );
             }
-            assert_eq!(store.upsert(record(&ct, 3, 2)), UpsertOutcome::Replaced);
+            assert_eq!(
+                store.upsert(record(&ct, 3, 2)).unwrap(),
+                UpsertOutcome::Replaced
+            );
             assert!(store.remove(4));
             assert!(!store.remove(4));
             store.note_epoch(1);
@@ -355,8 +363,8 @@ mod tests {
         {
             let store = PersistentStore::open(&dir, FlushPolicy::Manual).unwrap();
             for id in [9, 2, 77, 41, 5, 63, 18] {
-                store.upsert(record(&ct, id, 0));
-                volatile.upsert(record(&ct, id, 0));
+                store.upsert(record(&ct, id, 0)).unwrap();
+                volatile.upsert(record(&ct, id, 0)).unwrap();
             }
             store.sync().unwrap();
         }
@@ -364,13 +372,13 @@ mod tests {
         let mut volatile_ids = Vec::new();
         for shard in 0..volatile.shard_count() {
             volatile.read_shard(shard, &mut |records| {
-                volatile_ids.extend(records.iter().map(|r| r.user_id));
+                volatile_ids.extend_from_slice(records.user_ids());
             });
         }
         let mut persistent_ids = Vec::new();
         for shard in 0..store.shard_count() {
             store.read_shard(shard, &mut |records| {
-                persistent_ids.extend(records.iter().map(|r| r.user_id));
+                persistent_ids.extend_from_slice(records.user_ids());
             });
         }
         assert_eq!(persistent_ids, volatile_ids, "shard-walk order");
@@ -392,7 +400,7 @@ mod tests {
         {
             let store = PersistentStore::open_with(&dir, FlushPolicy::EveryOp, 16).unwrap();
             for id in 0..8 {
-                store.upsert(record(&ct, id, 0));
+                store.upsert(record(&ct, id, 0)).unwrap();
             }
             store.sync().unwrap();
         }
@@ -418,8 +426,8 @@ mod tests {
             let store = PersistentStore::open_with(&dir, FlushPolicy::EveryOp, 16).unwrap();
             store.note_epoch(6);
             store.note_epoch(5); // out-of-order arrival
-            store.upsert(record(&ct, 1, 6));
-            store.upsert(record(&ct, 2, 6));
+            store.upsert(record(&ct, 1, 6)).unwrap();
+            store.upsert(record(&ct, 2, 6)).unwrap();
             store.sync().unwrap();
             store.wal.join_compactors().unwrap();
         }
@@ -436,7 +444,7 @@ mod tests {
             let store = PersistentStore::open_with(&dir, FlushPolicy::EveryOp, 16).unwrap();
             for round in 0..4u64 {
                 for id in 0..10 {
-                    store.upsert(record(&ct, id, round));
+                    store.upsert(record(&ct, id, round)).unwrap();
                 }
             }
             store.sync().unwrap();
@@ -491,7 +499,7 @@ mod tests {
         };
         let gate_a = store.gate(shard_index(a, MEMORY_SHARDS));
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| store.upsert(record(&ct, b, 0)));
+            let handle = scope.spawn(|| store.upsert(record(&ct, b, 0)).unwrap());
             // The cross-shard upsert finishes while gate A is held.
             let mut waited = 0;
             while !handle.is_finished() && waited < 2000 {

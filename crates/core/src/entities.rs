@@ -3,8 +3,7 @@
 use crate::convert::{codeword_to_pattern, index_to_attribute};
 use crate::error::{SlaError, SlaResult};
 use crate::store::{
-    ConcurrentSubscriptionStore, DurabilityLaneStats, StoreBackend, StoreStats, StoredSubscription,
-    UpsertOutcome,
+    ConcurrentSubscriptionStore, DurabilityLaneStats, StoreBackend, StoreStats, UpsertOutcome,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -13,7 +12,8 @@ use sla_hve::{
     Ciphertext, HveScheme, PreparedPublicKey, PreparedSecretKey, PublicKey, RegenStats, SecretKey,
     Token, TokenCache,
 };
-use sla_pairing::{BilinearGroup, QueryTarget};
+use sla_pairing::{BigUint, BilinearGroup, PreparedQuery};
+use sla_persist::Record;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -299,12 +299,14 @@ impl FromIterator<AlertMatch> for AlertMatch {
 /// ## Matching
 ///
 /// [`Self::match_alert`] evaluates every token against every stored
-/// ciphertext, one whole shard at a time, on the calling thread.
-/// The stored ciphertexts (and the tokens handed in per alert) keep their
-/// group elements in the engine's Montgomery residue domain, and each
-/// record carries its expected payload, so matching is a pure
-/// residue-domain comparison — zero canonical conversions per (token,
-/// ciphertext) pair (see `HveScheme::match_token`).
+/// ciphertext, one whole shard at a time, on the calling thread. Each
+/// stored record is a packed row of canonical logs that carries its
+/// expected payload, and each token's keys are resolved to Montgomery
+/// residues once per alert, so a pairing is one CIOS pass of a stored
+/// operand against a key, read in place from the shard's slab, and the
+/// decision is one comparison — zero canonical conversions and zero
+/// allocations per (token, ciphertext) pair (see
+/// `HveScheme::match_rows`).
 ///
 /// ## Concurrency
 ///
@@ -325,6 +327,12 @@ pub struct ServiceProvider {
     /// upsert and every token must agree. A `OnceLock` so concurrent
     /// first upserts race safely (one pins, the others validate).
     width: OnceLock<usize>,
+    /// Order of the group the store's rows were brought to, pinned the
+    /// first time an upsert or an alert brings a scheme; every later
+    /// scheme must be over the same group. Initializing it fits the
+    /// store (see [`ConcurrentSubscriptionStore::fit_rows`]) while other
+    /// first callers wait.
+    order: OnceLock<BigUint>,
     inserted: AtomicU64,
     replaced: AtomicU64,
     unsubscribed: AtomicU64,
@@ -365,6 +373,7 @@ impl ServiceProvider {
             epoch: AtomicU64::new(epoch),
             ttl_epochs,
             width: OnceLock::new(),
+            order: OnceLock::new(),
             inserted: AtomicU64::new(0),
             replaced: AtomicU64::new(0),
             unsubscribed: AtomicU64::new(0),
@@ -439,7 +448,13 @@ impl ServiceProvider {
         let mut out = Vec::with_capacity(self.store.len());
         for shard in 0..self.store.shard_count() {
             self.store.read_shard(shard, &mut |records| {
-                out.extend(records.iter().map(|r| (r.user_id, r.epoch)));
+                out.extend(
+                    records
+                        .user_ids()
+                        .iter()
+                        .copied()
+                        .zip(records.epochs().iter().copied()),
+                );
             });
         }
         out.sort_unstable();
@@ -448,12 +463,13 @@ impl ServiceProvider {
 
     /// Upsert validation: width agreement with the scheme and with
     /// previously pinned material, then assembly of the stored record
-    /// (expected payload + epoch stamp).
+    /// (the ciphertext and its expected payload packed for the scheme's
+    /// group, and the epoch stamp).
     fn validated_record<G: BilinearGroup>(
         &self,
         scheme: &HveScheme<'_, G>,
         subscription: Subscription,
-    ) -> SlaResult<StoredSubscription> {
+    ) -> SlaResult<Record> {
         let ct_width = subscription.ciphertext.width();
         if ct_width != scheme.width() {
             return Err(SlaError::WidthMismatch {
@@ -469,7 +485,7 @@ impl ServiceProvider {
                 });
             }
         }
-        let expected = scheme.try_encode_message(subscription.user_id)?;
+        let row = scheme.pack_for_user(&subscription.ciphertext, subscription.user_id)?;
         // Pin only after the last fallible step, so a *rejected* upsert
         // (e.g. MessageOutOfDomain) leaves the width unpinned — exactly
         // the pre-concurrency behavior. Concurrent first upserts race
@@ -481,12 +497,30 @@ impl ServiceProvider {
                 actual: ct_width,
             });
         }
-        Ok(StoredSubscription {
+        Ok(Record {
             user_id: subscription.user_id,
-            ciphertext: subscription.ciphertext,
-            expected,
             epoch: self.epoch(),
+            row,
         })
+    }
+
+    /// Pins the group the store's rows belong to the first time a
+    /// scheme is seen, bringing every stored row to it (rows recovered
+    /// from a durable directory arrive at the width of their widest log);
+    /// `Err(SlaError::GroupMismatch)` for a scheme over another group.
+    fn pin_group<G: BilinearGroup>(&self, scheme: &HveScheme<'_, G>) -> SlaResult<()> {
+        let order = scheme.group().order();
+        let pinned = self.order.get_or_init(|| {
+            self.store.fit_rows(order);
+            order.clone()
+        });
+        if pinned != order {
+            return Err(SlaError::GroupMismatch {
+                expected_bits: pinned.bit_len(),
+                actual_bits: order.bit_len(),
+            });
+        }
+        Ok(())
     }
 
     /// Bumps the lifetime counter matching an upsert outcome.
@@ -500,20 +534,24 @@ impl ServiceProvider {
     /// Accepts (or refreshes) a user's encrypted location update: a
     /// re-subscribing user's previous ciphertext is **replaced**, so the
     /// old location stops matching alerts. The record is stamped with the
-    /// current epoch and carries the precomputed expected payload for
-    /// residue-domain matching. Takes only the target shard's write
-    /// lock, so writer threads can call it while an alert is matched.
+    /// current epoch, and the ciphertext is packed with its expected
+    /// payload `gt^{id+1}` into one row of canonical limbs
+    /// ([`HveScheme::pack_for_user`]), which the matcher sweeps in place.
+    /// Takes only the target shard's write lock, so writer threads can
+    /// call it while an alert is matched.
     ///
     /// Errors: `WidthMismatch` when the ciphertext disagrees with the
     /// scheme or with previously stored material; `MessageOutOfDomain`
-    /// when the user id cannot serve as an HVE payload.
+    /// when the user id cannot serve as an HVE payload; `GroupMismatch`
+    /// when the scheme's group is not the one the store holds rows of.
     pub fn upsert<G: BilinearGroup>(
         &self,
         scheme: &HveScheme<'_, G>,
         subscription: Subscription,
     ) -> SlaResult<UpsertOutcome> {
+        self.pin_group(scheme)?;
         let record = self.validated_record(scheme, subscription)?;
-        let outcome = self.store.upsert(record);
+        let outcome = self.store.upsert(record)?;
         self.note_upsert(outcome);
         Ok(outcome)
     }
@@ -613,65 +651,78 @@ impl ServiceProvider {
     /// the worst-case evaluation the paper's cost model counts
     /// (`Σ_tokens (1+2·|J|) · n_ciphertexts`) — and returns who matched
     /// and the pairings its sweeps performed. The engine's shared
-    /// counters advance by the same amount.
+    /// counters advance by the same amount. Each token's keys are
+    /// resolved once per alert ([`HveScheme::prepare_token`]), not once
+    /// per shard.
     ///
     /// The shards are swept one after another on the calling thread, not
     /// fanned out over threads: on a shared two-vCPU host a fan-out's
     /// speed-up swings between none and 2× with the host's scheduling,
     /// which makes alert latency unrepeatable, and writers would wait on
     /// several read-locked shards at once.
+    ///
+    /// Errors: `WidthMismatch` when a token, the scheme or a shard's
+    /// stored rows disagree on the HVE width; `GroupMismatch` when the
+    /// scheme's group is not the one the store holds rows of.
     pub fn match_alert<G: BilinearGroup>(
         &self,
         scheme: &HveScheme<'_, G>,
         tokens: &[Token],
     ) -> SlaResult<AlertMatch> {
         self.validate_tokens(scheme, tokens)?;
-        Ok((0..self.store.shard_count())
-            .map(|shard| self.match_shard(shard, scheme, tokens))
-            .collect())
+        self.pin_group(scheme)?;
+        let queries: Vec<PreparedQuery<'_>> =
+            tokens.iter().map(|t| scheme.prepare_token(t)).collect();
+        (0..self.store.shard_count())
+            .map(|shard| self.match_shard(shard, scheme, &queries))
+            .collect()
     }
 
-    /// Exhaustively matches one whole shard under its read lock.
-    /// Decides every pair in the residue domain, with no canonical
-    /// conversions.
+    /// Exhaustively matches one whole shard under its read lock, sweeping
+    /// its slab of rows in place.
     ///
-    /// Evaluation is **token-outer**: the shard's query targets are built
-    /// once, each token sweeps all of them in one
-    /// [`HveScheme::match_token_sweep`] (the engine's fused query check),
-    /// and per-subscription hits are OR-accumulated across tokens.
-    /// Notified ids are pushed in subscription order, and the pairings
+    /// Evaluation is **token-outer**: each prepared token sweeps every
+    /// row of the shard in one [`HveScheme::match_rows`] (the engine's
+    /// fused query check), and per-record hits are OR-accumulated across
+    /// tokens. Notified ids are pushed in record order, and the pairings
     /// are the sum of what the sweeps recorded.
     fn match_shard<G: BilinearGroup>(
         &self,
         shard: usize,
         scheme: &HveScheme<'_, G>,
-        tokens: &[Token],
-    ) -> AlertMatch {
-        let mut found = AlertMatch::default();
+        queries: &[PreparedQuery<'_>],
+    ) -> SlaResult<AlertMatch> {
+        let mut found = Ok(AlertMatch::default());
         self.store.read_shard(shard, &mut |records| {
-            let targets: Vec<QueryTarget<'_>> = records
-                .iter()
-                .map(|sub| sub.ciphertext.query_target(&sub.expected))
-                .collect();
+            if records.is_empty() {
+                return;
+            }
+            let rows = records.rows();
+            if rows.shape().width != scheme.width() {
+                found = Err(SlaError::WidthMismatch {
+                    expected: scheme.width(),
+                    actual: rows.shape().width,
+                });
+                return;
+            }
             let mut hit = vec![false; records.len()];
             let mut swept = vec![false; records.len()];
             let mut pairings = 0;
-            for token in tokens {
-                pairings += scheme
-                    .match_token_sweep(token, &targets, &mut swept)
-                    .pairings;
+            for query in queries {
+                pairings += scheme.match_rows(query, rows, &mut swept).pairings;
                 for (h, s) in hit.iter_mut().zip(&swept) {
                     *h |= *s;
                 }
             }
-            found = AlertMatch {
+            found = Ok(AlertMatch {
                 notified: records
+                    .user_ids()
                     .iter()
                     .zip(hit)
-                    .filter_map(|(sub, h)| h.then_some(sub.user_id))
+                    .filter_map(|(id, h)| h.then_some(*id))
                     .collect(),
                 pairings,
-            };
+            });
         });
         found
     }

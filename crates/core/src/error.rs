@@ -63,6 +63,14 @@ pub enum SlaError {
         /// The width of the offending input.
         actual: usize,
     },
+    /// A scheme over another group than the one the Service Provider's
+    /// stored rows were brought to (the first scheme it saw).
+    GroupMismatch {
+        /// Bit length of the pinned group's order.
+        expected_bits: usize,
+        /// Bit length of the offending scheme's group order.
+        actual_bits: usize,
+    },
     /// A user id outside the HVE message domain (ids double as encrypted
     /// payloads, so they must fit in `2^MESSAGE_DOMAIN_BITS`).
     MessageOutOfDomain {
@@ -141,6 +149,14 @@ impl fmt::Display for SlaError {
                     "width mismatch: system width {expected}, input width {actual}"
                 )
             }
+            SlaError::GroupMismatch {
+                expected_bits,
+                actual_bits,
+            } => write!(
+                f,
+                "group mismatch: the store holds rows of a {expected_bits}-bit group order, \
+                 the scheme's order is another ({actual_bits} bits)"
+            ),
             SlaError::MessageOutOfDomain { id } => {
                 write!(f, "user id {id} outside the HVE message domain")
             }

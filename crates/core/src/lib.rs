@@ -71,11 +71,12 @@ pub use entities::{
 };
 pub use error::{SlaError, SlaResult, MAX_GROUP_BITS, MIN_GROUP_BITS};
 pub use store::{
-    ConcurrentShardedStore, ConcurrentSubscriptionStore, DurabilityLaneStats, StoreBackend,
-    StoreStats, StoredSubscription, UpsertOutcome,
+    ConcurrentShardedStore, ConcurrentSubscriptionStore, DurabilityLaneStats, ShardRecords,
+    StoreBackend, StoreStats, UpsertOutcome,
 };
 pub use system::{AlertOutcome, AlertSystem, SystemBuilder};
 pub use tracker::{TokenRegenStats, TrackedAlertOutcome, ZoneTracker};
 
-// The flush policy is part of `StoreBackend::Persistent`'s surface.
-pub use sla_persist::FlushPolicy;
+// The flush policy is part of `StoreBackend::Persistent`'s surface, and
+// the record is what the store seam stores.
+pub use sla_persist::{FlushPolicy, Record};

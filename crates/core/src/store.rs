@@ -8,7 +8,21 @@
 //! upsert/remove/evict behind per-shard `RwLock`s, so subscription churn
 //! can proceed *while* an alert is being matched.
 //!
-//! Two backends implement it ([`StoreBackend`]).
+//! ## Layout
+//!
+//! A shard keeps its records in columns ([`ShardRecords`]): `user_id`
+//! and `epoch` side by side with one flat slab of packed rows
+//! ([`QueryRows`]), record `i` in position `i` of all three. A row holds
+//! the ciphertext's `2l + 3` canonical logs — `C'`, `C_0`, the `2l`
+//! components and the expected payload — zero-extended to the group
+//! order's `K` limbs, so a record costs `(2l + 3)·K` limbs plus two
+//! words, with no heap allocation per operand, and the matcher sweeps
+//! the slab in place. Rows recovered from a durable directory arrive at
+//! the width of their widest log, before any group is known;
+//! [`ConcurrentSubscriptionStore::fit_rows`] brings every shard to the
+//! group once the Service Provider sees one.
+//!
+//! Two backends implement the seam ([`StoreBackend`]).
 //! [`ConcurrentShardedStore`] is the volatile one; matching reads one
 //! shard at a time through [`ConcurrentSubscriptionStore::read_shard`],
 //! which holds that shard's read lock for the duration of the callback
@@ -20,31 +34,14 @@
 
 use crate::durable::PersistentStore;
 use crate::error::{SlaError, SlaResult};
-use sla_hve::Ciphertext;
-use sla_pairing::GtElem;
-use sla_persist::FlushPolicy;
+use sla_pairing::{BigUint, QueryRows};
+use sla_persist::{FlushPolicy, Record};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// One stored location update, as the SP keeps it.
-#[derive(Debug, Clone)]
-pub struct StoredSubscription {
-    /// Routing identifier (who to push the notification to).
-    pub user_id: u64,
-    /// The encrypted location update.
-    pub ciphertext: Ciphertext,
-    /// The expected payload `gt^{user_id + 1}`, precomputed at upsert
-    /// time so alert matching can compare candidates **inside the
-    /// Montgomery residue domain** (zero canonical conversions per pair;
-    /// see `HveScheme::match_token`). Derived from the public generator
-    /// and the routing id the user already disclosed — no extra leakage.
-    pub expected: GtElem,
-    /// Epoch of the most recent upsert (drives TTL eviction).
-    pub epoch: u64,
-}
 
 /// What an upsert did to the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,7 +165,9 @@ pub trait ConcurrentSubscriptionStore: fmt::Debug + Send + Sync {
 
     /// Inserts or replaces the record for `record.user_id`, taking only
     /// the target shard's write lock.
-    fn upsert(&self, record: StoredSubscription) -> UpsertOutcome;
+    /// `Err(SlaError::WidthMismatch)` when the shard holds rows of
+    /// another HVE width.
+    fn upsert(&self, record: Record) -> SlaResult<UpsertOutcome>;
 
     /// Removes the record for `user_id` (target shard's write lock);
     /// `false` if absent.
@@ -183,7 +182,14 @@ pub trait ConcurrentSubscriptionStore: fmt::Debug + Send + Sync {
     /// deterministic (insertion order with `swap_remove` backfill), so
     /// matchers that walk shards in index order see identical sequences
     /// on a quiescent store.
-    fn read_shard(&self, shard: usize, f: &mut dyn FnMut(&[StoredSubscription]));
+    fn read_shard(&self, shard: usize, f: &mut dyn FnMut(&ShardRecords));
+
+    /// Brings every shard's rows to the group of order `n`, one shard
+    /// write lock at a time: each operand not below `n` is reduced mod
+    /// `n`, and the slab is re-strided to `n`'s limb count. The Service
+    /// Provider calls this once, the first time it sees a scheme, before
+    /// it stores or matches a row.
+    fn fit_rows(&self, n: &BigUint);
 
     // -- Durability hooks (no-ops for volatile backends) ---------------
 
@@ -223,13 +229,115 @@ pub struct DurabilityLaneStats {
     pub depth: usize,
 }
 
-/// One lock shard of [`ConcurrentShardedStore`]: the records plus the
-/// per-user position index, guarded together so they can never disagree.
+/// One shard's records in columns: record `i` is `user_ids()[i]`,
+/// `epochs()[i]` and row `i` of `rows()`. The per-user position index
+/// lives beside them under the same lock, so the four never disagree.
 #[derive(Debug, Default)]
-struct LockShard {
-    items: Vec<StoredSubscription>,
-    /// `user_id` → position within `items`.
+pub struct ShardRecords {
+    user_ids: Vec<u64>,
+    epochs: Vec<u64>,
+    rows: QueryRows,
+    /// `user_id` → position.
     index: HashMap<u64, usize>,
+}
+
+impl ShardRecords {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.user_ids.len()
+    }
+
+    /// `true` iff the shard holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.user_ids.is_empty()
+    }
+
+    /// Each record's routing id, in record order.
+    pub fn user_ids(&self) -> &[u64] {
+        &self.user_ids
+    }
+
+    /// Each record's epoch of its most recent upsert, in record order.
+    pub fn epochs(&self) -> &[u64] {
+        &self.epochs
+    }
+
+    /// Each record's packed row, in record order.
+    pub fn rows(&self) -> &QueryRows {
+        &self.rows
+    }
+
+    /// Record `i` as an owned [`Record`] (its row at the slab's width).
+    pub fn record(&self, i: usize) -> Record {
+        Record {
+            user_id: self.user_ids[i],
+            epoch: self.epochs[i],
+            row: self.rows.packed(i),
+        }
+    }
+
+    fn upsert(&mut self, record: &Record) -> SlaResult<UpsertOutcome> {
+        let width = record.row.shape().width;
+        if !self.is_empty() && self.rows.shape().width != width {
+            return Err(SlaError::WidthMismatch {
+                expected: self.rows.shape().width,
+                actual: width,
+            });
+        }
+        match self.index.entry(record.user_id) {
+            Entry::Occupied(slot) => {
+                let pos = *slot.get();
+                self.rows.replace(pos, &record.row);
+                self.epochs[pos] = record.epoch;
+                Ok(UpsertOutcome::Replaced)
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.user_ids.len());
+                self.rows.push(&record.row);
+                self.user_ids.push(record.user_id);
+                self.epochs.push(record.epoch);
+                Ok(UpsertOutcome::Inserted)
+            }
+        }
+    }
+
+    fn remove(&mut self, user_id: u64) -> bool {
+        let Some(pos) = self.index.remove(&user_id) else {
+            return false;
+        };
+        self.user_ids.swap_remove(pos);
+        self.epochs.swap_remove(pos);
+        self.rows.swap_remove(pos);
+        if let Some(&moved_id) = self.user_ids.get(pos) {
+            self.index.insert(moved_id, pos);
+        }
+        true
+    }
+
+    /// Drops every record with `epoch < min_epoch`, keeping the order of
+    /// the rest; returns how many were dropped.
+    fn evict_before(&mut self, min_epoch: u64) -> usize {
+        let before = self.len();
+        let keep: Vec<bool> = self.epochs.iter().map(|&e| e >= min_epoch).collect();
+        let dropped = keep.iter().filter(|k| !**k).count();
+        if dropped == 0 {
+            return 0;
+        }
+        let mut i = 0;
+        self.user_ids.retain(|_| {
+            i += 1;
+            keep[i - 1]
+        });
+        self.epochs.retain(|e| *e >= min_epoch);
+        self.rows.retain(|i| keep[i]);
+        // retain shifts positions; re-index this shard's survivors.
+        self.index.clear();
+        for (pos, user_id) in self.user_ids.iter().enumerate() {
+            self.index.insert(*user_id, pos);
+        }
+        debug_assert_eq!(before - self.len(), dropped);
+        dropped
+    }
 }
 
 /// The concurrent backend: `shards` hash-buckets, each behind its own
@@ -238,7 +346,7 @@ struct LockShard {
 /// the [`ConcurrentSubscriptionStore`] consistency model).
 #[derive(Debug)]
 pub struct ConcurrentShardedStore {
-    shards: Vec<RwLock<LockShard>>,
+    shards: Vec<RwLock<ShardRecords>>,
     /// Live record count, maintained outside the shard locks (exact when
     /// quiescent).
     len: AtomicUsize,
@@ -254,7 +362,7 @@ impl ConcurrentShardedStore {
         assert!(shards > 0, "shard count must be positive");
         ConcurrentShardedStore {
             shards: (0..shards)
-                .map(|_| RwLock::new(LockShard::default()))
+                .map(|_| RwLock::new(ShardRecords::default()))
                 .collect(),
             len: AtomicUsize::new(0),
         }
@@ -269,7 +377,7 @@ impl ConcurrentShardedStore {
     /// is only ever mutated by the panic-free operations below, so a
     /// poisoned lock (a reader panicked in a callback) still guards a
     /// consistent shard.
-    fn write_shard(&self, shard: usize) -> RwLockWriteGuard<'_, LockShard> {
+    fn write_shard(&self, shard: usize) -> RwLockWriteGuard<'_, ShardRecords> {
         self.shards[shard]
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -277,10 +385,22 @@ impl ConcurrentShardedStore {
 
     /// Read-locks a shard (poison-recovering, see
     /// [`Self::write_shard`]).
-    fn read_shard_guard(&self, shard: usize) -> RwLockReadGuard<'_, LockShard> {
+    fn read_shard_guard(&self, shard: usize) -> RwLockReadGuard<'_, ShardRecords> {
         self.shards[shard]
             .read()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// [`ConcurrentSubscriptionStore::upsert`] from a borrowed record,
+    /// whose row is copied into the shard's slab.
+    pub(crate) fn upsert_record(&self, record: &Record) -> SlaResult<UpsertOutcome> {
+        let outcome = self
+            .write_shard(self.shard_of(record.user_id))
+            .upsert(record)?;
+        if outcome == UpsertOutcome::Inserted {
+            self.len.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(outcome)
     }
 
     /// Evicts every record with `epoch < min_epoch` from **one** shard
@@ -289,25 +409,8 @@ impl ConcurrentShardedStore {
     /// gates, so a full-store eviction never holds more than one lane's
     /// serialization at a time.
     pub fn evict_shard_before(&self, shard: usize, min_epoch: u64) -> usize {
-        let mut guard = self.write_shard(shard);
-        let before = guard.items.len();
-        let LockShard { items, index } = &mut *guard;
-        items.retain(|r| {
-            let keep = r.epoch >= min_epoch;
-            if !keep {
-                index.remove(&r.user_id);
-            }
-            keep
-        });
-        let dropped = before - items.len();
-        if dropped > 0 {
-            // retain preserves order but shifts positions; re-index the
-            // survivors of this shard.
-            for (pos, r) in items.iter().enumerate() {
-                index.insert(r.user_id, pos);
-            }
-            self.len.fetch_sub(dropped, Ordering::Relaxed);
-        }
+        let dropped = self.write_shard(shard).evict_before(min_epoch);
+        self.len.fetch_sub(dropped, Ordering::Relaxed);
         dropped
     }
 }
@@ -325,36 +428,16 @@ impl ConcurrentSubscriptionStore for ConcurrentShardedStore {
         self.len.load(Ordering::Relaxed)
     }
 
-    fn upsert(&self, record: StoredSubscription) -> UpsertOutcome {
-        let shard = self.shard_of(record.user_id);
-        let mut guard = self.write_shard(shard);
-        match guard.index.get(&record.user_id) {
-            Some(&pos) => {
-                guard.items[pos] = record;
-                UpsertOutcome::Replaced
-            }
-            None => {
-                let pos = guard.items.len();
-                guard.index.insert(record.user_id, pos);
-                guard.items.push(record);
-                self.len.fetch_add(1, Ordering::Relaxed);
-                UpsertOutcome::Inserted
-            }
-        }
+    fn upsert(&self, record: Record) -> SlaResult<UpsertOutcome> {
+        self.upsert_record(&record)
     }
 
     fn remove(&self, user_id: u64) -> bool {
-        let shard = self.shard_of(user_id);
-        let mut guard = self.write_shard(shard);
-        let Some(pos) = guard.index.remove(&user_id) else {
-            return false;
-        };
-        guard.items.swap_remove(pos);
-        if let Some(moved_id) = guard.items.get(pos).map(|r| r.user_id) {
-            guard.index.insert(moved_id, pos);
+        let removed = self.write_shard(self.shard_of(user_id)).remove(user_id);
+        if removed {
+            self.len.fetch_sub(1, Ordering::Relaxed);
         }
-        self.len.fetch_sub(1, Ordering::Relaxed);
-        true
+        removed
     }
 
     fn evict_before(&self, min_epoch: u64) -> usize {
@@ -363,9 +446,14 @@ impl ConcurrentSubscriptionStore for ConcurrentShardedStore {
             .sum()
     }
 
-    fn read_shard(&self, shard: usize, f: &mut dyn FnMut(&[StoredSubscription])) {
-        let guard = self.read_shard_guard(shard);
-        f(&guard.items);
+    fn read_shard(&self, shard: usize, f: &mut dyn FnMut(&ShardRecords)) {
+        f(&self.read_shard_guard(shard));
+    }
+
+    fn fit_rows(&self, n: &BigUint) {
+        for shard in 0..self.shards.len() {
+            self.write_shard(shard).rows.fit(n);
+        }
     }
 }
 
@@ -398,8 +486,8 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sla_hve::{AttributeVector, HveScheme};
-    use sla_pairing::SimulatedGroup;
+    use sla_hve::{AttributeVector, Ciphertext, HveScheme};
+    use sla_pairing::{GtElem, PackedRow, RowShape, SimulatedGroup};
 
     /// One real (tiny) ciphertext, cloned into every test record — the
     /// store treats it as opaque bytes.
@@ -412,12 +500,11 @@ mod tests {
         scheme.encrypt(&pk, &attr, &scheme.encode_message(1), &mut rng)
     }
 
-    fn record(ct: &Ciphertext, user_id: u64, epoch: u64) -> StoredSubscription {
-        StoredSubscription {
+    fn record(ct: &Ciphertext, user_id: u64, epoch: u64) -> Record {
+        Record {
             user_id,
-            ciphertext: ct.clone(),
-            expected: GtElem::identity(),
             epoch,
+            row: ct.to_row(&GtElem::identity()),
         }
     }
 
@@ -427,7 +514,7 @@ mod tests {
         let mut ids = Vec::new();
         for shard in 0..store.shard_count() {
             store.read_shard(shard, &mut |records| {
-                ids.extend(records.iter().map(|r| r.user_id));
+                ids.extend_from_slice(records.user_ids());
             });
         }
         ids
@@ -438,13 +525,22 @@ mod tests {
         let ct = fixture_ciphertext();
         let store = ConcurrentShardedStore::new(4);
         // upsert replaces, via &self only
-        assert_eq!(store.upsert(record(&ct, 7, 0)), UpsertOutcome::Inserted);
-        assert_eq!(store.upsert(record(&ct, 8, 0)), UpsertOutcome::Inserted);
-        assert_eq!(store.upsert(record(&ct, 7, 3)), UpsertOutcome::Replaced);
+        assert_eq!(
+            store.upsert(record(&ct, 7, 0)).unwrap(),
+            UpsertOutcome::Inserted
+        );
+        assert_eq!(
+            store.upsert(record(&ct, 8, 0)).unwrap(),
+            UpsertOutcome::Inserted
+        );
+        assert_eq!(
+            store.upsert(record(&ct, 7, 3)).unwrap(),
+            UpsertOutcome::Replaced
+        );
         assert_eq!(store.len(), 2);
         // remove backfills and stays addressable
         for id in 0..10 {
-            store.upsert(record(&ct, id, id % 3));
+            store.upsert(record(&ct, id, id % 3)).unwrap();
         }
         assert!(store.remove(4));
         assert!(!store.remove(4));
@@ -474,7 +570,7 @@ mod tests {
                 scope.spawn(move || {
                     for round in 0..20u64 {
                         for id in (w * 25)..(w * 25 + 25) {
-                            store.upsert(record(ct, id, round));
+                            store.upsert(record(ct, id, round)).unwrap();
                             if id % 3 == 0 {
                                 store.remove(id);
                             }
@@ -496,8 +592,8 @@ mod tests {
         let b = ConcurrentShardedStore::new(8);
         let ct = fixture_ciphertext();
         for id in 0..100 {
-            a.upsert(record(&ct, id, 0));
-            b.upsert(record(&ct, id, 0));
+            a.upsert(record(&ct, id, 0)).unwrap();
+            b.upsert(record(&ct, id, 0)).unwrap();
         }
         assert_eq!(concurrent_ids_in_order(&a), concurrent_ids_in_order(&b));
         let mut occupied = 0;
@@ -507,5 +603,141 @@ mod tests {
             });
         }
         assert!(occupied > 1);
+    }
+
+    /// A row of width 1 whose operands name its record: `C'` the user,
+    /// `C_0` the epoch, the rest their sum, at `limbs` limbs per operand
+    /// (the top limb of `C'` set when wider than one).
+    fn named_row(user_id: u64, epoch: u64, limbs: usize) -> PackedRow {
+        let mut row = PackedRow::zeroed(RowShape { width: 1, limbs });
+        row.operand_mut(RowShape::C_PRIME)[0] = user_id;
+        row.operand_mut(RowShape::C_PRIME)[limbs - 1] |= u64::from(limbs > 1) << 63;
+        row.operand_mut(RowShape::C0)[0] = epoch;
+        for idx in 2..row.shape().operands() {
+            row.operand_mut(idx)[0] = user_id + epoch;
+        }
+        row
+    }
+
+    #[test]
+    fn slab_stays_aligned_with_its_columns_through_churn() {
+        let store = ConcurrentShardedStore::new(3);
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut state = 0x5eed_u64;
+        for step in 0..600u64 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let user = (state >> 33) % 40;
+            match (state >> 20) % 5 {
+                0 => {
+                    assert_eq!(store.remove(user), model.remove(&user).is_some());
+                }
+                1 if step % 50 == 0 => {
+                    let min_epoch = step / 10;
+                    let before = model.len();
+                    model.retain(|_, e| *e >= min_epoch);
+                    assert_eq!(store.evict_before(min_epoch), before - model.len());
+                }
+                _ => {
+                    // Mostly one limb, sometimes two: the slab widens.
+                    let limbs = 1 + usize::from(step % 97 == 0);
+                    let epoch = step / 10;
+                    let record = Record {
+                        user_id: user,
+                        epoch,
+                        row: named_row(user, epoch, limbs),
+                    };
+                    let outcome = store.upsert(record).unwrap();
+                    let was = model.insert(user, epoch);
+                    assert_eq!(outcome == UpsertOutcome::Replaced, was.is_some());
+                }
+            }
+        }
+        let mut seen = 0;
+        for shard in 0..store.shard_count() {
+            store.read_shard(shard, &mut |records| {
+                let (n, shape) = (records.len(), records.rows().shape());
+                assert_eq!(records.rows().as_limbs().len(), n * shape.stride());
+                assert_eq!(records.rows().len(), n);
+                assert_eq!(records.epochs().len(), n);
+                for i in 0..n {
+                    let (user, epoch) = (records.user_ids()[i], records.epochs()[i]);
+                    assert_eq!(model.get(&user), Some(&epoch), "shard {shard} slot {i}");
+                    let row = records.rows().row(i);
+                    assert_eq!(
+                        row[RowShape::C_PRIME * shape.limbs],
+                        user,
+                        "row {i} is user {user}'s"
+                    );
+                    assert_eq!(
+                        row[RowShape::C0 * shape.limbs],
+                        epoch,
+                        "row {i} is the latest"
+                    );
+                    assert_eq!(records.index[&user], i);
+                }
+                assert_eq!(records.index.len(), n);
+                seen += n;
+            });
+        }
+        assert_eq!(seen, model.len());
+        assert_eq!(store.len(), model.len());
+    }
+
+    #[test]
+    fn fit_rows_narrows_to_the_order_and_reduces() {
+        let store = ConcurrentShardedStore::new(2);
+        let n = BigUint::from_u64(1_000_003);
+        store
+            .upsert(Record {
+                user_id: 1,
+                epoch: 0,
+                row: named_row(1, 0, 2),
+            })
+            .unwrap();
+        store
+            .upsert(Record {
+                user_id: 2,
+                epoch: 0,
+                row: named_row(2_000_010, 0, 1),
+            })
+            .unwrap();
+        store.fit_rows(&n);
+        let mut c_primes = Vec::new();
+        for shard in 0..store.shard_count() {
+            store.read_shard(shard, &mut |records| {
+                assert!(records.is_empty() || records.rows().shape().limbs == 1);
+                for i in 0..records.len() {
+                    c_primes.push(records.rows().row(i)[RowShape::C_PRIME]);
+                }
+            });
+        }
+        c_primes.sort_unstable();
+        // 1 + 2^127 and 2,000,010 reduced mod 1,000,003.
+        let wide = &(&BigUint::one().shl_bits(127) + &BigUint::one()) % &n;
+        let mut want = vec![wide.low_u64(), 2_000_010 % 1_000_003];
+        want.sort_unstable();
+        assert_eq!(c_primes, want);
+    }
+
+    #[test]
+    fn a_shard_refuses_rows_of_another_width() {
+        let store = ConcurrentShardedStore::new(1);
+        let ct = fixture_ciphertext();
+        store.upsert(record(&ct, 1, 0)).unwrap();
+        let other = Record {
+            user_id: 2,
+            epoch: 0,
+            row: named_row(2, 0, 1),
+        };
+        assert_eq!(
+            store.upsert(other).unwrap_err(),
+            SlaError::WidthMismatch {
+                expected: 2,
+                actual: 1
+            }
+        );
+        assert_eq!(store.len(), 1);
     }
 }

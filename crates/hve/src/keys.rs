@@ -3,7 +3,7 @@
 use crate::vector::SearchPattern;
 use serde::{Deserialize, Serialize};
 use sla_bigint::BigUint;
-use sla_pairing::{GElem, GtElem, QueryTarget};
+use sla_pairing::{GElem, GtElem, PackedRow};
 
 /// HVE secret key (held by the Trusted Authority in the alert protocol).
 ///
@@ -83,15 +83,11 @@ impl Ciphertext {
         Ciphertext { c_prime, c0, c }
     }
 
-    /// The ciphertext as the target of a query check that passes when the
-    /// query recovers `expected` (see [`crate::HveScheme::match_token_sweep`]).
-    pub fn query_target<'a>(&'a self, expected: &'a GtElem) -> QueryTarget<'a> {
-        QueryTarget {
-            c_prime: &self.c_prime,
-            c0: &self.c0,
-            c: &self.c,
-            expected,
-        }
+    /// The ciphertext and the payload a matching query recovers, packed
+    /// as one row of canonical limbs at the width of the widest log, with
+    /// no reduction ([`crate::HveScheme::pack`] packs for a group).
+    pub fn to_row(&self, expected: &GtElem) -> PackedRow {
+        PackedRow::from_elements(&self.c_prime, &self.c0, &self.c, expected)
     }
 }
 

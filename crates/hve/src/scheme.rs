@@ -7,7 +7,10 @@ use crate::prepared::{PreparedPublicKey, PreparedSecretKey};
 use crate::vector::{AttributeVector, SearchPattern};
 use rand::Rng;
 use sla_bigint::BigUint;
-use sla_pairing::{query_candidate, BilinearGroup, CounterSnapshot, GElem, GtElem, QueryTarget};
+use sla_pairing::{
+    query_candidate, BilinearGroup, CounterSnapshot, GElem, GtElem, PackedRow, PreparedQuery,
+    QueryRows,
+};
 
 /// Bit size of the valid message domain used by
 /// [`HveScheme::encode_message`] / [`HveScheme::decode_message`].
@@ -383,77 +386,116 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
         self.decode_message(&self.query(token, ct))
     }
 
-    /// **Residue-domain match decision**: evaluates the token and compares
-    /// the candidate against the `expected` message element entirely
-    /// inside the engine's Montgomery residue domain — zero canonical
-    /// conversions, matching or not.
+    /// **Match decision without canonical conversions**: evaluates the
+    /// token and compares the candidate against the `expected` message
+    /// element, matching or not, through the engine's query check over
+    /// one packed row.
     ///
     /// `expected` is the known payload (`encode_message(id)` for the
     /// stored routing id); on a pattern match the query output *is* that
-    /// element, so residue equality is exact — this is not a probabilistic
+    /// element, so the comparison is exact — this is not a probabilistic
     /// shortcut, it decides the same predicate as
     /// `query_decode(token, ct) == Some(id)` (up to the same negligible
     /// false-positive probability ⊥ already carries).
     ///
     /// Cost: exactly `1 + 2·|J|` pairings, like [`Self::query`]. Decided
-    /// by the engine's fused query check
-    /// ([`BilinearGroup::match_query_batch`]), which equals
+    /// by [`BilinearGroup::match_query_rows`], which equals
     /// `eq_gt(query(token, ct), expected)` in its decision and its
     /// counters.
     ///
     /// # Panics
-    /// Panics if token and ciphertext widths differ.
+    /// Panics if the token's or the ciphertext's width differs from the
+    /// scheme's.
     pub fn match_token(&self, token: &Token, ct: &Ciphertext, expected: &GtElem) -> bool {
-        let mut hit = [false];
-        self.match_token_sweep(token, &[ct.query_target(expected)], &mut hit);
-        hit[0]
+        self.match_token_batch(token, &[(ct, expected)])[0]
     }
 
     /// [`Self::match_token`] over `(ciphertext, expected)` pairs sharing
-    /// one token, in one sweep of the engine's query check. Decision `i`
-    /// equals `match_token(token, cts[i], expected_i)` exactly, and the
-    /// counters advance as the reference `query` + `eq_gt` loop would:
-    /// per pair `1 + 2·|J|` pairings, `2·|J| + 2` `GT` multiplications and
-    /// zero canonicalizations.
+    /// one token, packed into one slab and decided in one sweep. Decision
+    /// `i` equals `match_token(token, cts[i], expected_i)` exactly, and
+    /// the counters advance as the reference `query` + `eq_gt` loop
+    /// would: per pair `1 + 2·|J|` pairings, `2·|J| + 2` `GT`
+    /// multiplications and zero canonicalizations.
     ///
     /// # Panics
-    /// Panics if any ciphertext's width differs from the token's.
+    /// Panics if the token's or any ciphertext's width differs from the
+    /// scheme's.
     pub fn match_token_batch(&self, token: &Token, pairs: &[(&Ciphertext, &GtElem)]) -> Vec<bool> {
-        let targets: Vec<QueryTarget<'_>> = pairs
-            .iter()
-            .map(|(ct, expected)| ct.query_target(expected))
-            .collect();
-        let mut hits = vec![false; targets.len()];
-        self.match_token_sweep(token, &targets, &mut hits);
+        let mut rows = QueryRows::new();
+        for (ct, expected) in pairs {
+            rows.push(&self.pack(ct, expected));
+        }
+        let mut hits = vec![false; rows.len()];
+        self.match_rows(&self.prepare_token(token), &rows, &mut hits);
         hits
     }
 
-    /// The sweep under [`Self::match_token`] and
-    /// [`Self::match_token_batch`]: writes into `hits[i]` whether `token`
-    /// recovers `targets[i].expected` (see [`Ciphertext::query_target`]),
-    /// and returns the operations the sweep recorded in the engine's
-    /// counters. A matcher that reuses one target list across many tokens
-    /// calls this directly and sums the returned counts, which stay its
-    /// own when other threads share the engine.
+    /// Packs `ct` and the payload a matching query recovers as one row
+    /// brought to this scheme's group: canonical logs, any log not below
+    /// `N` reduced mod `N`, at `N`'s limb count. This is the row a
+    /// Service Provider stores.
     ///
     /// # Panics
-    /// Panics if `hits` and `targets` differ in length, or any target's
-    /// width differs from the token's.
-    pub fn match_token_sweep(
+    /// Panics if the ciphertext's width differs from the scheme's.
+    pub fn pack(&self, ct: &Ciphertext, expected: &GtElem) -> PackedRow {
+        assert_eq!(ct.width(), self.width, "ciphertext/scheme width mismatch");
+        PackedRow::pack(&ct.c_prime, &ct.c0, &ct.c, expected, self.group.order())
+    }
+
+    /// [`Self::pack`] with the payload `encode_message(id)`, the row a
+    /// Service Provider stores for the user with routing id `id`. The
+    /// payload `gt^{id+1}` is written as its canonical log `id + 1`, so
+    /// no `GT` element is built for it.
+    ///
+    /// `Err(HveError::MessageOutOfDomain)` when `id >= 2^MESSAGE_DOMAIN_BITS`.
+    ///
+    /// # Panics
+    /// Panics if the ciphertext's width differs from the scheme's.
+    pub fn pack_for_user(&self, ct: &Ciphertext, id: u64) -> Result<PackedRow, HveError> {
+        if id >= 1u64 << MESSAGE_DOMAIN_BITS {
+            return Err(HveError::MessageOutOfDomain { id });
+        }
+        let expected = GtElem::from_canonical_log(BigUint::from_u64(id + 1));
+        Ok(self.pack(ct, &expected))
+    }
+
+    /// Resolves `token`'s keys once for any number of
+    /// [`Self::match_rows`] sweeps (see
+    /// [`BilinearGroup::prepare_query`]).
+    ///
+    /// # Panics
+    /// Panics if the token's width differs from the scheme's.
+    pub fn prepare_token<'t>(&self, token: &'t Token) -> PreparedQuery<'t> {
+        assert_eq!(
+            token.pattern.len(),
+            self.width,
+            "token/scheme width mismatch"
+        );
+        self.group.prepare_query(&token.k0, &token.k)
+    }
+
+    /// The sweep under [`Self::match_token`] and
+    /// [`Self::match_token_batch`]: writes into `hits[r]` whether the
+    /// prepared token recovers row `r`'s expected payload, and returns
+    /// the operations the sweep recorded in the engine's counters. A
+    /// matcher that sweeps many slabs under many tokens prepares each
+    /// token once and sums the returned counts, which stay its own when
+    /// other threads share the engine.
+    ///
+    /// # Panics
+    /// Panics if `hits` and `rows` differ in length, or the rows' width
+    /// differs from the scheme's.
+    pub fn match_rows(
         &self,
-        token: &Token,
-        targets: &[QueryTarget<'_>],
+        query: &PreparedQuery<'_>,
+        rows: &QueryRows,
         hits: &mut [bool],
     ) -> CounterSnapshot {
-        for t in targets {
-            assert_eq!(
-                token.pattern.len(),
-                t.c.len(),
-                "token/ciphertext width mismatch"
-            );
-        }
-        self.group
-            .match_query_batch(&token.k0, &token.k, targets, hits)
+        assert!(
+            rows.is_empty() || rows.shape().width == self.width,
+            "row/scheme width mismatch"
+        );
+        self.group.match_query_rows(query, rows, hits)
     }
 
     /// Batch [`Self::query_decode`] against `(ciphertext, expected)`
@@ -955,6 +997,28 @@ mod tests {
                 "lockstep sweep must meter exactly like the serial loop (n = {n})"
             );
         }
+    }
+
+    #[test]
+    fn pack_for_user_packs_the_encoded_payload() {
+        let (grp, mut rng) = fixture(3);
+        let scheme = HveScheme::new(&grp, 3);
+        let (pk, _) = scheme.setup(&mut rng);
+        let index: AttributeVector = "101".parse().unwrap();
+        for id in [0u64, 7, (1 << MESSAGE_DOMAIN_BITS) - 1] {
+            let msg = scheme.encode_message(id);
+            let ct = scheme.encrypt(&pk, &index, &msg, &mut rng);
+            assert_eq!(
+                scheme.pack_for_user(&ct, id).unwrap(),
+                scheme.pack(&ct, &msg)
+            );
+        }
+        let ct = scheme.encrypt(&pk, &index, &scheme.encode_message(1), &mut rng);
+        let big = 1 << MESSAGE_DOMAIN_BITS;
+        assert_eq!(
+            scheme.pack_for_user(&ct, big).unwrap_err(),
+            HveError::MessageOutOfDomain { id: big }
+        );
     }
 
     #[test]

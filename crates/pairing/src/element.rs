@@ -25,9 +25,20 @@
 //!
 //! Within one representation (same modulus ⇒ same `R`) the domain map is
 //! a bijection, so residues compare directly without converting.
+//!
+//! Elements are the currency of key generation, encryption, token
+//! issuance and the reference query check. They are **not** how stored
+//! ciphertexts are held: an element carries its own heap integer and a
+//! shared reducer, so a Service Provider keeps each ciphertext and its
+//! expected payload as one packed row of canonical limbs instead
+//! ([`crate::PackedRow`], swept in place from a [`crate::QueryRows`]
+//! slab). A row is built from elements through their canonical logs
+//! ([`GElem::discrete_log`]), and the reference check rebuilds elements
+//! from a row through [`GElem::from_canonical_log`].
 
+use crate::rows::below;
 use serde::{Deserialize, Serialize};
-use sla_bigint::{BigUint, Reducer};
+use sla_bigint::{BigUint, MontgomeryCtx, Reducer};
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -57,6 +68,47 @@ impl Log {
         }
     }
 
+    /// Writes the canonical log reduced mod `n` into `out`, which is
+    /// `n`'s limb count wide. A residue of `n`'s Montgomery domain takes
+    /// one CIOS pass and a canonical log below `n` one copy, neither
+    /// allocating; anything else (residues of another order, canonical
+    /// logs not below `n`) converts through `BigUint`. `domain` carries a
+    /// context already found to reduce by `n` from one call to the next,
+    /// so the logs of one engine compare their moduli once.
+    pub(crate) fn write_canonical<'a>(
+        &'a self,
+        n: &BigUint,
+        domain: &mut Option<&'a Arc<Reducer>>,
+        out: &mut [u64],
+    ) {
+        match self {
+            Log::Residue { value, ctx }
+                if domain.is_some_and(|d| Arc::ptr_eq(d, ctx)) || ctx.modulus() == n =>
+            {
+                *domain = Some(ctx);
+                if let Reducer::Montgomery(m) = ctx.as_ref() {
+                    match out.len() {
+                        1 => from_mont::<1>(m, value, out),
+                        2 => from_mont::<2>(m, value, out),
+                        3 => from_mont::<3>(m, value, out),
+                        4 => from_mont::<4>(m, value, out),
+                        _ => m.from_mont_limbs(value.limbs(), out),
+                    }
+                    return;
+                }
+            }
+            Log::Canonical(v) if below(v.limbs(), n.limbs()) => {
+                out.fill(0);
+                out[..v.limbs().len()].copy_from_slice(v.limbs());
+                return;
+            }
+            _ => {}
+        }
+        let reduced = &*self.canonical() % n;
+        out.fill(0);
+        out[..reduced.limbs().len()].copy_from_slice(reduced.limbs());
+    }
+
     /// Zero is zero in every domain (`0·R = 0`), so the identity test
     /// needs no conversion.
     fn is_zero(&self) -> bool {
@@ -78,6 +130,19 @@ impl Log {
             _ => self.canonical() == other.canonical(),
         }
     }
+}
+
+/// [`MontgomeryCtx::from_mont_limbs`] at a fixed width of `K` limbs, so
+/// the CIOS pass runs unrolled (orders of up to four limbs, which covers
+/// the benchmark's and the builder's default groups).
+#[inline(always)]
+fn from_mont<const K: usize>(m: &MontgomeryCtx, value: &BigUint, out: &mut [u64]) {
+    let mut a = [0u64; K];
+    for (to, from) in a.iter_mut().zip(value.limbs()) {
+        *to = *from;
+    }
+    let out: &mut [u64; K] = out.try_into().expect("an operand of K limbs");
+    m.from_mont_limbs(&a, out);
 }
 
 macro_rules! element_impls {

@@ -1,10 +1,11 @@
 //! The [`BilinearGroup`] abstraction and its simulated implementation.
 
 use crate::element::Log;
-use crate::query::{match_query_reference, query_cost};
+use crate::query::{check_sweep, match_query_reference, query_cost};
 use crate::table::FixedBaseMul;
 use crate::{
-    CounterSnapshot, GElem, GroupParams, GtElem, OpCounters, PreparedG, PreparedGt, QueryTarget,
+    CounterSnapshot, GElem, GroupParams, GtElem, OpCounters, PreparedG, PreparedGt, PreparedQuery,
+    QueryRows,
 };
 use rand::Rng;
 use sla_bigint::{random_below, random_nonzero_below, BigUint, Reducer};
@@ -62,32 +63,43 @@ pub trait BilinearGroup {
         pairs.iter().map(|(a, b)| self.pair(a, b)).collect()
     }
 
-    /// HVE's query check for a batch of ciphertexts under one token
-    /// `(K_0, [(i, K_{i,1}, K_{i,2})])`: `hits[t]` becomes whether
+    /// Resolves a token's keys `(K_0, [(i, K_{i,1}, K_{i,2})])` once, for
+    /// any number of [`Self::match_query_rows`] sweeps. Engines may
+    /// attach per-token precomputation; the default wraps the keys as
+    /// they are.
+    fn prepare_query<'t>(
+        &self,
+        k0: &'t GElem,
+        k: &'t [(usize, GElem, GElem)],
+    ) -> PreparedQuery<'t> {
+        PreparedQuery::unprepared(k0, k)
+    }
+
+    /// HVE's query check over packed rows under one prepared token:
+    /// `hits[r]` becomes whether
     /// `C' · Π_{i∈J} e(C_{i,1}, K_{i,1})·e(C_{i,2}, K_{i,2}) / e(C_0, K_0)`
-    /// of `targets[t]` equals its `expected` message.
+    /// of row `r` equals the row's expected payload.
     ///
-    /// The default body is the reference evaluation: per ciphertext its
+    /// The default body is [`crate::match_query_reference`]: per row its
     /// `1 + 2·|J|` pairings through [`Self::pair_batch`], the `GT` folds
     /// of [`crate::query_candidate`], and [`Self::eq_gt`]. An engine may
     /// fuse the evaluation, but its decisions and its counters must equal
-    /// the reference: per ciphertext, pairings advance by `1 + 2·|J|`,
+    /// the reference: per row, pairings advance by `1 + 2·|J|`,
     /// `gt_mults` by `2·|J| + 2`, and no other counter moves.
     ///
     /// Returns the operations the sweep added to [`Self::counters`], so a
     /// caller sharing the engine with other threads can count its own.
     ///
     /// # Panics
-    /// Panics if `hits` and `targets` differ in length, or a target has
-    /// no component at a position of the token.
-    fn match_query_batch(
+    /// Panics if `hits` and `rows` differ in length, or the rows have no
+    /// component at a position of the token.
+    fn match_query_rows(
         &self,
-        k0: &GElem,
-        k: &[(usize, GElem, GElem)],
-        targets: &[QueryTarget<'_>],
+        query: &PreparedQuery<'_>,
+        rows: &QueryRows,
         hits: &mut [bool],
     ) -> CounterSnapshot {
-        match_query_reference(self, k0, k, targets, hits)
+        match_query_reference(self, query, rows, hits)
     }
 
     /// The canonical discrete log of a `GT` element, metered as one
@@ -220,6 +232,11 @@ impl SimulatedGroup {
         &self.params
     }
 
+    /// The shared reduction context of this engine's residue domain.
+    pub(crate) fn reducer(&self) -> &Arc<Reducer> {
+        &self.reducer
+    }
+
     /// The engine's residue domain of `log`: borrowed when the element
     /// already lives in this engine's domain (the hot path), converted
     /// otherwise (identity elements, deserialized material, foreign
@@ -332,32 +349,50 @@ impl BilinearGroup for SimulatedGroup {
         self.gt_elem(self.reducer.residue_mul(&ra, &rb))
     }
 
-    fn match_query_batch(
+    fn prepare_query<'t>(
         &self,
-        k0: &GElem,
-        k: &[(usize, GElem, GElem)],
-        targets: &[QueryTarget<'_>],
+        k0: &'t GElem,
+        k: &'t [(usize, GElem, GElem)],
+    ) -> PreparedQuery<'t> {
+        PreparedQuery {
+            residues: self.query_residues(k0, k),
+            ..PreparedQuery::unprepared(k0, k)
+        }
+    }
+
+    fn match_query_rows(
+        &self,
+        query: &PreparedQuery<'_>,
+        rows: &QueryRows,
         hits: &mut [bool],
     ) -> CounterSnapshot {
-        assert_eq!(hits.len(), targets.len(), "one decision per target");
         // The fused kernel covers every odd order of up to eight limbs
-        // (512 bits, the builder's largest group); even orders, which
-        // only tests construct, take the reference evaluation.
-        let Reducer::Montgomery(ctx) = self.reducer.as_ref() else {
-            return match_query_reference(self, k0, k, targets, hits);
+        // (512 bits, the builder's largest group) on rows at the order's
+        // width, under keys prepared in this engine's domain; anything
+        // else (even orders, which only tests construct, rows no store
+        // has brought to the group, keys of another engine) takes the
+        // reference evaluation.
+        let (Reducer::Montgomery(ctx), Some((domain, keys))) =
+            (self.reducer.as_ref(), &query.residues)
+        else {
+            return match_query_reference(self, query, rows, hits);
         };
-        match ctx.limb_count() {
-            1 => self.match_query_fused::<1>(ctx, k0, k, targets, hits),
-            2 => self.match_query_fused::<2>(ctx, k0, k, targets, hits),
-            3 => self.match_query_fused::<3>(ctx, k0, k, targets, hits),
-            4 => self.match_query_fused::<4>(ctx, k0, k, targets, hits),
-            5 => self.match_query_fused::<5>(ctx, k0, k, targets, hits),
-            6 => self.match_query_fused::<6>(ctx, k0, k, targets, hits),
-            7 => self.match_query_fused::<7>(ctx, k0, k, targets, hits),
-            8 => self.match_query_fused::<8>(ctx, k0, k, targets, hits),
-            _ => return match_query_reference(self, k0, k, targets, hits),
+        let k = ctx.limb_count();
+        if rows.shape().limbs != k || k > 8 || !domain.same_domain(&self.reducer) {
+            return match_query_reference(self, query, rows, hits);
         }
-        let cost = query_cost(k.len(), targets.len());
+        check_sweep(query, rows, hits);
+        match k {
+            1 => self.match_rows_fused::<1>(ctx, query, keys, rows, hits),
+            2 => self.match_rows_fused::<2>(ctx, query, keys, rows, hits),
+            3 => self.match_rows_fused::<3>(ctx, query, keys, rows, hits),
+            4 => self.match_rows_fused::<4>(ctx, query, keys, rows, hits),
+            5 => self.match_rows_fused::<5>(ctx, query, keys, rows, hits),
+            6 => self.match_rows_fused::<6>(ctx, query, keys, rows, hits),
+            7 => self.match_rows_fused::<7>(ctx, query, keys, rows, hits),
+            _ => self.match_rows_fused::<8>(ctx, query, keys, rows, hits),
+        }
+        let cost = query_cost(query.k.len(), rows.len());
         self.counters.record(&cost);
         cost
     }

@@ -50,11 +50,14 @@
 //!
 //! ## Query checks
 //!
-//! [`BilinearGroup::match_query_batch`] decides HVE's query check for a
-//! batch of ciphertexts ([`QueryTarget`]) under one token. Its default
-//! body is the reference fold over `GT` elements; [`SimulatedGroup`]
-//! decides the same predicate in fixed-width limbs on the stack, one
-//! CIOS pass per pairing, with identical decisions and counters.
+//! [`BilinearGroup::match_query_rows`] decides HVE's query check for a
+//! slab of ciphertexts packed as rows of canonical limbs ([`QueryRows`],
+//! one [`PackedRow`] per ciphertext and its expected payload) under one
+//! token whose keys [`BilinearGroup::prepare_query`] resolved once. Its
+//! default body is the reference fold over `GT` elements
+//! ([`match_query_reference`]); [`SimulatedGroup`] sweeps the rows in
+//! place, one CIOS pass per pairing of a canonical operand against a
+//! residue key, with identical decisions and counters.
 //!
 //! ## Example
 //!
@@ -83,11 +86,15 @@ mod element;
 mod group;
 mod params;
 mod query;
+mod rows;
 mod table;
 
 pub use counters::{CounterSnapshot, OpCounters};
 pub use element::{GElem, GtElem};
 pub use group::{BilinearGroup, SimulatedGroup};
 pub use params::GroupParams;
-pub use query::{query_candidate, QueryTarget};
+pub use query::{match_query_reference, query_candidate, PreparedQuery};
+pub use rows::{PackedRow, QueryRows, RowShape};
+/// The integer type of group orders, exponents and discrete logs.
+pub use sla_bigint::BigUint;
 pub use table::{PreparedG, PreparedGt};

@@ -6,31 +6,47 @@
 //! C' · Π_{i∈J} e(C_{i,1}, K_{i,1}) · e(C_{i,2}, K_{i,2}) / e(C_0, K_0)
 //! ```
 //!
-//! equals the payload the ciphertext is known to carry. The reference
-//! evaluation builds every pairing as a `GT` element and folds them with
-//! the metered group law ([`match_query_reference`]). The simulated
-//! engine decides the same predicate in fixed-width limbs on the stack
-//! instead (`SimulatedGroup`'s [`BilinearGroup::match_query_batch`]):
-//! one CIOS pass per pairing, the folds as modular additions and
-//! subtractions, one comparison, and one bulk counter update per sweep.
-//! Both record exactly the operations of [`query_cost`].
+//! equals the payload the ciphertext is known to carry. The ciphertexts
+//! arrive as packed rows of canonical limbs ([`QueryRows`]) and the
+//! token as a [`PreparedQuery`], its keys resolved once for any number
+//! of sweeps. The reference evaluation ([`match_query_reference`])
+//! rebuilds each row's elements, builds every pairing as a `GT` element
+//! and folds them with the metered group law. The simulated engine
+//! decides the same predicate on the rows in place
+//! (`SimulatedGroup`'s [`BilinearGroup::match_query_rows`]): against
+//! keys held as Montgomery residues `k·R`, one CIOS pass per pairing
+//! yields the canonical `c·k mod N`, so the folds, the start value `C'`
+//! and the comparison with the payload all stay canonical and no stored
+//! operand is ever lifted. Both record exactly the operations of
+//! [`query_cost`].
 
-use crate::element::Log;
-use crate::{BilinearGroup, CounterSnapshot, GElem, GtElem, SimulatedGroup};
-use sla_bigint::MontgomeryCtx;
+use crate::rows::below;
+use crate::{BilinearGroup, CounterSnapshot, GElem, GtElem, QueryRows, RowShape, SimulatedGroup};
+use sla_bigint::{BigUint, MontgomeryCtx, Reducer};
+use std::sync::Arc;
 
-/// One ciphertext of an HVE query check, borrowed: its components and
-/// the payload the query must recover for the check to pass.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryTarget<'a> {
-    /// `C'`, the blinded message.
-    pub c_prime: &'a GtElem,
-    /// `C_0`.
-    pub c0: &'a GElem,
-    /// `(C_{i,1}, C_{i,2})`, indexed by attribute position.
-    pub c: &'a [(GElem, GElem)],
-    /// The message the candidate is compared against.
-    pub expected: &'a GtElem,
+/// A token's keys `(K_0, [(i, K_{i,1}, K_{i,2})])` resolved once for any
+/// number of row sweeps (see [`BilinearGroup::prepare_query`]).
+#[derive(Debug, Clone)]
+pub struct PreparedQuery<'t> {
+    pub(crate) k0: &'t GElem,
+    pub(crate) k: &'t [(usize, GElem, GElem)],
+    /// `K_0`, then `K_{i,1}` and `K_{i,2}` for every position of the
+    /// token: Montgomery residues of `domain`, `K` limbs each. `None`
+    /// when the preparing engine does not fuse the check.
+    pub(crate) residues: Option<(Arc<Reducer>, Vec<u64>)>,
+}
+
+impl<'t> PreparedQuery<'t> {
+    /// Wraps a token's keys with no precomputation (the trait-default
+    /// preparation, which the reference evaluation uses).
+    pub fn unprepared(k0: &'t GElem, k: &'t [(usize, GElem, GElem)]) -> Self {
+        PreparedQuery {
+            k0,
+            k,
+            residues: None,
+        }
+    }
 }
 
 /// HVE's query candidate `C' / (e_0 / Π_{j≥1} e_j)` from a ciphertext's
@@ -53,11 +69,11 @@ pub fn query_candidate<G: BilinearGroup + ?Sized>(
     grp.div_gt(c_prime, &blinding)
 }
 
-/// The operations one sweep of `targets` ciphertexts under a token with
+/// The operations one sweep of `rows` ciphertexts under a token with
 /// `j` non-star positions records: per ciphertext `1 + 2j` pairings and
 /// `2j + 2` multiplications in `GT` (the folds of [`query_candidate`]).
-pub(crate) fn query_cost(j: usize, targets: usize) -> CounterSnapshot {
-    let (j, n) = (j as u64, targets as u64);
+pub(crate) fn query_cost(j: usize, rows: usize) -> CounterSnapshot {
+    let (j, n) = (j as u64, rows as u64);
     CounterSnapshot {
         pairings: n * (1 + 2 * j),
         gt_mults: n * (2 * j + 2),
@@ -65,112 +81,166 @@ pub(crate) fn query_cost(j: usize, targets: usize) -> CounterSnapshot {
     }
 }
 
-/// The reference query check, and the default body of
-/// [`BilinearGroup::match_query_batch`]: per ciphertext, the `1 + 2·|J|`
-/// pairings through [`BilinearGroup::pair_batch`], the candidate through
+/// Checks a sweep's arguments: one decision per row, and a component in
+/// the rows at every position of the token.
+pub(crate) fn check_sweep(query: &PreparedQuery<'_>, rows: &QueryRows, hits: &[bool]) {
+    assert_eq!(hits.len(), rows.len(), "one decision per row");
+    let width = rows.shape().width;
+    assert!(
+        rows.is_empty() || query.k.iter().all(|(i, _, _)| *i < width),
+        "every position of the token has a component in the rows"
+    );
+}
+
+/// The reference query check, the default body of
+/// [`BilinearGroup::match_query_rows`] and the oracle the fused kernel
+/// is tested against: per row, its elements rebuilt from their
+/// canonical logs, the `1 + 2·|J|` pairings through
+/// [`BilinearGroup::pair_batch`], the candidate through
 /// [`query_candidate`], and the decision through
-/// [`BilinearGroup::eq_gt`].
-pub(crate) fn match_query_reference<G: BilinearGroup + ?Sized>(
+/// [`BilinearGroup::eq_gt`]. Returns the operations it recorded.
+///
+/// # Panics
+/// Panics if `hits` and `rows` differ in length, or the rows have no
+/// component at a position of the token.
+pub fn match_query_reference<G: BilinearGroup + ?Sized>(
     grp: &G,
-    k0: &GElem,
-    k: &[(usize, GElem, GElem)],
-    targets: &[QueryTarget<'_>],
+    query: &PreparedQuery<'_>,
+    rows: &QueryRows,
     hits: &mut [bool],
 ) -> CounterSnapshot {
-    assert_eq!(hits.len(), targets.len(), "one decision per target");
-    let mut pairs = Vec::with_capacity(1 + 2 * k.len());
-    for (t, hit) in targets.iter().zip(hits) {
-        pairs.clear();
-        pairs.push((t.c0, k0));
-        for (i, k1, k2) in k {
-            let (c1, c2) = &t.c[*i];
+    check_sweep(query, rows, hits);
+    let shape = rows.shape();
+    let log = |row: &[u64], idx: usize| {
+        BigUint::from_limbs(row[idx * shape.limbs..(idx + 1) * shape.limbs].to_vec())
+    };
+    for (i, hit) in hits.iter_mut().enumerate() {
+        let row = rows.row(i);
+        let g = |idx| GElem::from_canonical_log(log(row, idx));
+        let c0 = g(RowShape::C0);
+        let c: Vec<(GElem, GElem)> = query
+            .k
+            .iter()
+            .map(|(i, _, _)| (g(RowShape::component(*i, 0)), g(RowShape::component(*i, 1))))
+            .collect();
+        let mut pairs = Vec::with_capacity(1 + 2 * query.k.len());
+        pairs.push((&c0, query.k0));
+        for ((c1, c2), (_, k1, k2)) in c.iter().zip(query.k) {
             pairs.push((c1, k1));
             pairs.push((c2, k2));
         }
-        let candidate = query_candidate(grp, t.c_prime, &grp.pair_batch(&pairs));
-        *hit = grp.eq_gt(&candidate, t.expected);
+        let c_prime = GtElem::from_canonical_log(log(row, RowShape::C_PRIME));
+        let candidate = query_candidate(grp, &c_prime, &grp.pair_batch(&pairs));
+        let expected = GtElem::from_canonical_log(log(row, shape.expected()));
+        *hit = grp.eq_gt(&candidate, &expected);
     }
-    query_cost(k.len(), targets.len())
+    query_cost(query.k.len(), rows.len())
 }
 
 impl SimulatedGroup {
-    /// The fused query check at a fixed width of `K` limbs (`K` is the
-    /// limb count of `N`). Every log is a residue of this engine's
-    /// Montgomery domain, so a pairing is one CIOS product and the `GT`
-    /// folds are modular additions: the candidate's log is
-    /// `log C' − e_0 + Σ_{j≥1} e_j`. Nothing here allocates per pairing
-    /// or per ciphertext; the token's operands are resolved once.
-    pub(crate) fn match_query_fused<const K: usize>(
+    /// `query`'s keys as Montgomery residues of this engine, `K` limbs
+    /// each, when the engine's reducer is Montgomery.
+    pub(crate) fn query_residues(
         &self,
-        ctx: &MontgomeryCtx,
         k0: &GElem,
         k: &[(usize, GElem, GElem)],
-        targets: &[QueryTarget<'_>],
-        hits: &mut [bool],
-    ) {
-        // K_0, then K_{i,1} and K_{i,2} for every position i of J.
-        let key: Vec<[u64; K]> = std::iter::once(k0)
-            .chain(k.iter().flat_map(|(_, k1, k2)| [k1, k2]))
-            .map(|e| self.limbs_of(ctx, &e.0))
-            .collect();
-        let (key0, key_j) = key.split_first().expect("K_0 present");
-        let mut product = [0u64; K];
-        for (t, hit) in targets.iter().zip(hits) {
-            let mut acc = self.limbs_of::<K>(ctx, &t.c_prime.0);
-            ctx.mont_mul_limbs(&self.limbs_of::<K>(ctx, &t.c0.0), key0, &mut product);
-            ctx.sub_mod_limbs(&mut acc, &product);
-            for ((i, _, _), key_i) in k.iter().zip(key_j.chunks_exact(2)) {
-                let (c1, c2) = &t.c[*i];
-                ctx.mont_mul_limbs(&self.limbs_of::<K>(ctx, &c1.0), &key_i[0], &mut product);
-                ctx.add_mod_limbs(&mut acc, &product);
-                ctx.mont_mul_limbs(&self.limbs_of::<K>(ctx, &c2.0), &key_i[1], &mut product);
-                ctx.add_mod_limbs(&mut acc, &product);
-            }
-            *hit = acc == self.limbs_of::<K>(ctx, &t.expected.0);
+    ) -> Option<(Arc<Reducer>, Vec<u64>)> {
+        let Reducer::Montgomery(ctx) = self.reducer().as_ref() else {
+            return None;
+        };
+        let width = ctx.limb_count();
+        let mut residues = vec![0u64; (1 + 2 * k.len()) * width];
+        let keys = std::iter::once(k0).chain(k.iter().flat_map(|(_, k1, k2)| [k1, k2]));
+        for (key, out) in keys.zip(residues.chunks_exact_mut(width)) {
+            let r = self.residue_of(&key.0);
+            out[..r.limbs().len()].copy_from_slice(r.limbs());
         }
+        Some((self.reducer().clone(), residues))
     }
 
-    /// `log` as `K` limbs of this engine's residue domain: lifted by one
-    /// CIOS pass when it is canonical (WAL-decoded or deserialized
-    /// material, identities), otherwise copied from [`Self::residue_of`],
-    /// which borrows residues of this domain. Only residues of a group of
-    /// another order, and canonical logs wider than `N`, allocate there;
-    /// no served path holds either.
-    #[inline]
-    fn limbs_of<const K: usize>(&self, ctx: &MontgomeryCtx, log: &Log) -> [u64; K] {
-        let mut out = [0u64; K];
-        match log {
-            Log::Canonical(v) if v.limbs().len() <= K => ctx.to_mont_limbs(v.limbs(), &mut out),
-            _ => copy_limbs(self.residue_of(log).limbs(), &mut out),
+    /// The fused query check over rows `K` limbs wide (`K` is the limb
+    /// count of `N`). A pairing is one CIOS pass of a canonical operand
+    /// against a residue key, which yields the canonical product, so the
+    /// candidate's log is `C' − e_0 + Σ_{j≥1} e_j` in canonical form and
+    /// is compared with the row's payload as it is stored. Nothing here
+    /// allocates per pairing or per row.
+    pub(crate) fn match_rows_fused<const K: usize>(
+        &self,
+        ctx: &MontgomeryCtx,
+        query: &PreparedQuery<'_>,
+        keys: &[u64],
+        rows: &QueryRows,
+        hits: &mut [bool],
+    ) {
+        let shape = rows.shape();
+        debug_assert_eq!(shape.limbs, K);
+        let n: &[u64; K] = ctx.modulus().limbs().try_into().expect("N has K limbs");
+        let key = |j: usize| -> &[u64; K] {
+            keys[j * K..(j + 1) * K]
+                .try_into()
+                .expect("a key holds K limbs")
+        };
+        let expected = shape.expected();
+        let mut product = [0u64; K];
+        for (row, hit) in rows.as_limbs().chunks_exact(shape.stride()).zip(hits) {
+            let operand = |idx: usize| -> &[u64; K] {
+                row[idx * K..(idx + 1) * K]
+                    .try_into()
+                    .expect("a row holds K limbs per operand")
+            };
+            let mut acc = canonical(operand(RowShape::C_PRIME), n);
+            ctx.mont_mul_limbs(operand(RowShape::C0), key(0), &mut product);
+            ctx.sub_mod_limbs(&mut acc, &product);
+            for (t, (i, _, _)) in query.k.iter().enumerate() {
+                ctx.mont_mul_limbs(
+                    operand(RowShape::component(*i, 0)),
+                    key(1 + 2 * t),
+                    &mut product,
+                );
+                ctx.add_mod_limbs(&mut acc, &product);
+                ctx.mont_mul_limbs(
+                    operand(RowShape::component(*i, 1)),
+                    key(2 + 2 * t),
+                    &mut product,
+                );
+                ctx.add_mod_limbs(&mut acc, &product);
+            }
+            *hit = acc == canonical(operand(expected), n);
         }
-        out
     }
 }
 
-/// Copies a normalized residue's limbs into a zeroed fixed-width buffer.
+/// `x mod n` for an operand of `n`'s width. A CIOS pass against a
+/// reduced key already reduces any such operand, but the folds start
+/// from `C'` and end at the payload, which must be below `n`: rows a
+/// store has brought to the group always are, and only rows packed from
+/// other material take the division.
 #[inline(always)]
-fn copy_limbs(limbs: &[u64], out: &mut [u64]) {
-    debug_assert!(limbs.len() <= out.len(), "residues are below N");
-    for (o, l) in out.iter_mut().zip(limbs) {
-        *o = *l;
+fn canonical<const K: usize>(x: &[u64; K], n: &[u64; K]) -> [u64; K] {
+    if below(x, n) {
+        return *x;
     }
+    let reduced = &BigUint::from_limbs(x.to_vec()) % &BigUint::from_limbs(n.to_vec());
+    let mut out = [0u64; K];
+    out[..reduced.limbs().len()].copy_from_slice(reduced.limbs());
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GroupParams;
+    use crate::{GroupParams, PackedRow};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sla_bigint::BigUint;
 
     /// A ciphertext's `(C', C_0, [(C_{i,1}, C_{i,2})])`.
     type Parts = (GtElem, GElem, Vec<(GElem, GElem)>);
 
     /// A token `(K_0, [(i, K_{i,1}, K_{i,2})])` over positions 0, 2 and 3,
-    /// and five targets of width 4: two built to pass (their `expected`
-    /// is the reference candidate), one with identity components, one
-    /// canonical (post-serde), one failing.
+    /// and five rows of width 4: two built to pass (their payload is the
+    /// reference candidate), one with identity components, one failing —
+    /// all brought to the group, as a store brings them — and a passing
+    /// one whose logs are not below N.
     fn check_engine_against_reference(grp: &SimulatedGroup, rng: &mut StdRng) {
         let k0 = grp.random_gp(rng);
         let k: Vec<(usize, GElem, GElem)> = [0, 2, 3]
@@ -191,21 +261,6 @@ mod tests {
             .collect();
         cts[2].1 = GElem::identity();
         cts[2].2[2] = (GElem::identity(), GElem::identity());
-        let canonical = &cts[1];
-        cts.push((
-            GtElem::from_canonical_log(canonical.0.discrete_log()),
-            GElem::from_canonical_log(canonical.1.discrete_log()),
-            canonical
-                .2
-                .iter()
-                .map(|(a, b)| {
-                    (
-                        GElem::from_canonical_log(a.discrete_log()),
-                        GElem::from_canonical_log(b.discrete_log()),
-                    )
-                })
-                .collect(),
-        ));
         let candidate = |(c_prime, c0, c): &Parts| {
             let mut pairs = vec![(c0, &k0)];
             for (i, k1, k2) in &k {
@@ -216,24 +271,31 @@ mod tests {
         };
         let mut expected: Vec<GtElem> = cts.iter().map(candidate).collect();
         expected[3] = grp.mul_gt(&expected[3], &grp.pair(&grp.g(), &grp.g()));
-        expected[4] = GtElem::from_canonical_log(expected[4].discrete_log());
-        let targets: Vec<QueryTarget<'_>> = cts
-            .iter()
-            .zip(&expected)
-            .map(|((c_prime, c0, c), expected)| QueryTarget {
-                c_prime,
-                c0,
-                c,
-                expected,
-            })
-            .collect();
+        let mut rows = QueryRows::new();
+        for ((c_prime, c0, c), expected) in cts.iter().zip(&expected) {
+            let mut row = PackedRow::from_elements(c_prime, c0, c, expected);
+            row.fit(grp.order());
+            rows.push(&row);
+        }
+        // The first row again with `C'`, `C_0` and the payload raised by
+        // N and not brought to the group: still a hit.
+        let plus_n = |log: BigUint| &log + grp.order();
+        let (c_prime, c0, c) = &cts[0];
+        rows.push(&PackedRow::from_elements(
+            &GtElem::from_canonical_log(plus_n(c_prime.discrete_log())),
+            &GElem::from_canonical_log(plus_n(c0.discrete_log())),
+            c,
+            &GtElem::from_canonical_log(plus_n(expected[0].discrete_log())),
+        ));
+        assert_eq!(rows.shape().limbs, grp.order().limbs().len());
 
-        let mut want = vec![false; targets.len()];
+        let query = grp.prepare_query(&k0, &k);
+        let mut want = vec![false; rows.len()];
         let before = grp.counters().snapshot();
-        let reference = match_query_reference(grp, &k0, &k, &targets, &mut want);
+        let reference = match_query_reference(grp, &query, &rows, &mut want);
         let mid = grp.counters().snapshot();
-        let mut got = vec![true; targets.len()];
-        let fused = grp.match_query_batch(&k0, &k, &targets, &mut got);
+        let mut got = vec![true; rows.len()];
+        let fused = grp.match_query_rows(&query, &rows, &mut got);
         let after = grp.counters().snapshot();
 
         assert_eq!(want, [true, true, true, false, true]);
@@ -244,7 +306,7 @@ mod tests {
             mid - before,
             "counters must equal the reference"
         );
-        assert_eq!(mid - before, query_cost(k.len(), targets.len()));
+        assert_eq!(mid - before, query_cost(k.len(), rows.len()));
     }
 
     #[test]
@@ -270,5 +332,17 @@ mod tests {
         // An even order runs on the Barrett reducer and the reference body.
         let even = GroupParams::from_factors(BigUint::from_u64(2), BigUint::from_u64(1_000_003));
         check_engine_against_reference(&SimulatedGroup::new(even), &mut rng);
+    }
+
+    #[test]
+    fn empty_rows_cost_nothing() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let grp = SimulatedGroup::generate(20, &mut rng);
+        let k = vec![(5, grp.random_gp(&mut rng), grp.random_gp(&mut rng))];
+        let k0 = grp.random_gp(&mut rng);
+        let query = grp.prepare_query(&k0, &k);
+        let cost = grp.match_query_rows(&query, &QueryRows::new(), &mut []);
+        assert_eq!(cost, CounterSnapshot::default());
+        assert_eq!(grp.counters().pairings(), 0);
     }
 }

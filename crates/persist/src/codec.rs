@@ -8,10 +8,13 @@
 //! recovery. The durable store instead uses a fixed binary layout:
 //! every integer is little-endian, every big integer is its minimal
 //! little-endian byte string behind a `u32` length prefix. Group-element
-//! logs are encoded **canonically** (via `discrete_log()`), never as
-//! Montgomery residues: residues are representation-dependent (they
-//! change with the reducer's `R`), canonical logs are exactly the wire
-//! bytes serde already pins.
+//! logs are encoded **canonically**, never as Montgomery residues:
+//! residues are representation-dependent (they change with the
+//! reducer's `R`), canonical logs are exactly the wire bytes serde
+//! already pins. A record's logs are the operands of its packed row
+//! ([`PackedRow`], canonical limbs), so encoding reads them straight off
+//! the row and decoding writes them straight into one, at the width of
+//! the record's widest log.
 //!
 //! ## Framing
 //!
@@ -28,22 +31,21 @@
 //! ends at the previous frame".
 
 use crate::crc::crc32;
-use sla_bigint::BigUint;
-use sla_hve::Ciphertext;
-use sla_pairing::{GElem, GtElem};
+use sla_pairing::{PackedRow, RowShape};
 
-/// One durable subscription record — the persisted image of the service
-/// layer's `StoredSubscription` (same fields, no behavior).
-#[derive(Debug, Clone, PartialEq)]
+/// One stored subscription: what the Service Provider's store holds per
+/// user and what the WAL and snapshots persist.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Routing identifier.
     pub user_id: u64,
     /// Epoch of the most recent upsert.
     pub epoch: u64,
-    /// The expected payload `gt^{user_id + 1}` (canonical log on disk).
-    pub expected: GtElem,
-    /// The encrypted location update (canonical logs on disk).
-    pub ciphertext: Ciphertext,
+    /// The encrypted location update and its expected payload
+    /// `gt^{user_id + 1}`, as one row of canonical limbs. The payload
+    /// derives from the public generator and the routing id the user
+    /// already disclosed, so storing it leaks nothing extra.
+    pub row: PackedRow,
 }
 
 /// One logged mutation.
@@ -89,6 +91,13 @@ const MAX_BIGUINT_BYTES: u32 = 1 << 16;
 /// Defensive ceiling on the HVE width of one record.
 const MAX_WIDTH: u32 = 1 << 16;
 
+/// Defensive ceiling on the limbs of one decoded row. A row takes its
+/// widest log's width for every operand, so a payload of many short logs
+/// and one long one could otherwise ask for far more memory than it
+/// holds. Far above any real row (`MAX_WIDTH` positions of 8-limb logs
+/// need about a million limbs).
+const MAX_ROW_LIMBS: usize = 1 << 21;
+
 const TAG_UPSERT: u8 = 1;
 const TAG_REMOVE: u8 = 2;
 const TAG_EVICT: u8 = 3;
@@ -106,32 +115,32 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_biguint(out: &mut Vec<u8>, v: &BigUint) {
-    let bytes = v.to_bytes_le();
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(&bytes);
+/// Appends a canonical log held as little-endian limbs: its minimal
+/// little-endian bytes (none for zero) behind their `u32` length.
+fn put_log(out: &mut Vec<u8>, limbs: &[u64]) {
+    let mut len = 0;
+    for (i, limb) in limbs.iter().enumerate() {
+        if *limb != 0 {
+            len = 8 * i + 8 - limb.leading_zeros() as usize / 8;
+        }
+    }
+    put_u32(out, len as u32);
+    for (i, limb) in limbs.iter().enumerate().take(len.div_ceil(8)) {
+        out.extend_from_slice(&limb.to_le_bytes()[..(len - 8 * i).min(8)]);
+    }
 }
 
-fn put_g(out: &mut Vec<u8>, e: &GElem) {
-    put_biguint(out, &e.discrete_log());
-}
-
-fn put_gt(out: &mut Vec<u8>, e: &GtElem) {
-    put_biguint(out, &e.discrete_log());
-}
-
-/// Appends the payload encoding of `record` to `out` (no frame).
+/// Appends the payload encoding of `record` to `out` (no frame): user
+/// id, epoch, the expected payload, the HVE width, then `C'`, `C_0` and
+/// the components in row order.
 pub fn encode_record(record: &Record, out: &mut Vec<u8>) {
+    let shape = record.row.shape();
     put_u64(out, record.user_id);
     put_u64(out, record.epoch);
-    put_gt(out, &record.expected);
-    let (c_prime, c0, c) = record.ciphertext.parts();
-    put_u32(out, c.len() as u32);
-    put_gt(out, c_prime);
-    put_g(out, c0);
-    for (c1, c2) in c {
-        put_g(out, c1);
-        put_g(out, c2);
+    put_log(out, record.row.operand(shape.expected()));
+    put_u32(out, shape.width as u32);
+    for idx in 0..shape.expected() {
+        put_log(out, record.row.operand(idx));
     }
 }
 
@@ -216,22 +225,18 @@ impl<'a> Cursor<'a> {
         ]))
     }
 
-    fn biguint(&mut self) -> Result<BigUint, DecodeError> {
+    /// One canonical log's little-endian bytes, trailing zero bytes
+    /// dropped (the value they hold, minimally).
+    fn log(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.u32()?;
         if len > MAX_BIGUINT_BYTES {
             return Err(DecodeError(format!(
                 "big-integer length {len} exceeds the {MAX_BIGUINT_BYTES}-byte ceiling"
             )));
         }
-        Ok(BigUint::from_bytes_le(self.take(len as usize)?))
-    }
-
-    fn g(&mut self) -> Result<GElem, DecodeError> {
-        Ok(GElem::from_canonical_log(self.biguint()?))
-    }
-
-    fn gt(&mut self) -> Result<GtElem, DecodeError> {
-        Ok(GtElem::from_canonical_log(self.biguint()?))
+        let bytes = self.take(len as usize)?;
+        let used = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        Ok(&bytes[..used])
     }
 
     fn finish(self) -> Result<(), DecodeError> {
@@ -246,27 +251,58 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Writes little-endian `bytes` into a zeroed operand of enough limbs.
+fn fill_operand(operand: &mut [u64], bytes: &[u8]) {
+    for (limb, chunk) in operand.iter_mut().zip(bytes.chunks(8)) {
+        let mut buf = [0u8; 8];
+        buf[..chunk.len()].copy_from_slice(chunk);
+        *limb = u64::from_le_bytes(buf);
+    }
+}
+
+/// Decodes a record straight into its packed row: one pass over the
+/// logs finds the widest (the row's limb width, at least one), a second
+/// writes them into place.
 fn decode_record_body(cur: &mut Cursor<'_>) -> Result<Record, DecodeError> {
     let user_id = cur.u64()?;
     let epoch = cur.u64()?;
-    let expected = cur.gt()?;
+    let expected = cur.log()?;
     let width = cur.u32()?;
     if width > MAX_WIDTH {
         return Err(DecodeError(format!(
             "width {width} exceeds the {MAX_WIDTH} ceiling"
         )));
     }
-    let c_prime = cur.gt()?;
-    let c0 = cur.g()?;
-    let mut c = Vec::with_capacity(width as usize);
-    for _ in 0..width {
-        c.push((cur.g()?, cur.g()?));
+    let width = width as usize;
+    let operands = 2 * width + 2;
+    // A second cursor over the same logs, for the pass that writes them.
+    let mut logs = Cursor {
+        bytes: cur.bytes,
+        pos: cur.pos,
+    };
+    let mut widest = expected.len();
+    for _ in 0..operands {
+        widest = widest.max(cur.log()?.len());
+    }
+    let shape = RowShape {
+        width,
+        limbs: widest.div_ceil(8).max(1),
+    };
+    if shape.stride() > MAX_ROW_LIMBS {
+        return Err(DecodeError(format!(
+            "a row of {} limbs exceeds the {MAX_ROW_LIMBS}-limb ceiling",
+            shape.stride()
+        )));
+    }
+    let mut row = PackedRow::zeroed(shape);
+    fill_operand(row.operand_mut(shape.expected()), expected);
+    for idx in 0..operands {
+        fill_operand(row.operand_mut(idx), logs.log()?);
     }
     Ok(Record {
         user_id,
         epoch,
-        expected,
-        ciphertext: Ciphertext::from_parts(c_prime, c0, c),
+        row,
     })
 }
 
@@ -360,25 +396,29 @@ pub fn read_frame(bytes: &[u8]) -> FrameRead<'_> {
 mod tests {
     use super::*;
 
+    use sla_bigint::BigUint;
+    use sla_hve::Ciphertext;
+    use sla_pairing::{GElem, GtElem};
+
     fn tiny_record(user_id: u64) -> Record {
+        let ciphertext = Ciphertext::from_parts(
+            GtElem::from_canonical_log(BigUint::from_u64(7)),
+            GElem::from_canonical_log(BigUint::from_u128(u128::MAX - 5)),
+            vec![
+                (
+                    GElem::from_canonical_log(BigUint::zero()),
+                    GElem::from_canonical_log(BigUint::from_u64(1)),
+                ),
+                (
+                    GElem::from_canonical_log(BigUint::from_u64(1 << 40)),
+                    GElem::from_canonical_log(BigUint::from_u64(12345)),
+                ),
+            ],
+        );
         Record {
             user_id,
             epoch: 3,
-            expected: GtElem::from_canonical_log(BigUint::from_u64(99)),
-            ciphertext: Ciphertext::from_parts(
-                GtElem::from_canonical_log(BigUint::from_u64(7)),
-                GElem::from_canonical_log(BigUint::from_u128(u128::MAX - 5)),
-                vec![
-                    (
-                        GElem::from_canonical_log(BigUint::zero()),
-                        GElem::from_canonical_log(BigUint::from_u64(1)),
-                    ),
-                    (
-                        GElem::from_canonical_log(BigUint::from_u64(1 << 40)),
-                        GElem::from_canonical_log(BigUint::from_u64(12345)),
-                    ),
-                ],
-            ),
+            row: ciphertext.to_row(&GtElem::from_canonical_log(BigUint::from_u64(99))),
         }
     }
 
@@ -388,6 +428,46 @@ mod tests {
         let mut buf = Vec::new();
         encode_record(&record, &mut buf);
         assert_eq!(decode_record(&buf).unwrap(), record);
+    }
+
+    #[test]
+    fn record_bytes_are_the_minimal_logs_in_file_order() {
+        let mut buf = Vec::new();
+        encode_record(&tiny_record(42), &mut buf);
+        let log = |want: &mut Vec<u8>, bytes: &[u8]| {
+            want.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            want.extend_from_slice(bytes);
+        };
+        let mut want = Vec::new();
+        want.extend_from_slice(&42u64.to_le_bytes());
+        want.extend_from_slice(&3u64.to_le_bytes());
+        log(&mut want, &[99]);
+        want.extend_from_slice(&2u32.to_le_bytes());
+        log(&mut want, &[7]);
+        log(&mut want, &(u128::MAX - 5).to_le_bytes());
+        log(&mut want, &[]);
+        log(&mut want, &[1]);
+        log(&mut want, &[0, 0, 0, 0, 0, 1]);
+        log(&mut want, &[0x39, 0x30]);
+        assert_eq!(buf, want);
+    }
+
+    #[test]
+    fn a_row_wider_than_its_payload_is_refused() {
+        // Many empty logs and one of 64 KiB: the row would take the wide
+        // log's width for every operand.
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 1);
+        put_u64(&mut buf, 0);
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, MAX_WIDTH);
+        put_u32(&mut buf, MAX_BIGUINT_BYTES);
+        buf.resize(buf.len() + MAX_BIGUINT_BYTES as usize, 0xff);
+        for _ in 0..(2 * MAX_WIDTH + 1) {
+            put_u32(&mut buf, 0);
+        }
+        let err = decode_record(&buf).unwrap_err();
+        assert!(err.0.contains("ceiling"), "{err}");
     }
 
     #[test]

@@ -255,15 +255,15 @@ mod tests {
         Record {
             user_id,
             epoch: user_id % 5,
-            expected: GtElem::from_canonical_log(BigUint::from_u64(user_id + 1)),
-            ciphertext: Ciphertext::from_parts(
+            row: Ciphertext::from_parts(
                 GtElem::from_canonical_log(BigUint::from_u64(user_id * 7)),
                 GElem::from_canonical_log(BigUint::from_u64(user_id * 11)),
                 vec![(
                     GElem::from_canonical_log(BigUint::from_u64(user_id)),
                     GElem::from_canonical_log(BigUint::from_u64(user_id + 2)),
                 )],
-            ),
+            )
+            .to_row(&GtElem::from_canonical_log(BigUint::from_u64(user_id + 1))),
         }
     }
 

@@ -428,15 +428,15 @@ mod tests {
         Record {
             user_id,
             epoch,
-            expected: GtElem::from_canonical_log(BigUint::from_u64(user_id + 1)),
-            ciphertext: Ciphertext::from_parts(
+            row: Ciphertext::from_parts(
                 GtElem::from_canonical_log(BigUint::from_u64(user_id * 3 + 1)),
                 GElem::from_canonical_log(BigUint::from_u64(user_id * 5 + 2)),
                 vec![(
                     GElem::from_canonical_log(BigUint::from_u64(user_id)),
                     GElem::from_canonical_log(BigUint::from_u64(user_id + 9)),
                 )],
-            ),
+            )
+            .to_row(&GtElem::from_canonical_log(BigUint::from_u64(user_id + 1))),
         }
     }
 

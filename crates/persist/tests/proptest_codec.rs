@@ -1,7 +1,11 @@
-//! Property coverage for the `StoredSubscription` binary codec:
+//! Property coverage for the stored-subscription binary codec:
 //!
 //! * arbitrary records encode → decode identically (through both the
-//!   bare payload and the CRC frame), and
+//!   bare payload and the CRC frame),
+//! * a record encodes to exactly the bytes of the element-level layout
+//!   (each group element's canonical log as its minimal little-endian
+//!   bytes behind a `u32` length), so the packed-row codec writes the
+//!   WAL and snapshot bytes earlier versions wrote, and
 //! * **every** single-byte corruption of a frame is rejected by the CRC
 //!   instead of being decoded (CRC-32 detects all single-byte errors by
 //!   construction; this pins that the framing actually routes through
@@ -37,7 +41,10 @@ impl Pool<'_> {
     }
 }
 
-fn record_from(raw: &[u64]) -> Record {
+/// A record's elements: user id, epoch, ciphertext and payload.
+type Elements = (u64, u64, Ciphertext, GtElem);
+
+fn elements_from(raw: &[u64]) -> Elements {
     let mut pool = Pool { raw, i: 0 };
     let user_id = pool.next();
     let epoch = pool.next();
@@ -53,12 +60,44 @@ fn record_from(raw: &[u64]) -> Record {
             )
         })
         .collect();
+    (
+        user_id,
+        epoch,
+        Ciphertext::from_parts(c_prime, c0, c),
+        expected,
+    )
+}
+
+fn record_from(raw: &[u64]) -> Record {
+    let (user_id, epoch, ciphertext, expected) = elements_from(raw);
     Record {
         user_id,
         epoch,
-        expected,
-        ciphertext: Ciphertext::from_parts(c_prime, c0, c),
+        row: ciphertext.to_row(&expected),
     }
+}
+
+/// The element-level encoding of a record: user id, epoch, the payload's
+/// log, the width, then `C'`, `C_0` and every component's log.
+fn element_bytes((user_id, epoch, ciphertext, expected): &Elements) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&user_id.to_le_bytes());
+    out.extend_from_slice(&epoch.to_le_bytes());
+    let log = |out: &mut Vec<u8>, v: BigUint| {
+        let bytes = v.to_bytes_le();
+        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        out.extend_from_slice(&bytes);
+    };
+    log(&mut out, expected.discrete_log());
+    let (c_prime, c0, c) = ciphertext.parts();
+    out.extend_from_slice(&(c.len() as u32).to_le_bytes());
+    log(&mut out, c_prime.discrete_log());
+    log(&mut out, c0.discrete_log());
+    for (c1, c2) in c {
+        log(&mut out, c1.discrete_log());
+        log(&mut out, c2.discrete_log());
+    }
+    out
 }
 
 fn op_from(raw: &[u64]) -> WalOp {
@@ -88,6 +127,14 @@ proptest! {
             }
             other => prop_assert!(false, "unexpected {:?}", other),
         }
+    }
+
+    #[test]
+    fn records_encode_to_the_element_layout(raw in prop::collection::vec(any::<u64>(), 4..32)) {
+        let elements = elements_from(&raw);
+        let mut payload = Vec::new();
+        encode_record(&record_from(&raw), &mut payload);
+        prop_assert_eq!(payload, element_bytes(&elements));
     }
 
     #[test]

@@ -41,8 +41,7 @@ fn record(user_id: u64, epoch: u64) -> Record {
     Record {
         user_id,
         epoch,
-        expected: GtElem::from_canonical_log(BigUint::from_u64(user_id + 1)),
-        ciphertext: Ciphertext::from_parts(
+        row: Ciphertext::from_parts(
             GtElem::from_canonical_log(BigUint::from_limbs(vec![user_id, 3, user_id])),
             GElem::from_canonical_log(BigUint::from_u64(user_id * 13 + 5)),
             vec![
@@ -55,7 +54,8 @@ fn record(user_id: u64, epoch: u64) -> Record {
                     GElem::from_canonical_log(BigUint::from_u64(user_id + 42)),
                 ),
             ],
-        ),
+        )
+        .to_row(&GtElem::from_canonical_log(BigUint::from_u64(user_id + 1))),
     }
 }
 

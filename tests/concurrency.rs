@@ -312,15 +312,18 @@ fn quiescent_serial_vs_batch_identity_across_all_backends() {
 /// alert's analytic cost — stays fixed.
 /// Every outcome's `pairings_used` must equal its analytic cost; a
 /// matcher that read the shared counters' delta would also count the
-/// other alerts' pairings and the writer's (two per subscribe). The
+/// other alerts' pairings and the writer's (one per subscribe). The
 /// shared counters still advance by exactly the sum of both.
 #[test]
 fn concurrent_alerts_each_count_their_own_pairings() {
     const USERS: u64 = 240;
     const ALERTERS: usize = 3;
     const ALERTS: usize = 8;
-    /// Pairings one subscribe spends encoding its payloads, `e(g, g)` twice.
-    const SUBSCRIBE_PAIRINGS: u64 = 2;
+    /// Pairings one subscribe spends encoding the user's payload for
+    /// encryption, `e(g, g)`. The Service Provider packs the stored
+    /// payload `gt^{id+1}` as its canonical log `id + 1`, with no
+    /// pairing.
+    const SUBSCRIBE_PAIRINGS: u64 = 1;
 
     /// Counts an alerter out when it returns or panics, so the writer
     /// never outlives the alerters.

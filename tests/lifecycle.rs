@@ -14,7 +14,7 @@ use secure_location_alerts::grid::{
     BoundingBox, Grid, Point, ProbabilityMap, SigmoidParams, ZoneSampler,
 };
 use secure_location_alerts::hve::{AttributeVector, HveScheme};
-use secure_location_alerts::pairing::SimulatedGroup;
+use secure_location_alerts::pairing::{BilinearGroup, SimulatedGroup};
 
 const BACKENDS: [StoreBackend; 2] = [
     StoreBackend::ConcurrentSharded { shards: 1 },
@@ -351,6 +351,48 @@ fn width_mismatch_is_a_typed_error_at_the_service_provider() {
             actual: 3
         }
     );
+}
+
+/// The first scheme a Service Provider sees pins the group its stored
+/// rows belong to; a scheme over another group is refused, at upsert
+/// and at alert, before it touches the store.
+#[test]
+fn a_scheme_over_another_group_is_a_typed_error() {
+    let mut rng = StdRng::seed_from_u64(12);
+    let group = SimulatedGroup::generate(40, &mut rng);
+    let other = SimulatedGroup::generate(48, &mut rng);
+    let scheme = HveScheme::new(&group, 2);
+    let foreign = HveScheme::new(&other, 2);
+    let (pk, sk) = scheme.setup(&mut rng);
+    let (fpk, _) = foreign.setup(&mut rng);
+    let bits = AttributeVector::from_bits(&[true, false]);
+    let subscription =
+        |user_id: u64, scheme: &HveScheme<'_, SimulatedGroup>, pk, rng: &mut StdRng| Subscription {
+            user_id,
+            ciphertext: scheme.encrypt(pk, &bits, &scheme.encode_message(user_id), rng),
+        };
+
+    let sp = ServiceProvider::new();
+    sp.upsert(&scheme, subscription(1, &scheme, &pk, &mut rng))
+        .unwrap();
+    let mismatch = SlaError::GroupMismatch {
+        expected_bits: group.order().bit_len(),
+        actual_bits: other.order().bit_len(),
+    };
+    assert_eq!(
+        sp.upsert(&foreign, subscription(2, &foreign, &fpk, &mut rng))
+            .unwrap_err(),
+        mismatch
+    );
+    let token = foreign.gen_token(&sk, &"1*".parse().unwrap(), &mut rng);
+    assert_eq!(
+        sp.match_alert(&foreign, std::slice::from_ref(&token))
+            .unwrap_err(),
+        mismatch
+    );
+    assert_eq!(sp.n_subscriptions(), 1);
+    let token = scheme.gen_token(&sk, &"1*".parse().unwrap(), &mut rng);
+    assert_eq!(sp.match_alert(&scheme, &[token]).unwrap().notified, vec![1]);
 }
 
 /// A *rejected* upsert must not pin the SP's HVE width: after a

@@ -246,15 +246,15 @@ fn legacy_record(user_id: u64, epoch: u64) -> sla_persist::Record {
     sla_persist::Record {
         user_id,
         epoch,
-        expected: GtElem::from_canonical_log(BigUint::from_u64(user_id + 1)),
-        ciphertext: Ciphertext::from_parts(
+        row: Ciphertext::from_parts(
             GtElem::from_canonical_log(BigUint::from_u64(user_id * 7 + 3)),
             GElem::from_canonical_log(BigUint::from_u64(user_id + 11)),
             vec![(
                 GElem::from_canonical_log(BigUint::from_u64(user_id ^ 0x2A)),
                 GElem::from_canonical_log(BigUint::from_u64(user_id + 42)),
             )],
-        ),
+        )
+        .to_row(&GtElem::from_canonical_log(BigUint::from_u64(user_id + 1))),
     }
 }
 
@@ -463,4 +463,164 @@ fn build_system_err(backend: StoreBackend) -> SlaError {
         .store(backend)
         .build(&probs, &mut rng)
         .unwrap_err()
+}
+
+/// A system over `dir` at 40-bit primes: an 80-bit order of two limbs.
+fn build_wide_system(dir: &Path) -> (AlertSystem, StdRng) {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x40);
+    let grid = Grid::new(BoundingBox::new(0.0, 0.0, 0.1, 0.1), 3, 3);
+    let probs = ProbabilityMap::new(vec![0.2, 0.1, 0.05, 0.15, 0.1, 0.1, 0.1, 0.1, 0.1]);
+    let system = SystemBuilder::new(grid)
+        .group_bits(40)
+        .store(StoreBackend::Persistent {
+            dir: dir.to_path_buf(),
+            flush: FlushPolicy::Manual,
+        })
+        .build(&probs, &mut rng)
+        .expect("valid configuration");
+    (system, rng)
+}
+
+/// A reopened store holds its rows at the width the codec decoded them
+/// at, before any group is known; the first alert after the restart
+/// brings them to its group (the pin) and serves the same notified set
+/// and exact `pairings_used` as before the restart.
+#[test]
+fn store_reopened_before_the_pin_serves_identical_alerts() {
+    use secure_location_alerts::core::{ConcurrentSubscriptionStore, PersistentStore};
+
+    let dir = temp_dir("pin");
+    let probes: [&[usize]; 3] = [&[0, 1, 2], &[4], &[0, 1, 2, 3, 4, 5, 6, 7, 8]];
+    let before: Vec<(Vec<u64>, u64)> = {
+        let (system, mut rng) = build_wide_system(&dir);
+        for user in 0..12u64 {
+            system
+                .subscribe_cell(user, (user % N_CELLS as u64) as usize, &mut rng)
+                .unwrap();
+        }
+        let fingerprints = probes
+            .iter()
+            .map(|cells| alert_fingerprint(&system, cells, 5))
+            .collect();
+        system.sync().unwrap();
+        fingerprints
+    };
+    assert!(before.iter().any(|(notified, _)| !notified.is_empty()));
+
+    {
+        let store = PersistentStore::open(&dir, FlushPolicy::Manual).unwrap();
+        let mut recovered = 0;
+        for shard in 0..store.shard_count() {
+            store.read_shard(shard, &mut |records| {
+                if !records.is_empty() {
+                    let shape = records.rows().shape();
+                    assert!(shape.limbs <= 2, "an 80-bit order's logs fit two limbs");
+                    assert_eq!(
+                        records.rows().as_limbs().len(),
+                        records.len() * shape.stride()
+                    );
+                }
+                recovered += records.len();
+            });
+        }
+        assert_eq!(recovered, 12);
+    }
+
+    let (reopened, _) = build_wide_system(&dir);
+    let after: Vec<(Vec<u64>, u64)> = probes
+        .iter()
+        .map(|cells| alert_fingerprint(&reopened, cells, 5))
+        .collect();
+    assert_eq!(after, before, "the pinned store serves what it served");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// What happens to a stored log that is not below the group order `N`:
+/// it is reduced mod `N` — at upsert when the Service Provider packs the
+/// ciphertext, and at the pin for a row recovered from the WAL as it was
+/// written — so the record matches exactly as its reduced ciphertext
+/// does.
+#[test]
+fn logs_not_below_the_order_are_reduced_mod_n() {
+    use secure_location_alerts::bigint::BigUint;
+    use secure_location_alerts::core::{
+        ConcurrentSubscriptionStore, PersistentStore, Record, ServiceProvider, Subscription,
+    };
+    use secure_location_alerts::hve::{AttributeVector, Ciphertext, HveScheme};
+    use secure_location_alerts::pairing::{BilinearGroup, GElem, GtElem, SimulatedGroup};
+
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let group = SimulatedGroup::generate(40, &mut rng);
+    let scheme = HveScheme::new(&group, 3);
+    let (pk, sk) = scheme.setup(&mut rng);
+    let msg = scheme.encode_message(7);
+    let ct = scheme.encrypt(
+        &pk,
+        &AttributeVector::from_bits(&[true, false, true]),
+        &msg,
+        &mut rng,
+    );
+    let tokens = [
+        scheme.gen_token(&sk, &"1*1".parse().unwrap(), &mut rng),
+        scheme.gen_token(&sk, &"0**".parse().unwrap(), &mut rng),
+    ];
+    let n = group.order();
+    // log + N·(2^64 + 1): the same residue mod N, one limb wider than N.
+    let multiple = n * &(&BigUint::one().shl_bits(64) + &BigUint::one());
+    let plus_n = |log: BigUint| &log + &multiple;
+    let unreduced = {
+        let (c_prime, c0, c) = ct.parts();
+        Ciphertext::from_parts(
+            GtElem::from_canonical_log(plus_n(c_prime.discrete_log())),
+            GElem::from_canonical_log(plus_n(c0.discrete_log())),
+            c.iter()
+                .map(|(a, b)| {
+                    (
+                        GElem::from_canonical_log(plus_n(a.discrete_log())),
+                        GElem::from_canonical_log(plus_n(b.discrete_log())),
+                    )
+                })
+                .collect(),
+        )
+    };
+    let subscription = |ciphertext: &Ciphertext| Subscription {
+        user_id: 7,
+        ciphertext: ciphertext.clone(),
+    };
+
+    let reference = ServiceProvider::new();
+    reference.upsert(&scheme, subscription(&ct)).unwrap();
+    let want = reference.match_alert(&scheme, &tokens).unwrap();
+    assert_eq!(want.notified, vec![7]);
+
+    // Reduced when the Service Provider packs it.
+    let sp = ServiceProvider::new();
+    sp.upsert(&scheme, subscription(&unreduced)).unwrap();
+    assert_eq!(sp.match_alert(&scheme, &tokens).unwrap(), want);
+
+    // Logged as written, reduced at the pin after recovery.
+    let dir = temp_dir("above-n");
+    {
+        let store = PersistentStore::open(&dir, FlushPolicy::EveryOp).unwrap();
+        let row = unreduced.to_row(&GtElem::from_canonical_log(plus_n(msg.discrete_log())));
+        assert_eq!(row.shape().limbs, 3, "wider than the two-limb order");
+        store
+            .upsert(Record {
+                user_id: 7,
+                epoch: 0,
+                row,
+            })
+            .unwrap();
+        store.sync().unwrap();
+    }
+    let recovered = ServiceProvider::with_backend(
+        StoreBackend::Persistent {
+            dir: dir.clone(),
+            flush: FlushPolicy::EveryOp,
+        },
+        None,
+    )
+    .unwrap();
+    assert_eq!(recovered.match_alert(&scheme, &tokens).unwrap(), want);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
