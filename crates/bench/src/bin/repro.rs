@@ -235,13 +235,11 @@ fn run_smoke(out_dir: &std::path::Path, store: &str) {
     let churn = primitives::measure_churn(SEED);
     for r in &rows {
         println!(
-            "primitives[{} bit N]: mod_pow {:.0} -> {:.0} ns ({:.2}x), fixed-base {:.0} ns ({:.2}x)",
+            "primitives[{} bit N]: mod_pow {:.0} -> {:.0} ns ({:.2}x)",
             r.modulus_bits,
             r.mod_pow_naive_ns,
             r.mod_pow_mont_ns,
             r.mod_pow_speedup(),
-            r.mod_pow_fixed_ns,
-            r.fixed_base_speedup(),
         );
     }
     for p in &phases {
@@ -471,8 +469,7 @@ fn main() {
                 for r in &rows {
                     println!(
                         "primitives[{} bit N]: mod_mul {:.0} -> {:.0} ns ({:.2}x), \
-                         mod_pow {:.0} -> {:.0} ns ({:.2}x), fixed-base {:.0} ns \
-                         ({:.2}x over mont), pairing {:.0} ns",
+                         mod_pow {:.0} -> {:.0} ns ({:.2}x), pairing {:.0} ns",
                         r.modulus_bits,
                         r.mod_mul_naive_ns,
                         r.mod_mul_mont_ns,
@@ -480,8 +477,6 @@ fn main() {
                         r.mod_pow_naive_ns,
                         r.mod_pow_mont_ns,
                         r.mod_pow_speedup(),
-                        r.mod_pow_fixed_ns,
-                        r.fixed_base_speedup(),
                         r.pairing_ns,
                     );
                 }
@@ -495,7 +490,7 @@ fn main() {
                     println!(
                         "phases[{} bit N, l={}]: setup {:.1} µs (+{:.1} µs prepare), \
                          encrypt {:.1} -> {:.1} µs ({:.2}x), gen_token {:.1} -> {:.1} µs ({:.2}x), \
-                         query {:.2} -> {:.2} µs/pair ({:.2}x, residue-domain batch)",
+                         query {:.2} µs/pair",
                         p.modulus_bits,
                         p.width,
                         p.setup_ns / 1e3,
@@ -507,8 +502,6 @@ fn main() {
                         p.gen_token_prepared_ns / 1e3,
                         p.gen_token_speedup(),
                         p.query_decode_ns / 1e3,
-                        p.query_batch_ns / 1e3,
-                        p.query_speedup(),
                     );
                 }
                 // Store-lifecycle rows: what each backend charges for

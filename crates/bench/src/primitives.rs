@@ -1,21 +1,20 @@
 //! Primitive-operation timings: the data behind `BENCH_primitives.json`.
 //!
 //! Measures the modular building blocks every HVE phase bottoms out in —
-//! `mod_mul`, `mod_pow` (naive division-based vs Montgomery vs fixed-base
-//! table) and the simulated `pair` — plus the HVE phases themselves
-//! (Setup / Encrypt / GenToken, plain and prepared), so the performance
-//! trajectory of the arithmetic layer is tracked across PRs as a
-//! machine-readable artifact.
+//! `mod_mul` and `mod_pow` (naive division-based vs Montgomery) and the
+//! simulated `pair` — plus the HVE phases themselves (Setup / Encrypt /
+//! GenToken, plain and prepared, and the reference Query), so the
+//! performance trajectory of the arithmetic layer is tracked across PRs
+//! as a machine-readable artifact.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sla_bigint::{gen_prime, BigUint, FixedBaseTable, MontgomeryCtx, Reducer};
+use sla_bigint::{gen_prime, BigUint, MontgomeryCtx};
 use sla_core::{
     ConcurrentShardedStore, ConcurrentSubscriptionStore, FlushPolicy, PersistentStore, Record,
 };
 use sla_hve::{AttributeVector, HveScheme, SearchPattern};
 use sla_pairing::{BilinearGroup, SimulatedGroup};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Timings (ns/op medians) for one modulus size.
@@ -30,11 +29,8 @@ pub struct PrimitiveTimings {
     /// `a^e mod N` via square-and-multiply with division per step.
     pub mod_pow_naive_ns: f64,
     /// `a^e mod N` via the windowed Montgomery ladder (what
-    /// `BigUint::mod_pow` dispatches to for odd moduli).
+    /// `BigUint::mod_pow` takes for odd moduli).
     pub mod_pow_mont_ns: f64,
-    /// `a^e mod N` via a per-base [`FixedBaseTable`] (the repeated-base
-    /// regime of Setup/Encrypt/GenToken).
-    pub mod_pow_fixed_ns: f64,
     /// One simulated pairing on a `SimulatedGroup` of this order (a single
     /// residue-domain product under the Montgomery representation).
     pub pairing_ns: f64,
@@ -49,11 +45,6 @@ impl PrimitiveTimings {
     /// Montgomery-vs-naive speedup on `mod_mul`.
     pub fn mod_mul_speedup(&self) -> f64 {
         self.mod_mul_naive_ns / self.mod_mul_mont_ns
-    }
-
-    /// Fixed-base-table-vs-generic-Montgomery speedup on `mod_pow`.
-    pub fn fixed_base_speedup(&self) -> f64 {
-        self.mod_pow_mont_ns / self.mod_pow_fixed_ns
     }
 }
 
@@ -77,14 +68,9 @@ pub struct PhaseTimings {
     pub gen_token_ns: f64,
     /// **GenToken** through the prepared key's tables.
     pub gen_token_prepared_ns: f64,
-    /// **Query** per (token, ciphertext) pair via per-pair
+    /// **Query** per (token, ciphertext) pair via the reference
     /// `query_decode`: one canonical conversion per pair, match or not.
     pub query_decode_ns: f64,
-    /// **QueryBatch** per pair via `query_decode_batch`: the match
-    /// decision stays in the Montgomery residue domain and the canonical
-    /// conversion is paid only on match (measured on a mostly
-    /// non-matching pool — the exhaustive-matching regime).
-    pub query_batch_ns: f64,
 }
 
 impl PhaseTimings {
@@ -96,11 +82,6 @@ impl PhaseTimings {
     /// Prepared-vs-plain speedup on GenToken.
     pub fn gen_token_speedup(&self) -> f64 {
         self.gen_token_ns / self.gen_token_prepared_ns
-    }
-
-    /// Residue-domain-batch-vs-per-pair speedup on Query.
-    pub fn query_speedup(&self) -> f64 {
-        self.query_decode_ns / self.query_batch_ns
     }
 }
 
@@ -172,14 +153,10 @@ pub fn measure(prime_bits: usize, seed: u64) -> PrimitiveTimings {
     let b = &n - &BigUint::from_u64(6789);
     let e = &n - &BigUint::from_u64(2); // full-length exponent
 
-    let reducer = Arc::new(Reducer::new(&n).expect("N > 1"));
-    let table = FixedBaseTable::with_default_window(reducer, &a, n.bit_len());
-
     let mod_mul_naive_ns = time_ns(2_000, || a.mod_mul(&b, &n));
     let mod_mul_mont_ns = time_ns(2_000, || ctx.mod_mul(&a, &b));
     let mod_pow_naive_ns = time_ns(50, || a.mod_pow_naive(&e, &n));
     let mod_pow_mont_ns = time_ns(50, || a.mod_pow(&e, &n));
-    let mod_pow_fixed_ns = time_ns(200, || table.pow(&e));
 
     let group = SimulatedGroup::new(sla_pairing::GroupParams::from_factors(p, q));
     let x = group.random_gp(&mut rng);
@@ -192,7 +169,6 @@ pub fn measure(prime_bits: usize, seed: u64) -> PrimitiveTimings {
         mod_mul_mont_ns,
         mod_pow_naive_ns,
         mod_pow_mont_ns,
-        mod_pow_fixed_ns,
         pairing_ns,
     }
 }
@@ -230,13 +206,12 @@ pub fn measure_phases(prime_bits: usize, width: usize, seed: u64) -> PhaseTiming
     let gen_token_ns = time_ns(40, || scheme.gen_token(&sk, &pattern, &mut rng));
     let gen_token_prepared_ns = time_ns(40, || scheme.gen_token_prepared(&psk, &pattern, &mut rng));
 
-    // Query: one token against a pool of 16 (ciphertext, expected
-    // payload) pairs with a single match — the exhaustive-matching
-    // regime, where almost every pair is ⊥. The per-pair path converts
-    // every candidate out of the residue domain; the batch path decides
-    // in-domain and converts on match only.
+    // Query: one token against a pool of 16 ciphertexts with a single
+    // match — the exhaustive-matching regime, where almost every pair is
+    // ⊥. The reference path converts every candidate out of the residue
+    // domain.
     let token = scheme.gen_token(&sk, &pattern, &mut rng);
-    let pool: Vec<(sla_hve::Ciphertext, sla_pairing::GtElem)> = (0..16u64)
+    let pool: Vec<sla_hve::Ciphertext> = (0..16u64)
         .map(|i| {
             let pool_bits: Vec<bool> = if i == 0 {
                 bits.clone()
@@ -246,19 +221,14 @@ pub fn measure_phases(prime_bits: usize, width: usize, seed: u64) -> PhaseTiming
             };
             let pool_index = AttributeVector::from_bits(&pool_bits);
             let pool_msg = scheme.encode_message(i + 1);
-            let ct = scheme.encrypt(&pk, &pool_index, &pool_msg, &mut rng);
-            (ct, pool_msg)
+            scheme.encrypt(&pk, &pool_index, &pool_msg, &mut rng)
         })
         .collect();
-    let per_pair = pool.len() as f64;
     let query_decode_ns = time_ns(10, || {
         pool.iter()
-            .map(|(ct, _)| scheme.query_decode(&token, ct))
+            .map(|ct| scheme.query_decode(&token, ct))
             .collect::<Vec<_>>()
-    }) / per_pair;
-    let query_batch_ns = time_ns(10, || {
-        scheme.query_decode_batch(&token, pool.iter().map(|(ct, msg)| (ct, msg)))
-    }) / per_pair;
+    }) / pool.len() as f64;
 
     PhaseTimings {
         modulus_bits: group.params().order_bits(),
@@ -270,7 +240,6 @@ pub fn measure_phases(prime_bits: usize, width: usize, seed: u64) -> PhaseTiming
         gen_token_ns,
         gen_token_prepared_ns,
         query_decode_ns,
-        query_batch_ns,
     }
 }
 
@@ -507,7 +476,7 @@ fn measure_persistent_sharded_churn(
 }
 
 /// Renders the timing series as the `BENCH_primitives.json` artifact
-/// (schema v10: provenance, primitive rows, per-phase HVE timings, and
+/// (schema v11: provenance, primitive rows, per-phase HVE timings, and
 /// per-backend store churn timings over the two store backends —
 /// including the four-writer `persistent_sharded` row — with the bytes
 /// each stored record takes).
@@ -518,7 +487,7 @@ pub fn to_json(
     churn: &[ChurnTimings],
 ) -> String {
     let mut out = format!(
-        "{{\n  \"schema\": \"sla-bench/primitives/v10\",\n  \"provenance\": \
+        "{{\n  \"schema\": \"sla-bench/primitives/v11\",\n  \"provenance\": \
          {{\"commit\": \"{}\", \"nproc\": {}, \"repetitions\": {}}},\n  \"rows\": [\n",
         provenance.commit, provenance.nproc, provenance.repetitions
     );
@@ -526,19 +495,16 @@ pub fn to_json(
         out.push_str(&format!(
             "    {{\"modulus_bits\": {}, \"mod_mul_naive_ns\": {:.1}, \"mod_mul_mont_ns\": {:.1}, \
              \"mod_pow_naive_ns\": {:.1}, \"mod_pow_mont_ns\": {:.1}, \
-             \"mod_pow_fixed_ns\": {:.1}, \"pairing_ns\": {:.1}, \
-             \"mod_mul_speedup\": {:.2}, \"mod_pow_speedup\": {:.2}, \
-             \"fixed_base_speedup\": {:.2}}}{}\n",
+             \"pairing_ns\": {:.1}, \"mod_mul_speedup\": {:.2}, \
+             \"mod_pow_speedup\": {:.2}}}{}\n",
             r.modulus_bits,
             r.mod_mul_naive_ns,
             r.mod_mul_mont_ns,
             r.mod_pow_naive_ns,
             r.mod_pow_mont_ns,
-            r.mod_pow_fixed_ns,
             r.pairing_ns,
             r.mod_mul_speedup(),
             r.mod_pow_speedup(),
-            r.fixed_base_speedup(),
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }
@@ -548,9 +514,8 @@ pub fn to_json(
             "    {{\"modulus_bits\": {}, \"width\": {}, \"setup_ns\": {:.0}, \
              \"prepare_ns\": {:.0}, \"encrypt_ns\": {:.0}, \"encrypt_prepared_ns\": {:.0}, \
              \"gen_token_ns\": {:.0}, \"gen_token_prepared_ns\": {:.0}, \
-             \"query_decode_ns\": {:.0}, \"query_batch_ns\": {:.0}, \
-             \"encrypt_speedup\": {:.2}, \"gen_token_speedup\": {:.2}, \
-             \"query_speedup\": {:.2}}}{}\n",
+             \"query_decode_ns\": {:.0}, \"encrypt_speedup\": {:.2}, \
+             \"gen_token_speedup\": {:.2}}}{}\n",
             p.modulus_bits,
             p.width,
             p.setup_ns,
@@ -560,10 +525,8 @@ pub fn to_json(
             p.gen_token_ns,
             p.gen_token_prepared_ns,
             p.query_decode_ns,
-            p.query_batch_ns,
             p.encrypt_speedup(),
             p.gen_token_speedup(),
-            p.query_speedup(),
             if i + 1 == phases.len() { "" } else { "," },
         ));
     }
@@ -599,7 +562,6 @@ mod tests {
             t.mod_mul_mont_ns,
             t.mod_pow_naive_ns,
             t.mod_pow_mont_ns,
-            t.mod_pow_fixed_ns,
             t.pairing_ns,
         ] {
             assert!(v.is_finite() && v > 0.0);
@@ -610,12 +572,15 @@ mod tests {
             repetitions: SAMPLES,
         };
         let json = to_json(&provenance, &[t], &[], &[]);
-        assert!(json.contains("\"schema\": \"sla-bench/primitives/v10\""));
+        assert!(json.contains("\"schema\": \"sla-bench/primitives/v11\""));
         assert!(json.contains(
             "\"provenance\": {\"commit\": \"abc1234\", \"nproc\": 2, \"repetitions\": 5}"
         ));
         assert!(json.contains("\"modulus_bits\": 64"));
-        assert!(json.contains("fixed_base_speedup"));
+        assert!(json.contains("mod_pow_speedup"));
+        for dropped in ["mod_pow_fixed_ns", "fixed_base_speedup"] {
+            assert!(!json.contains(dropped), "{dropped} is gone in v11");
+        }
     }
 
     #[test]
@@ -630,15 +595,16 @@ mod tests {
             p.gen_token_ns,
             p.gen_token_prepared_ns,
             p.query_decode_ns,
-            p.query_batch_ns,
         ] {
             assert!(v.is_finite() && v > 0.0);
         }
         let json = to_json(&Provenance::current(), &[], &[p], &[]);
         assert!(json.contains("\"phases\""));
         assert!(json.contains("gen_token_speedup"));
-        assert!(json.contains("query_batch_ns"));
-        assert!(json.contains("query_speedup"));
+        assert!(json.contains("query_decode_ns"));
+        for dropped in ["query_batch_ns", "query_speedup"] {
+            assert!(!json.contains(dropped), "{dropped} is gone in v11");
+        }
     }
 
     #[test]

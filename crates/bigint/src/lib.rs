@@ -12,14 +12,11 @@
 //! * Modular arithmetic — [`BigUint::mod_add`], [`BigUint::mod_sub`],
 //!   [`BigUint::mod_mul`], [`BigUint::mod_pow`], [`BigUint::mod_inverse`],
 //!   [`BigUint::gcd`].
-//! * Division-free reduction — [`MontgomeryCtx`] (odd moduli, CIOS passes
-//!   in the `x·R mod N` domain) and [`BarrettCtx`] (any modulus, reduction
-//!   by a precomputed `µ = ⌊b^{2k}/N⌋`), unified behind the **total**
-//!   [`Reducer`] dispatch that [`BigUint::mod_pow`] always goes through —
-//!   no modulus falls back to per-step division.
-//! * Fixed-base exponentiation — [`FixedBaseTable`] precomputes radix-2^w
-//!   power tables for one base so repeated `base^e mod N` costs only
-//!   `⌈bits/w⌉` domain products, no squarings.
+//! * Division-free reduction — [`MontgomeryCtx`]: CIOS passes in the
+//!   `x·R mod N` domain for the odd moduli the protocol uses, and the
+//!   windowed ladder [`BigUint::mod_pow`] takes for every odd modulus.
+//!   Even moduli have no Montgomery form; `mod_pow` takes the division
+//!   ladder [`BigUint::mod_pow_naive`] for them.
 //! * Primality — Miller–Rabin testing ([`is_probable_prime`]) and random
 //!   prime generation ([`gen_prime`]).
 //! * Random sampling — [`random_below`], [`random_bits`].
@@ -50,21 +47,14 @@
 #![warn(missing_docs)]
 
 mod arith;
-mod barrett;
 mod biguint;
 mod div;
-mod fixed_base;
 mod modular;
 mod montgomery;
-mod pow;
 mod prime;
 mod random;
-mod reducer;
 
-pub use barrett::BarrettCtx;
 pub use biguint::{BigUint, ParseBigUintError};
-pub use fixed_base::FixedBaseTable;
 pub use montgomery::MontgomeryCtx;
 pub use prime::{gen_prime, is_probable_prime, MillerRabinConfig};
 pub use random::{random_below, random_bits, random_nonzero_below};
-pub use reducer::Reducer;

@@ -50,27 +50,22 @@ impl BigUint {
 
     /// `self^exp mod m`.
     ///
-    /// The dispatch through [`crate::Reducer`] is **total**: odd moduli
-    /// (every prime and every HVE group order `N = P·Q`) take the windowed
-    /// Montgomery ladder in [`crate::MontgomeryCtx`], even moduli take the
-    /// windowed Barrett ladder in [`crate::BarrettCtx`]. Neither path
-    /// divides per step; the division-based ladder survives only as the
-    /// explicitly-named [`BigUint::mod_pow_naive`] baseline.
+    /// Odd moduli (every prime and every HVE group order `N = P·Q`) take
+    /// the windowed Montgomery ladder of [`crate::MontgomeryCtx`], which
+    /// never divides per step. Even moduli, which only tests pass, take
+    /// the division ladder [`BigUint::mod_pow_naive`].
     ///
     /// `0^0 mod m` is defined as `1 mod m`, matching the usual convention.
     pub fn mod_pow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
-        assert!(!m.is_zero(), "modulus must be non-zero");
-        if m.is_one() {
-            return BigUint::zero();
+        match crate::MontgomeryCtx::new(m) {
+            Some(ctx) => ctx.mod_pow(self, exp),
+            None => self.mod_pow_naive(exp, m),
         }
-        crate::Reducer::new(m)
-            .expect("modulus > 1 always has a reduction context")
-            .mod_pow(self, exp)
     }
 
     /// `self^exp mod m` by left-to-right binary square-and-multiply with a
-    /// full division per step — the pre-Montgomery baseline, kept public
-    /// so benchmarks and property tests can compare against it.
+    /// full division per step: the path of even moduli, and the baseline
+    /// benchmarks and property tests compare the Montgomery ladder with.
     pub fn mod_pow_naive(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         assert!(!m.is_zero(), "modulus must be non-zero");
         if m.is_one() {

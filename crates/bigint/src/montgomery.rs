@@ -1,4 +1,4 @@
-//! Montgomery-form modular arithmetic (the hot-path fast lane).
+//! Montgomery-form modular arithmetic: the crate's one reduction path.
 //!
 //! Every HVE operation in this stack bottoms out in modular
 //! multiplications mod the composite group order `N = P·Q`. The naive
@@ -15,10 +15,10 @@
 //! domain and uses a sliding window over a table of odd powers, cutting
 //! both the per-step reduction cost and the number of multiplies.
 //!
-//! The context requires an **odd** modulus (true for `N = P·Q` with odd
-//! primes); [`MontgomeryCtx::new`] returns `None` otherwise and the
-//! [`crate::Reducer`] dispatch routes those moduli through the Barrett
-//! context instead, keeping every `mod_pow` division-free.
+//! The context requires an **odd** modulus, which every order the
+//! protocol builds is (`N = P·Q` with odd primes); [`MontgomeryCtx::new`]
+//! returns `None` otherwise, and [`BigUint::mod_pow`] takes the
+//! division ladder [`BigUint::mod_pow_naive`] for such moduli.
 
 use crate::BigUint;
 
@@ -290,31 +290,70 @@ impl MontgomeryCtx {
     }
 
     /// `base^exp mod N` with a sliding window over a table of odd powers,
-    /// performed entirely in the Montgomery domain (the shared ladder in
-    /// `pow.rs`, instantiated with CIOS products).
+    /// performed entirely in the Montgomery domain.
     pub fn mod_pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return BigUint::one(); // N > 1 guaranteed by construction
-        }
-        let base_m = self.to_mont(base);
-        self.from_mont(&crate::pow::window_pow_res(self, &base_m, exp))
+        self.from_mont(&self.pow_mont(&self.to_mont(base), exp))
     }
-}
 
-impl crate::pow::ResidueOps for MontgomeryCtx {
-    fn one_res(&self) -> BigUint {
-        self.r1.clone()
-    }
-    fn to_res(&self, a: &BigUint) -> BigUint {
-        self.to_mont(a)
-    }
-    fn mul_res(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        self.mont_mul(a, b)
+    /// `base^exp` with `base` and the result in Montgomery form: a
+    /// left-to-right sliding window over a table of odd powers, plain
+    /// square-and-multiply for exponents of up to 8 bits.
+    fn pow_mont(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let bits = exp.bit_len();
+        let window = match bits {
+            0..=8 => 1,
+            9..=32 => 2,
+            33..=96 => 3,
+            97..=512 => 4,
+            _ => 5,
+        };
+        let mut acc = self.one_mont();
+        if window == 1 {
+            for i in (0..bits).rev() {
+                acc = self.mont_mul(&acc, &acc);
+                if exp.bit(i) {
+                    acc = self.mont_mul(&acc, base);
+                }
+            }
+            return acc;
+        }
+
+        // Odd-power table: odd[i] = base^(2i+1).
+        let base_sq = self.mont_mul(base, base);
+        let mut odd = Vec::with_capacity(1 << (window - 1));
+        odd.push(base.clone());
+        for i in 1..(1usize << (window - 1)) {
+            let next = self.mont_mul(&odd[i - 1], &base_sq);
+            odd.push(next);
+        }
+
+        let mut i = bits as isize - 1;
+        while i >= 0 {
+            if !exp.bit(i as usize) {
+                acc = self.mont_mul(&acc, &acc);
+                i -= 1;
+                continue;
+            }
+            // Greedily take up to `window` bits ending on a set bit so the
+            // window value is odd and hits the precomputed table.
+            let mut lo = (i - window as isize + 1).max(0);
+            while !exp.bit(lo as usize) {
+                lo += 1;
+            }
+            let mut value = 0usize;
+            for b in (lo..=i).rev() {
+                acc = self.mont_mul(&acc, &acc);
+                value = (value << 1) | exp.bit(b as usize) as usize;
+            }
+            acc = self.mont_mul(&acc, &odd[(value - 1) / 2]);
+            i = lo - 1;
+        }
+        acc
     }
 }
 
 /// `a < b` over little-endian limb slices of equal length.
-pub(crate) fn limbs_lt(a: &[u64], b: &[u64]) -> bool {
+fn limbs_lt(a: &[u64], b: &[u64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().rev().zip(b.iter().rev()) {
         if x != y {
@@ -322,20 +361,6 @@ pub(crate) fn limbs_lt(a: &[u64], b: &[u64]) -> bool {
         }
     }
     false
-}
-
-/// `a -= b` over limb slices; `a` may be one limb longer than `b` (the
-/// borrow drains into it). Caller guarantees `a >= b`.
-pub(crate) fn limbs_sub_assign(a: &mut [u64], b: &[u64]) {
-    let mut borrow = 0u64;
-    for (i, ai) in a.iter_mut().enumerate() {
-        let bi = b.get(i).copied().unwrap_or(0);
-        let (d1, o1) = ai.overflowing_sub(bi);
-        let (d2, o2) = d1.overflowing_sub(borrow);
-        *ai = d2;
-        borrow = (o1 as u64) + (o2 as u64);
-    }
-    debug_assert_eq!(borrow, 0, "montgomery conditional subtract underflow");
 }
 
 /// `a += b` modulo `2^{64·len}` over equal-length limb slices; returns

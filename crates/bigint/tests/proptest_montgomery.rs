@@ -68,8 +68,9 @@ proptest! {
         base in any::<u64>(),
         exp in 0u64..2_000,
     ) {
-        // Even moduli dispatch to the Barrett ladder inside mod_pow; the
-        // result must be the same function as the division-based baseline.
+        // Even moduli have no Montgomery form, so mod_pow takes the
+        // division ladder for them; every modulus, odd or even, must give
+        // the same function as the division-based baseline.
         let m = BigUint::from_u64(m);
         let base = BigUint::from_u64(base);
         let exp = BigUint::from_u64(exp);

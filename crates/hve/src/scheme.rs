@@ -22,12 +22,6 @@ use sla_pairing::{
 /// valid message domain".
 pub const MESSAGE_DOMAIN_BITS: u32 = 32;
 
-/// Ciphertexts per chunk in [`HveScheme::query_many`]: each chunk's
-/// `BATCH_CHUNK · (1 + 2·|J|)` pairings go to one
-/// [`BilinearGroup::pair_batch`] call, whose pair list and `GT` outputs
-/// stay small and are reused from chunk to chunk.
-const BATCH_CHUNK: usize = 16;
-
 /// HVE scheme bound to a bilinear group engine and a fixed width `l`.
 #[derive(Debug, Clone, Copy)]
 pub struct HveScheme<'g, G: BilinearGroup> {
@@ -315,62 +309,30 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
     /// is a uniformly random-looking `GT` element (⊥ in the paper's terms —
     /// use [`Self::decode_message`] or compare against a known sentinel).
     ///
+    /// This is the reference evaluation the served sweep
+    /// ([`Self::match_rows`]) is pinned to: the `1 + 2·|J|` pairings one
+    /// [`BilinearGroup::pair`] call at a time, folded by
+    /// [`query_candidate`].
+    ///
     /// Cost: exactly `1 + 2·|J|` pairings, metered by the engine.
     ///
     /// # Panics
     /// Panics if token and ciphertext widths differ.
     pub fn query(&self, token: &Token, ct: &Ciphertext) -> GtElem {
-        self.query_many(token, &[ct])
-            .pop()
-            .expect("one ciphertext in, one candidate out")
-    }
-
-    /// [`Self::query`] over many ciphertexts under **one token**, the
-    /// shape of the alert protocol's hot loop (one subscription token
-    /// swept over every reported ciphertext). This is the reference
-    /// evaluation that the match entry points are pinned to.
-    ///
-    /// Ciphertexts are evaluated in chunks of 16: each contributes its
-    /// `1 + 2·|J|` pairings to a flat, ciphertext-major pair list handed
-    /// to [`BilinearGroup::pair_batch`] once per chunk, and the `GT`
-    /// folds of [`query_candidate`] replay per ciphertext afterwards.
-    /// The pair order within each ciphertext is exactly the serial
-    /// [`Self::query`] order, so candidate `i` is **byte-identical** to
-    /// `self.query(token, cts[i])` and every counter total (`pairings`,
-    /// `gt_mults`, …) advances exactly as the serial loop would. The pair
-    /// scratch buffer is reused across chunks.
-    ///
-    /// # Panics
-    /// Panics if any ciphertext's width differs from the token's.
-    pub fn query_many(&self, token: &Token, cts: &[&Ciphertext]) -> Vec<GtElem> {
+        assert_eq!(
+            token.pattern.len(),
+            ct.width(),
+            "token/ciphertext width mismatch"
+        );
         let grp = self.group;
-        let per_ct = 1 + 2 * token.k.len();
-        let mut results = Vec::with_capacity(cts.len());
-        let mut pairs: Vec<(&GElem, &GElem)> =
-            Vec::with_capacity(per_ct * BATCH_CHUNK.min(cts.len().max(1)));
-
-        for chunk in cts.chunks(BATCH_CHUNK.max(1)) {
-            pairs.clear();
-            for ct in chunk {
-                assert_eq!(
-                    token.pattern.len(),
-                    ct.width(),
-                    "token/ciphertext width mismatch"
-                );
-                pairs.push((&ct.c0, &token.k0));
-                for (i, k1, k2) in &token.k {
-                    let (c1, c2) = &ct.c[*i];
-                    pairs.push((c1, k1));
-                    pairs.push((c2, k2));
-                }
-            }
-            let gts = grp.pair_batch(&pairs);
-
-            for (ct, pairings) in chunk.iter().zip(gts.chunks_exact(per_ct)) {
-                results.push(query_candidate(grp, &ct.c_prime, pairings));
-            }
+        let mut pairings = Vec::with_capacity(1 + 2 * token.k.len());
+        pairings.push(grp.pair(&ct.c0, &token.k0));
+        for (i, k1, k2) in &token.k {
+            let (c1, c2) = &ct.c[*i];
+            pairings.push(grp.pair(c1, k1));
+            pairings.push(grp.pair(c2, k2));
         }
-        results
+        query_candidate(grp, &ct.c_prime, &pairings)
     }
 
     /// Convenience: query and decode; `Some(id)` on match, `None` (⊥)
@@ -379,55 +341,11 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
     /// Pays one residue → canonical conversion per call, match or not
     /// (the decode must inspect the canonical log). When the expected
     /// payload is known in advance — the alert protocol's SP stores the
-    /// submitting user's id next to each ciphertext — prefer
-    /// [`Self::match_token`] / [`Self::query_decode_batch`], which decide
-    /// in the residue domain and convert only on match.
+    /// submitting user's id next to each ciphertext — pack it with the
+    /// ciphertext ([`Self::pack_for_user`]) and sweep the rows with
+    /// [`Self::match_rows`], which decides without any conversion.
     pub fn query_decode(&self, token: &Token, ct: &Ciphertext) -> Option<u64> {
         self.decode_message(&self.query(token, ct))
-    }
-
-    /// **Match decision without canonical conversions**: evaluates the
-    /// token and compares the candidate against the `expected` message
-    /// element, matching or not, through the engine's query check over
-    /// one packed row.
-    ///
-    /// `expected` is the known payload (`encode_message(id)` for the
-    /// stored routing id); on a pattern match the query output *is* that
-    /// element, so the comparison is exact — this is not a probabilistic
-    /// shortcut, it decides the same predicate as
-    /// `query_decode(token, ct) == Some(id)` (up to the same negligible
-    /// false-positive probability ⊥ already carries).
-    ///
-    /// Cost: exactly `1 + 2·|J|` pairings, like [`Self::query`]. Decided
-    /// by [`BilinearGroup::match_query_rows`], which equals
-    /// `eq_gt(query(token, ct), expected)` in its decision and its
-    /// counters.
-    ///
-    /// # Panics
-    /// Panics if the token's or the ciphertext's width differs from the
-    /// scheme's.
-    pub fn match_token(&self, token: &Token, ct: &Ciphertext, expected: &GtElem) -> bool {
-        self.match_token_batch(token, &[(ct, expected)])[0]
-    }
-
-    /// [`Self::match_token`] over `(ciphertext, expected)` pairs sharing
-    /// one token, packed into one slab and decided in one sweep. Decision
-    /// `i` equals `match_token(token, cts[i], expected_i)` exactly, and
-    /// the counters advance as the reference `query` + `eq_gt` loop
-    /// would: per pair `1 + 2·|J|` pairings, `2·|J| + 2` `GT`
-    /// multiplications and zero canonicalizations.
-    ///
-    /// # Panics
-    /// Panics if the token's or any ciphertext's width differs from the
-    /// scheme's.
-    pub fn match_token_batch(&self, token: &Token, pairs: &[(&Ciphertext, &GtElem)]) -> Vec<bool> {
-        let mut rows = QueryRows::new();
-        for (ct, expected) in pairs {
-            rows.push(&self.pack(ct, expected));
-        }
-        let mut hits = vec![false; rows.len()];
-        self.match_rows(&self.prepare_token(token), &rows, &mut hits);
-        hits
     }
 
     /// Packs `ct` and the payload a matching query recovers as one row
@@ -474,10 +392,12 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
         self.group.prepare_query(&token.k0, &token.k)
     }
 
-    /// The sweep under [`Self::match_token`] and
-    /// [`Self::match_token_batch`]: writes into `hits[r]` whether the
-    /// prepared token recovers row `r`'s expected payload, and returns
-    /// the operations the sweep recorded in the engine's counters. A
+    /// The served match: writes into `hits[r]` whether the prepared
+    /// token recovers row `r`'s expected payload, and returns the
+    /// operations the sweep recorded in the engine's counters. Decided by
+    /// [`BilinearGroup::match_query_rows`], which equals
+    /// `eq_gt(query(token, ct), expected)` per row in its decision and
+    /// its counters: `1 + 2·|J|` pairings and no canonicalization. A
     /// matcher that sweeps many slabs under many tokens prepares each
     /// token once and sums the returned counts, which stay its own when
     /// other threads share the engine.
@@ -496,38 +416,6 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
             "row/scheme width mismatch"
         );
         self.group.match_query_rows(query, rows, hits)
-    }
-
-    /// Batch [`Self::query_decode`] against `(ciphertext, expected)`
-    /// pairs: each candidate is compared in the residue domain and the
-    /// canonical conversion is paid **only on match** — non-matching
-    /// pairs perform zero `from_residue` passes, which the op-counter
-    /// tests pin (`CounterSnapshot::canonicalizations`).
-    ///
-    /// Returns exactly what per-pair [`Self::query_decode`] returns for
-    /// every pair in which `expected` is the encrypted payload (the alert
-    /// protocol's invariant: the SP derives it from the stored routing
-    /// id).
-    ///
-    /// # Panics
-    /// Panics if any ciphertext's width differs from the token's.
-    pub fn query_decode_batch<'a, I>(&self, token: &Token, pairs: I) -> Vec<Option<u64>>
-    where
-        I: IntoIterator<Item = (&'a Ciphertext, &'a GtElem)>,
-    {
-        let pairs: Vec<(&Ciphertext, &GtElem)> = pairs.into_iter().collect();
-        let cts: Vec<&Ciphertext> = pairs.iter().map(|(ct, _)| *ct).collect();
-        self.query_many(token, &cts)
-            .iter()
-            .zip(&pairs)
-            .map(|(candidate, (_, expected))| {
-                if self.group.eq_gt(candidate, expected) {
-                    self.decode_message(candidate)
-                } else {
-                    None
-                }
-            })
-            .collect()
     }
 
     /// Embeds an identifier from the valid message domain
@@ -889,113 +777,36 @@ mod tests {
     }
 
     #[test]
-    fn match_token_is_conversion_free_and_agrees_with_query_decode() {
+    fn match_rows_is_conversion_free_and_agrees_with_query_decode() {
         let (grp, mut rng) = fixture(5);
         let scheme = HveScheme::new(&grp, 5);
         let (pk, sk) = scheme.setup(&mut rng);
 
         let index: AttributeVector = "11010".parse().unwrap();
-        let msg = scheme.encode_message(7);
-        let ct = scheme.encrypt(&pk, &index, &msg, &mut rng);
+        let ct = scheme.encrypt(&pk, &index, &scheme.encode_message(7), &mut rng);
         let hit = scheme.gen_token(&sk, &"1*01*".parse().unwrap(), &mut rng);
         let miss = scheme.gen_token(&sk, &"0*01*".parse().unwrap(), &mut rng);
+        let mut rows = QueryRows::new();
+        rows.push(&scheme.pack_for_user(&ct, 7).unwrap());
 
         let before = grp.counters().snapshot();
-        assert!(scheme.match_token(&hit, &ct, &msg));
-        assert!(!scheme.match_token(&miss, &ct, &msg));
+        for (token, want) in [(&hit, true), (&miss, false)] {
+            let mut hits = [!want];
+            scheme.match_rows(&scheme.prepare_token(token), &rows, &mut hits);
+            assert_eq!(hits, [want]);
+        }
         let delta = grp.counters().snapshot() - before;
         assert_eq!(
             delta.canonicalizations, 0,
-            "match_token must decide in the residue domain"
+            "match_rows must decide in the residue domain"
         );
-        assert_eq!(scheme.query_decode(&hit, &ct), Some(7));
-        assert_eq!(scheme.query_decode(&miss, &ct), None);
-    }
+        assert_eq!(delta.pairings, hit.pairing_cost() + miss.pairing_cost());
 
-    #[test]
-    fn query_decode_batch_converts_only_on_match() {
-        // The ROADMAP's batch-query conversion hoisting: per-pair
-        // query_decode pays one canonicalization per (token, ciphertext)
-        // pair; the batch API pays one per *match* and zero on non-match,
-        // with identical results.
-        let (grp, mut rng) = fixture(4);
-        let scheme = HveScheme::new(&grp, 4);
-        let (pk, sk) = scheme.setup(&mut rng);
-
-        let population: Vec<(Ciphertext, GtElem, u64)> = (0..16u64)
-            .map(|bits| {
-                let index: AttributeVector = format!("{bits:04b}").parse().unwrap();
-                let msg = scheme.encode_message(bits);
-                let ct = scheme.encrypt(&pk, &index, &msg, &mut rng);
-                (ct, msg, bits)
-            })
-            .collect();
-        // Pattern 1*0* matches indexes {1000, 1001, 1100, 1101}.
-        let tk = scheme.gen_token(&sk, &"1*0*".parse().unwrap(), &mut rng);
-
-        let serial: Vec<Option<u64>> = population
-            .iter()
-            .map(|(ct, _, _)| scheme.query_decode(&tk, ct))
-            .collect();
-        let n_matches = serial.iter().flatten().count() as u64;
-        assert_eq!(n_matches, 4);
-
-        let before = grp.counters().snapshot();
-        let batch = scheme.query_decode_batch(&tk, population.iter().map(|(ct, msg, _)| (ct, msg)));
-        let delta = grp.counters().snapshot() - before;
-
-        assert_eq!(batch, serial, "batch must equal per-pair query_decode");
-        assert_eq!(
-            delta.canonicalizations, n_matches,
-            "batch decode must convert on matches only (0 for non-matches)"
-        );
-        // And the per-pair path really pays one conversion per pair.
-        let before = grp.counters().snapshot();
-        let _: Vec<Option<u64>> = population
-            .iter()
-            .map(|(ct, _, _)| scheme.query_decode(&tk, ct))
-            .collect();
-        let delta = grp.counters().snapshot() - before;
-        assert_eq!(delta.canonicalizations, population.len() as u64);
-    }
-
-    #[test]
-    fn query_many_is_byte_identical_to_serial_query_with_equal_counters() {
-        // The chunked sweep: candidates, counter totals and residue
-        // limbs must all equal the one-at-a-time loop, across batch
-        // sizes that cover the empty batch, a partial chunk, an exact
-        // chunk boundary and a ragged multi-chunk sweep.
-        let (grp, mut rng) = fixture(4);
-        let scheme = HveScheme::new(&grp, 4);
-        let (pk, sk) = scheme.setup(&mut rng);
-
-        let population: Vec<Ciphertext> = (0..37u64)
-            .map(|i| {
-                let bits = i % 16;
-                let index: AttributeVector = format!("{bits:04b}").parse().unwrap();
-                let msg = scheme.encode_message(bits);
-                scheme.encrypt(&pk, &index, &msg, &mut rng)
-            })
-            .collect();
-        let tk = scheme.gen_token(&sk, &"1*0*".parse().unwrap(), &mut rng);
-
-        for n in [0usize, 1, 5, 16, 17, 37] {
-            let cts: Vec<&Ciphertext> = population[..n].iter().collect();
+        for (token, want) in [(&hit, Some(7)), (&miss, None)] {
             let before = grp.counters().snapshot();
-            let serial: Vec<GtElem> = cts.iter().map(|ct| scheme.query(&tk, ct)).collect();
-            let mid = grp.counters().snapshot();
-            let batched = scheme.query_many(&tk, &cts);
-            let after = grp.counters().snapshot();
-
-            assert_eq!(batched, serial, "n = {n}");
-            for (x, y) in batched.iter().zip(&serial) {
-                assert_eq!(x.discrete_log(), y.discrete_log(), "n = {n}");
-            }
-            assert_eq!(
-                after - mid,
-                mid - before,
-                "lockstep sweep must meter exactly like the serial loop (n = {n})"
-            );
+            assert_eq!(scheme.query_decode(token, &ct), want);
+            let delta = grp.counters().snapshot() - before;
+            assert_eq!(delta.canonicalizations, 1, "one conversion per decode");
         }
     }
 
@@ -1018,60 +829,6 @@ mod tests {
         assert_eq!(
             scheme.pack_for_user(&ct, big).unwrap_err(),
             HveError::MessageOutOfDomain { id: big }
-        );
-    }
-
-    #[test]
-    fn match_token_batch_agrees_with_serial_and_stays_in_domain() {
-        let (grp, mut rng) = fixture(4);
-        let scheme = HveScheme::new(&grp, 4);
-        let (pk, sk) = scheme.setup(&mut rng);
-
-        let population: Vec<(Ciphertext, GtElem)> = (0..16u64)
-            .map(|bits| {
-                let index: AttributeVector = format!("{bits:04b}").parse().unwrap();
-                let msg = scheme.encode_message(bits);
-                (scheme.encrypt(&pk, &index, &msg, &mut rng), msg)
-            })
-            .collect();
-        let tk = scheme.gen_token(&sk, &"1*0*".parse().unwrap(), &mut rng);
-        let pairs: Vec<(&Ciphertext, &GtElem)> =
-            population.iter().map(|(ct, msg)| (ct, msg)).collect();
-
-        // The reference: the full query, then a residue-domain compare.
-        let before = grp.counters().snapshot();
-        let reference: Vec<bool> = pairs
-            .iter()
-            .map(|(ct, msg)| grp.eq_gt(&scheme.query(&tk, ct), msg))
-            .collect();
-        let reference_delta = grp.counters().snapshot() - before;
-        assert_eq!(reference.iter().filter(|&&b| b).count(), 4);
-
-        let before = grp.counters().snapshot();
-        let serial: Vec<bool> = pairs
-            .iter()
-            .map(|(ct, msg)| scheme.match_token(&tk, ct, msg))
-            .collect();
-        let serial_delta = grp.counters().snapshot() - before;
-        assert_eq!(serial, reference);
-        assert_eq!(serial_delta, reference_delta);
-
-        let before = grp.counters().snapshot();
-        let batched = scheme.match_token_batch(&tk, &pairs);
-        let delta = grp.counters().snapshot() - before;
-        assert_eq!(batched, serial);
-        assert_eq!(
-            delta, reference_delta,
-            "batch matching must meter exactly like query + eq_gt"
-        );
-        assert_eq!(
-            delta.canonicalizations, 0,
-            "batch matching must decide in the residue domain"
-        );
-        assert_eq!(
-            delta.pairings,
-            pairs.len() as u64 * tk.pairing_cost(),
-            "batching must not change the pairing count"
         );
     }
 

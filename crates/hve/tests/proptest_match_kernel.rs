@@ -1,8 +1,8 @@
-//! Property test: the engine's fused query check behind `match_token`,
-//! `match_token_batch` and `match_rows` decides every (token,
-//! ciphertext) pair exactly like the reference `eq_gt(query(tk, ct),
-//! expected)` and like `match_query_reference` over the same packed
-//! rows, and moves the operation counters exactly as they do.
+//! Property test: the engine's fused query check behind `match_rows`
+//! decides every (token, ciphertext) pair exactly like the reference
+//! `eq_gt(query(tk, ct), expected)` and like `match_query_reference`
+//! over the same packed rows, and moves the operation counters exactly
+//! as they do.
 //!
 //! Covered: group orders of one to eight limbs; batches of 0 to 33
 //! ciphertexts; matching and non-matching rows, including rows whose
@@ -182,31 +182,15 @@ proptest! {
                 (ciphertext_in(form, &other, &ct), payload_in(form, &other, &expected), narrow)
             })
             .collect();
-        let pairs: Vec<(&Ciphertext, &GtElem)> = rows.iter().map(|(ct, e, _)| (ct, e)).collect();
 
         let before = grp.counters().snapshot();
-        let reference: Vec<bool> = pairs
+        let reference: Vec<bool> = rows
             .iter()
-            .map(|(ct, expected)| grp.eq_gt(&scheme.query(&tk, ct), expected))
+            .map(|(ct, expected, _)| grp.eq_gt(&scheme.query(&tk, ct), expected))
             .collect();
         let reference_delta = grp.counters().snapshot() - before;
         prop_assert_eq!(reference_delta.pairings, n as u64 * tk.pairing_cost());
         prop_assert_eq!(reference_delta.canonicalizations, 0);
-
-        let before = grp.counters().snapshot();
-        let batch = scheme.match_token_batch(&tk, &pairs);
-        let batch_delta = grp.counters().snapshot() - before;
-        prop_assert_eq!(&batch, &reference);
-        prop_assert_eq!(batch_delta, reference_delta);
-
-        let before = grp.counters().snapshot();
-        let serial: Vec<bool> = pairs
-            .iter()
-            .map(|(ct, expected)| scheme.match_token(&tk, ct, expected))
-            .collect();
-        let serial_delta = grp.counters().snapshot() - before;
-        prop_assert_eq!(&serial, &reference);
-        prop_assert_eq!(serial_delta, reference_delta);
 
         // A slab: the narrow rows enter at their own width, the pin brings
         // the slab to the group (widening it to the order's limbs), and the

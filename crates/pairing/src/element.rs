@@ -8,13 +8,12 @@
 //!
 //! ## Representation: Montgomery-domain logs, canonical boundary
 //!
-//! Engine-produced elements keep their log in the **residue domain** of
-//! the group's shared [`Reducer`] (Montgomery form `x·R mod N` for the
-//! odd composite orders the protocol uses), so chained group operations
-//! never pay the two per-op domain-conversion passes the previous
-//! canonical representation required — a pairing is now a *single* CIOS
-//! pass. Conversion back to the canonical residue happens only at the
-//! three boundaries:
+//! Engine-produced elements keep their log in the **Montgomery domain**
+//! (`x·R mod N`) of the group's shared [`MontgomeryCtx`], so chained
+//! group operations never pay the two per-op domain-conversion passes the
+//! previous canonical representation required — a pairing is now a
+//! *single* CIOS pass. Conversion back to the canonical residue happens
+//! only at the three boundaries:
 //!
 //! * [`GElem::discrete_log`] / [`GtElem::discrete_log`] (introspection),
 //! * equality/hashing against elements in a different representation, and
@@ -29,7 +28,7 @@
 //! Elements are the currency of key generation, encryption, token
 //! issuance and the reference query check. They are **not** how stored
 //! ciphertexts are held: an element carries its own heap integer and a
-//! shared reducer, so a Service Provider keeps each ciphertext and its
+//! shared context, so a Service Provider keeps each ciphertext and its
 //! expected payload as one packed row of canonical limbs instead
 //! ([`crate::PackedRow`], swept in place from a [`crate::QueryRows`]
 //! slab). A row is built from elements through their canonical logs
@@ -38,7 +37,7 @@
 
 use crate::rows::below;
 use serde::{Deserialize, Serialize};
-use sla_bigint::{BigUint, MontgomeryCtx, Reducer};
+use sla_bigint::{BigUint, MontgomeryCtx};
 use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -49,13 +48,13 @@ pub(crate) enum Log {
     /// Canonical residue in `[0, N)` (identity elements, deserialized
     /// material, and engine-less construction).
     Canonical(BigUint),
-    /// Residue-domain value (`x·R mod N` for Montgomery reducers) plus
-    /// the shared context that defines the domain.
+    /// Montgomery-domain value `x·R mod N` plus the shared context that
+    /// defines the domain.
     Residue {
         /// The domain image of the log.
         value: BigUint,
-        /// The reducer whose modulus (and `R`) the value lives under.
-        ctx: Arc<Reducer>,
+        /// The context whose modulus (and `R`) the value lives under.
+        ctx: Arc<MontgomeryCtx>,
     },
 }
 
@@ -64,7 +63,7 @@ impl Log {
     pub(crate) fn canonical(&self) -> Cow<'_, BigUint> {
         match self {
             Log::Canonical(v) => Cow::Borrowed(v),
-            Log::Residue { value, ctx } => Cow::Owned(ctx.from_residue(value)),
+            Log::Residue { value, ctx } => Cow::Owned(ctx.from_mont(value)),
         }
     }
 
@@ -78,7 +77,7 @@ impl Log {
     pub(crate) fn write_canonical<'a>(
         &'a self,
         n: &BigUint,
-        domain: &mut Option<&'a Arc<Reducer>>,
+        domain: &mut Option<&'a Arc<MontgomeryCtx>>,
         out: &mut [u64],
     ) {
         match self {
@@ -86,27 +85,24 @@ impl Log {
                 if domain.is_some_and(|d| Arc::ptr_eq(d, ctx)) || ctx.modulus() == n =>
             {
                 *domain = Some(ctx);
-                if let Reducer::Montgomery(m) = ctx.as_ref() {
-                    match out.len() {
-                        1 => from_mont::<1>(m, value, out),
-                        2 => from_mont::<2>(m, value, out),
-                        3 => from_mont::<3>(m, value, out),
-                        4 => from_mont::<4>(m, value, out),
-                        _ => m.from_mont_limbs(value.limbs(), out),
-                    }
-                    return;
+                match out.len() {
+                    1 => from_mont::<1>(ctx, value, out),
+                    2 => from_mont::<2>(ctx, value, out),
+                    3 => from_mont::<3>(ctx, value, out),
+                    4 => from_mont::<4>(ctx, value, out),
+                    _ => ctx.from_mont_limbs(value.limbs(), out),
                 }
             }
             Log::Canonical(v) if below(v.limbs(), n.limbs()) => {
                 out.fill(0);
                 out[..v.limbs().len()].copy_from_slice(v.limbs());
-                return;
             }
-            _ => {}
+            _ => {
+                let reduced = &*self.canonical() % n;
+                out.fill(0);
+                out[..reduced.limbs().len()].copy_from_slice(reduced.limbs());
+            }
         }
-        let reduced = &*self.canonical() % n;
-        out.fill(0);
-        out[..reduced.limbs().len()].copy_from_slice(reduced.limbs());
     }
 
     /// Zero is zero in every domain (`0·R = 0`), so the identity test
@@ -121,9 +117,9 @@ impl Log {
     fn eq_log(&self, other: &Log) -> bool {
         match (self, other) {
             (Log::Canonical(a), Log::Canonical(b)) => a == b,
-            // Same domain ⇒ the domain map is a bijection.
+            // Same modulus ⇒ same `R`, and the domain map is a bijection.
             (Log::Residue { value: a, ctx: ca }, Log::Residue { value: b, ctx: cb })
-                if Arc::ptr_eq(ca, cb) || ca.same_domain(cb) =>
+                if Arc::ptr_eq(ca, cb) || ca.modulus() == cb.modulus() =>
             {
                 a == b
             }
@@ -168,8 +164,8 @@ macro_rules! element_impls {
                 Self::canonical(log)
             }
 
-            /// Wraps a residue-domain log under `ctx`.
-            pub(crate) fn residue(value: BigUint, ctx: Arc<Reducer>) -> Self {
+            /// Wraps a Montgomery-domain log under `ctx`.
+            pub(crate) fn residue(value: BigUint, ctx: Arc<MontgomeryCtx>) -> Self {
                 $ty(Log::Residue { value, ctx })
             }
 
@@ -238,8 +234,8 @@ element_impls!(GtElem, "gt = e(g, g)");
 mod tests {
     use super::*;
 
-    fn reducer(n: u64) -> Arc<Reducer> {
-        Arc::new(Reducer::new(&BigUint::from_u64(n)).expect("modulus > 1"))
+    fn context(n: u64) -> Arc<MontgomeryCtx> {
+        Arc::new(MontgomeryCtx::new(&BigUint::from_u64(n)).expect("odd modulus"))
     }
 
     #[test]
@@ -258,9 +254,9 @@ mod tests {
 
     #[test]
     fn residue_serializes_canonically() {
-        let ctx = reducer(1_000_003);
+        let ctx = context(1_000_003);
         let v = BigUint::from_u64(424242);
-        let res = GElem::residue(ctx.to_residue(&v), ctx);
+        let res = GElem::residue(ctx.to_mont(&v), ctx);
         let can = GElem::canonical(v);
         assert_eq!(
             serde_json::to_string(&res).unwrap(),
@@ -272,9 +268,9 @@ mod tests {
     #[test]
     fn mixed_representation_equality_and_hash() {
         use std::collections::hash_map::DefaultHasher;
-        let ctx = reducer(1_000_003);
+        let ctx = context(1_000_003);
         let v = BigUint::from_u64(987654);
-        let res = GtElem::residue(ctx.to_residue(&v), ctx);
+        let res = GtElem::residue(ctx.to_mont(&v), ctx);
         let can = GtElem::canonical(v.clone());
         assert_eq!(res, can);
         assert_ne!(res, GtElem::canonical(&v + &BigUint::one()));
@@ -289,7 +285,7 @@ mod tests {
 
     #[test]
     fn residue_zero_is_identity() {
-        let ctx = reducer(97);
+        let ctx = context(97);
         assert!(GElem::residue(BigUint::zero(), ctx).is_identity());
     }
 }

@@ -8,7 +8,7 @@ use crate::{
     QueryRows,
 };
 use rand::Rng;
-use sla_bigint::{random_below, random_nonzero_below, BigUint, Reducer};
+use sla_bigint::{random_below, random_nonzero_below, BigUint, MontgomeryCtx};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -55,14 +55,6 @@ pub trait BilinearGroup {
     /// The bilinear map `e : G × G → GT`.
     fn pair(&self, a: &GElem, b: &GElem) -> GtElem;
 
-    /// The bilinear map over a batch of **independent** pairs: output `i`
-    /// is **byte-identical** to `self.pair(a_i, b_i)`, results are in
-    /// input order, and the pairing counter advances by exactly
-    /// `pairs.len()`. The default is a serial loop.
-    fn pair_batch(&self, pairs: &[(&GElem, &GElem)]) -> Vec<GtElem> {
-        pairs.iter().map(|(a, b)| self.pair(a, b)).collect()
-    }
-
     /// Resolves a token's keys `(K_0, [(i, K_{i,1}, K_{i,2})])` once, for
     /// any number of [`Self::match_query_rows`] sweeps. Engines may
     /// attach per-token precomputation; the default wraps the keys as
@@ -81,7 +73,7 @@ pub trait BilinearGroup {
     /// of row `r` equals the row's expected payload.
     ///
     /// The default body is [`crate::match_query_reference`]: per row its
-    /// `1 + 2·|J|` pairings through [`Self::pair_batch`], the `GT` folds
+    /// `1 + 2·|J|` pairings through [`Self::pair`], the `GT` folds
     /// of [`crate::query_candidate`], and [`Self::eq_gt`]. An engine may
     /// fuse the evaluation, but its decisions and its counters must equal
     /// the reference: per row, pairings advance by `1 + 2·|J|`,
@@ -105,7 +97,7 @@ pub trait BilinearGroup {
     /// The canonical discrete log of a `GT` element, metered as one
     /// canonicalization in [`OpCounters`]. This is the **conversion
     /// boundary** out of the engine's residue domain: every call pays
-    /// (at most) one `from_residue` pass, so consumers that only need a
+    /// (at most) one `from_mont` pass, so consumers that only need a
     /// match/no-match decision should use [`BilinearGroup::eq_gt`] and
     /// convert on match only.
     fn gt_canonical(&self, a: &GtElem) -> BigUint {
@@ -175,24 +167,23 @@ pub trait BilinearGroup {
 /// See the crate docs for the simulation argument. Deterministic given the
 /// RNG used to generate [`GroupParams`].
 ///
-/// On construction the engine builds a shared [`Reducer`] for the group
-/// order `N` (Montgomery for the odd `N = P·Q` orders, Barrett for the
-/// degenerate even orders constructible in tests) and keeps every element
-/// it produces **inside the residue domain**: a pairing is one domain
-/// product (a single CIOS pass), the group law is one division-free
-/// `mod_add`, and nothing converts back per operation. It also builds
-/// fixed-base precomputations for the four generators, so
-/// `pow_g`/`pow_gt` on `g`, `g_p`, `g_q` or `gt` (and on any base wrapped
-/// via [`BilinearGroup::prepare_g`]) cost a single reduction pass.
+/// On construction the engine builds a shared [`MontgomeryCtx`] for the
+/// odd group order `N = P·Q` and keeps every element it produces
+/// **inside the Montgomery domain**: a pairing is one domain product (a
+/// single CIOS pass), the group law is one division-free `mod_add`, and
+/// nothing converts back per operation. It also builds fixed-base
+/// precomputations for the four generators, so `pow_g`/`pow_gt` on `g`,
+/// `g_p`, `g_q` or `gt` (and on any base wrapped via
+/// [`BilinearGroup::prepare_g`]) cost a single CIOS pass.
 /// Canonical conversion happens at `discrete_log()`/serde only; operation
 /// counts and all algebraic invariants are unchanged.
 #[derive(Debug)]
 pub struct SimulatedGroup {
     params: GroupParams,
     counters: OpCounters,
-    /// Shared reduction context defining the residue domain of every
+    /// Shared Montgomery context defining the residue domain of every
     /// element this engine produces.
-    reducer: Arc<Reducer>,
+    ctx: Arc<MontgomeryCtx>,
     /// Fixed-base precomputation for `g` — and for `gt = e(g, g)`, which
     /// shares it because both have log 1 (`pow_g`/`pow_gt` dispatch
     /// through the same [`SimulatedGroup::pow_log`]).
@@ -205,17 +196,24 @@ pub struct SimulatedGroup {
 
 impl SimulatedGroup {
     /// Builds an engine over existing parameters, precomputing the
-    /// reduction context and the generator tables.
+    /// Montgomery context and the generator tables.
+    ///
+    /// # Panics
+    /// Panics if the order `params.n` is even or below 3: the engine's
+    /// residues are Montgomery forms, which exist for odd moduli only.
+    /// [`GroupParams::generate`] and [`GroupParams::from_factors`] only
+    /// build odd orders.
     pub fn new(params: GroupParams) -> Self {
-        let reducer = Arc::new(Reducer::new(&params.n).expect("group order N = P·Q exceeds 1"));
-        let one_res = reducer.to_residue(&BigUint::one());
-        let g_table = FixedBaseMul::new(reducer.clone(), one_res);
-        let gp_table = FixedBaseMul::new(reducer.clone(), reducer.to_residue(&params.q));
-        let gq_table = FixedBaseMul::new(reducer.clone(), reducer.to_residue(&params.p));
+        let ctx = Arc::new(
+            MontgomeryCtx::new(&params.n).expect("the group order N = P·Q must be odd and above 1"),
+        );
+        let g_table = FixedBaseMul::new(ctx.clone(), ctx.one_mont());
+        let gp_table = FixedBaseMul::new(ctx.clone(), ctx.to_mont(&params.q));
+        let gq_table = FixedBaseMul::new(ctx.clone(), ctx.to_mont(&params.p));
         SimulatedGroup {
             params,
             counters: OpCounters::new(),
-            reducer,
+            ctx,
             g_table,
             gp_table,
             gq_table,
@@ -232,9 +230,9 @@ impl SimulatedGroup {
         &self.params
     }
 
-    /// The shared reduction context of this engine's residue domain.
-    pub(crate) fn reducer(&self) -> &Arc<Reducer> {
-        &self.reducer
+    /// The shared Montgomery context of this engine's residue domain.
+    pub(crate) fn ctx(&self) -> &Arc<MontgomeryCtx> {
+        &self.ctx
     }
 
     /// The engine's residue domain of `log`: borrowed when the element
@@ -243,17 +241,17 @@ impl SimulatedGroup {
     /// engines).
     pub(crate) fn residue_of<'a>(&self, log: &'a Log) -> Cow<'a, BigUint> {
         match log {
-            Log::Residue { value, ctx }
-                if Arc::ptr_eq(ctx, &self.reducer) || ctx.same_domain(&self.reducer) =>
-            {
-                Cow::Borrowed(value)
-            }
-            Log::Residue { value, ctx } => {
-                Cow::Owned(self.reducer.to_residue(&ctx.from_residue(value)))
-            }
+            Log::Residue { value, ctx } if self.same_domain(ctx) => Cow::Borrowed(value),
+            Log::Residue { value, ctx } => Cow::Owned(self.ctx.to_mont(&ctx.from_mont(value))),
             Log::Canonical(v) if v.is_zero() => Cow::Owned(BigUint::zero()),
-            Log::Canonical(v) => Cow::Owned(self.reducer.to_residue(v)),
+            Log::Canonical(v) => Cow::Owned(self.ctx.to_mont(v)),
         }
+    }
+
+    /// `true` when residues under `ctx` are residues of this engine: the
+    /// modulus fixes `R` and with it the domain.
+    pub(crate) fn same_domain(&self, ctx: &Arc<MontgomeryCtx>) -> bool {
+        Arc::ptr_eq(ctx, &self.ctx) || ctx.modulus() == self.ctx.modulus()
     }
 
     /// Residue of `log(a) · e mod N`: fixed-base tables for the cached
@@ -266,17 +264,17 @@ impl SimulatedGroup {
                 return table.scalar_mul(e);
             }
         }
-        self.reducer.residue_mul(&r, &self.reducer.to_residue(e))
+        self.ctx.mont_mul(&r, &self.ctx.to_mont(e))
     }
 
     /// Wraps a residue-domain log as a `G` element of this engine.
     fn g_elem(&self, residue: BigUint) -> GElem {
-        GElem::residue(residue, self.reducer.clone())
+        GElem::residue(residue, self.ctx.clone())
     }
 
     /// Wraps a residue-domain log as a `GT` element of this engine.
     fn gt_elem(&self, residue: BigUint) -> GtElem {
-        GtElem::residue(residue, self.reducer.clone())
+        GtElem::residue(residue, self.ctx.clone())
     }
 }
 
@@ -336,7 +334,7 @@ impl BilinearGroup for SimulatedGroup {
     fn eq_gt(&self, a: &GtElem, b: &GtElem) -> bool {
         // Both operands are compared as residues of this engine's domain:
         // engine-produced elements are borrowed as-is, canonical ones are
-        // lifted in. No from_residue pass on either side.
+        // lifted in. No from_mont pass on either side.
         self.residue_of(&a.0) == self.residue_of(&b.0)
     }
 
@@ -346,7 +344,7 @@ impl BilinearGroup for SimulatedGroup {
         // product is a *single* domain multiplication — the refactor
         // deleted the two per-op conversion passes this used to need.
         let (ra, rb) = (self.residue_of(&a.0), self.residue_of(&b.0));
-        self.gt_elem(self.reducer.residue_mul(&ra, &rb))
+        self.gt_elem(self.ctx.mont_mul(&ra, &rb))
     }
 
     fn prepare_query<'t>(
@@ -355,7 +353,7 @@ impl BilinearGroup for SimulatedGroup {
         k: &'t [(usize, GElem, GElem)],
     ) -> PreparedQuery<'t> {
         PreparedQuery {
-            residues: self.query_residues(k0, k),
+            residues: Some(self.query_residues(k0, k)),
             ..PreparedQuery::unprepared(k0, k)
         }
     }
@@ -366,19 +364,17 @@ impl BilinearGroup for SimulatedGroup {
         rows: &QueryRows,
         hits: &mut [bool],
     ) -> CounterSnapshot {
-        // The fused kernel covers every odd order of up to eight limbs
-        // (512 bits, the builder's largest group) on rows at the order's
-        // width, under keys prepared in this engine's domain; anything
-        // else (even orders, which only tests construct, rows no store
-        // has brought to the group, keys of another engine) takes the
-        // reference evaluation.
-        let (Reducer::Montgomery(ctx), Some((domain, keys))) =
-            (self.reducer.as_ref(), &query.residues)
-        else {
+        // The fused kernel covers orders of up to eight limbs (512 bits,
+        // the builder's largest group) on rows at the order's width, under
+        // keys prepared in this engine's domain; anything else (larger
+        // orders, rows no store has brought to the group, keys of another
+        // engine or of the trait default) takes the reference evaluation.
+        let ctx = &self.ctx;
+        let k = ctx.limb_count();
+        let Some((domain, keys)) = &query.residues else {
             return match_query_reference(self, query, rows, hits);
         };
-        let k = ctx.limb_count();
-        if rows.shape().limbs != k || k > 8 || !domain.same_domain(&self.reducer) {
+        if rows.shape().limbs != k || k > 8 || !self.same_domain(domain) {
             return match_query_reference(self, query, rows, hits);
         }
         check_sweep(query, rows, hits);
@@ -401,14 +397,14 @@ impl BilinearGroup for SimulatedGroup {
         let res = self.residue_of(&a.0).into_owned();
         PreparedG {
             base: a.clone(),
-            table: Some(FixedBaseMul::new(self.reducer.clone(), res)),
+            table: Some(FixedBaseMul::new(self.ctx.clone(), res)),
         }
     }
 
     fn pow_prepared_g(&self, base: &PreparedG, e: &BigUint) -> GElem {
         self.counters.record_g_exp();
         let res = match &base.table {
-            Some(t) if t.ctx().same_domain(&self.reducer) => t.scalar_mul(e),
+            Some(t) if self.same_domain(t.ctx()) => t.scalar_mul(e),
             _ => self.pow_log(&base.base.0, e),
         };
         self.g_elem(res)
@@ -418,14 +414,14 @@ impl BilinearGroup for SimulatedGroup {
         let res = self.residue_of(&a.0).into_owned();
         PreparedGt {
             base: a.clone(),
-            table: Some(FixedBaseMul::new(self.reducer.clone(), res)),
+            table: Some(FixedBaseMul::new(self.ctx.clone(), res)),
         }
     }
 
     fn pow_prepared_gt(&self, base: &PreparedGt, e: &BigUint) -> GtElem {
         self.counters.record_gt_exp();
         let res = match &base.table {
-            Some(t) if t.ctx().same_domain(&self.reducer) => t.scalar_mul(e),
+            Some(t) if self.same_domain(t.ctx()) => t.scalar_mul(e),
             _ => self.pow_log(&base.base.0, e),
         };
         self.gt_elem(res)
@@ -537,45 +533,13 @@ mod tests {
     }
 
     #[test]
-    fn pair_batch_is_byte_identical_to_serial_pairs() {
-        let (grp, mut rng) = setup();
-        let elems: Vec<GElem> = (0..9)
-            .map(|i| {
-                if i % 3 == 0 {
-                    grp.random_gq(&mut rng)
-                } else {
-                    grp.random_gp(&mut rng)
-                }
-            })
-            .collect();
-        // Mix in a canonical-form operand (post-serde state) so the
-        // batch path exercises the Cow conversion arm too.
-        let canonical = GElem::canonical(elems[1].discrete_log());
-        let mut pairs: Vec<(&GElem, &GElem)> = elems
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a, &elems[(i + 4) % elems.len()]))
-            .collect();
-        pairs.push((&canonical, &elems[5]));
-
-        // Every width, including the empty batch and ragged remainders.
-        for w in 0..=pairs.len() {
-            let before = grp.counters().snapshot();
-            let serial: Vec<GtElem> = pairs[..w].iter().map(|(a, b)| grp.pair(a, b)).collect();
-            let mid = grp.counters().snapshot();
-            let batched = grp.pair_batch(&pairs[..w]);
-            let after = grp.counters().snapshot();
-            assert_eq!(batched, serial, "width {w}");
-            for (x, y) in batched.iter().zip(&serial) {
-                assert_eq!(x.discrete_log(), y.discrete_log(), "width {w}");
-            }
-            assert_eq!((mid - before).pairings, w as u64);
-            assert_eq!(
-                after - mid,
-                mid - before,
-                "batch must meter exactly like serial at width {w}"
-            );
-        }
+    #[should_panic(expected = "must be odd")]
+    fn even_order_rejected() {
+        SimulatedGroup::new(GroupParams {
+            p: BigUint::from_u64(2),
+            q: BigUint::from_u64(1_000_003),
+            n: BigUint::from_u64(2_000_006),
+        });
     }
 
     #[test]

@@ -30,16 +30,18 @@
 //!
 //! ## Montgomery-domain representation
 //!
-//! Engine-produced elements keep their discrete log in the **residue
-//! domain** of a shared [`sla_bigint::Reducer`] (Montgomery form for the
-//! odd composite orders the protocol uses), so every pairing is a single
-//! reduction pass and the group law is a division-free addition — no
-//! per-operation domain round trips. Canonical conversion happens only at
-//! `discrete_log()`, cross-representation equality, and serde (whose wire
-//! bytes are unchanged from the canonical-representation era). The engine
-//! precomputes fixed-base tables for `g`, `g_p`, `g_q` and `gt`, and
-//! [`BilinearGroup::prepare_g`]/[`BilinearGroup::prepare_gt`] extend the
-//! same speedup to arbitrary repeated bases such as HVE key material.
+//! The group order `N = P·Q` is odd, and the engine's one reduction
+//! context is a shared [`sla_bigint::MontgomeryCtx`]. Engine-produced
+//! elements keep their discrete log in its **Montgomery domain**
+//! (`x·R mod N`), so every pairing is a single CIOS pass and the group
+//! law is a division-free addition — no per-operation domain round
+//! trips. Canonical conversion happens only at `discrete_log()`,
+//! cross-representation equality, and serde (whose wire bytes are
+//! unchanged from the canonical-representation era). The engine
+//! precomputes a one-pass scalar product for `g`, `g_p`, `g_q` and `gt`,
+//! and [`BilinearGroup::prepare_g`]/[`BilinearGroup::prepare_gt`] extend
+//! the same speedup to arbitrary repeated bases such as HVE key material.
+//! [`SimulatedGroup::new`] refuses an even order.
 //!
 //! ## Cost accounting
 //!

@@ -44,10 +44,13 @@ impl GroupParams {
     /// Constructs parameters from known factors (used in tests).
     ///
     /// # Panics
-    /// Panics if `p == q` or either factor is < 2.
+    /// Panics if `p == q`, or if either factor is even or below 3: the
+    /// group's arithmetic is Montgomery's, which needs an odd order.
     pub fn from_factors(p: BigUint, q: BigUint) -> Self {
         assert!(p != q, "P and Q must be distinct");
-        assert!(p >= BigUint::from_u64(2) && q >= BigUint::from_u64(2));
+        for f in [&p, &q] {
+            assert!(f.is_odd() && !f.is_one(), "P and Q must be odd and above 1");
+        }
         let n = &p * &q;
         GroupParams { p, q, n }
     }
@@ -88,6 +91,12 @@ mod tests {
     fn equal_factors_rejected() {
         let p = BigUint::from_u64(101);
         GroupParams::from_factors(p.clone(), p);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be odd")]
+    fn even_factor_rejected() {
+        GroupParams::from_factors(BigUint::from_u64(2), BigUint::from_u64(1_000_003));
     }
 
     #[test]

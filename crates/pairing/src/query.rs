@@ -22,7 +22,7 @@
 
 use crate::rows::below;
 use crate::{BilinearGroup, CounterSnapshot, GElem, GtElem, QueryRows, RowShape, SimulatedGroup};
-use sla_bigint::{BigUint, MontgomeryCtx, Reducer};
+use sla_bigint::{BigUint, MontgomeryCtx};
 use std::sync::Arc;
 
 /// A token's keys `(K_0, [(i, K_{i,1}, K_{i,2})])` resolved once for any
@@ -34,7 +34,7 @@ pub struct PreparedQuery<'t> {
     /// `K_0`, then `K_{i,1}` and `K_{i,2}` for every position of the
     /// token: Montgomery residues of `domain`, `K` limbs each. `None`
     /// when the preparing engine does not fuse the check.
-    pub(crate) residues: Option<(Arc<Reducer>, Vec<u64>)>,
+    pub(crate) residues: Option<(Arc<MontgomeryCtx>, Vec<u64>)>,
 }
 
 impl<'t> PreparedQuery<'t> {
@@ -96,7 +96,7 @@ pub(crate) fn check_sweep(query: &PreparedQuery<'_>, rows: &QueryRows, hits: &[b
 /// [`BilinearGroup::match_query_rows`] and the oracle the fused kernel
 /// is tested against: per row, its elements rebuilt from their
 /// canonical logs, the `1 + 2·|J|` pairings through
-/// [`BilinearGroup::pair_batch`], the candidate through
+/// [`BilinearGroup::pair`], the candidate through
 /// [`query_candidate`], and the decision through
 /// [`BilinearGroup::eq_gt`]. Returns the operations it recorded.
 ///
@@ -123,14 +123,14 @@ pub fn match_query_reference<G: BilinearGroup + ?Sized>(
             .iter()
             .map(|(i, _, _)| (g(RowShape::component(*i, 0)), g(RowShape::component(*i, 1))))
             .collect();
-        let mut pairs = Vec::with_capacity(1 + 2 * query.k.len());
-        pairs.push((&c0, query.k0));
+        let mut pairings = Vec::with_capacity(1 + 2 * query.k.len());
+        pairings.push(grp.pair(&c0, query.k0));
         for ((c1, c2), (_, k1, k2)) in c.iter().zip(query.k) {
-            pairs.push((c1, k1));
-            pairs.push((c2, k2));
+            pairings.push(grp.pair(c1, k1));
+            pairings.push(grp.pair(c2, k2));
         }
         let c_prime = GtElem::from_canonical_log(log(row, RowShape::C_PRIME));
-        let candidate = query_candidate(grp, &c_prime, &grp.pair_batch(&pairs));
+        let candidate = query_candidate(grp, &c_prime, &pairings);
         let expected = GtElem::from_canonical_log(log(row, shape.expected()));
         *hit = grp.eq_gt(&candidate, &expected);
     }
@@ -139,23 +139,20 @@ pub fn match_query_reference<G: BilinearGroup + ?Sized>(
 
 impl SimulatedGroup {
     /// `query`'s keys as Montgomery residues of this engine, `K` limbs
-    /// each, when the engine's reducer is Montgomery.
+    /// each.
     pub(crate) fn query_residues(
         &self,
         k0: &GElem,
         k: &[(usize, GElem, GElem)],
-    ) -> Option<(Arc<Reducer>, Vec<u64>)> {
-        let Reducer::Montgomery(ctx) = self.reducer().as_ref() else {
-            return None;
-        };
-        let width = ctx.limb_count();
+    ) -> (Arc<MontgomeryCtx>, Vec<u64>) {
+        let width = self.ctx().limb_count();
         let mut residues = vec![0u64; (1 + 2 * k.len()) * width];
         let keys = std::iter::once(k0).chain(k.iter().flat_map(|(_, k1, k2)| [k1, k2]));
         for (key, out) in keys.zip(residues.chunks_exact_mut(width)) {
             let r = self.residue_of(&key.0);
             out[..r.limbs().len()].copy_from_slice(r.limbs());
         }
-        Some((self.reducer().clone(), residues))
+        (self.ctx().clone(), residues)
     }
 
     /// The fused query check over rows `K` limbs wide (`K` is the limb
@@ -229,7 +226,7 @@ fn canonical<const K: usize>(x: &[u64; K], n: &[u64; K]) -> [u64; K] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GroupParams, PackedRow};
+    use crate::PackedRow;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -262,12 +259,12 @@ mod tests {
         cts[2].1 = GElem::identity();
         cts[2].2[2] = (GElem::identity(), GElem::identity());
         let candidate = |(c_prime, c0, c): &Parts| {
-            let mut pairs = vec![(c0, &k0)];
+            let mut pairings = vec![grp.pair(c0, &k0)];
             for (i, k1, k2) in &k {
-                pairs.push((&c[*i].0, k1));
-                pairs.push((&c[*i].1, k2));
+                pairings.push(grp.pair(&c[*i].0, k1));
+                pairings.push(grp.pair(&c[*i].1, k2));
             }
-            query_candidate(grp, c_prime, &grp.pair_batch(&pairs))
+            query_candidate(grp, c_prime, &pairings)
         };
         let mut expected: Vec<GtElem> = cts.iter().map(candidate).collect();
         expected[3] = grp.mul_gt(&expected[3], &grp.pair(&grp.g(), &grp.g()));
@@ -310,7 +307,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_kernel_equals_reference_at_every_width_and_parity() {
+    fn fused_kernel_equals_reference_at_every_width() {
         let mut rng = StdRng::seed_from_u64(0x9e37);
         // Orders of one to eight limbs take the fused kernel, ten limbs
         // the reference body.
@@ -329,9 +326,6 @@ mod tests {
             assert_eq!(grp.order().limbs().len(), limbs);
             check_engine_against_reference(&grp, &mut rng);
         }
-        // An even order runs on the Barrett reducer and the reference body.
-        let even = GroupParams::from_factors(BigUint::from_u64(2), BigUint::from_u64(1_000_003));
-        check_engine_against_reference(&SimulatedGroup::new(even), &mut rng);
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! Fixed-base exponentiation precomputation for the simulated group.
 //!
 //! In the exponent representation a group exponentiation `a^e` is the
-//! *log-domain scalar product* `log(a)·e mod N` — a single modular
-//! multiplication, not a square-and-multiply ladder. The radix-2^w power
-//! tables of [`sla_bigint::FixedBaseTable`] are therefore the wrong shape
-//! at this layer (a chain of `bits/w` dependent table additions costs
-//! more than one two-limb product); the profitable per-base
-//! precomputation is the Montgomery *double-lift*:
+//! *log-domain scalar product* `log(a)·e mod N`: a single modular
+//! multiplication, not a square-and-multiply ladder, so the profitable
+//! per-base precomputation is the Montgomery *double-lift*:
 //!
 //! ```text
 //! mul_ready = log(a) · R² mod N        (one-time, per base)
@@ -14,10 +11,8 @@
 //! ```
 //!
 //! — **one** CIOS pass per exponentiation, landing directly in the
-//! residue domain, versus the generic path's two (exponent conversion
-//! plus domain product). Under a Barrett reducer (even orders, canonical
-//! domain) the same shape degenerates gracefully: `mul_ready` is the
-//! canonical log and the product is one Barrett reduction.
+//! Montgomery domain, versus the generic path's two (exponent conversion
+//! plus domain product).
 //!
 //! [`SimulatedGroup`](crate::SimulatedGroup) builds a [`FixedBaseMul`]
 //! for its four fixed generators (`g`, `g_p`, `g_q`, `gt`) at
@@ -26,31 +21,29 @@
 //! [`BilinearGroup::prepare_g`](crate::BilinearGroup::prepare_g).
 
 use crate::{GElem, GtElem};
-use sla_bigint::{BigUint, Reducer};
+use sla_bigint::{BigUint, MontgomeryCtx};
 use std::sync::Arc;
 
 /// Per-base precomputation mapping an exponent to the base's power with a
 /// single reduction pass.
 #[derive(Debug, Clone)]
 pub(crate) struct FixedBaseMul {
-    ctx: Arc<Reducer>,
-    /// Residue-domain image of the base log (for base identification and
-    /// as the value the exponent `1` must map back to).
+    ctx: Arc<MontgomeryCtx>,
+    /// Montgomery-domain image of the base log (for base identification
+    /// and as the value the exponent `1` must map back to).
     base_res: BigUint,
-    /// `log(a)·R² mod N` under Montgomery reducers (so one `mont_mul`
-    /// against a canonical exponent yields the residue-domain power);
-    /// the canonical log under Barrett reducers.
+    /// `log(a)·R² mod N`, so one `mont_mul` against a canonical exponent
+    /// yields the Montgomery-domain power.
     mul_ready: BigUint,
 }
 
 impl FixedBaseMul {
-    /// Builds the precomputation for `base_res` (residue form).
-    pub(crate) fn new(ctx: Arc<Reducer>, base_res: BigUint) -> Self {
+    /// Builds the precomputation for `base_res` (Montgomery form).
+    pub(crate) fn new(ctx: Arc<MontgomeryCtx>, base_res: BigUint) -> Self {
         // Lifting the residue once more through the domain map gives
-        // log·R² (Montgomery) or the canonical log (Barrett) — exactly
-        // the left operand that makes `residue_mul(·, e)` a one-pass
-        // exponentiation.
-        let mul_ready = ctx.to_residue(&base_res);
+        // log·R², exactly the left operand that makes `mont_mul(·, e)` a
+        // one-pass exponentiation.
+        let mul_ready = ctx.to_mont(&base_res);
         FixedBaseMul {
             ctx,
             base_res,
@@ -58,17 +51,17 @@ impl FixedBaseMul {
         }
     }
 
-    /// The residue-domain base log (for table-hit identification).
+    /// The Montgomery-domain base log (for table-hit identification).
     pub(crate) fn base_res(&self) -> &BigUint {
         &self.base_res
     }
 
-    /// The reduction context the precomputation was built for.
-    pub(crate) fn ctx(&self) -> &Reducer {
+    /// The Montgomery context the precomputation was built for.
+    pub(crate) fn ctx(&self) -> &Arc<MontgomeryCtx> {
         &self.ctx
     }
 
-    /// Residue of `log(base) · e mod N` — one reduction pass.
+    /// Montgomery residue of `log(base) · e mod N` — one CIOS pass.
     pub(crate) fn scalar_mul(&self, e: &BigUint) -> BigUint {
         let n = self.ctx.modulus();
         let folded;
@@ -79,7 +72,7 @@ impl FixedBaseMul {
             folded = e % n;
             &folded
         };
-        self.ctx.residue_mul(&self.mul_ready, e)
+        self.ctx.mont_mul(&self.mul_ready, e)
     }
 }
 
@@ -131,8 +124,8 @@ impl PreparedGt {
 mod tests {
     use super::*;
 
-    fn fixture(n: u64) -> Arc<Reducer> {
-        Arc::new(Reducer::new(&BigUint::from_u64(n)).expect("modulus > 1"))
+    fn fixture(n: u64) -> Arc<MontgomeryCtx> {
+        Arc::new(MontgomeryCtx::new(&BigUint::from_u64(n)).expect("odd modulus"))
     }
 
     #[test]
@@ -141,10 +134,10 @@ mod tests {
         let n = ctx.modulus().clone();
         for base in [0u64, 1, 2, 0xdead_beef, 0xffff_ffff_0000_0000] {
             let b = BigUint::from_u64(base);
-            let fixed = FixedBaseMul::new(ctx.clone(), ctx.to_residue(&b));
+            let fixed = FixedBaseMul::new(ctx.clone(), ctx.to_mont(&b));
             for e in [0u64, 1, 15, 16, 0xcafe_babe, u64::MAX] {
                 let e = BigUint::from_u64(e);
-                let got = ctx.from_residue(&fixed.scalar_mul(&e));
+                let got = ctx.from_mont(&fixed.scalar_mul(&e));
                 assert_eq!(got, b.mod_mul(&e, &n), "base = {base}, e = {e}");
             }
         }
@@ -154,27 +147,11 @@ mod tests {
     fn oversized_exponents_fold_modulo_n() {
         let ctx = fixture(1_000_003);
         let b = BigUint::from_u64(777);
-        let fixed = FixedBaseMul::new(ctx.clone(), ctx.to_residue(&b));
+        let fixed = FixedBaseMul::new(ctx.clone(), ctx.to_mont(&b));
         let huge = BigUint::one().shl_bits(300);
         assert_eq!(
-            ctx.from_residue(&fixed.scalar_mul(&huge)),
+            ctx.from_mont(&fixed.scalar_mul(&huge)),
             b.mod_mul(&huge, ctx.modulus())
         );
-    }
-
-    #[test]
-    fn even_modulus_precomputation_works() {
-        // Degenerate even group orders take the Barrett (canonical)
-        // domain; the precomputation must behave identically.
-        let ctx = fixture(1 << 20);
-        let b = BigUint::from_u64(12345);
-        let fixed = FixedBaseMul::new(ctx.clone(), ctx.to_residue(&b));
-        for e in [0u64, 3, 1 << 19, (1 << 20) + 7] {
-            let e = BigUint::from_u64(e);
-            assert_eq!(
-                ctx.from_residue(&fixed.scalar_mul(&e)),
-                b.mod_mul(&e, ctx.modulus())
-            );
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! Property tests for the Montgomery-domain element representation.
 //!
-//! The refactor moved `GElem`/`GtElem` logs into the residue domain of
-//! the engine's shared `Reducer`; these tests pin the two contracts that
-//! make the change invisible from outside:
+//! `GElem`/`GtElem` logs live in the Montgomery domain of the engine's
+//! shared `MontgomeryCtx`; these tests pin the two contracts that make
+//! that representation invisible from outside:
 //!
 //! 1. **Serde canonicality** — the wire encoding of any engine-produced
 //!    element is the canonical log's hex string, byte-identical to the
