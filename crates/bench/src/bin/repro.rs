@@ -19,7 +19,6 @@ struct Opts {
     figures: Vec<String>,
     zones: usize,
     out_dir: PathBuf,
-    parallel: bool,
     smoke: bool,
     /// Store backend for the smoke's end-to-end alert round
     /// (`concurrent` | `persistent`).
@@ -122,7 +121,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Opts, ArgError> 
     let mut figures = Vec::new();
     let mut zones = 50usize;
     let mut out_dir = PathBuf::from("results");
-    let mut parallel = false;
     let mut smoke = false;
     let mut store = "concurrent".to_string();
     let mut scenario_kinds = sla_scenarios::ScenarioKind::ALL.to_vec();
@@ -134,7 +132,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Opts, ArgError> 
                 scenario_kinds = parse_scenarios(&spec)?;
             }
             "--quick" => zones = 10,
-            "--parallel" => parallel = true,
             "--smoke" => smoke = true,
             "--zones" => {
                 let v = args.next().ok_or(ArgError::MissingValue("--zones"))?;
@@ -167,7 +164,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Opts, ArgError> 
         figures,
         zones,
         out_dir,
-        parallel,
         smoke,
         store,
         scenario_kinds,
@@ -237,8 +233,8 @@ fn run_smoke(out_dir: &std::path::Path, store: &str) {
         println!(
             "primitives[{} bit N]: mod_pow {:.0} -> {:.0} ns ({:.2}x)",
             r.modulus_bits,
-            r.mod_pow_naive_ns,
-            r.mod_pow_mont_ns,
+            r.mod_pow_naive_ns.median,
+            r.mod_pow_mont_ns.median,
             r.mod_pow_speedup(),
         );
     }
@@ -247,16 +243,16 @@ fn run_smoke(out_dir: &std::path::Path, store: &str) {
             "phases[{} bit N, l={}]: encrypt {:.0} -> {:.0} ns, gen_token {:.0} -> {:.0} ns",
             p.modulus_bits,
             p.width,
-            p.encrypt_ns,
-            p.encrypt_prepared_ns,
-            p.gen_token_ns,
-            p.gen_token_prepared_ns,
+            p.encrypt_ns.median,
+            p.encrypt_prepared_ns.median,
+            p.gen_token_ns.median,
+            p.gen_token_prepared_ns.median,
         );
     }
     for c in &churn {
         println!(
             "churn[{}]: upsert {:.0} ns, remove+insert {:.0} ns, match {:.0} ns/record",
-            c.backend, c.upsert_ns, c.remove_insert_ns, c.match_per_record_ns
+            c.backend, c.upsert_ns.median, c.remove_insert_ns.median, c.match_per_record_ns.median
         );
     }
     let path = out_dir.join("BENCH_primitives_smoke.json");
@@ -378,8 +374,8 @@ fn main() {
     }
     println!("# Reproducing EDBT 2021 'Location-based Alert Protocol using SE and Huffman Codes'");
     println!(
-        "# seed={SEED}, ciphertexts per alert={N_CIPHERTEXTS}, zones per point={}, parallel={}\n",
-        opts.zones, opts.parallel
+        "# seed={SEED}, ciphertexts per alert={N_CIPHERTEXTS}, zones per point={}\n",
+        opts.zones
     );
 
     for fig in &opts.figures {
@@ -397,7 +393,7 @@ fn main() {
                 report(t.write_csv(&opts.out_dir, "fig08"));
             }
             "fig9" | "fig09" => {
-                let result = fig09::run_with(SEED, opts.zones, N_CIPHERTEXTS, opts.parallel);
+                let result = fig09::run(SEED, opts.zones, N_CIPHERTEXTS);
                 let a = fig09::table_absolute(
                     &result,
                     "Fig 9a: pairings on crime dataset (32x32, 10k users)",
@@ -412,7 +408,7 @@ fn main() {
                 report(b.write_csv(&opts.out_dir, "fig09b"));
             }
             "fig10" => {
-                for panel in fig10::run_with(SEED, opts.zones, N_CIPHERTEXTS, opts.parallel) {
+                for panel in fig10::run(SEED, opts.zones, N_CIPHERTEXTS) {
                     let tag = format!("a{:.2}_b{:.0}", panel.a, panel.b);
                     let a =
                         fig09::table_absolute(&panel.result, &format!("Fig 10 ({tag}): pairings"));
@@ -427,9 +423,7 @@ fn main() {
                 }
             }
             "fig11" => {
-                for panel in
-                    fig11::run_with(SEED, opts.zones.max(100), N_CIPHERTEXTS, opts.parallel)
-                {
+                for panel in fig11::run(SEED, opts.zones.max(100), N_CIPHERTEXTS) {
                     let t = fig11::table_improvement(&panel);
                     print!("{}", t.render());
                     report(t.write_csv(
@@ -439,7 +433,7 @@ fn main() {
                 }
             }
             "fig12" => {
-                let points = fig12::run_with(SEED, opts.zones, N_CIPHERTEXTS, opts.parallel);
+                let points = fig12::run(SEED, opts.zones, N_CIPHERTEXTS);
                 let a = fig12::table_absolute(&points);
                 let b = fig12::table_improvement(&points);
                 print!("{}", a.render());
@@ -471,13 +465,13 @@ fn main() {
                         "primitives[{} bit N]: mod_mul {:.0} -> {:.0} ns ({:.2}x), \
                          mod_pow {:.0} -> {:.0} ns ({:.2}x), pairing {:.0} ns",
                         r.modulus_bits,
-                        r.mod_mul_naive_ns,
-                        r.mod_mul_mont_ns,
+                        r.mod_mul_naive_ns.median,
+                        r.mod_mul_mont_ns.median,
                         r.mod_mul_speedup(),
-                        r.mod_pow_naive_ns,
-                        r.mod_pow_mont_ns,
+                        r.mod_pow_naive_ns.median,
+                        r.mod_pow_mont_ns.median,
                         r.mod_pow_speedup(),
-                        r.pairing_ns,
+                        r.pairing_ns.median,
                     );
                 }
                 // Per-phase Setup/Encrypt/GenToken timings, plain vs
@@ -493,15 +487,15 @@ fn main() {
                          query {:.2} µs/pair",
                         p.modulus_bits,
                         p.width,
-                        p.setup_ns / 1e3,
-                        p.prepare_ns / 1e3,
-                        p.encrypt_ns / 1e3,
-                        p.encrypt_prepared_ns / 1e3,
+                        p.setup_ns.median / 1e3,
+                        p.prepare_ns.median / 1e3,
+                        p.encrypt_ns.median / 1e3,
+                        p.encrypt_prepared_ns.median / 1e3,
                         p.encrypt_speedup(),
-                        p.gen_token_ns / 1e3,
-                        p.gen_token_prepared_ns / 1e3,
+                        p.gen_token_ns.median / 1e3,
+                        p.gen_token_prepared_ns.median / 1e3,
                         p.gen_token_speedup(),
-                        p.query_decode_ns / 1e3,
+                        p.query_decode_ns.median / 1e3,
                     );
                 }
                 // Store-lifecycle rows: what each backend charges for
@@ -512,9 +506,9 @@ fn main() {
                         "churn[{}]: upsert {:.2} µs, remove+insert {:.2} µs, \
                          match {:.2} µs/record ({} users)",
                         c.backend,
-                        c.upsert_ns / 1e3,
-                        c.remove_insert_ns / 1e3,
-                        c.match_per_record_ns / 1e3,
+                        c.upsert_ns.median / 1e3,
+                        c.remove_insert_ns.median / 1e3,
+                        c.match_per_record_ns.median / 1e3,
                         c.users,
                     );
                 }

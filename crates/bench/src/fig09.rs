@@ -44,59 +44,17 @@ impl SweepResult {
 
 /// Evaluates the paper's encoder lineup on a shared workload sweep.
 pub fn sweep_encoders(probs: &[f64], workloads: &[Workload], n_ciphertexts: u64) -> SweepResult {
-    sweep_encoders_with(probs, workloads, n_ciphertexts, false)
-}
-
-/// Like [`sweep_encoders`], with an explicit parallelism knob: when
-/// `parallel` is set, codebook construction and the (encoder × workload)
-/// cost grid are evaluated with rayon. Results are identical either way —
-/// parallel evaluation preserves ordering.
-pub fn sweep_encoders_with(
-    probs: &[f64],
-    workloads: &[Workload],
-    n_ciphertexts: u64,
-    parallel: bool,
-) -> SweepResult {
     let encoders = EncoderKind::paper_lineup();
-    let codebooks: Vec<CellCodebook> = if parallel {
-        use rayon::prelude::*;
-        encoders
-            .par_iter()
-            .map(|&k| CellCodebook::build(k, probs))
-            .collect()
-    } else {
-        encoders
-            .iter()
-            .map(|&k| CellCodebook::build(k, probs))
-            .collect()
-    };
-    let eval = |cb: &CellCodebook, w: &Workload| {
-        evaluate_workload(cb, &w.label, &zones_to_cells(w), n_ciphertexts)
-    };
-    let costs: Vec<Vec<WorkloadCost>> = if workloads.is_empty() {
-        // chunks(0) below would panic; an empty sweep has an empty cost
-        // row per encoder on both paths.
-        codebooks.iter().map(|_| Vec::new()).collect()
-    } else if parallel {
-        use rayon::prelude::*;
-        // Flatten the (encoder × workload) grid so every cell is an
-        // independent parallel task, then regroup per encoder.
-        let pairs: Vec<(usize, &Workload)> = codebooks
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, _)| workloads.iter().map(move |w| (ci, w)))
-            .collect();
-        let flat: Vec<WorkloadCost> = pairs
-            .par_iter()
-            .map(|&(ci, w)| eval(&codebooks[ci], w))
-            .collect();
-        flat.chunks(workloads.len()).map(<[_]>::to_vec).collect()
-    } else {
-        codebooks
-            .iter()
-            .map(|cb| workloads.iter().map(|w| eval(cb, w)).collect())
-            .collect()
-    };
+    let costs = encoders
+        .iter()
+        .map(|&k| {
+            let cb = CellCodebook::build(k, probs);
+            workloads
+                .iter()
+                .map(|w| evaluate_workload(&cb, &w.label, &zones_to_cells(w), n_ciphertexts))
+                .collect()
+        })
+        .collect();
     SweepResult {
         labels: workloads.iter().map(|w| w.label.clone()).collect(),
         mean_cells: workloads.iter().map(|w| w.mean_zone_cells()).collect(),
@@ -107,16 +65,6 @@ pub fn sweep_encoders_with(
 
 /// Runs the full Fig. 9 pipeline.
 pub fn run(seed: u64, zones_per_radius: usize, n_ciphertexts: u64) -> SweepResult {
-    run_with(seed, zones_per_radius, n_ciphertexts, false)
-}
-
-/// [`run`] with the parallel-evaluation knob (`repro --parallel`).
-pub fn run_with(
-    seed: u64,
-    zones_per_radius: usize,
-    n_ciphertexts: u64,
-    parallel: bool,
-) -> SweepResult {
     let mut rng = StdRng::seed_from_u64(seed);
     let dataset = CrimeDataset::generate(&CrimeGeneratorConfig::default(), &mut rng);
     let grid = Grid::chicago_downtown_32();
@@ -129,7 +77,7 @@ pub fn run_with(
         ..RadiusSweep::default()
     };
     let workloads = sweep.generate(&sampler, &mut rng);
-    sweep_encoders_with(&probs.normalized(), &workloads, n_ciphertexts, parallel)
+    sweep_encoders(&probs.normalized(), &workloads, n_ciphertexts)
 }
 
 /// Absolute pairing counts table (Fig. 9a).
@@ -205,15 +153,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_workload_sweep_is_empty_on_both_paths() {
-        for parallel in [false, true] {
-            let result = sweep_encoders_with(&[0.5, 0.5], &[], 100, parallel);
-            assert!(result.labels.is_empty());
-            assert!(
-                result.costs.iter().all(Vec::is_empty),
-                "parallel={parallel}"
-            );
-        }
+    fn empty_workload_sweep_is_empty() {
+        let result = sweep_encoders(&[0.5, 0.5], &[], 100);
+        assert!(result.labels.is_empty());
+        assert_eq!(result.costs.len(), result.encoders.len());
+        assert!(result.costs.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! reporting absolute pairings and improvement vs \[14\] per radius.
 
 use crate::common::sigmoid_probs;
-use crate::fig09::{sweep_encoders_with, SweepResult};
+use crate::fig09::{sweep_encoders, SweepResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sla_datasets::RadiusSweep;
@@ -31,19 +31,9 @@ pub const PANELS: [(f64, f64); 6] = [
 
 /// Runs all panels on the default 32×32 grid.
 pub fn run(seed: u64, zones_per_radius: usize, n_ciphertexts: u64) -> Vec<Fig10Panel> {
-    run_with(seed, zones_per_radius, n_ciphertexts, false)
-}
-
-/// [`run`] with the parallel-evaluation knob (`repro --parallel`).
-pub fn run_with(
-    seed: u64,
-    zones_per_radius: usize,
-    n_ciphertexts: u64,
-    parallel: bool,
-) -> Vec<Fig10Panel> {
     PANELS
         .iter()
-        .map(|&(a, b)| run_panel_with(a, b, seed, zones_per_radius, n_ciphertexts, parallel))
+        .map(|&(a, b)| run_panel(a, b, seed, zones_per_radius, n_ciphertexts))
         .collect()
 }
 
@@ -54,18 +44,6 @@ pub fn run_panel(
     seed: u64,
     zones_per_radius: usize,
     n_ciphertexts: u64,
-) -> Fig10Panel {
-    run_panel_with(a, b, seed, zones_per_radius, n_ciphertexts, false)
-}
-
-/// [`run_panel`] with the parallel-evaluation knob.
-pub fn run_panel_with(
-    a: f64,
-    b: f64,
-    seed: u64,
-    zones_per_radius: usize,
-    n_ciphertexts: u64,
-    parallel: bool,
 ) -> Fig10Panel {
     let grid = Grid::chicago_downtown_32();
     let probs = sigmoid_probs(grid.n_cells(), a, b, seed);
@@ -79,7 +57,7 @@ pub fn run_panel_with(
     Fig10Panel {
         a,
         b,
-        result: sweep_encoders_with(&probs.normalized(), &workloads, n_ciphertexts, parallel),
+        result: sweep_encoders(&probs.normalized(), &workloads, n_ciphertexts),
     }
 }
 

@@ -3,7 +3,7 @@
 //! `(a, b) ∈ {(0.9, 100), (0.99, 100)}`; improvement vs \[14\].
 
 use crate::common::sigmoid_probs;
-use crate::fig09::sweep_encoders_with;
+use crate::fig09::sweep_encoders;
 use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,19 +40,9 @@ impl Fig11Panel {
 
 /// Runs both panels.
 pub fn run(seed: u64, zones_per_mix: usize, n_ciphertexts: u64) -> Vec<Fig11Panel> {
-    run_with(seed, zones_per_mix, n_ciphertexts, false)
-}
-
-/// [`run`] with the parallel-evaluation knob (`repro --parallel`).
-pub fn run_with(
-    seed: u64,
-    zones_per_mix: usize,
-    n_ciphertexts: u64,
-    parallel: bool,
-) -> Vec<Fig11Panel> {
     [(0.9, 100.0), (0.99, 100.0)]
         .iter()
-        .map(|&(a, b)| run_panel_with(a, b, seed, zones_per_mix, n_ciphertexts, parallel))
+        .map(|&(a, b)| run_panel(a, b, seed, zones_per_mix, n_ciphertexts))
         .collect()
 }
 
@@ -63,18 +53,6 @@ pub fn run_panel(
     seed: u64,
     zones_per_mix: usize,
     n_ciphertexts: u64,
-) -> Fig11Panel {
-    run_panel_with(a, b, seed, zones_per_mix, n_ciphertexts, false)
-}
-
-/// [`run_panel`] with the parallel-evaluation knob.
-pub fn run_panel_with(
-    a: f64,
-    b: f64,
-    seed: u64,
-    zones_per_mix: usize,
-    n_ciphertexts: u64,
-    parallel: bool,
 ) -> Fig11Panel {
     let grid = Grid::chicago_downtown_32();
     let probs = sigmoid_probs(grid.n_cells(), a, b, seed);
@@ -87,9 +65,8 @@ pub fn run_panel_with(
         .map(|m| m.generate(&sampler, &mut rng))
         .collect();
 
-    // The (encoder × workload) cost grid is exactly fig09's sweep; reuse
-    // it so the parallel path and its guards live in one place.
-    let sweep = sweep_encoders_with(probs.raw(), &workloads, n_ciphertexts, parallel);
+    // The (encoder × workload) cost grid is exactly fig09's sweep.
+    let sweep = sweep_encoders(probs.raw(), &workloads, n_ciphertexts);
     Fig11Panel {
         a,
         b,

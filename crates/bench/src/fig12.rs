@@ -35,16 +35,6 @@ pub const RADII: [f64; 5] = [20.0, 100.0, 300.0, 1_000.0, 2_000.0];
 
 /// Runs the granularity sweep.
 pub fn run(seed: u64, zones_per_radius: usize, n_ciphertexts: u64) -> Vec<Fig12Point> {
-    run_with(seed, zones_per_radius, n_ciphertexts, false)
-}
-
-/// [`run`] with the parallel-evaluation knob (`repro --parallel`).
-pub fn run_with(
-    seed: u64,
-    zones_per_radius: usize,
-    n_ciphertexts: u64,
-    parallel: bool,
-) -> Vec<Fig12Point> {
     let mut out = Vec::new();
     for &side in &SIDES {
         let grid = Grid::new(BoundingBox::chicago_downtown(), side, side);
@@ -59,7 +49,7 @@ pub fn run_with(
 
         let huffman = CellCodebook::build(EncoderKind::Huffman, probs.raw());
         let basic = CellCodebook::build(EncoderKind::BasicFixed, probs.raw());
-        let eval_point = |w: &sla_datasets::Workload| {
+        out.extend(workloads.iter().map(|w| {
             let zones = zones_to_cells(w);
             let hc = evaluate_workload(&huffman, &w.label, &zones, n_ciphertexts);
             let bc = evaluate_workload(&basic, &w.label, &zones, n_ciphertexts);
@@ -70,13 +60,7 @@ pub fn run_with(
                 basic_pairings: bc.pairings,
                 improvement: hc.improvement_vs(&bc),
             }
-        };
-        if parallel {
-            use rayon::prelude::*;
-            out.extend(workloads.par_iter().map(eval_point).collect::<Vec<_>>());
-        } else {
-            out.extend(workloads.iter().map(eval_point));
-        }
+        }));
     }
     out
 }

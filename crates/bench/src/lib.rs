@@ -3,8 +3,10 @@
 //! Experiment harness reproducing **every figure of §7** of the paper.
 //! Each `figNN` module exposes a pure function returning the figure's data
 //! series; the `repro` binary prints them as tables and writes
-//! `results/figNN.csv`, and the Criterion benches time the underlying
-//! computations.
+//! `results/figNN.csv`. The [`primitives`] module times the arithmetic,
+//! the HVE phases and the store backends for
+//! `results/BENCH_primitives.json`; the end-to-end service benchmark
+//! lives in `perfbench/`.
 //!
 //! | Module | Paper artifact |
 //! |--------|----------------|
@@ -28,7 +30,6 @@ pub mod fig11;
 pub mod fig12;
 pub mod fig13;
 pub mod fig14;
-pub mod histogram;
 pub mod primitives;
 pub mod scenarios;
 pub mod table;

@@ -1,6 +1,6 @@
 //! The scenario catalogue: named workload generators with ground-truth
 //! oracles, all materializing as churn workloads so every existing
-//! replay consumer (bench runner, wire loadgen, equivalence tests) can
+//! replay consumer (the `repro scenario` runner, equivalence tests) can
 //! drive them unchanged.
 
 use std::collections::BTreeSet;

@@ -8,10 +8,10 @@
 //! ```
 //!
 //! The system is built over the paper's Chicago-downtown 32×32 grid
-//! with a uniform probability map (the loadgen speaks the same grid, so
-//! cell indices agree on both ends). On startup the resolved endpoint
-//! is printed as `listening on <addr>` — with `--tcp 127.0.0.1:0` that
-//! line carries the kernel-assigned port. The server runs until a
+//! with a uniform probability map, so clients address cells of that
+//! grid. On startup the resolved endpoint is printed as
+//! `listening on <addr>` — with `--tcp 127.0.0.1:0` that line carries
+//! the kernel-assigned port. The server runs until a
 //! `shutdown` RPC arrives, then drains connections, flushes the durable
 //! store's WAL, and exits 0.
 
@@ -34,7 +34,9 @@ struct Opts {
     /// Group-commit window for the persistent WAL; `0` fsyncs every op.
     flush_ms: u64,
     group_bits: usize,
-    shards: usize,
+    /// Lock shards of the concurrent store; `None` when `--shards` was
+    /// not given.
+    shards: Option<usize>,
     workers: usize,
     inflight: usize,
     seed: u64,
@@ -57,6 +59,8 @@ enum ArgError {
     Invalid(&'static str, String),
     /// Neither or both of `--socket` / `--tcp`.
     Endpoint,
+    /// A well-formed value the server cannot honour, and why.
+    Unusable(&'static str, &'static str),
     /// A flag this binary does not know.
     Unknown(String),
 }
@@ -70,6 +74,7 @@ impl std::fmt::Display for ArgError {
                 f,
                 "exactly one endpoint is required: --socket <path> or --tcp <addr>"
             ),
+            ArgError::Unusable(flag, why) => write!(f, "{flag}: {why}"),
             ArgError::Unknown(flag) => write!(f, "unknown flag '{flag}' (see --help)"),
         }
     }
@@ -92,8 +97,10 @@ OPTIONS:
     --dir <path>        Durable store directory (persistent only; default sla-server-store)
     --flush-ms <n>      WAL group-commit window in ms; 0 = fsync every op (default 2)
     --group-bits <n>    Bilinear group size in bits (default 40)
-    --shards <n>        Store lock shards (default 8)
-    --workers <n>       Worker threads = max concurrent connections (default 8)
+    --shards <n>        Lock shards of the concurrent store (default 8; the
+                        persistent store always runs 16)
+    --workers <n>       Worker threads = max concurrent connections, at least 1
+                        (default 8)
     --inflight <n>      Max data-plane requests in flight (default 64)
     --seed <n>          Base RNG seed (default 20210323)
     --help              This text";
@@ -115,7 +122,7 @@ fn parse_opts(args: impl Iterator<Item = String>) -> Result<Option<Opts>, ArgErr
         dir: PathBuf::from("sla-server-store"),
         flush_ms: 2,
         group_bits: 40,
-        shards: 8,
+        shards: None,
         workers: 8,
         inflight: 64,
         seed: 20_210_323,
@@ -139,8 +146,18 @@ fn parse_opts(args: impl Iterator<Item = String>) -> Result<Option<Opts>, ArgErr
             }
             "--flush-ms" => opts.flush_ms = parse_number("--flush-ms", args.next())?,
             "--group-bits" => opts.group_bits = parse_number("--group-bits", args.next())?,
-            "--shards" => opts.shards = parse_number("--shards", args.next())?,
-            "--workers" => opts.workers = parse_number("--workers", args.next())?,
+            "--shards" => opts.shards = Some(parse_number("--shards", args.next())?),
+            "--workers" => {
+                opts.workers = parse_number("--workers", args.next())?;
+                if opts.workers == 0 {
+                    // No worker would take a connection: every one,
+                    // a `shutdown` RPC's included, is answered busy.
+                    return Err(ArgError::Unusable(
+                        "--workers",
+                        "needs at least 1 worker to serve any connection",
+                    ));
+                }
+            }
             "--inflight" => opts.inflight = parse_number("--inflight", args.next())?,
             "--seed" => opts.seed = parse_number("--seed", args.next())?,
             "--allow-remote" => opts.allow_remote = true,
@@ -152,6 +169,12 @@ fn parse_opts(args: impl Iterator<Item = String>) -> Result<Option<Opts>, ArgErr
         (None, Some(addr)) => Endpoint::Tcp(addr),
         _ => return Err(ArgError::Endpoint),
     };
+    if opts.shards.is_some() && opts.store == "persistent" {
+        return Err(ArgError::Unusable(
+            "--shards",
+            "applies to --store concurrent only; the persistent store runs a fixed 16 shards",
+        ));
+    }
     Ok(Some(opts))
 }
 
@@ -196,7 +219,7 @@ fn run(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
             },
         },
         _ => StoreBackend::ConcurrentSharded {
-            shards: opts.shards,
+            shards: opts.shards.unwrap_or(8),
         },
     };
     let grid = Grid::chicago_downtown_32();
@@ -295,6 +318,41 @@ mod tests {
         assert!(opts.allow_remote);
         let opts = parse(&["--tcp", "127.0.0.1:0"]).unwrap().unwrap();
         assert!(!opts.allow_remote);
+    }
+
+    #[test]
+    fn zero_workers_is_refused() {
+        let err = parse(&["--socket", "s.sock", "--workers", "0"]).err();
+        assert!(
+            matches!(err, Some(ArgError::Unusable("--workers", _))),
+            "{err:?}"
+        );
+        let opts = parse(&["--socket", "s.sock", "--workers", "1"])
+            .unwrap()
+            .unwrap();
+        assert_eq!(opts.workers, 1);
+    }
+
+    #[test]
+    fn shards_with_the_persistent_store_is_refused() {
+        for args in [
+            ["--store", "persistent", "--shards", "4"],
+            ["--shards", "4", "--store", "persistent"],
+        ] {
+            let err = parse(&[&["--socket", "s.sock"], &args[..]].concat()).err();
+            assert!(
+                matches!(err, Some(ArgError::Unusable("--shards", _))),
+                "{args:?}: {err:?}"
+            );
+        }
+        let opts = parse(&["--socket", "s.sock", "--shards", "4"])
+            .unwrap()
+            .unwrap();
+        assert_eq!(opts.shards, Some(4));
+        let opts = parse(&["--socket", "s.sock", "--store", "persistent"])
+            .unwrap()
+            .unwrap();
+        assert_eq!(opts.shards, None);
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   graceful: drain connections, flush the durable store's WAL,
 //!   remove the socket file.
 //!
-//! The `sla-server` binary wires these to a command line; `sla-loadgen`
-//! (its own crate) replays dataset churn workloads against it and
-//! records latency histograms.
+//! The `sla-server` binary wires these to a command line;
+//! `tests/live_server.rs` runs that binary as a child process and checks
+//! its answers, counters, drain and restart end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -66,7 +66,7 @@ pub enum Request {
 }
 
 impl Request {
-    /// Short label for latency accounting (one histogram per kind).
+    /// Short label naming the request's kind (for logs and messages).
     pub fn kind(&self) -> &'static str {
         match self {
             Request::Subscribe { .. } => "subscribe",
