@@ -1,29 +1,26 @@
 //! The scenario bench matrix: scenario family × privacy/granularity
-//! level × store backend, replayed end-to-end through **two**
-//! identically-seeded systems — one alerting through the tracked
-//! (incremental token regeneration) path, one through full
-//! regeneration — with every epoch's outcome checked against the other
-//! system *and* against the scenario's plaintext oracle.
+//! level × store backend, replayed end-to-end through one system per
+//! serving level, with every epoch's notified set checked against the
+//! scenario's plaintext oracle and every alert's pairings against the
+//! analytic cost model.
 //!
-//! Reported per row: token-regeneration work (generated vs reused),
-//! zone cell deltas, match cost in pairings, wall-clock for both alert
-//! paths, and the privacy knob's notification cost (total vs exact vs
-//! spurious). Written as `results/BENCH_scenarios.json`, schema
-//! `sla-scenarios-bench/v1`.
+//! Reported per row: tokens issued, match cost in pairings, alert
+//! wall-clock, and the privacy knob's notification cost (total vs exact
+//! vs spurious). Written as `results/BENCH_scenarios.json`, schema
+//! `sla-scenarios-bench/v2`.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sla_core::{AlertSystem, StoreBackend, SystemBuilder, ZoneTracker};
+use sla_core::{AlertSystem, StoreBackend, SystemBuilder};
 use sla_datasets::{ChurnEvent, ChurnWorkload};
 use sla_encoding::EncoderKind;
-use sla_grid::ProbabilityMap;
 use sla_scenarios::{GranularityLevel, ScenarioConfig, ScenarioKind, ScenarioWorkload};
 
-/// Group size for the matrix: small enough that 18 rows × 2 systems run
-/// in CI, large enough that pairing counts dominate timing noise.
+/// Group size for the matrix: small enough that the whole matrix runs in
+/// CI, large enough that pairing counts dominate timing noise.
 const GROUP_BITS: usize = 32;
 
 /// One cell of the bench matrix.
@@ -41,16 +38,9 @@ pub struct ScenarioRow {
     pub users: u64,
     /// Alerts issued (one per epoch).
     pub alerts: u64,
-    /// Tokens freshly generated by the tracked path across all epochs.
-    pub tokens_generated: u64,
-    /// Tokens served from the pattern cache.
-    pub tokens_reused: u64,
-    /// Zone cells entered across epochs (tracked path's delta).
-    pub cells_entered: u64,
-    /// Zone cells exited across epochs.
-    pub cells_exited: u64,
-    /// Pairings spent matching (tracked path; the full path is equal —
-    /// any divergence counts as a mismatch).
+    /// Tokens issued across all epochs (every alert draws fresh ones).
+    pub tokens_issued: u64,
+    /// Pairings spent matching.
     pub pairings: u64,
     /// Users notified, summed over epochs (at this privacy level).
     pub notified: u64,
@@ -59,24 +49,11 @@ pub struct ScenarioRow {
     /// Spurious notifications (`notified - exact` per epoch, summed):
     /// the privacy knob's cost.
     pub spurious: u64,
-    /// Total wall-clock of the tracked (incremental) alerts, ns.
-    pub tracked_ns: f64,
-    /// Total wall-clock of the full-regeneration alerts, ns.
-    pub full_ns: f64,
-    /// Epochs where tracked vs full vs oracle disagreed (must be 0).
+    /// Total wall-clock of the alerts, ns.
+    pub alert_ns: f64,
+    /// Epochs whose notified set differed from the oracle, or whose
+    /// pairings differed from the analytic count (must be 0).
     pub mismatches: u64,
-}
-
-impl ScenarioRow {
-    /// Full-regeneration time over tracked time (> 1 when the
-    /// incremental path wins).
-    pub fn speedup(&self) -> f64 {
-        if self.tracked_ns > 0.0 {
-            self.full_ns / self.tracked_ns
-        } else {
-            1.0
-        }
-    }
 }
 
 /// Resolves a store-backend name, giving persistent stores a unique
@@ -100,12 +77,11 @@ fn resolve_backend(name: &str, tag: &str) -> (StoreBackend, Option<PathBuf>) {
     }
 }
 
-/// One replayable serving lane: a system plus its tracker and RNG (the
-/// tracked and full systems are seeded identically, so their stores stay
-/// byte-equal under the same event stream).
+/// One serving level's replayable lane: its churn view and the system
+/// serving it.
 struct Lane {
+    churn: ChurnWorkload,
     system: AlertSystem,
-    tracker: ZoneTracker,
     rng: StdRng,
     scratch: Option<PathBuf>,
 }
@@ -113,7 +89,7 @@ struct Lane {
 impl Lane {
     fn build(
         workload: &ScenarioWorkload,
-        probs: &ProbabilityMap,
+        churn: ChurnWorkload,
         store: &str,
         tag: &str,
         seed: u64,
@@ -124,30 +100,13 @@ impl Lane {
             .encoder(EncoderKind::Huffman)
             .group_bits(GROUP_BITS)
             .store(backend)
-            .build(probs, &mut rng)
+            .build(&workload.probs, &mut rng)
             .expect("scenario: valid configuration");
         Lane {
+            churn,
             system,
-            tracker: ZoneTracker::new(),
             rng,
             scratch,
-        }
-    }
-
-    fn apply_events(&mut self, events: &[ChurnEvent]) {
-        for event in events {
-            match *event {
-                ChurnEvent::Subscribe { user_id, cell } | ChurnEvent::Move { user_id, cell } => {
-                    self.system
-                        .subscribe_cell(user_id, cell, &mut self.rng)
-                        .expect("scenario: in-range cell");
-                }
-                ChurnEvent::Unsubscribe { user_id } => {
-                    self.system
-                        .unsubscribe(user_id)
-                        .expect("scenario: known user");
-                }
-            }
         }
     }
 
@@ -160,30 +119,6 @@ impl Lane {
     }
 }
 
-/// One level's tracked+full system pair over one (coarsened or sliced)
-/// churn view.
-struct LanePair {
-    churn: ChurnWorkload,
-    tracked: Lane,
-    full: Lane,
-}
-
-impl LanePair {
-    fn build(
-        workload: &ScenarioWorkload,
-        churn: ChurnWorkload,
-        store: &str,
-        tag: &str,
-        seed: u64,
-    ) -> LanePair {
-        LanePair {
-            churn,
-            tracked: Lane::build(workload, &workload.probs, store, &format!("{tag}-t"), seed),
-            full: Lane::build(workload, &workload.probs, store, &format!("{tag}-f"), seed),
-        }
-    }
-}
-
 fn empty_row(kind: ScenarioKind, level: &str, store: &str, users: u64) -> ScenarioRow {
     ScenarioRow {
         scenario: kind.name().to_string(),
@@ -191,76 +126,62 @@ fn empty_row(kind: ScenarioKind, level: &str, store: &str, users: u64) -> Scenar
         store: store.to_string(),
         users,
         alerts: 0,
-        tokens_generated: 0,
-        tokens_reused: 0,
-        cells_entered: 0,
-        cells_exited: 0,
+        tokens_issued: 0,
         pairings: 0,
         notified: 0,
         exact_notified: 0,
         spurious: 0,
-        tracked_ns: 0.0,
-        full_ns: 0.0,
+        alert_ns: 0.0,
         mismatches: 0,
     }
 }
 
-/// Replays every epoch of `pairs` (one pair per serving level), checking
-/// the tracked outcome against the full-regeneration outcome and the
-/// union of notified sets against `expected(epoch)`; accumulates into
-/// `row`.
-fn replay_pairs(
-    pairs: &mut [LanePair],
+/// Replays every epoch of `lanes` (one lane per serving level), checking
+/// each alert's pairings against the analytic count and the union of
+/// notified sets against `expected(epoch)`; accumulates into `row`.
+fn replay(
+    lanes: &mut [Lane],
     row: &mut ScenarioRow,
     workload: &ScenarioWorkload,
     expected: impl Fn(usize) -> Vec<u64>,
 ) {
-    let n_epochs = pairs
+    let n_epochs = lanes
         .first()
-        .map(|p| p.churn.epochs.len())
+        .map(|l| l.churn.epochs.len())
         .unwrap_or_default();
     for e in 0..n_epochs {
         let mut union: Vec<u64> = Vec::new();
         let mut epoch_ok = true;
-        for pair in pairs.iter_mut() {
-            let epoch = pair.churn.epochs[e].clone();
-            pair.tracked.apply_events(&epoch.events);
-            pair.full.apply_events(&epoch.events);
-
-            let t0 = Instant::now();
-            let tracked = pair
-                .tracked
-                .system
-                .issue_alert_tracked(
-                    &mut pair.tracked.tracker,
-                    &epoch.alert_cells,
-                    &mut pair.tracked.rng,
-                )
-                .expect("scenario: tracked alert");
-            row.tracked_ns += t0.elapsed().as_nanos() as f64;
-
-            let t0 = Instant::now();
-            let full = pair
-                .full
-                .system
-                .issue_alert(&epoch.alert_cells, &mut pair.full.rng)
-                .expect("scenario: full alert");
-            row.full_ns += t0.elapsed().as_nanos() as f64;
-
-            if tracked.alert != full {
-                epoch_ok = false;
+        for Lane {
+            churn, system, rng, ..
+        } in lanes.iter_mut()
+        {
+            let epoch = &churn.epochs[e];
+            for event in &epoch.events {
+                match *event {
+                    ChurnEvent::Subscribe { user_id, cell }
+                    | ChurnEvent::Move { user_id, cell } => {
+                        system
+                            .subscribe_cell(user_id, cell, rng)
+                            .expect("scenario: in-range cell");
+                    }
+                    ChurnEvent::Unsubscribe { user_id } => {
+                        system.unsubscribe(user_id).expect("scenario: known user");
+                    }
+                }
             }
-            row.tokens_generated += tracked.regen.tokens_generated;
-            row.tokens_reused += tracked.regen.tokens_reused;
-            row.cells_entered += tracked.regen.cells_entered;
-            row.cells_exited += tracked.regen.cells_exited;
-            row.pairings += tracked.alert.pairings_used;
-            union.extend(tracked.alert.notified);
+            let t0 = Instant::now();
+            let outcome = system
+                .issue_alert(&epoch.alert_cells, rng)
+                .expect("scenario: alert");
+            row.alert_ns += t0.elapsed().as_nanos() as f64;
+            epoch_ok &= outcome.pairings_used == outcome.analytic_pairings;
+            row.tokens_issued += outcome.tokens_issued as u64;
+            row.pairings += outcome.pairings_used;
+            union.extend(outcome.notified);
         }
         union.sort_unstable();
-        if union != expected(e) {
-            epoch_ok = false;
-        }
+        epoch_ok &= union == expected(e);
         let exact = workload.exact_notified(e).len() as u64;
         row.alerts += 1;
         row.notified += union.len() as u64;
@@ -281,7 +202,7 @@ pub fn run_uniform(
 ) -> ScenarioRow {
     let workload = ScenarioWorkload::generate(kind, config);
     let tag = format!("{kind}-{level}-{store}");
-    let mut pairs = vec![LanePair::build(
+    let mut lanes = vec![Lane::build(
         &workload,
         workload.at_level(level),
         store,
@@ -289,28 +210,25 @@ pub fn run_uniform(
         config.seed,
     )];
     let mut row = empty_row(kind, &level.to_string(), store, config.users);
-    replay_pairs(&mut pairs, &mut row, &workload, |e| {
+    replay(&mut lanes, &mut row, &workload, |e| {
         workload.expected_notified_at(e, level)
     });
-    for pair in pairs {
-        pair.tracked.cleanup();
-        pair.full.cleanup();
-    }
+    lanes.into_iter().for_each(Lane::cleanup);
     row
 }
 
-/// Runs the mixed-granularity serving cell: one store (and one tracked /
-/// full system pair) **per subscribed level**, alerts issued per level
-/// over that level's coarsened zone, notified sets unioned — checked
-/// against [`ScenarioWorkload::expected_notified_mixed`].
+/// Runs the mixed-granularity serving cell: one store **per subscribed
+/// level**, alerts issued per level over that level's coarsened zone,
+/// notified sets unioned — checked against
+/// [`ScenarioWorkload::expected_notified_mixed`].
 pub fn run_mixed(store: &str, config: &ScenarioConfig) -> ScenarioRow {
     let workload = ScenarioWorkload::generate(ScenarioKind::Mixed, config);
-    let mut pairs: Vec<LanePair> = workload
+    let mut lanes: Vec<Lane> = workload
         .distinct_levels()
         .into_iter()
         .map(|level| {
             let tag = format!("mixed-{level}-{store}");
-            LanePair::build(
+            Lane::build(
                 &workload,
                 workload.level_slice(level),
                 store,
@@ -320,13 +238,10 @@ pub fn run_mixed(store: &str, config: &ScenarioConfig) -> ScenarioRow {
         })
         .collect();
     let mut row = empty_row(ScenarioKind::Mixed, "mixed", store, config.users);
-    replay_pairs(&mut pairs, &mut row, &workload, |e| {
+    replay(&mut lanes, &mut row, &workload, |e| {
         workload.expected_notified_mixed(e)
     });
-    for pair in pairs {
-        pair.tracked.cleanup();
-        pair.full.cleanup();
-    }
+    lanes.into_iter().for_each(Lane::cleanup);
     row
 }
 
@@ -352,9 +267,9 @@ pub fn run_matrix(
     rows
 }
 
-/// Renders the matrix as `sla-scenarios-bench/v1` JSON.
+/// Renders the matrix as `sla-scenarios-bench/v2` JSON.
 pub fn to_json(config: &ScenarioConfig, rows: &[ScenarioRow]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"sla-scenarios-bench/v1\",\n");
+    let mut out = String::from("{\n  \"schema\": \"sla-scenarios-bench/v2\",\n");
     out.push_str(&format!(
         "  \"seed\": {}, \"users\": {}, \"epochs\": {}, \"group_bits\": {},\n  \"rows\": [\n",
         config.seed, config.users, config.epochs, GROUP_BITS
@@ -365,29 +280,21 @@ pub fn to_json(config: &ScenarioConfig, rows: &[ScenarioRow]) -> String {
             format!(
                 concat!(
                     "    {{\"scenario\": \"{}\", \"level\": \"{}\", \"store\": \"{}\", ",
-                    "\"users\": {}, \"alerts\": {}, ",
-                    "\"tokens_generated\": {}, \"tokens_reused\": {}, ",
-                    "\"cells_entered\": {}, \"cells_exited\": {}, \"pairings\": {}, ",
+                    "\"users\": {}, \"alerts\": {}, \"tokens_issued\": {}, \"pairings\": {}, ",
                     "\"notified\": {}, \"exact_notified\": {}, \"spurious\": {}, ",
-                    "\"tracked_ns\": {:.0}, \"full_ns\": {:.0}, \"speedup\": {:.3}, ",
-                    "\"mismatches\": {}}}"
+                    "\"alert_ns\": {:.0}, \"mismatches\": {}}}"
                 ),
                 r.scenario,
                 r.level,
                 r.store,
                 r.users,
                 r.alerts,
-                r.tokens_generated,
-                r.tokens_reused,
-                r.cells_entered,
-                r.cells_exited,
+                r.tokens_issued,
                 r.pairings,
                 r.notified,
                 r.exact_notified,
                 r.spurious,
-                r.tracked_ns,
-                r.full_ns,
-                r.speedup(),
+                r.alert_ns,
                 r.mismatches,
             )
         })
@@ -410,7 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn uniform_row_matches_oracle_and_full_path() {
+    fn uniform_row_matches_oracle() {
         let row = run_uniform(
             ScenarioKind::Moving,
             GranularityLevel::EXACT,
@@ -419,7 +326,7 @@ mod tests {
         );
         assert_eq!(row.mismatches, 0);
         assert_eq!(row.alerts, 3);
-        assert!(row.tokens_generated > 0);
+        assert!(row.tokens_issued > 0);
         assert_eq!(row.spurious, 0, "L0 has no privacy cost");
     }
 
@@ -432,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn json_has_the_v1_shape() {
+    fn json_has_the_v2_shape() {
         let rows = vec![run_uniform(
             ScenarioKind::Burst,
             GranularityLevel(2),
@@ -441,11 +348,12 @@ mod tests {
         )];
         let json = to_json(&tiny(), &rows);
         for needle in [
-            "\"schema\": \"sla-scenarios-bench/v1\"",
+            "\"schema\": \"sla-scenarios-bench/v2\"",
             "\"scenario\": \"burst\"",
             "\"level\": \"L2\"",
+            "\"tokens_issued\":",
+            "\"alert_ns\":",
             "\"mismatches\": 0",
-            "\"tokens_reused\":",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }

@@ -9,8 +9,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sla_encoding::CellCodebook;
 use sla_hve::{
-    Ciphertext, HveScheme, PreparedPublicKey, PreparedSecretKey, PublicKey, RegenStats, SecretKey,
-    Token, TokenCache,
+    Ciphertext, HveScheme, PreparedPublicKey, PreparedSecretKey, RegenStats, SearchPattern,
+    SecretKey, Token, TokenCache,
 };
 use sla_pairing::{BigUint, BilinearGroup, PreparedQuery};
 use sla_persist::Record;
@@ -48,6 +48,26 @@ impl TaKey {
             TaKey::Prepared(psk) => psk.secret_key(),
         }
     }
+
+    /// One fresh token per pattern, in order: batched through the
+    /// fixed-base tables on a prepared key
+    /// ([`HveScheme::gen_token_prepared_batch`], byte-identical to
+    /// per-token generation against the same RNG), serially through
+    /// [`HveScheme::gen_token`] on a plain one.
+    fn gen_tokens<G: BilinearGroup, R: Rng>(
+        &self,
+        scheme: &HveScheme<'_, G>,
+        patterns: &[&SearchPattern],
+        rng: &mut R,
+    ) -> Vec<Token> {
+        match self {
+            TaKey::Prepared(psk) => scheme.gen_token_prepared_batch(psk, patterns, rng),
+            TaKey::Plain(sk) => patterns
+                .iter()
+                .map(|pattern| scheme.gen_token(sk, pattern, rng))
+                .collect(),
+        }
+    }
 }
 
 impl TrustedAuthority {
@@ -79,14 +99,21 @@ impl TrustedAuthority {
         &self.codebook
     }
 
+    /// The alert zone's minimized cover as search patterns;
+    /// `Err(SlaError::CellOutOfRange)` on cells outside the grid.
+    fn patterns_for(&self, alert_cells: &[usize]) -> SlaResult<Vec<SearchPattern>> {
+        Ok(self
+            .codebook
+            .try_tokens_for(alert_cells)?
+            .iter()
+            .map(codeword_to_pattern)
+            .collect())
+    }
+
     /// Issues the minimized token set for an alert zone (Fig. 3's
-    /// "minimization algorithm" + token encryption), through the prepared
-    /// key tables when [`Self::prepare`] has run.
-    ///
-    /// With a prepared key the whole set is generated through
-    /// [`HveScheme::gen_token_prepared_batch`] — byte-identical to
-    /// per-token generation against the same RNG, with identical
-    /// operation counts.
+    /// "minimization algorithm" + token encryption), every token freshly
+    /// drawn, through the prepared key tables when [`Self::prepare`] has
+    /// run.
     ///
     /// `Err(SlaError::CellOutOfRange)` on alert cells outside the grid.
     pub fn issue_tokens<G: BilinearGroup, R: Rng>(
@@ -95,33 +122,21 @@ impl TrustedAuthority {
         alert_cells: &[usize],
         rng: &mut R,
     ) -> SlaResult<Vec<Token>> {
-        let patterns: Vec<_> = self
-            .codebook
-            .try_tokens_for(alert_cells)?
-            .iter()
-            .map(codeword_to_pattern)
-            .collect();
-        match &self.key {
-            TaKey::Prepared(psk) => {
-                let refs: Vec<_> = patterns.iter().collect();
-                Ok(scheme.gen_token_prepared_batch(psk, &refs, rng))
-            }
-            TaKey::Plain(sk) => Ok(patterns
-                .iter()
-                .map(|pattern| scheme.gen_token(sk, pattern, rng))
-                .collect()),
-        }
+        let patterns = self.patterns_for(alert_cells)?;
+        let refs: Vec<_> = patterns.iter().collect();
+        Ok(self.key.gen_tokens(scheme, &refs, rng))
     }
 
-    /// Incremental variant of [`Self::issue_tokens`] for dynamic alert
-    /// zones: minimizes the zone to its pattern set, then serves it from
-    /// `cache` — only patterns that entered since the previous epoch are
-    /// freshly generated (batched through
-    /// [`HveScheme::gen_token_prepared_batch`] on a prepared key), and
-    /// patterns that exited are evicted. Tokens for unchanged patterns
-    /// are reused, which leaves notified sets and pairing counts
-    /// identical to a full regeneration (matching depends only on the
-    /// pattern, never on token randomness).
+    /// [`Self::issue_tokens`] served from a pattern-keyed `cache`: only
+    /// patterns missing from it are freshly generated, and patterns that
+    /// left the cover are evicted ([`TokenCache::regen_with`]).
+    ///
+    /// No alert path calls this. A reused token lets the SP link two
+    /// alerts that share a pattern, which the paper's protocol rules
+    /// out, so every alert issues fresh tokens through
+    /// [`Self::issue_tokens`]. It remains only because the repo
+    /// benchmark's per-layer ledger still times it, and goes with the
+    /// next change to that benchmark.
     ///
     /// `Err(SlaError::CellOutOfRange)` on alert cells outside the grid.
     pub fn issue_tokens_cached<G: BilinearGroup, R: Rng>(
@@ -131,16 +146,10 @@ impl TrustedAuthority {
         alert_cells: &[usize],
         rng: &mut R,
     ) -> SlaResult<(Vec<Token>, RegenStats)> {
-        let patterns: Vec<_> = self
-            .codebook
-            .try_tokens_for(alert_cells)?
-            .iter()
-            .map(codeword_to_pattern)
-            .collect();
-        Ok(match &self.key {
-            TaKey::Prepared(psk) => scheme.regen_tokens_prepared(psk, cache, &patterns, rng),
-            TaKey::Plain(sk) => scheme.regen_tokens(sk, cache, &patterns, rng),
-        })
+        let patterns = self.patterns_for(alert_cells)?;
+        Ok(cache.regen_with(&patterns, |missing| {
+            self.key.gen_tokens(scheme, missing, rng)
+        }))
     }
 
     /// Analytic pairing cost of an alert against `n_ciphertexts`
@@ -174,22 +183,10 @@ impl MobileUser {
     }
 
     /// Encrypts the user's location update (Fig. 1: users A and B encrypt
-    /// their indexes with PK). Errors on cells outside the codebook and
-    /// on ids outside the HVE message domain.
-    pub fn encrypt_update<G: BilinearGroup, R: Rng>(
-        &self,
-        scheme: &HveScheme<'_, G>,
-        pk: &PublicKey,
-        codebook: &CellCodebook,
-        rng: &mut R,
-    ) -> SlaResult<Ciphertext> {
-        let (attr, msg) = self.update_parts(scheme, codebook)?;
-        Ok(scheme.encrypt(pk, &attr, &msg, rng))
-    }
-
-    /// [`Self::encrypt_update`] through a prepared public key — identical
-    /// output, with the fixed-base tables amortized across all users
-    /// encrypting under the same key.
+    /// their indexes with PK) through the prepared public key, whose
+    /// fixed-base tables are amortized across all users encrypting under
+    /// the same key. Errors on cells outside the codebook and on ids
+    /// outside the HVE message domain.
     pub fn encrypt_update_prepared<G: BilinearGroup, R: Rng>(
         &self,
         scheme: &HveScheme<'_, G>,
@@ -197,16 +194,6 @@ impl MobileUser {
         codebook: &CellCodebook,
         rng: &mut R,
     ) -> SlaResult<Ciphertext> {
-        let (attr, msg) = self.update_parts(scheme, codebook)?;
-        Ok(scheme.encrypt_prepared(ppk, &attr, &msg, rng))
-    }
-
-    /// Validated attribute/message pair shared by both encrypt paths.
-    fn update_parts<G: BilinearGroup>(
-        &self,
-        scheme: &HveScheme<'_, G>,
-        codebook: &CellCodebook,
-    ) -> SlaResult<(sla_hve::AttributeVector, sla_pairing::GtElem)> {
         if self.cell >= codebook.n_cells() {
             return Err(SlaError::CellOutOfRange {
                 cell: self.cell,
@@ -215,7 +202,7 @@ impl MobileUser {
         }
         let attr = index_to_attribute(codebook.index_of(self.cell));
         let msg = scheme.try_encode_message(self.id)?;
-        Ok((attr, msg))
+        Ok(scheme.encrypt_prepared(ppk, &attr, &msg, rng))
     }
 }
 
@@ -246,16 +233,6 @@ pub struct ServiceStats {
     /// volatile backends. Read from per-lane atomics — never a lane
     /// lock — so the snapshot stays wait-free.
     pub durability_lanes: Vec<DurabilityLaneStats>,
-    /// Lifetime count of alert tokens freshly generated by the tracked
-    /// (incremental) alert path — cache misses; cache hits cost no group
-    /// operations and are not counted here.
-    pub tokens_regenerated: u64,
-    /// Lifetime count of cells that entered a tracked alert zone
-    /// relative to the previous epoch of the same tracker.
-    pub cells_entered: u64,
-    /// Lifetime count of cells that exited a tracked alert zone
-    /// relative to the previous epoch of the same tracker.
-    pub cells_exited: u64,
 }
 
 /// What an exhaustive match of one alert's tokens over the store found,
@@ -337,9 +314,6 @@ pub struct ServiceProvider {
     replaced: AtomicU64,
     unsubscribed: AtomicU64,
     evicted: AtomicU64,
-    tokens_regenerated: AtomicU64,
-    cells_entered: AtomicU64,
-    cells_exited: AtomicU64,
 }
 
 impl Default for ServiceProvider {
@@ -378,20 +352,7 @@ impl ServiceProvider {
             replaced: AtomicU64::new(0),
             unsubscribed: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            tokens_regenerated: AtomicU64::new(0),
-            cells_entered: AtomicU64::new(0),
-            cells_exited: AtomicU64::new(0),
         })
-    }
-
-    /// Records one tracked-alert regeneration pass (atomics through
-    /// `&self`, like the churn counters): `generated` fresh tokens and
-    /// the zone's cell delta against the tracker's previous epoch.
-    pub(crate) fn note_regen(&self, generated: u64, entered: u64, exited: u64) {
-        self.tokens_regenerated
-            .fetch_add(generated, Ordering::Relaxed);
-        self.cells_entered.fetch_add(entered, Ordering::Relaxed);
-        self.cells_exited.fetch_add(exited, Ordering::Relaxed);
     }
 
     /// Number of stored ciphertexts (one per live user). Exact when
@@ -435,9 +396,6 @@ impl ServiceProvider {
             store: self.stats(),
             recovered_epoch: self.recovered_epoch(),
             durability_lanes: self.store.durability_lanes(),
-            tokens_regenerated: self.tokens_regenerated.load(Ordering::Relaxed),
-            cells_entered: self.cells_entered.load(Ordering::Relaxed),
-            cells_exited: self.cells_exited.load(Ordering::Relaxed),
         }
     }
 

@@ -62,7 +62,6 @@ mod error;
 pub mod metrics;
 mod store;
 mod system;
-mod tracker;
 
 pub use convert::{codeword_to_pattern, index_to_attribute};
 pub use durable::PersistentStore;
@@ -75,7 +74,6 @@ pub use store::{
     StoreBackend, StoreStats, UpsertOutcome,
 };
 pub use system::{AlertOutcome, AlertSystem, SystemBuilder};
-pub use tracker::{TokenRegenStats, TrackedAlertOutcome, ZoneTracker};
 
 // The flush policy is part of `StoreBackend::Persistent`'s surface, and
 // the record is what the store seam stores.

@@ -1,11 +1,9 @@
 //! [`SystemBuilder`] / [`AlertSystem`]: owns the bilinear group and wires
 //! the three parties together for long-lived service runs.
 
-use crate::convert::index_to_attribute;
 use crate::entities::{AlertMatch, MobileUser, ServiceProvider, Subscription, TrustedAuthority};
 use crate::error::{SlaError, SlaResult, MAX_GROUP_BITS, MIN_GROUP_BITS};
 use crate::store::{StoreBackend, StoreStats, UpsertOutcome};
-use crate::tracker::{TokenRegenStats, TrackedAlertOutcome, ZoneTracker};
 use rand::Rng;
 use sla_encoding::{CellCodebook, EncoderKind};
 use sla_grid::{Grid, Point, ProbabilityMap};
@@ -259,55 +257,6 @@ impl AlertSystem {
         )
     }
 
-    /// Bulk [`Self::subscribe_cell`]: validates every `(user_id, cell)`
-    /// update, then encrypts each through
-    /// [`HveScheme::encrypt_prepared`] in request order. Ciphertext `j`
-    /// is byte-identical to what the `j`-th serial `subscribe_cell` call
-    /// would have stored against the same RNG, and outcomes are returned
-    /// in request order.
-    ///
-    /// Validation is all-or-nothing: every request is checked
-    /// (`CellOutOfRange`, `MessageOutOfDomain`) before any cryptography
-    /// runs or any record is stored.
-    pub fn subscribe_cells_bulk<R: Rng>(
-        &self,
-        requests: &[(u64, usize)],
-        rng: &mut R,
-    ) -> SlaResult<Vec<UpsertOutcome>> {
-        let scheme = self.scheme();
-        let mut attrs = Vec::with_capacity(requests.len());
-        let mut msgs = Vec::with_capacity(requests.len());
-        for &(user_id, cell) in requests {
-            if cell >= self.grid.n_cells() {
-                return Err(SlaError::CellOutOfRange {
-                    cell,
-                    n_cells: self.grid.n_cells(),
-                });
-            }
-            attrs.push(index_to_attribute(self.ta.codebook().index_of(cell)));
-            msgs.push(scheme.try_encode_message(user_id)?);
-        }
-        let cts: Vec<_> = attrs
-            .iter()
-            .zip(&msgs)
-            .map(|(attr, msg)| scheme.encrypt_prepared(&self.ppk, attr, msg, rng))
-            .collect();
-        requests
-            .iter()
-            .zip(cts)
-            .map(|(&(user_id, _), ciphertext)| {
-                let outcome = self.sp.upsert(
-                    &scheme,
-                    Subscription {
-                        user_id,
-                        ciphertext,
-                    },
-                )?;
-                Ok(outcome)
-            })
-            .collect()
-    }
-
     /// A user at a geographic point subscribes;
     /// `Err(SlaError::PointOutsideGrid)` when the point lies outside the
     /// grid.
@@ -346,39 +295,14 @@ impl AlertSystem {
         self.sp.sync()
     }
 
-    /// Second half of the alert pipeline, shared by the full-regeneration
-    /// and tracked (incremental) paths: analytic cost, matching and
-    /// outcome assembly over tokens already in hand.
-    fn outcome_from_tokens(
-        &self,
-        scheme: &HveScheme<'_, SimulatedGroup>,
-        tokens: Vec<sla_hve::Token>,
-    ) -> SlaResult<AlertOutcome> {
-        let non_star_bits: u64 = tokens.iter().map(|t| t.non_star_count() as u64).sum();
-        // The analytic model `Σ_tokens (1 + 2·|J|) · n` evaluated on the
-        // tokens already in hand, so the alert does not pay minimization
-        // a second time.
-        let analytic = (tokens.len() as u64 + 2 * non_star_bits) * self.sp.n_subscriptions() as u64;
-
-        let AlertMatch {
-            mut notified,
-            pairings,
-        } = self.sp.match_alert(scheme, &tokens)?;
-        notified.sort_unstable();
-
-        Ok(AlertOutcome {
-            notified,
-            tokens_issued: tokens.len(),
-            non_star_bits,
-            pairings_used: pairings,
-            analytic_pairings: analytic,
-        })
-    }
-
     /// Issues an alert for a set of cells: the TA minimizes and signs
     /// tokens, the SP evaluates them exhaustively (the cost model's
     /// regime) through [`ServiceProvider::match_alert`], and matched
     /// users are notified.
+    ///
+    /// Every call draws fresh tokens, as in the paper's protocol: no two
+    /// alerts share token bytes, so the SP cannot link alerts whose
+    /// zones share a pattern.
     ///
     /// Subscription churn through [`Self::subscribe_cell`] /
     /// [`Self::unsubscribe`] may proceed while the alert is being
@@ -393,7 +317,25 @@ impl AlertSystem {
     ) -> SlaResult<AlertOutcome> {
         let scheme = self.scheme();
         let tokens = self.ta.issue_tokens(&scheme, alert_cells, rng)?;
-        self.outcome_from_tokens(&scheme, tokens)
+        let non_star_bits: u64 = tokens.iter().map(|t| t.non_star_count() as u64).sum();
+        // The analytic model `Σ_tokens (1 + 2·|J|) · n` evaluated on the
+        // tokens already in hand, so the alert does not pay minimization
+        // a second time.
+        let analytic = (tokens.len() as u64 + 2 * non_star_bits) * self.sp.n_subscriptions() as u64;
+
+        let AlertMatch {
+            mut notified,
+            pairings,
+        } = self.sp.match_alert(&scheme, &tokens)?;
+        notified.sort_unstable();
+
+        Ok(AlertOutcome {
+            notified,
+            tokens_issued: tokens.len(),
+            non_star_bits,
+            pairings_used: pairings,
+            analytic_pairings: analytic,
+        })
     }
 
     /// Analytic pairing cost of an alert against the current store,
@@ -401,55 +343,6 @@ impl AlertSystem {
     pub fn analytic_cost(&self, alert_cells: &[usize]) -> SlaResult<u64> {
         self.ta
             .analytic_pairing_cost(alert_cells, self.sp.n_subscriptions() as u64)
-    }
-
-    /// Incremental variant of [`Self::issue_alert`] for **dynamic alert
-    /// zones**: the TA serves the zone's minimized pattern set from the
-    /// tracker's token cache, freshly generating only the patterns that
-    /// entered since the tracker's previous epoch (one
-    /// `gen_token_prepared_batch` call) and evicting the ones that
-    /// exited.
-    ///
-    /// The returned [`TrackedAlertOutcome::alert`] is **equal** to what
-    /// [`Self::issue_alert`] over the same cells and store contents
-    /// produces — same notified set, token count, `pairings_used` and
-    /// analytic cost — because matching depends only on token *patterns*,
-    /// never on token randomness; the `scenarios` proptest suite pins
-    /// this across random trajectories and every store backend. What the
-    /// incremental path saves is GenToken work, reported in
-    /// [`TrackedAlertOutcome::regen`] and accumulated into
-    /// [`crate::ServiceStats`] (`tokens_regenerated`, `cells_entered`,
-    /// `cells_exited`) through the SP's atomics.
-    ///
-    /// Keep one [`ZoneTracker`] per live zone and pass it back every
-    /// epoch; a fresh tracker makes the first call a full regeneration.
-    ///
-    /// `Err(SlaError::CellOutOfRange)` on alert cells outside the grid
-    /// (the tracker is left unchanged on error).
-    pub fn issue_alert_tracked<R: Rng>(
-        &self,
-        tracker: &mut ZoneTracker,
-        alert_cells: &[usize],
-        rng: &mut R,
-    ) -> SlaResult<TrackedAlertOutcome> {
-        let scheme = self.scheme();
-        let (tokens, regen) =
-            self.ta
-                .issue_tokens_cached(&scheme, tracker.cache_mut(), alert_cells, rng)?;
-        let (cells_entered, cells_exited) = tracker.note_cells(alert_cells);
-        self.sp
-            .note_regen(regen.generated as u64, cells_entered, cells_exited);
-        let alert = self.outcome_from_tokens(&scheme, tokens)?;
-        Ok(TrackedAlertOutcome {
-            alert,
-            regen: TokenRegenStats {
-                tokens_generated: regen.generated as u64,
-                tokens_reused: regen.reused as u64,
-                tokens_evicted: regen.evicted as u64,
-                cells_entered,
-                cells_exited,
-            },
-        })
     }
 }
 
@@ -495,59 +388,6 @@ mod tests {
                 "{encoder:?}: live counter must equal analytic model"
             );
         }
-    }
-
-    #[test]
-    fn tracked_alert_equals_full_and_feeds_stats() {
-        // Two identically-seeded systems: one alerts through a tracker,
-        // the other regenerates fully; every epoch's outcome must agree.
-        let (sys_delta, mut rng_d) = small_system(EncoderKind::Huffman);
-        let (sys_full, mut rng_f) = small_system(EncoderKind::Huffman);
-        for cell in 0..6 {
-            sys_delta
-                .subscribe_cell(100 + cell as u64, cell, &mut rng_d)
-                .unwrap();
-            sys_full
-                .subscribe_cell(100 + cell as u64, cell, &mut rng_f)
-                .unwrap();
-        }
-        let mut tracker = ZoneTracker::new();
-        let epochs: [&[usize]; 4] = [&[0, 1], &[1, 2], &[2], &[2, 3, 4]];
-        for cells in epochs {
-            let tracked = sys_delta
-                .issue_alert_tracked(&mut tracker, cells, &mut rng_d)
-                .unwrap();
-            let full = sys_full.issue_alert(cells, &mut rng_f).unwrap();
-            assert_eq!(tracked.alert, full, "cells {cells:?}");
-            assert_eq!(
-                tracked.regen.tokens_generated + tracked.regen.tokens_reused,
-                tracked.alert.tokens_issued as u64
-            );
-        }
-        let stats = sys_delta.service_stats();
-        assert!(stats.tokens_regenerated > 0);
-        // Epoch deltas: {0,1}→+2, →{1,2} +1, →{2} +0, →{2,3,4} +2 = 5 in;
-        // 1+1+0 = 2 out.
-        assert_eq!(stats.cells_entered, 5);
-        assert_eq!(stats.cells_exited, 2);
-        // The untracked system never touched the regen path.
-        assert_eq!(sys_full.service_stats().tokens_regenerated, 0);
-    }
-
-    #[test]
-    fn tracked_alert_out_of_range_leaves_tracker_unchanged() {
-        let (system, mut rng) = small_system(EncoderKind::Huffman);
-        let mut tracker = ZoneTracker::new();
-        system
-            .issue_alert_tracked(&mut tracker, &[0, 1], &mut rng)
-            .unwrap();
-        let cached = tracker.cached_tokens();
-        assert!(matches!(
-            system.issue_alert_tracked(&mut tracker, &[99], &mut rng),
-            Err(SlaError::CellOutOfRange { .. })
-        ));
-        assert_eq!(tracker.cached_tokens(), cached);
-        assert_eq!(tracker.prev_cells(), &[0, 1]);
     }
 
     #[test]
@@ -689,55 +529,6 @@ mod tests {
         assert_eq!(snapshot.store.inserted, 1);
         assert_eq!(snapshot.store.replaced, 1);
         assert_eq!(snapshot.store.unsubscribed, 1);
-    }
-
-    #[test]
-    fn bulk_subscribe_matches_serial_exactly() {
-        // Same seed through the bulk and the serial path: identical
-        // stored ciphertexts (hence identical alert outcomes), identical
-        // counter deltas, outcomes in request order.
-        let requests: Vec<(u64, usize)> = vec![(100, 1), (101, 4), (102, 1), (103, 0), (104, 5)];
-
-        let (serial_sys, _) = small_system(EncoderKind::Huffman);
-        let mut r1 = StdRng::seed_from_u64(0xb01);
-        let before = serial_sys.counters().snapshot();
-        let serial_outcomes: Vec<UpsertOutcome> = requests
-            .iter()
-            .map(|&(id, cell)| serial_sys.subscribe_cell(id, cell, &mut r1).unwrap())
-            .collect();
-        let serial_delta = serial_sys.counters().snapshot() - before;
-
-        let (bulk_sys, _) = small_system(EncoderKind::Huffman);
-        let mut r2 = StdRng::seed_from_u64(0xb01);
-        let before = bulk_sys.counters().snapshot();
-        let bulk_outcomes = bulk_sys.subscribe_cells_bulk(&requests, &mut r2).unwrap();
-        let bulk_delta = bulk_sys.counters().snapshot() - before;
-
-        assert_eq!(bulk_outcomes, serial_outcomes);
-        assert_eq!(bulk_delta, serial_delta, "op counts must be identical");
-        assert_eq!(
-            bulk_sys.subscription_epochs(),
-            serial_sys.subscription_epochs()
-        );
-        // Both systems were built from the same seed, so the alert
-        // outcomes (notified sets AND pairing counts) must agree.
-        let mut ra = StdRng::seed_from_u64(7);
-        let mut rb = StdRng::seed_from_u64(7);
-        let a = serial_sys.issue_alert(&[1, 4], &mut ra).unwrap();
-        let b = bulk_sys.issue_alert(&[1, 4], &mut rb).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.notified, vec![100, 101, 102]);
-
-        // Validation is all-or-nothing: a bad cell leaves the store
-        // untouched.
-        let before_len = bulk_sys.n_subscriptions();
-        assert!(matches!(
-            bulk_sys.subscribe_cells_bulk(&[(200, 0), (201, 99)], &mut r2),
-            Err(SlaError::CellOutOfRange { cell: 99, .. })
-        ));
-        assert_eq!(bulk_sys.n_subscriptions(), before_len);
-        // Empty bulk is a no-op.
-        assert_eq!(bulk_sys.subscribe_cells_bulk(&[], &mut r2), Ok(vec![]));
     }
 
     #[test]

@@ -1,27 +1,24 @@
-//! Incremental token regeneration for dynamic alert zones.
+//! A pattern-keyed token cache.
 //!
 //! When an alert zone moves between epochs, most of its minimized token
-//! patterns survive unchanged — only the cells that entered or exited the
-//! zone perturb the Huffman cover. A [`TokenCache`] keyed on the minimized
-//! [`SearchPattern`] lets the trusted authority regenerate **only the
-//! missing patterns** (in one [`HveScheme::gen_token_prepared_batch`] call)
-//! and reuse every token whose pattern is unchanged.
+//! patterns survive unchanged. A [`TokenCache`] keyed on the minimized
+//! [`SearchPattern`] generates only the missing patterns (through a
+//! caller-supplied generator, in one call) and reuses every token whose
+//! pattern is unchanged. Match outcomes and pairing costs depend only on
+//! a token's pattern, so a reused token notifies exactly what a fresh one
+//! would.
 //!
-//! Reuse is sound because match outcomes and pairing costs depend only on
-//! the *pattern* of a token, never on its randomness: a cached token for
-//! pattern `p` notifies exactly the same ciphertexts, at exactly
-//! `1 + 2·|J|` pairings each, as a freshly drawn one. Token *bytes* differ
-//! from a full regeneration (fewer RNG draws), but notified sets and
-//! metered pairings are identical by construction.
+//! No alert path uses the cache. A reused token lets the Service
+//! Provider link two alerts that share a pattern, which the paper's
+//! protocol rules out, and reuse did not pay for itself in alert time
+//! (README, *Fresh tokens per alert*). The cache remains only because the
+//! repo benchmark's per-layer ledger still times
+//! `TrustedAuthority::issue_tokens_cached` over it, and goes with the
+//! next change to that benchmark.
 
 use std::collections::HashMap;
 
-use rand::Rng;
-use sla_pairing::BilinearGroup;
-
-use crate::keys::{SecretKey, Token};
-use crate::prepared::PreparedSecretKey;
-use crate::scheme::HveScheme;
+use crate::keys::Token;
 use crate::vector::SearchPattern;
 
 /// Counters describing one incremental regeneration pass.
@@ -122,50 +119,10 @@ impl TokenCache {
     }
 }
 
-impl<'a, G: BilinearGroup> HveScheme<'a, G> {
-    /// Incremental GenToken through a [`PreparedSecretKey`]: serves the
-    /// new epoch's `patterns` from `cache`, batching only the missing
-    /// ones through [`Self::gen_token_prepared_batch`].
-    ///
-    /// # Panics
-    /// Panics if any pattern's length differs from the scheme width.
-    pub fn regen_tokens_prepared<R: Rng>(
-        &self,
-        psk: &PreparedSecretKey,
-        cache: &mut TokenCache,
-        patterns: &[SearchPattern],
-        rng: &mut R,
-    ) -> (Vec<Token>, RegenStats) {
-        cache.regen_with(patterns, |missing| {
-            self.gen_token_prepared_batch(psk, missing, rng)
-        })
-    }
-
-    /// Incremental GenToken through a plain [`SecretKey`]: the cache
-    /// discipline of [`Self::regen_tokens_prepared`] with each missing
-    /// token derived serially by [`Self::gen_token`].
-    ///
-    /// # Panics
-    /// Panics if any pattern's length differs from the scheme width.
-    pub fn regen_tokens<R: Rng>(
-        &self,
-        sk: &SecretKey,
-        cache: &mut TokenCache,
-        patterns: &[SearchPattern],
-        rng: &mut R,
-    ) -> (Vec<Token>, RegenStats) {
-        cache.regen_with(patterns, |missing| {
-            missing
-                .iter()
-                .map(|pat| self.gen_token(sk, pat, rng))
-                .collect()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HveScheme;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sla_pairing::SimulatedGroup;
@@ -184,7 +141,9 @@ mod tests {
         let mut cache = TokenCache::new();
 
         let epoch1 = vec![pat("1*1*"), pat("01**")];
-        let (toks1, s1) = scheme.regen_tokens_prepared(&psk, &mut cache, &epoch1, &mut rng);
+        let (toks1, s1) = cache.regen_with(&epoch1, |missing| {
+            scheme.gen_token_prepared_batch(&psk, missing, &mut rng)
+        });
         assert_eq!(toks1.len(), 2);
         assert_eq!(
             s1,
@@ -197,7 +156,9 @@ mod tests {
 
         // Second epoch keeps one pattern, drops one, adds one.
         let epoch2 = vec![pat("01**"), pat("111*")];
-        let (toks2, s2) = scheme.regen_tokens_prepared(&psk, &mut cache, &epoch2, &mut rng);
+        let (toks2, s2) = cache.regen_with(&epoch2, |missing| {
+            scheme.gen_token_prepared_batch(&psk, missing, &mut rng)
+        });
         assert_eq!(toks2.len(), 2);
         assert_eq!(
             s2,
@@ -220,9 +181,15 @@ mod tests {
         let (_pk, sk) = scheme.setup(&mut rng);
         let mut cache = TokenCache::new();
 
-        let (_, s1) = scheme.regen_tokens(&sk, &mut cache, &[pat("1***")], &mut rng);
+        let mut gen = |missing: &[&SearchPattern]| -> Vec<Token> {
+            missing
+                .iter()
+                .map(|p| scheme.gen_token(&sk, p, &mut rng))
+                .collect()
+        };
+        let (_, s1) = cache.regen_with(&[pat("1***")], &mut gen);
         assert_eq!(s1.generated, 1);
-        let (toks, s2) = scheme.regen_tokens(&sk, &mut cache, &[], &mut rng);
+        let (toks, s2) = cache.regen_with(&[], &mut gen);
         assert!(toks.is_empty());
         assert_eq!(
             s2,
@@ -248,11 +215,12 @@ mod tests {
 
         let mut cache = TokenCache::new();
         let p = pat("1*1*");
-        let (t1, _) =
-            scheme.regen_tokens_prepared(&psk, &mut cache, std::slice::from_ref(&p), &mut rng);
+        let mut gen = |missing: &[&SearchPattern]| -> Vec<Token> {
+            scheme.gen_token_prepared_batch(&psk, missing, &mut rng)
+        };
+        let (t1, _) = cache.regen_with(std::slice::from_ref(&p), &mut gen);
         // Re-serve the same pattern from cache; matching must agree.
-        let (t2, s2) =
-            scheme.regen_tokens_prepared(&psk, &mut cache, std::slice::from_ref(&p), &mut rng);
+        let (t2, s2) = cache.regen_with(std::slice::from_ref(&p), &mut gen);
         assert_eq!(s2.reused, 1);
         assert_eq!(t1[0], t2[0]);
         assert_eq!(scheme.query_decode(&t2[0], &ct), Some(9));

@@ -12,7 +12,8 @@
 //!   when at least `d` has elapsed since the last fsync, so all ops of a
 //!   burst share one fsync. Ops appended inside the window are durable
 //!   no later than the next append after the window closes, the next
-//!   explicit [`WalWriter::sync`], or drop.
+//!   rotation, the next explicit [`WalWriter::sync`], or drop — with no
+//!   time bound, since no timer flushes (see [`FlushPolicy::Every`]).
 //! * [`FlushPolicy::Manual`] — only explicit `sync` (and drop) fsync.
 //!
 //! A crash can therefore lose the unsynced suffix, and a crash *during*
@@ -31,8 +32,18 @@ use std::time::{Duration, Instant};
 pub enum FlushPolicy {
     /// fsync after every append.
     EveryOp,
-    /// Group commit: fsync at most once per interval, amortized across
-    /// the appends that share the window.
+    /// Group commit: an append fsyncs when at least the interval has
+    /// elapsed since the writer's last fsync, so the appends that share
+    /// the window share one fsync.
+    ///
+    /// No timer flushes a writer. It fsyncs in only four cases: an
+    /// append finds the interval elapsed; the WAL rotates to a new
+    /// generation; [`WalWriter::sync`] runs (a server calls it only when
+    /// it drains); or the writer drops. So the last appends to a WAL that
+    /// then goes quiet stay un-fsynced until one of those happens,
+    /// however long that takes. A power failure can lose them. A killed
+    /// process cannot: `append` writes through an unbuffered `File`, so
+    /// the frame is in the OS page cache when it returns.
     Every(Duration),
     /// fsync only on explicit `sync` (and on drop).
     Manual,

@@ -6,9 +6,8 @@
 //!
 //! * **Moving zones** ([`ZoneTrajectory`]) — storm-track / contamination
 //!   plume trajectories that translate, grow and shrink per epoch
-//!   (*Supporting Secure Dynamic Alert Zones*, arXiv 2301.06238). The
-//!   per-epoch cell delta is what the tracked alert path's incremental
-//!   token regeneration exploits.
+//!   (*Supporting Secure Dynamic Alert Zones*, arXiv 2301.06238). Every
+//!   epoch's zone is issued fresh tokens, as every alert is.
 //! * **Contact-tracing bursts** ([`BurstPattern`]) — long quiet stretches
 //!   of near-point zones punctuated by sudden many-cell activations
 //!   against a large subscriber base.

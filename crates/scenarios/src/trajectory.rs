@@ -10,8 +10,7 @@ const METERS_PER_DEG: f64 = 6_371_000.0 * std::f64::consts::PI / 180.0;
 
 /// A storm-track / plume trajectory: deterministic closed form in the
 /// epoch index, so replay needs no state — and two consumers (e.g. the
-/// tracked and full-regeneration alert paths under test) see byte-equal
-/// cell sets.
+/// encrypted alert and its plaintext oracle) see byte-equal cell sets.
 ///
 /// The zone may grow, shrink (`radius_delta_m < 0`, collapsing to the
 /// epicenter's own cell — the grid's disk semantics always keep it while
@@ -98,8 +97,7 @@ mod tests {
         let c1 = t.cells_at(&grid, 1);
         assert!(!c0.is_empty() && !c1.is_empty());
         assert_ne!(c0, c1, "a moving zone must change its cell set");
-        // Consecutive epochs overlap: that's what delta regeneration
-        // exploits.
+        // Consecutive epochs overlap: the zone moves, it does not jump.
         assert!(c1.iter().any(|c| c0.contains(c)));
     }
 

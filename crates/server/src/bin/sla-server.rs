@@ -14,6 +14,14 @@
 //! the kernel-assigned port. The server runs until a
 //! `shutdown` RPC arrives, then drains connections, flushes the durable
 //! store's WAL, and exits 0.
+//!
+//! `--flush-ms <d>` is a group-commit window, not a durability deadline:
+//! no timer flushes a WAL lane. A lane fsyncs only when an append finds
+//! `d` elapsed since its last fsync, when its WAL rotates, at the drain's
+//! `sync`, or when the store closes. The last writes to a lane that then
+//! goes quiet stay un-fsynced until one of those happens, so a power
+//! failure can lose them; a killed process cannot, since every write is
+//! in the page cache before it is answered.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,7 +103,11 @@ OPTIONS:
                         unauthenticated; refused by default)
     --store <backend>   concurrent (default) | persistent
     --dir <path>        Durable store directory (persistent only; default sla-server-store)
-    --flush-ms <n>      WAL group-commit window in ms; 0 = fsync every op (default 2)
+    --flush-ms <n>      WAL group-commit window in ms; 0 = fsync every op (default 2).
+                        Not a deadline: no timer flushes, so the last writes to a
+                        lane that goes quiet wait for its next append past the
+                        window, a WAL rotation or the shutdown drain; a power
+                        failure can lose them, a killed process cannot
     --group-bits <n>    Bilinear group size in bits (default 40)
     --shards <n>        Lock shards of the concurrent store (default 8; the
                         persistent store always runs 16)

@@ -152,13 +152,6 @@ pub struct WireStats {
     pub ops_stats: u64,
     /// Requests rejected with [`Response::Busy`].
     pub busy_rejections: u64,
-    /// Alert tokens freshly generated by the tracked (incremental)
-    /// regeneration path.
-    pub tokens_regenerated: u64,
-    /// Cells that entered tracked alert zones across epochs.
-    pub cells_entered: u64,
-    /// Cells that exited tracked alert zones across epochs.
-    pub cells_exited: u64,
     /// Per-lane durability stats in shard order (lane index == shard
     /// index). Empty on volatile backends.
     pub lanes: Vec<WireLaneStats>,
@@ -370,9 +363,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u64(&mut out, stats.ops_alert);
             put_u64(&mut out, stats.ops_stats);
             put_u64(&mut out, stats.busy_rejections);
-            put_u64(&mut out, stats.tokens_regenerated);
-            put_u64(&mut out, stats.cells_entered);
-            put_u64(&mut out, stats.cells_exited);
             put_u32(&mut out, stats.lanes.len() as u32);
             for lane in &stats.lanes {
                 put_u64(&mut out, lane.wal_generation);
@@ -574,9 +564,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
             ops_alert: cur.u64()?,
             ops_stats: cur.u64()?,
             busy_rejections: cur.u64()?,
-            tokens_regenerated: cur.u64()?,
-            cells_entered: cur.u64()?,
-            cells_exited: cur.u64()?,
             lanes: cur.lanes()?,
         }),
         RESP_SHUTTING_DOWN => Response::ShuttingDown,
@@ -616,9 +603,6 @@ pub fn wire_stats(stats: &ServiceStats, ops: [u64; 4], busy_rejections: u64) -> 
         ops_alert: ops[2],
         ops_stats: ops[3],
         busy_rejections,
-        tokens_regenerated: stats.tokens_regenerated,
-        cells_entered: stats.cells_entered,
-        cells_exited: stats.cells_exited,
         lanes: stats
             .durability_lanes
             .iter()
@@ -810,9 +794,6 @@ mod tests {
                 ops_alert: 6,
                 ops_stats: 1,
                 busy_rejections: 9,
-                tokens_regenerated: 21,
-                cells_entered: 13,
-                cells_exited: 8,
                 lanes: vec![
                     WireLaneStats {
                         wal_generation: 3,

@@ -1,14 +1,16 @@
 //! The shipped `sla-server` binary as a live process.
 //!
 //! * **First run**: a persistent-store server on a Unix socket serves a
-//!   churn workload from two connections; every epoch's alert must equal
-//!   the plaintext ground truth, `stats` must count exactly the requests
-//!   sent with no busy rejection, and `shutdown` must end the process
-//!   with status 0 and remove the socket file.
+//!   churn workload from two connections. After each epoch, two alerts
+//!   must equal the plaintext ground truth: the epoch's prescribed zone,
+//!   and a crowd zone made of the cells of every second live user, which
+//!   has many users inside and many outside. `stats` must count exactly
+//!   the requests sent with no busy rejection, and `shutdown` must end
+//!   the process with status 0 and remove the socket file.
 //! * **Restart over TCP**: a second run on the same store directory,
 //!   listening on a kernel-assigned loopback port, must recover the
-//!   subscriptions, answer the last epoch's alert as before, and shut
-//!   down cleanly.
+//!   subscriptions, answer the last epoch's two alerts as before, and
+//!   shut down cleanly.
 //!
 //! A guard kills and reaps a server still running and removes the
 //! scratch directory on every exit path, a failed assertion included.
@@ -165,15 +167,27 @@ fn churn_workload() -> ChurnWorkload {
     )
 }
 
-/// The users inside epoch `epoch`'s alert zone once its events landed.
-fn ground_truth(workload: &ChurnWorkload, epoch: usize) -> Vec<u64> {
-    let zone: BTreeSet<usize> = workload.epochs[epoch].alert_cells.iter().copied().collect();
+/// The users inside `zone` once epoch `epoch`'s events landed.
+fn ground_truth(workload: &ChurnWorkload, epoch: usize, zone: &[usize]) -> Vec<u64> {
+    let zone: BTreeSet<usize> = zone.iter().copied().collect();
     workload
         .positions_after(epoch)
         .into_iter()
         .filter(|(_, cell)| zone.contains(cell))
         .map(|(user_id, _)| user_id)
         .collect()
+}
+
+/// The cells of every second live user once epoch `epoch`'s events
+/// landed, sorted and deduplicated.
+fn crowd_zone(workload: &ChurnWorkload, epoch: usize) -> Vec<usize> {
+    let cells: BTreeSet<usize> = workload
+        .positions_after(epoch)
+        .into_iter()
+        .step_by(2)
+        .map(|(_, cell)| cell)
+        .collect();
+    cells.into_iter().collect()
 }
 
 #[test]
@@ -199,7 +213,7 @@ fn shipped_server_serves_churn_then_recovers_over_tcp() {
         stream
     };
     let mut conns = [connect(), connect()];
-    let mut notified = Vec::new();
+    let (mut notified, mut crowd) = (Vec::new(), Vec::new());
     let mut notified_any = false;
     for (epoch_idx, epoch) in workload.epochs.iter().enumerate() {
         let streams = epoch.writer_streams(conns.len());
@@ -211,12 +225,26 @@ fn shipped_server_serves_churn_then_recovers_over_tcp() {
         notified = alert(&mut conns[0], &epoch.alert_cells);
         assert_eq!(
             notified,
-            ground_truth(&workload, epoch_idx),
+            ground_truth(&workload, epoch_idx, &epoch.alert_cells),
             "epoch {epoch_idx}"
         );
         notified_any |= !notified.is_empty();
+
+        let zone = crowd_zone(&workload, epoch_idx);
+        crowd = alert(&mut conns[0], &zone);
+        let live = workload.positions_after(epoch_idx).len();
+        assert_eq!(
+            crowd,
+            ground_truth(&workload, epoch_idx, &zone),
+            "epoch {epoch_idx}, crowd zone"
+        );
+        assert!(
+            crowd.len() > 1 && crowd.len() < live,
+            "epoch {epoch_idx}: the crowd zone holds {} of {live} users",
+            crowd.len()
+        );
     }
-    assert!(notified_any, "no alert notified anyone");
+    assert!(notified_any, "no prescribed alert notified anyone");
 
     let events = || workload.epochs.iter().flat_map(|e| &e.events);
     let unsubscribes = events()
@@ -235,7 +263,12 @@ fn shipped_server_serves_churn_then_recovers_over_tcp() {
             first.ops_alert,
             first.ops_stats
         ],
-        [subscribes, unsubscribes, workload.epochs.len() as u64, 1]
+        [
+            subscribes,
+            unsubscribes,
+            2 * workload.epochs.len() as u64,
+            1
+        ]
     );
     assert_eq!(first.busy_rejections, 0);
 
@@ -267,6 +300,7 @@ fn shipped_server_serves_churn_then_recovers_over_tcp() {
         alert(&mut conn, &workload.epochs[last].alert_cells),
         notified
     );
+    assert_eq!(alert(&mut conn, &crowd_zone(&workload, last)), crowd);
     shutdown(&mut conn);
     let status = scratch.wait_exit();
     assert!(status.success(), "restart exited {status}");

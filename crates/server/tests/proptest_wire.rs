@@ -102,9 +102,6 @@ fn response_from(raw: &[u64]) -> Response {
             ops_alert: p.next(),
             ops_stats: p.next(),
             busy_rejections: p.next(),
-            tokens_regenerated: p.next(),
-            cells_entered: p.next(),
-            cells_exited: p.next(),
             lanes: p.lanes(),
         }),
         4 => Response::ShuttingDown,

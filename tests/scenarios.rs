@@ -1,22 +1,18 @@
-//! Scenario-engine equivalence: incremental token regeneration
-//! (`issue_alert_tracked` with a [`ZoneTracker`]) must produce exactly
-//! the same alert outcome — notified set, token count, pairing counters
-//! — as full per-epoch regeneration, for random moving-zone
-//! trajectories across **every** store backend. The property is the
-//! soundness argument for the delta path: a cached token matches the
-//! same ciphertexts with the same pairing count as a fresh one, because
-//! both are determined by the search pattern alone.
+//! Scenario-engine oracle: over random moving-zone trajectories and on
+//! **every** store backend, `issue_alert` must notify exactly the users
+//! whose cell lies in the epoch's zone, and spend exactly the analytic
+//! pairing count. One user sits in each of the 36 cells, so every
+//! non-empty zone has users to notify and every cell outside it a user
+//! who must not be notified: a matcher that drops or adds one id fails.
 //!
 //! Also pins the boundary case the matrix bench never hits: a zone that
-//! leaves the grid entirely yields an empty cell set, zero tokens, an
-//! empty notified set, and a fully evicted cache.
+//! leaves the grid entirely yields an empty cell set, zero tokens, zero
+//! pairings and an empty notified set.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use secure_location_alerts::core::{
-    AlertSystem, FlushPolicy, StoreBackend, SystemBuilder, ZoneTracker,
-};
+use secure_location_alerts::core::{AlertSystem, FlushPolicy, StoreBackend, SystemBuilder};
 use secure_location_alerts::grid::{BoundingBox, Grid, Point, ProbabilityMap};
 use secure_location_alerts::scenarios::ZoneTrajectory;
 use std::path::PathBuf;
@@ -31,7 +27,7 @@ const EPOCHS: usize = 4;
 fn temp_dir() -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "sla-scenario-equiv-{}-{}",
+        "sla-scenario-oracle-{}-{}",
         std::process::id(),
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
@@ -54,9 +50,8 @@ fn test_grid() -> Grid {
     Grid::new(BoundingBox::new(0.0, 0.0, 0.06, 0.06), ROWS, COLS)
 }
 
-/// Two identically-seeded systems over the same backend flavor: same
-/// group, same keys, same ciphertexts — so any divergence between the
-/// tracked and full alert paths is the regen cache's fault.
+/// The test grid's system over `backend`, with one subscriber per cell:
+/// user `c` in cell `c`.
 fn build_system(backend: StoreBackend, seed: u64) -> (AlertSystem, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let grid = test_grid();
@@ -66,7 +61,16 @@ fn build_system(backend: StoreBackend, seed: u64) -> (AlertSystem, StdRng) {
         .store(backend)
         .build(&probs, &mut rng)
         .expect("valid configuration");
+    for cell in 0..N_CELLS {
+        system.subscribe_cell(cell as u64, cell, &mut rng).unwrap();
+    }
     (system, rng)
+}
+
+/// The plaintext oracle: with user `c` in cell `c`, the users inside a
+/// zone are its (sorted, deduplicated) cells.
+fn oracle(cells: &[usize]) -> Vec<u64> {
+    cells.iter().map(|&cell| cell as u64).collect()
 }
 
 /// Decodes raw proptest input into a trajectory over the test grid:
@@ -92,7 +96,7 @@ fn decode_trajectory(grid: &Grid, raw: [u64; 5]) -> ZoneTrajectory {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
-    fn tracked_regen_equals_full_regen_on_every_backend(
+    fn issue_alert_matches_the_plaintext_oracle_on_every_backend(
         raw in prop::collection::vec(any::<u64>(), 5..6),
         seed in any::<u64>(),
     ) {
@@ -100,44 +104,34 @@ proptest! {
         let trajectory = decode_trajectory(&grid, [raw[0], raw[1], raw[2], raw[3], raw[4]]);
         let persist_dir = temp_dir();
         for backend in backends(&persist_dir) {
-            let (sys_delta, mut rng_d) = build_system(backend.clone(), seed);
-            let (sys_full, mut rng_f) = build_system(backend.clone(), seed);
-            for user in 0..12u64 {
-                let cell = (user as usize * 7) % N_CELLS;
-                sys_delta.subscribe_cell(user, cell, &mut rng_d).unwrap();
-                sys_full.subscribe_cell(user, cell, &mut rng_f).unwrap();
-            }
-            let mut tracker = ZoneTracker::new();
+            let (system, mut rng) = build_system(backend.clone(), seed);
             for epoch in 0..EPOCHS {
                 let cells = trajectory.cells_at(&grid, epoch);
-                let tracked = sys_delta
-                    .issue_alert_tracked(&mut tracker, &cells, &mut rng_d)
-                    .unwrap();
-                let full = sys_full.issue_alert(&cells, &mut rng_f).unwrap();
+                let outcome = system.issue_alert(&cells, &mut rng).unwrap();
                 prop_assert_eq!(
-                    &tracked.alert,
-                    &full,
-                    "{:?}: delta vs full diverged at epoch {} over {:?}",
+                    &outcome.notified,
+                    &oracle(&cells),
+                    "{:?}: epoch {} over {:?}",
                     backend,
                     epoch,
                     cells
                 );
                 prop_assert_eq!(
-                    tracked.regen.tokens_generated + tracked.regen.tokens_reused,
-                    tracked.alert.tokens_issued as u64,
-                    "regen accounting must cover every issued token"
+                    outcome.pairings_used,
+                    outcome.analytic_pairings,
+                    "{:?}: epoch {} over {:?}",
+                    backend,
+                    epoch,
+                    cells
                 );
             }
-            // The tracked system's counters saw the deltas; the full
-            // system's regen counters never moved.
-            prop_assert_eq!(sys_full.service_stats().tokens_regenerated, 0);
         }
         std::fs::remove_dir_all(&persist_dir).ok();
     }
 }
 
 #[test]
-fn zone_exiting_the_grid_empties_tokens_and_cache() {
+fn zone_exiting_the_grid_issues_no_tokens_and_notifies_nobody() {
     let grid = test_grid();
     let (_, cell_w) = grid.cell_size_m();
     // Storm track scaled to the small grid, sped up so it leaves the
@@ -149,36 +143,20 @@ fn zone_exiting_the_grid_empties_tokens_and_cache() {
         .find(|&e| trajectory.cells_at(&grid, e).is_empty())
         .expect("trajectory must exit the grid");
 
-    let (sys_delta, mut rng_d) =
-        build_system(StoreBackend::ConcurrentSharded { shards: 1 }, 0x51a7e);
-    let (sys_full, mut rng_f) =
-        build_system(StoreBackend::ConcurrentSharded { shards: 1 }, 0x51a7e);
-    for user in 0..10u64 {
-        let cell = (user as usize * 5) % N_CELLS;
-        sys_delta.subscribe_cell(user, cell, &mut rng_d).unwrap();
-        sys_full.subscribe_cell(user, cell, &mut rng_f).unwrap();
-    }
-
-    let mut tracker = ZoneTracker::new();
-    for epoch in 0..=exit_epoch {
+    let (system, mut rng) = build_system(StoreBackend::ConcurrentSharded { shards: 1 }, 0x51a7e);
+    for epoch in 0..exit_epoch {
         let cells = trajectory.cells_at(&grid, epoch);
-        let tracked = sys_delta
-            .issue_alert_tracked(&mut tracker, &cells, &mut rng_d)
-            .unwrap();
-        let full = sys_full.issue_alert(&cells, &mut rng_f).unwrap();
-        assert_eq!(tracked.alert, full, "epoch {epoch} over {cells:?}");
+        let outcome = system.issue_alert(&cells, &mut rng).unwrap();
+        assert_eq!(outcome.notified, oracle(&cells), "epoch {epoch}");
+        assert_eq!(outcome.pairings_used, outcome.analytic_pairings);
     }
 
-    // After the zone leaves the grid: no cells, no tokens, nobody
-    // notified, and the cache holds nothing worth keeping.
+    // After the zone leaves the grid: no cells, no tokens, no pairings,
+    // nobody notified.
     let cells = trajectory.cells_at(&grid, exit_epoch);
     assert!(cells.is_empty());
-    let tracked = sys_delta
-        .issue_alert_tracked(&mut tracker, &cells, &mut rng_d)
-        .unwrap();
-    assert!(tracked.alert.notified.is_empty());
-    assert_eq!(tracked.alert.tokens_issued, 0);
-    assert_eq!(tracked.alert.pairings_used, 0);
-    assert_eq!(tracker.cached_tokens(), 0, "empty zone evicts the cache");
-    assert!(tracker.prev_cells().is_empty());
+    let outcome = system.issue_alert(&cells, &mut rng).unwrap();
+    assert!(outcome.notified.is_empty());
+    assert_eq!(outcome.tokens_issued, 0);
+    assert_eq!(outcome.pairings_used, 0);
 }
