@@ -220,9 +220,7 @@ fn print_scenarios(rows: &[scenarios::ScenarioRow]) {
 /// clobbers the tracked `BENCH_primitives.json`.
 fn run_smoke(out_dir: &std::path::Path, store: &str) {
     println!("# smoke: primitives");
-    let rows = vec![primitives::measure(32, SEED)];
-    let phases = vec![primitives::measure_phases(24, 8, SEED)];
-    let churn = primitives::measure_churn(SEED);
+    let (rows, phases, churn) = primitives::run(&[32], 24, &[8], SEED);
     for r in &rows {
         println!(
             "primitives[{} bit N]: mod_pow {:.0} -> {:.0} ns ({:.2}x)",
@@ -238,9 +236,9 @@ fn run_smoke(out_dir: &std::path::Path, store: &str) {
             p.modulus_bits,
             p.width,
             p.encrypt_ns.median,
-            p.encrypt_prepared_ns.median,
+            p.encrypt_flat_ns.median,
             p.gen_token_ns.median,
-            p.gen_token_prepared_ns.median,
+            p.gen_token_flat_ns.median,
         );
     }
     for c in &churn {
@@ -447,11 +445,12 @@ fn main() {
             }
             "primitives" => {
                 // Perf trajectory of the arithmetic hot path, tracked
-                // across PRs as results/BENCH_primitives.json.
-                let rows: Vec<_> = [32usize, 48, 64]
-                    .iter()
-                    .map(|&bits| primitives::measure(bits, SEED))
-                    .collect();
+                // across PRs as results/BENCH_primitives.json: primitive
+                // rows at three orders, per-phase Setup/Encrypt/GenToken
+                // timings (element reference vs flat loops) at the
+                // default simulation order (96-bit N), and store-lifecycle
+                // rows, all sampled in the same rounds.
+                let (rows, phases, churn) = primitives::run(&[32, 48, 64], 48, &[8, 16, 32], SEED);
                 for r in &rows {
                     println!(
                         "primitives[{} bit N]: mod_mul {:.0} -> {:.0} ns ({:.2}x), \
@@ -466,12 +465,6 @@ fn main() {
                         r.pairing_ns.median,
                     );
                 }
-                // Per-phase Setup/Encrypt/GenToken timings, plain vs
-                // prepared, at the default simulation order (96-bit N).
-                let phases: Vec<_> = [8usize, 16, 32]
-                    .iter()
-                    .map(|&width| primitives::measure_phases(48, width, SEED))
-                    .collect();
                 for p in &phases {
                     println!(
                         "phases[{} bit N, l={}]: setup {:.1} µs (+{:.1} µs prepare), \
@@ -482,17 +475,16 @@ fn main() {
                         p.setup_ns.median / 1e3,
                         p.prepare_ns.median / 1e3,
                         p.encrypt_ns.median / 1e3,
-                        p.encrypt_prepared_ns.median / 1e3,
+                        p.encrypt_flat_ns.median / 1e3,
                         p.encrypt_speedup(),
                         p.gen_token_ns.median / 1e3,
-                        p.gen_token_prepared_ns.median / 1e3,
+                        p.gen_token_flat_ns.median / 1e3,
                         p.gen_token_speedup(),
                         p.query_decode_ns.median / 1e3,
                     );
                 }
                 // Store-lifecycle rows: what each backend charges for
                 // churn, and what durability (WAL + fsync) adds.
-                let churn = primitives::measure_churn(SEED);
                 for c in &churn {
                     println!(
                         "churn[{}]: upsert {:.2} µs, remove+insert {:.2} µs, \

@@ -2,10 +2,17 @@
 //!
 //! Measures the modular building blocks every HVE phase bottoms out in —
 //! `mod_mul` and `mod_pow` (naive division-based vs Montgomery) and the
-//! simulated `pair` — plus the HVE phases themselves (Setup / Encrypt /
-//! GenToken, plain and prepared, and the reference Query), so the
-//! performance trajectory of the arithmetic layer is tracked across PRs
-//! as a machine-readable artifact.
+//! simulated `pair` — plus the HVE phases themselves (Setup, Encrypt and
+//! GenToken through the element reference and through the engine's flat
+//! loops, and the reference Query), so the performance trajectory of the
+//! arithmetic layer is tracked across PRs as a machine-readable
+//! artifact.
+//!
+//! Every figure is registered with one [`Rounds`] before any is timed,
+//! and the run takes its samples in rounds: round `r` times every figure
+//! once. A figure's quartiles therefore span the whole run, so a host
+//! phase that slows one stretch of it widens the quartiles instead of
+//! moving a median unseen.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,7 +21,9 @@ use sla_core::{
     ConcurrentShardedStore, ConcurrentSubscriptionStore, FlushPolicy, PersistentStore, Record,
 };
 use sla_hve::{AttributeVector, HveScheme, SearchPattern};
-use sla_pairing::{BilinearGroup, SimulatedGroup};
+use sla_pairing::{BilinearGroup, PackedRow, SimulatedGroup};
+use std::rc::Rc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One figure's spread over its [`SAMPLES`] timed samples, in ns/op.
@@ -51,6 +60,69 @@ impl std::ops::Div<f64> for Timing {
             median: self.median / rhs,
             q3: self.q3 / rhs,
         }
+    }
+}
+
+/// Timed samples behind every figure: each figure is the quartiles of
+/// this many samples, one per round.
+pub const SAMPLES: usize = 5;
+
+/// The figures of one run, timed in rounds: register every figure with
+/// [`Self::time`] or [`Self::sample`], then [`Self::run`] takes
+/// [`SAMPLES`] rounds, each sampling every figure once in the order they
+/// were registered.
+#[derive(Default)]
+pub struct Rounds<'a> {
+    figures: Vec<Box<dyn FnMut() -> f64 + 'a>>,
+}
+
+/// A registered figure: its index in the run's [`Timings`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Figure(usize);
+
+/// The timing of every figure of a run.
+#[derive(Debug, Clone)]
+pub struct Timings(Vec<Timing>);
+
+impl std::ops::Index<Figure> for Timings {
+    type Output = Timing;
+
+    fn index(&self, figure: Figure) -> &Timing {
+        &self.0[figure.0]
+    }
+}
+
+impl<'a> Rounds<'a> {
+    /// Registers a figure whose every sample times `iters` calls of `f`,
+    /// in ns per call. `f` is called once now, as a warmup.
+    pub fn time<R>(&mut self, iters: usize, mut f: impl FnMut() -> R + 'a) -> Figure {
+        std::hint::black_box(f());
+        self.sample(move || {
+            let t = Instant::now();
+            for _ in 0..iters {
+                std::hint::black_box(f());
+            }
+            t.elapsed().as_nanos() as f64 / iters as f64
+        })
+    }
+
+    /// Registers a figure whose every sample `f` takes itself, returning
+    /// ns per op.
+    pub fn sample(&mut self, f: impl FnMut() -> f64 + 'a) -> Figure {
+        self.figures.push(Box::new(f));
+        Figure(self.figures.len() - 1)
+    }
+
+    /// Takes the samples, round after round, and drops every figure (and
+    /// what it owns) before returning their timings.
+    pub fn run(mut self) -> Timings {
+        let mut samples = vec![Vec::with_capacity(SAMPLES); self.figures.len()];
+        for _ in 0..SAMPLES {
+            for (figure, taken) in self.figures.iter_mut().zip(&mut samples) {
+                taken.push(figure());
+            }
+        }
+        Timings(samples.into_iter().map(Timing::of).collect())
     }
 }
 
@@ -94,37 +166,35 @@ pub struct PhaseTimings {
     pub width: usize,
     /// **Setup**: one `(PK, SK)` generation.
     pub setup_ns: Timing,
-    /// Building the fixed-base tables for both keys (amortized once per
-    /// key over every later Encrypt/GenToken).
+    /// Readying both keys' bases for the flat loops (once per key).
     pub prepare_ns: Timing,
-    /// **Encrypt** through the plain key.
+    /// **Encrypt** through the element reference (`HveScheme::encrypt`).
     pub encrypt_ns: Timing,
-    /// **Encrypt** through the prepared key's tables.
-    pub encrypt_prepared_ns: Timing,
-    /// **GenToken** through the plain key.
+    /// **Encrypt** through the engine's flat loop, writing the stored
+    /// row (`HveScheme::encrypt_for_user`).
+    pub encrypt_flat_ns: Timing,
+    /// **GenToken** through the element reference
+    /// (`HveScheme::gen_token`).
     pub gen_token_ns: Timing,
-    /// **GenToken** through the prepared key's tables.
-    pub gen_token_prepared_ns: Timing,
+    /// **GenToken** through the engine's flat loop, writing the swept
+    /// keys (`HveScheme::gen_query`).
+    pub gen_token_flat_ns: Timing,
     /// **Query** per (token, ciphertext) pair via the reference
     /// `query_decode`: one canonical conversion per pair, match or not.
     pub query_decode_ns: Timing,
 }
 
 impl PhaseTimings {
-    /// Prepared-vs-plain speedup on Encrypt (ratio of medians).
+    /// Flat-vs-reference speedup on Encrypt (ratio of medians).
     pub fn encrypt_speedup(&self) -> f64 {
-        self.encrypt_ns.median / self.encrypt_prepared_ns.median
+        self.encrypt_ns.median / self.encrypt_flat_ns.median
     }
 
-    /// Prepared-vs-plain speedup on GenToken (ratio of medians).
+    /// Flat-vs-reference speedup on GenToken (ratio of medians).
     pub fn gen_token_speedup(&self) -> f64 {
-        self.gen_token_ns.median / self.gen_token_prepared_ns.median
+        self.gen_token_ns.median / self.gen_token_flat_ns.median
     }
 }
-
-/// Timed samples behind every figure: each figure is the quartiles of
-/// this many runs of `iters` iterations.
-pub const SAMPLES: usize = 5;
 
 /// Where a `BENCH_primitives.json` came from: the commit, the host's
 /// core count, and the timed samples behind each figure.
@@ -160,26 +230,14 @@ impl Provenance {
     }
 }
 
-/// The quartiles of ns/op of `f` over [`SAMPLES`] runs of `iters`
-/// iterations each, after one warmup call.
-fn time_ns<R>(iters: usize, mut f: impl FnMut() -> R) -> Timing {
-    std::hint::black_box(f());
-    Timing::of(
-        (0..SAMPLES)
-            .map(|_| {
-                let t = Instant::now();
-                for _ in 0..iters {
-                    std::hint::black_box(f());
-                }
-                t.elapsed().as_nanos() as f64 / iters as f64
-            })
-            .collect(),
-    )
-}
-
-/// Measures all primitives for a group whose prime factors have
-/// `prime_bits` bits (modulus `N` has `2·prime_bits` bits).
-pub fn measure(prime_bits: usize, seed: u64) -> PrimitiveTimings {
+/// Registers the primitives for a group whose prime factors have
+/// `prime_bits` bits (modulus `N` has `2·prime_bits` bits); the returned
+/// function reads their row from the run's timings.
+pub fn measure(
+    prime_bits: usize,
+    seed: u64,
+    rounds: &mut Rounds<'_>,
+) -> impl Fn(&Timings) -> PrimitiveTimings {
     let mut rng = StdRng::seed_from_u64(seed);
     let p = gen_prime(prime_bits, &mut rng);
     let q = gen_prime(prime_bits, &mut rng);
@@ -191,41 +249,53 @@ pub fn measure(prime_bits: usize, seed: u64) -> PrimitiveTimings {
     let b = &n - &BigUint::from_u64(6789);
     let e = &n - &BigUint::from_u64(2); // full-length exponent
 
-    let mod_mul_naive_ns = time_ns(2_000, || a.mod_mul(&b, &n));
-    let mod_mul_mont_ns = time_ns(2_000, || ctx.mod_mul(&a, &b));
-    let mod_pow_naive_ns = time_ns(50, || a.mod_pow_naive(&e, &n));
-    let mod_pow_mont_ns = time_ns(50, || a.mod_pow(&e, &n));
+    let mod_mul_naive_ns = {
+        let (a, b, n) = (a.clone(), b.clone(), n.clone());
+        rounds.time(2_000, move || a.mod_mul(&b, &n))
+    };
+    let mod_mul_mont_ns = {
+        let (a, b) = (a.clone(), b.clone());
+        rounds.time(2_000, move || ctx.mod_mul(&a, &b))
+    };
+    let mod_pow_naive_ns = {
+        let (a, e, n) = (a.clone(), e.clone(), n.clone());
+        rounds.time(50, move || a.mod_pow_naive(&e, &n))
+    };
+    let mod_pow_mont_ns = {
+        let n = n.clone();
+        rounds.time(50, move || a.mod_pow(&e, &n))
+    };
 
     let group = SimulatedGroup::new(sla_pairing::GroupParams::from_factors(p, q));
     let x = group.random_gp(&mut rng);
     let y = group.random_gp(&mut rng);
-    let pairing_ns = time_ns(2_000, || group.pair(&x, &y));
+    let pairing_ns = rounds.time(2_000, move || group.pair(&x, &y));
 
-    PrimitiveTimings {
-        modulus_bits: n.bit_len(),
-        mod_mul_naive_ns,
-        mod_mul_mont_ns,
-        mod_pow_naive_ns,
-        mod_pow_mont_ns,
-        pairing_ns,
+    let modulus_bits = n.bit_len();
+    move |t: &Timings| PrimitiveTimings {
+        modulus_bits,
+        mod_mul_naive_ns: t[mod_mul_naive_ns],
+        mod_mul_mont_ns: t[mod_mul_mont_ns],
+        mod_pow_naive_ns: t[mod_pow_naive_ns],
+        mod_pow_mont_ns: t[mod_pow_mont_ns],
+        pairing_ns: t[pairing_ns],
     }
 }
 
-/// Measures the HVE phases (plain vs prepared) for a group with
-/// `prime_bits`-bit factors at HVE width `width`.
-pub fn measure_phases(prime_bits: usize, width: usize, seed: u64) -> PhaseTimings {
+/// Registers the HVE phases (element reference vs flat loops) for a
+/// group with `prime_bits`-bit factors at HVE width `width`; the
+/// returned function reads their row from the run's timings. Each
+/// figure draws from its own seeded RNG.
+pub fn measure_phases(
+    prime_bits: usize,
+    width: usize,
+    seed: u64,
+    rounds: &mut Rounds<'_>,
+) -> impl Fn(&Timings) -> PhaseTimings {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
-    let group = SimulatedGroup::generate(prime_bits, &mut rng);
-    let scheme = HveScheme::new(&group, width);
-
-    let setup_ns = time_ns(10, || scheme.setup(&mut rng));
+    let group = Rc::new(SimulatedGroup::generate(prime_bits, &mut rng));
+    let scheme = HveScheme::new(&*group, width);
     let (pk, sk) = scheme.setup(&mut rng);
-    let prepare_ns = time_ns(10, || {
-        (
-            scheme.prepare_public_key(&pk),
-            scheme.prepare_secret_key(&sk),
-        )
-    });
     let ppk = scheme.prepare_public_key(&pk);
     let psk = scheme.prepare_secret_key(&sk);
 
@@ -238,11 +308,6 @@ pub fn measure_phases(prime_bits: usize, width: usize, seed: u64) -> PhaseTiming
         .map(|(i, &b)| if i % 2 == 0 { Some(b) } else { None })
         .collect();
     let pattern = SearchPattern::from_symbols(&symbols);
-
-    let encrypt_ns = time_ns(40, || scheme.encrypt(&pk, &index, &msg, &mut rng));
-    let encrypt_prepared_ns = time_ns(40, || scheme.encrypt_prepared(&ppk, &index, &msg, &mut rng));
-    let gen_token_ns = time_ns(40, || scheme.gen_token(&sk, &pattern, &mut rng));
-    let gen_token_prepared_ns = time_ns(40, || scheme.gen_token_prepared(&psk, &pattern, &mut rng));
 
     // Query: one token against a pool of 16 ciphertexts with a single
     // match — the exhaustive-matching regime, where almost every pair is
@@ -262,22 +327,66 @@ pub fn measure_phases(prime_bits: usize, width: usize, seed: u64) -> PhaseTiming
             scheme.encrypt(&pk, &pool_index, &pool_msg, &mut rng)
         })
         .collect();
-    let query_decode_ns = time_ns(10, || {
+
+    // Each figure owns what it reads and an RNG of its own; the scheme
+    // over the shared group is rebuilt per call (a reference and a width).
+    let figure_rng = |k: u64| StdRng::seed_from_u64(seed ^ (0x5eed + k));
+    let setup_ns = {
+        let (group, mut rng) = (group.clone(), figure_rng(0));
+        rounds.time(10, move || HveScheme::new(&*group, width).setup(&mut rng))
+    };
+    let prepare_ns = {
+        let (group, pk, sk) = (group.clone(), pk.clone(), sk.clone());
+        rounds.time(10, move || {
+            let scheme = HveScheme::new(&*group, width);
+            (
+                scheme.prepare_public_key(&pk),
+                scheme.prepare_secret_key(&sk),
+            )
+        })
+    };
+    let encrypt_ns = {
+        let (group, index, mut rng) = (group.clone(), index.clone(), figure_rng(1));
+        rounds.time(40, move || {
+            HveScheme::new(&*group, width).encrypt(&pk, &index, &msg, &mut rng)
+        })
+    };
+    let encrypt_flat_ns = {
+        let (group, mut rng) = (group.clone(), figure_rng(2));
+        rounds.time(40, move || {
+            HveScheme::new(&*group, width).encrypt_for_user(&ppk, &index, 7, &mut rng)
+        })
+    };
+    let gen_token_ns = {
+        let (group, pattern, mut rng) = (group.clone(), pattern.clone(), figure_rng(3));
+        rounds.time(40, move || {
+            HveScheme::new(&*group, width).gen_token(&sk, &pattern, &mut rng)
+        })
+    };
+    let gen_token_flat_ns = {
+        let (group, mut rng) = (group.clone(), figure_rng(4));
+        rounds.time(40, move || {
+            HveScheme::new(&*group, width).gen_query(&psk, &pattern, &mut rng)
+        })
+    };
+    let modulus_bits = group.params().order_bits();
+    let query_decode_ns = rounds.time(10, move || {
+        let scheme = HveScheme::new(&*group, width);
         pool.iter()
             .map(|ct| scheme.query_decode(&token, ct))
             .collect::<Vec<_>>()
-    }) / pool.len() as f64;
+    });
 
-    PhaseTimings {
-        modulus_bits: group.params().order_bits(),
+    move |t: &Timings| PhaseTimings {
+        modulus_bits,
         width,
-        setup_ns,
-        prepare_ns,
-        encrypt_ns,
-        encrypt_prepared_ns,
-        gen_token_ns,
-        gen_token_prepared_ns,
-        query_decode_ns,
+        setup_ns: t[setup_ns],
+        prepare_ns: t[prepare_ns],
+        encrypt_ns: t[encrypt_ns],
+        encrypt_flat_ns: t[encrypt_flat_ns],
+        gen_token_ns: t[gen_token_ns],
+        gen_token_flat_ns: t[gen_token_flat_ns],
+        query_decode_ns: t[query_decode_ns] / 16.0,
     }
 }
 
@@ -345,26 +454,40 @@ fn resident_bytes_per_record(store: &dyn ConcurrentSubscriptionStore) -> f64 {
     (8 * words) as f64 / records.max(1) as f64
 }
 
-/// Measures the subscription-lifecycle cost of every store backend,
+/// One backend's churn figures and its resident bytes per record.
+type ChurnFigures = (&'static str, Figure, Figure, Figure, f64);
+
+/// Population of every churned store.
+const CHURN_USERS: u64 = 256;
+
+/// The record a store keeps for `user_id`: `row` at epoch 0.
+fn record(row: &PackedRow, user_id: u64) -> Record {
+    Record {
+        user_id,
+        epoch: 0,
+        row: row.clone(),
+    }
+}
+
+/// Registers the subscription-lifecycle cost of every store backend,
 /// including the persistent (WAL-backed) one under group commit and
-/// under per-op fsync. Scratch directories live under the OS temp dir
-/// and are removed before returning.
-pub fn measure_churn(seed: u64) -> Vec<ChurnTimings> {
-    const USERS: u64 = 256;
+/// under per-op fsync. Scratch directories live under the OS temp dir;
+/// the returned function reads the rows from the run's timings and
+/// removes the directories, which the run's figures no longer hold once
+/// [`Rounds::run`] has returned.
+pub fn measure_churn(
+    seed: u64,
+    rounds: &mut Rounds<'_>,
+) -> impl FnOnce(&Timings) -> Vec<ChurnTimings> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc44c);
-    let group = SimulatedGroup::generate(32, &mut rng);
-    let scheme = HveScheme::new(&group, 4);
+    let group = Rc::new(SimulatedGroup::generate(32, &mut rng));
+    let scheme = HveScheme::new(&*group, 4);
     let (pk, sk) = scheme.setup(&mut rng);
     let index: AttributeVector = "1010".parse().expect("valid bits");
     let expected = scheme.encode_message(1);
     let ct = scheme.encrypt(&pk, &index, &expected, &mut rng);
-    let token = scheme.gen_token(&sk, &"1**0".parse().expect("valid pattern"), &mut rng);
-    let row = scheme.pack(&ct, &expected);
-    let record = |user_id: u64| Record {
-        user_id,
-        epoch: 0,
-        row: row.clone(),
-    };
+    let token = Rc::new(scheme.gen_token(&sk, &"1**0".parse().expect("valid pattern"), &mut rng));
+    let row = Arc::new(scheme.pack(&ct, &expected));
 
     let tmp_base =
         std::env::temp_dir().join(format!("sla-bench-churn-{}-{seed:x}", std::process::id()));
@@ -385,48 +508,64 @@ pub fn measure_churn(seed: u64) -> Vec<ChurnTimings> {
         ),
     ];
 
-    let mut out = Vec::with_capacity(backends.len());
+    let mut figures: Vec<ChurnFigures> = Vec::with_capacity(backends.len() + 1);
     for (name, store) in backends {
-        for user in 0..USERS {
-            store.upsert(record(user)).expect("one HVE width");
+        for user in 0..CHURN_USERS {
+            store.upsert(record(&row, user)).expect("one HVE width");
         }
-        let mut cursor = 0u64;
-        let upsert_ns = time_ns(256, || {
-            cursor = (cursor + 1) % USERS;
-            store.upsert(record(cursor)) // replace path
-        });
-        let remove_insert_ns = time_ns(128, || {
-            cursor = (cursor + 1) % USERS;
-            store.remove(cursor);
-            store.upsert(record(cursor))
-        });
-        let match_per_record_ns =
-            time_ns(16, || match_all(store.as_ref(), &scheme, &token)) / USERS as f64;
-        out.push(ChurnTimings {
-            backend: name,
-            users: USERS as usize,
-            upsert_ns,
-            remove_insert_ns,
-            match_per_record_ns,
-            resident_bytes_per_record: resident_bytes_per_record(store.as_ref()),
-        });
-        // Drop the store (flushes + joins the persistent machinery)
-        // before its directory is removed below.
-        drop(store);
+        let resident = resident_bytes_per_record(store.as_ref());
+        let store: Rc<dyn ConcurrentSubscriptionStore> = Rc::from(store);
+        let upsert_ns = {
+            let (store, row, mut cursor) = (store.clone(), row.clone(), 0);
+            rounds.time(256, move || {
+                cursor = (cursor + 1) % CHURN_USERS;
+                store.upsert(record(&row, cursor)) // replace path
+            })
+        };
+        let remove_insert_ns = {
+            let (store, row, mut cursor) = (store.clone(), row.clone(), 0);
+            rounds.time(128, move || {
+                cursor = (cursor + 1) % CHURN_USERS;
+                store.remove(cursor);
+                store.upsert(record(&row, cursor))
+            })
+        };
+        let match_ns = {
+            let (group, token) = (group.clone(), token.clone());
+            rounds.time(16, move || {
+                match_all(store.as_ref(), &HveScheme::new(&*group, 4), &token)
+            })
+        };
+        figures.push((name, upsert_ns, remove_insert_ns, match_ns, resident));
     }
     // The sharded-durability row: the same persistent store, but churned
     // by four writer threads at once — the per-shard WAL lanes are what
     // keeps those writers from serializing on a single log gate.
-    out.push(measure_persistent_sharded_churn(
+    figures.push(measure_persistent_sharded_churn(
         &tmp_base.join("sharded4w"),
-        &record,
-        &scheme,
-        &token,
+        row,
+        group,
+        token,
+        rounds,
     ));
-    if tmp_base.exists() {
-        std::fs::remove_dir_all(&tmp_base).expect("scratch cleanup");
+    move |t: &Timings| {
+        if tmp_base.exists() {
+            std::fs::remove_dir_all(&tmp_base).expect("scratch cleanup");
+        }
+        figures
+            .into_iter()
+            .map(
+                |(backend, upsert, remove_insert, matched, resident)| ChurnTimings {
+                    backend,
+                    users: CHURN_USERS as usize,
+                    upsert_ns: t[upsert],
+                    remove_insert_ns: t[remove_insert],
+                    match_per_record_ns: t[matched] / CHURN_USERS as f64,
+                    resident_bytes_per_record: resident,
+                },
+            )
+            .collect()
     }
-    out
 }
 
 /// The `persistent_sharded` churn row: four writer threads drive the
@@ -440,84 +579,121 @@ pub fn measure_churn(seed: u64) -> Vec<ChurnTimings> {
 /// the read-path claim that matching never touches the log.
 fn measure_persistent_sharded_churn(
     dir: &std::path::Path,
-    record: &(dyn Fn(u64) -> Record + Sync),
-    scheme: &HveScheme<'_, SimulatedGroup>,
-    token: &sla_hve::Token,
-) -> ChurnTimings {
+    row: Arc<PackedRow>,
+    group: Rc<SimulatedGroup>,
+    token: Rc<sla_hve::Token>,
+    rounds: &mut Rounds<'_>,
+) -> ChurnFigures {
     use std::sync::atomic::{AtomicBool, Ordering};
     const WRITERS: usize = 4;
-    const USERS: u64 = 256;
     const OPS_PER_WRITER: usize = 192;
 
-    let store = PersistentStore::open(dir, FlushPolicy::Every(Duration::from_millis(5)))
-        .expect("scratch dir is writable");
-    for user in 0..USERS {
-        store.upsert(record(user)).expect("one HVE width");
+    let store = Arc::new(
+        PersistentStore::open(dir, FlushPolicy::Every(Duration::from_millis(5)))
+            .expect("scratch dir is writable"),
+    );
+    for user in 0..CHURN_USERS {
+        store.upsert(record(&row, user)).expect("one HVE width");
     }
+    let resident = resident_bytes_per_record(store.as_ref());
 
     // Each writer walks its own residue class mod WRITERS, so no two
     // writers ever touch the same user (or, with a lane count that is a
     // multiple of WRITERS, contend on the same gate by accident).
-    let striped = |writer: usize, churn: &dyn Fn(u64)| {
-        let mut user = writer as u64;
-        for _ in 0..OPS_PER_WRITER {
-            user = (user + WRITERS as u64) % USERS;
-            churn(user);
-        }
-    };
     let four_writer_ns = |churn: &(dyn Fn(u64) + Sync)| {
-        Timing::of(
-            (0..SAMPLES)
-                .map(|_| {
-                    let t = Instant::now();
-                    std::thread::scope(|s| {
-                        for writer in 0..WRITERS {
-                            s.spawn(move || striped(writer, churn));
-                        }
-                    });
-                    t.elapsed().as_nanos() as f64 / (WRITERS * OPS_PER_WRITER) as f64
-                })
-                .collect(),
-        )
+        let t = Instant::now();
+        std::thread::scope(|s| {
+            for writer in 0..WRITERS {
+                s.spawn(move || {
+                    let mut user = writer as u64;
+                    for _ in 0..OPS_PER_WRITER {
+                        user = (user + WRITERS as u64) % CHURN_USERS;
+                        churn(user);
+                    }
+                });
+            }
+        });
+        t.elapsed().as_nanos() as f64 / (WRITERS * OPS_PER_WRITER) as f64
     };
 
-    let upsert_ns = four_writer_ns(&|user| {
-        store.upsert(record(user)).expect("one HVE width");
-    });
-    let remove_insert_ns = four_writer_ns(&|user| {
-        store.remove(user);
-        store.upsert(record(user)).expect("one HVE width");
-    });
+    let upsert_ns = {
+        let (store, row) = (store.clone(), row.clone());
+        rounds.sample(move || {
+            four_writer_ns(&|user| {
+                store.upsert(record(&row, user)).expect("one HVE width");
+            })
+        })
+    };
+    let remove_insert_ns = {
+        let (store, row) = (store.clone(), row.clone());
+        rounds.sample(move || {
+            four_writer_ns(&|user| {
+                store.remove(user);
+                store.upsert(record(&row, user)).expect("one HVE width");
+            })
+        })
+    };
 
-    // Churn-while-matching: the writers loop until the measured match
-    // pass finishes, then are signalled to stop.
-    let stop = AtomicBool::new(false);
-    let match_per_record_ns = std::thread::scope(|s| {
-        for writer in 0..WRITERS {
-            let (store, stop) = (&store, &stop);
-            s.spawn(move || {
-                let mut user = writer as u64;
-                while !stop.load(Ordering::Relaxed) {
-                    user = (user + WRITERS as u64) % USERS;
-                    store.upsert(record(user)).expect("one HVE width");
-                }
-            });
-        }
-        let per_scan = time_ns(8, || match_all(&store, scheme, token));
-        stop.store(true, Ordering::Relaxed);
-        per_scan / USERS as f64
+    // Churn-while-matching: per sample, the writers loop until the timed
+    // match passes finish, then are signalled to stop.
+    let match_ns = rounds.sample(move || {
+        const SCANS: usize = 8;
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for writer in 0..WRITERS {
+                let (store, row, stop) = (&store, &row, &stop);
+                s.spawn(move || {
+                    let mut user = writer as u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        user = (user + WRITERS as u64) % CHURN_USERS;
+                        store.upsert(record(row, user)).expect("one HVE width");
+                    }
+                });
+            }
+            let scheme = HveScheme::new(&*group, 4);
+            let t = Instant::now();
+            for _ in 0..SCANS {
+                std::hint::black_box(match_all(store.as_ref(), &scheme, &token));
+            }
+            let per_scan = t.elapsed().as_nanos() as f64 / SCANS as f64;
+            stop.store(true, Ordering::Relaxed);
+            per_scan
+        })
     });
-    let resident_bytes_per_record = resident_bytes_per_record(&store);
-    drop(store);
-
-    ChurnTimings {
-        backend: "persistent_sharded",
-        users: USERS as usize,
+    (
+        "persistent_sharded",
         upsert_ns,
         remove_insert_ns,
-        match_per_record_ns,
-        resident_bytes_per_record,
-    }
+        match_ns,
+        resident,
+    )
+}
+
+/// One whole run in one [`Rounds`]: the primitive rows for each of
+/// `prime_bits`, the phase rows at `phase_bits`-bit factors for each of
+/// `widths`, and the churn rows.
+pub fn run(
+    prime_bits: &[usize],
+    phase_bits: usize,
+    widths: &[usize],
+    seed: u64,
+) -> (Vec<PrimitiveTimings>, Vec<PhaseTimings>, Vec<ChurnTimings>) {
+    let mut rounds = Rounds::default();
+    let rows: Vec<_> = prime_bits
+        .iter()
+        .map(|&bits| measure(bits, seed, &mut rounds))
+        .collect();
+    let phases: Vec<_> = widths
+        .iter()
+        .map(|&width| measure_phases(phase_bits, width, seed, &mut rounds))
+        .collect();
+    let churn = measure_churn(seed, &mut rounds);
+    let timings = rounds.run();
+    (
+        rows.iter().map(|row| row(&timings)).collect(),
+        phases.iter().map(|phase| phase(&timings)).collect(),
+        churn(&timings),
+    )
 }
 
 /// `"name": median, "name_q1": q1, "name_q3": q3` at `decimals` places.
@@ -529,12 +705,13 @@ fn timing_json(name: &str, t: Timing, decimals: usize) -> String {
 }
 
 /// Renders the timing series as the `BENCH_primitives.json` artifact
-/// (schema v12: provenance, primitive rows, per-phase HVE timings, and
-/// per-backend store churn timings over the two store backends —
-/// including the four-writer `persistent_sharded` row — with the bytes
-/// each stored record takes). Every timing is its samples' median, with
-/// their first and third quartiles beside it as `<name>_q1` and
-/// `<name>_q3`.
+/// (schema v13: provenance, primitive rows, per-phase HVE timings of the
+/// element reference against the flat loops, and per-backend store
+/// churn timings over the two store backends — including the
+/// four-writer `persistent_sharded` row — with the bytes each stored
+/// record takes). Every timing is its samples' median, with their first
+/// and third quartiles beside it as `<name>_q1` and `<name>_q3`; the
+/// samples were taken in rounds across the whole run ([`Rounds`]).
 pub fn to_json(
     provenance: &Provenance,
     rows: &[PrimitiveTimings],
@@ -543,7 +720,7 @@ pub fn to_json(
 ) -> String {
     let sep = |i: usize, len: usize| if i + 1 == len { "" } else { "," };
     let mut out = format!(
-        "{{\n  \"schema\": \"sla-bench/primitives/v12\",\n  \"provenance\": \
+        "{{\n  \"schema\": \"sla-bench/primitives/v13\",\n  \"provenance\": \
          {{\"commit\": \"{}\", \"nproc\": {}, \"repetitions\": {}}},\n  \"rows\": [\n",
         provenance.commit, provenance.nproc, provenance.repetitions
     );
@@ -571,9 +748,9 @@ pub fn to_json(
             timing_json("setup_ns", p.setup_ns, 0),
             timing_json("prepare_ns", p.prepare_ns, 0),
             timing_json("encrypt_ns", p.encrypt_ns, 0),
-            timing_json("encrypt_prepared_ns", p.encrypt_prepared_ns, 0),
+            timing_json("encrypt_flat_ns", p.encrypt_flat_ns, 0),
             timing_json("gen_token_ns", p.gen_token_ns, 0),
-            timing_json("gen_token_prepared_ns", p.gen_token_prepared_ns, 0),
+            timing_json("gen_token_flat_ns", p.gen_token_flat_ns, 0),
             timing_json("query_decode_ns", p.query_decode_ns, 0),
         ]
         .join(", ");
@@ -633,8 +810,24 @@ mod tests {
     }
 
     #[test]
+    fn rounds_interleave_the_figures() {
+        // Each figure's closure records its name: after one warmup call
+        // each, every round samples A, then B.
+        let seen = std::cell::RefCell::new(String::new());
+        let mut rounds = Rounds::default();
+        let a = rounds.time(1, || seen.borrow_mut().push('A'));
+        let b = rounds.time(1, || seen.borrow_mut().push('B'));
+        let timings = rounds.run();
+        assert_eq!(seen.into_inner(), "AB".repeat(1 + SAMPLES));
+        assert_spread(timings[a]);
+        assert_spread(timings[b]);
+    }
+
+    #[test]
     fn measure_produces_sane_numbers() {
-        let t = measure(32, 7);
+        let mut rounds = Rounds::default();
+        let row = measure(32, 7, &mut rounds);
+        let t = row(&rounds.run());
         assert_eq!(t.modulus_bits, 64);
         for v in [
             t.mod_mul_naive_ns,
@@ -651,7 +844,7 @@ mod tests {
             repetitions: SAMPLES,
         };
         let json = to_json(&provenance, std::slice::from_ref(&t), &[], &[]);
-        assert!(json.contains("\"schema\": \"sla-bench/primitives/v12\""));
+        assert!(json.contains("\"schema\": \"sla-bench/primitives/v13\""));
         assert!(json.contains(
             "\"provenance\": {\"commit\": \"abc1234\", \"nproc\": 2, \"repetitions\": 5}"
         ));
@@ -668,15 +861,17 @@ mod tests {
 
     #[test]
     fn measure_phases_produces_sane_numbers() {
-        let p = measure_phases(24, 8, 7);
+        let mut rounds = Rounds::default();
+        let phases = measure_phases(24, 8, 7, &mut rounds);
+        let p = phases(&rounds.run());
         assert_eq!(p.width, 8);
         for v in [
             p.setup_ns,
             p.prepare_ns,
             p.encrypt_ns,
-            p.encrypt_prepared_ns,
+            p.encrypt_flat_ns,
             p.gen_token_ns,
-            p.gen_token_prepared_ns,
+            p.gen_token_flat_ns,
             p.query_decode_ns,
         ] {
             assert_spread(v);
@@ -685,6 +880,8 @@ mod tests {
         assert!(json.contains("\"phases\""));
         assert!(json.contains("gen_token_speedup"));
         for key in [
+            "encrypt_flat_ns",
+            "gen_token_flat_ns_q1",
             "query_decode_ns",
             "query_decode_ns_q1",
             "query_decode_ns_q3",
@@ -694,11 +891,16 @@ mod tests {
         for dropped in ["query_batch_ns", "query_speedup"] {
             assert!(!json.contains(dropped), "{dropped} is gone since v11");
         }
+        for dropped in ["encrypt_prepared_ns", "gen_token_prepared_ns"] {
+            assert!(!json.contains(dropped), "{dropped} is gone since v13");
+        }
     }
 
     #[test]
     fn measure_churn_covers_every_backend_and_cleans_up() {
-        let churn = measure_churn(7);
+        let mut rounds = Rounds::default();
+        let rows = measure_churn(7, &mut rounds);
+        let churn = rows(&rounds.run());
         let names: Vec<&str> = churn.iter().map(|c| c.backend).collect();
         assert_eq!(
             names,

@@ -19,7 +19,9 @@
 //!   ladder [`BigUint::mod_pow_naive`] for them.
 //! * Primality — Miller–Rabin testing ([`is_probable_prime`]) and random
 //!   prime generation ([`gen_prime`]).
-//! * Random sampling — [`random_below`], [`random_bits`].
+//! * Random sampling — [`random_below`], [`random_bits`], and
+//!   [`random_below_limbs`]/[`random_nonzero_below_limbs`], which draw
+//!   the same values from the same stream into caller-owned limbs.
 //!
 //! Every Montgomery product runs one scalar CIOS pass. Besides the
 //! `BigUint` API, [`MontgomeryCtx`] exposes the pass on caller-owned limb
@@ -57,4 +59,6 @@ mod random;
 pub use biguint::{BigUint, ParseBigUintError};
 pub use montgomery::MontgomeryCtx;
 pub use prime::{gen_prime, is_probable_prime, MillerRabinConfig};
-pub use random::{random_below, random_bits, random_nonzero_below};
+pub use random::{
+    random_below, random_below_limbs, random_bits, random_nonzero_below, random_nonzero_below_limbs,
+};

@@ -47,6 +47,60 @@ pub fn random_nonzero_below<R: Rng>(bound: &BigUint, rng: &mut R) -> BigUint {
     }
 }
 
+/// [`random_below`] into caller-owned limbs: writes the draw into `out`,
+/// little-endian and zero-extended, without allocating. It consumes
+/// `rng` exactly as [`random_below`] does (one `u64` per limb of
+/// `bound`, low limb first, the top limb masked to `bound`'s bit length,
+/// the same rejections), so both yield the same value from the same
+/// stream.
+///
+/// # Panics
+/// Panics if `bound` is zero or wider than `out`.
+pub fn random_below_limbs<R: Rng>(bound: &BigUint, rng: &mut R, out: &mut [u64]) {
+    assert!(!bound.is_zero(), "bound must be positive");
+    let bl = bound.limbs();
+    assert!(bl.len() <= out.len(), "out must hold the bound's limbs");
+    let top_bits = bound.bit_len() % 64;
+    let (draw, rest) = out.split_at_mut(bl.len());
+    rest.fill(0);
+    loop {
+        for limb in draw.iter_mut() {
+            *limb = rng.gen();
+        }
+        if top_bits != 0 {
+            draw[bl.len() - 1] &= (1u64 << top_bits) - 1;
+        }
+        if below(draw, bl) {
+            return;
+        }
+    }
+}
+
+/// [`random_nonzero_below`] into caller-owned limbs, consuming `rng`
+/// exactly as it does (see [`random_below_limbs`]).
+///
+/// # Panics
+/// Panics if `bound <= 1` or `bound` is wider than `out`.
+pub fn random_nonzero_below_limbs<R: Rng>(bound: &BigUint, rng: &mut R, out: &mut [u64]) {
+    assert!(!bound.is_one() && !bound.is_zero(), "bound must exceed 1");
+    loop {
+        random_below_limbs(bound, rng, out);
+        if out.iter().any(|&l| l != 0) {
+            return;
+        }
+    }
+}
+
+/// `a < b` over little-endian limb slices of equal length.
+fn below(a: &[u64], b: &[u64]) -> bool {
+    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
+        if x != y {
+            return x < y;
+        }
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,7 @@ use sla_hve::{
     Ciphertext, HveScheme, PreparedPublicKey, PreparedSecretKey, RegenStats, SearchPattern,
     SecretKey, Token, TokenCache,
 };
-use sla_pairing::{BigUint, BilinearGroup, PreparedQuery};
+use sla_pairing::{BigUint, BilinearGroup, PackedRow, PreparedQuery};
 use sla_persist::Record;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -22,52 +22,16 @@ use std::sync::OnceLock;
 /// does not have access to user locations" — it only ever sees cell sets
 /// supplied by the alert source.
 ///
-/// After [`TrustedAuthority::prepare`] the TA also holds fixed-base tables
-/// over its key material, so every token of every alert reuses the same
-/// per-base precomputation.
+/// The TA issues through one key state: the secret key with its bases
+/// readied for the engine's flat GenToken ([`PreparedSecretKey`]), built
+/// by [`TrustedAuthority::prepare`] or, failing that, by the first
+/// issue. Every token of every alert reuses it.
 #[derive(Debug)]
 pub struct TrustedAuthority {
-    /// The secret key, in exactly one state: plain after construction,
-    /// table-backed after [`Self::prepare`] (the prepared form embeds the
-    /// key, so nothing is stored twice).
-    key: TaKey,
+    sk: SecretKey,
+    /// `sk` readied for flat issuance, once per key.
+    flat: OnceLock<PreparedSecretKey>,
     codebook: CellCodebook,
-}
-
-/// The TA's key-material state.
-#[derive(Debug)]
-enum TaKey {
-    Plain(SecretKey),
-    Prepared(Box<PreparedSecretKey>),
-}
-
-impl TaKey {
-    fn secret_key(&self) -> &SecretKey {
-        match self {
-            TaKey::Plain(sk) => sk,
-            TaKey::Prepared(psk) => psk.secret_key(),
-        }
-    }
-
-    /// One fresh token per pattern, in order: batched through the
-    /// fixed-base tables on a prepared key
-    /// ([`HveScheme::gen_token_prepared_batch`], byte-identical to
-    /// per-token generation against the same RNG), serially through
-    /// [`HveScheme::gen_token`] on a plain one.
-    fn gen_tokens<G: BilinearGroup, R: Rng>(
-        &self,
-        scheme: &HveScheme<'_, G>,
-        patterns: &[&SearchPattern],
-        rng: &mut R,
-    ) -> Vec<Token> {
-        match self {
-            TaKey::Prepared(psk) => scheme.gen_token_prepared_batch(psk, patterns, rng),
-            TaKey::Plain(sk) => patterns
-                .iter()
-                .map(|pattern| scheme.gen_token(sk, pattern, rng))
-                .collect(),
-        }
-    }
 }
 
 impl TrustedAuthority {
@@ -82,16 +46,22 @@ impl TrustedAuthority {
             });
         }
         Ok(TrustedAuthority {
-            key: TaKey::Plain(sk),
+            sk,
+            flat: OnceLock::new(),
             codebook,
         })
     }
 
-    /// Builds the secret key's fixed-base tables; subsequent
-    /// [`Self::issue_tokens`] calls route through them (same operations
-    /// and outputs, lower wall-clock).
+    /// Readies the secret key's bases for `scheme`'s engine now, rather
+    /// than at the first issue (same operations and outputs either way).
     pub fn prepare<G: BilinearGroup>(&mut self, scheme: &HveScheme<'_, G>) {
-        self.key = TaKey::Prepared(Box::new(scheme.prepare_secret_key(self.key.secret_key())));
+        self.flat = OnceLock::from(scheme.prepare_secret_key(&self.sk));
+    }
+
+    /// The flat key, readied for `scheme` on first use.
+    fn flat_key<G: BilinearGroup>(&self, scheme: &HveScheme<'_, G>) -> &PreparedSecretKey {
+        self.flat
+            .get_or_init(|| scheme.prepare_secret_key(&self.sk))
     }
 
     /// The codebook (public: users need the indexes).
@@ -112,29 +82,35 @@ impl TrustedAuthority {
 
     /// Issues the minimized token set for an alert zone (Fig. 3's
     /// "minimization algorithm" + token encryption), every token freshly
-    /// drawn, through the prepared key tables when [`Self::prepare`] has
-    /// run.
+    /// drawn by the flat GenToken ([`HveScheme::gen_query`]) as the query
+    /// the Service Provider sweeps ([`ServiceProvider::match_queries`]):
+    /// no token element is built.
     ///
     /// `Err(SlaError::CellOutOfRange)` on alert cells outside the grid.
-    pub fn issue_tokens<G: BilinearGroup, R: Rng>(
+    pub fn issue_queries<G: BilinearGroup, R: Rng>(
         &self,
         scheme: &HveScheme<'_, G>,
         alert_cells: &[usize],
         rng: &mut R,
-    ) -> SlaResult<Vec<Token>> {
+    ) -> SlaResult<Vec<PreparedQuery>> {
         let patterns = self.patterns_for(alert_cells)?;
-        let refs: Vec<_> = patterns.iter().collect();
-        Ok(self.key.gen_tokens(scheme, &refs, rng))
+        let key = self.flat_key(scheme);
+        Ok(patterns
+            .iter()
+            .map(|pattern| scheme.gen_query(key, pattern, rng))
+            .collect())
     }
 
-    /// [`Self::issue_tokens`] served from a pattern-keyed `cache`: only
-    /// patterns missing from it are freshly generated, and patterns that
-    /// left the cover are evicted ([`TokenCache::regen_with`]).
+    /// The minimized token set for an alert zone as [`Token`]s, served
+    /// from a pattern-keyed `cache`: only patterns missing from it are
+    /// freshly generated ([`HveScheme::gen_token_prepared_batch`]), and
+    /// patterns that left the cover are evicted
+    /// ([`TokenCache::regen_with`]).
     ///
     /// No alert path calls this. A reused token lets the SP link two
     /// alerts that share a pattern, which the paper's protocol rules
     /// out, so every alert issues fresh tokens through
-    /// [`Self::issue_tokens`]. It remains only because the repo
+    /// [`Self::issue_queries`]. It remains only because the repo
     /// benchmark's per-layer ledger still times it, and goes with the
     /// next change to that benchmark.
     ///
@@ -147,8 +123,9 @@ impl TrustedAuthority {
         rng: &mut R,
     ) -> SlaResult<(Vec<Token>, RegenStats)> {
         let patterns = self.patterns_for(alert_cells)?;
+        let key = self.flat_key(scheme);
         Ok(cache.regen_with(&patterns, |missing| {
-            self.key.gen_tokens(scheme, missing, rng)
+            scheme.gen_token_prepared_batch(key, missing, rng)
         }))
     }
 
@@ -183,10 +160,13 @@ impl MobileUser {
     }
 
     /// Encrypts the user's location update (Fig. 1: users A and B encrypt
-    /// their indexes with PK) through the prepared public key, whose
-    /// fixed-base tables are amortized across all users encrypting under
-    /// the same key. Errors on cells outside the codebook and on ids
-    /// outside the HVE message domain.
+    /// their indexes with PK) as a [`Ciphertext`], through
+    /// [`HveScheme::encrypt_prepared`]. The served subscribe
+    /// ([`crate::AlertSystem::subscribe_cell`]) writes the stored row
+    /// instead ([`HveScheme::encrypt_for_user`]); this remains because
+    /// the repo benchmark's per-layer ledger times Encrypt through it.
+    /// Errors on cells outside the codebook and on ids outside the HVE
+    /// message domain.
     pub fn encrypt_update_prepared<G: BilinearGroup, R: Rng>(
         &self,
         scheme: &HveScheme<'_, G>,
@@ -275,14 +255,16 @@ impl FromIterator<AlertMatch> for AlertMatch {
 ///
 /// ## Matching
 ///
-/// [`Self::match_alert`] evaluates every token against every stored
+/// [`Self::match_queries`] evaluates every query against every stored
 /// ciphertext, one whole shard at a time, on the calling thread. Each
 /// stored record is a packed row of canonical logs that carries its
-/// expected payload, and each token's keys are resolved to Montgomery
-/// residues once per alert, so a pairing is one CIOS pass of a stored
-/// operand against a key, read in place from the shard's slab, and the
-/// decision is one comparison — zero canonical conversions and zero
-/// allocations per (token, ciphertext) pair (see
+/// expected payload, and each query holds its token's keys as Montgomery
+/// residues, written so by the Trusted Authority's GenToken
+/// ([`TrustedAuthority::issue_queries`]); [`Self::match_alert`] resolves
+/// reference tokens to the same form once per alert. A pairing is one
+/// CIOS pass of a stored operand against a key, read in place from the
+/// shard's slab, and the decision is one comparison — zero canonical
+/// conversions and zero allocations per (token, ciphertext) pair (see
 /// `HveScheme::match_rows`).
 ///
 /// ## Concurrency
@@ -419,47 +401,26 @@ impl ServiceProvider {
         out
     }
 
-    /// Upsert validation: width agreement with the scheme and with
-    /// previously pinned material, then assembly of the stored record
-    /// (the ciphertext and its expected payload packed for the scheme's
-    /// group, and the epoch stamp).
-    fn validated_record<G: BilinearGroup>(
+    /// `Err(SlaError::WidthMismatch)` unless material `width` wide
+    /// agrees with the scheme and with the width the store has pinned.
+    fn check_width<G: BilinearGroup>(
         &self,
         scheme: &HveScheme<'_, G>,
-        subscription: Subscription,
-    ) -> SlaResult<Record> {
-        let ct_width = subscription.ciphertext.width();
-        if ct_width != scheme.width() {
+        width: usize,
+    ) -> SlaResult<()> {
+        if width != scheme.width() {
             return Err(SlaError::WidthMismatch {
                 expected: scheme.width(),
-                actual: ct_width,
+                actual: width,
             });
         }
-        if let Some(&width) = self.width.get() {
-            if width != ct_width {
-                return Err(SlaError::WidthMismatch {
-                    expected: width,
-                    actual: ct_width,
-                });
-            }
-        }
-        let row = scheme.pack_for_user(&subscription.ciphertext, subscription.user_id)?;
-        // Pin only after the last fallible step, so a *rejected* upsert
-        // (e.g. MessageOutOfDomain) leaves the width unpinned — exactly
-        // the pre-concurrency behavior. Concurrent first upserts race
-        // safely: one initializes, the others validate against it.
-        let pinned = *self.width.get_or_init(|| ct_width);
-        if pinned != ct_width {
-            return Err(SlaError::WidthMismatch {
+        match self.width.get() {
+            Some(&pinned) if pinned != width => Err(SlaError::WidthMismatch {
                 expected: pinned,
-                actual: ct_width,
-            });
+                actual: width,
+            }),
+            _ => Ok(()),
         }
-        Ok(Record {
-            user_id: subscription.user_id,
-            epoch: self.epoch(),
-            row,
-        })
     }
 
     /// Pins the group the store's rows belong to the first time a
@@ -491,12 +452,14 @@ impl ServiceProvider {
 
     /// Accepts (or refreshes) a user's encrypted location update: a
     /// re-subscribing user's previous ciphertext is **replaced**, so the
-    /// old location stops matching alerts. The record is stamped with the
-    /// current epoch, and the ciphertext is packed with its expected
-    /// payload `gt^{id+1}` into one row of canonical limbs
-    /// ([`HveScheme::pack_for_user`]), which the matcher sweeps in place.
-    /// Takes only the target shard's write lock, so writer threads can
-    /// call it while an alert is matched.
+    /// old location stops matching alerts. The ciphertext is packed with
+    /// its expected payload `gt^{id+1}` into one row of canonical limbs
+    /// ([`HveScheme::pack_for_user`]), which the matcher sweeps in place,
+    /// and stored through the row half of the upsert, stamped with the
+    /// current epoch; a subscribe through [`crate::AlertSystem`] enters
+    /// at that half with the row the flat Encrypt wrote. Takes only the
+    /// target shard's write lock, so writer threads can call it while an
+    /// alert is matched.
     ///
     /// Errors: `WidthMismatch` when the ciphertext disagrees with the
     /// scheme or with previously stored material; `MessageOutOfDomain`
@@ -508,8 +471,42 @@ impl ServiceProvider {
         subscription: Subscription,
     ) -> SlaResult<UpsertOutcome> {
         self.pin_group(scheme)?;
-        let record = self.validated_record(scheme, subscription)?;
-        let outcome = self.store.upsert(record)?;
+        self.check_width(scheme, subscription.ciphertext.width())?;
+        let row = scheme.pack_for_user(&subscription.ciphertext, subscription.user_id)?;
+        self.upsert_row(scheme, subscription.user_id, row)
+    }
+
+    /// The row half of [`Self::upsert`]: stores `row`, a ciphertext and
+    /// its payload already packed for `scheme`'s group (by
+    /// [`HveScheme::pack_for_user`], or written by the flat Encrypt,
+    /// [`HveScheme::encrypt_for_user`]), as `user_id`'s record stamped
+    /// with the current epoch. Same errors as [`Self::upsert`], bar
+    /// `MessageOutOfDomain`.
+    pub(crate) fn upsert_row<G: BilinearGroup>(
+        &self,
+        scheme: &HveScheme<'_, G>,
+        user_id: u64,
+        row: PackedRow,
+    ) -> SlaResult<UpsertOutcome> {
+        self.pin_group(scheme)?;
+        let width = row.shape().width;
+        self.check_width(scheme, width)?;
+        // Pin only after the last fallible step, so a *rejected* upsert
+        // (e.g. MessageOutOfDomain) leaves the width unpinned. Concurrent
+        // first upserts race safely: one initializes, the others validate
+        // against it.
+        let pinned = *self.width.get_or_init(|| width);
+        if pinned != width {
+            return Err(SlaError::WidthMismatch {
+                expected: pinned,
+                actual: width,
+            });
+        }
+        let outcome = self.store.upsert(Record {
+            user_id,
+            epoch: self.epoch(),
+            row,
+        })?;
         self.note_upsert(outcome);
         Ok(outcome)
     }
@@ -578,46 +575,22 @@ impl ServiceProvider {
         self.store.sync()
     }
 
-    /// Validates an alert's token set against the system width before any
-    /// pairing is evaluated, so the matching loops below cannot panic on
-    /// user-supplied material.
-    fn validate_tokens<G: BilinearGroup>(
-        &self,
-        scheme: &HveScheme<'_, G>,
-        tokens: &[Token],
-    ) -> SlaResult<()> {
-        if let Some(&width) = self.width.get() {
-            if width != scheme.width() {
-                return Err(SlaError::WidthMismatch {
-                    expected: width,
-                    actual: scheme.width(),
-                });
-            }
+    /// `Err(SlaError::WidthMismatch)` unless the scheme agrees with the
+    /// width the store has pinned, so the matching loops below cannot
+    /// panic on caller-supplied material.
+    fn check_scheme_width<G: BilinearGroup>(&self, scheme: &HveScheme<'_, G>) -> SlaResult<()> {
+        match self.width.get() {
+            Some(&width) if width != scheme.width() => Err(SlaError::WidthMismatch {
+                expected: width,
+                actual: scheme.width(),
+            }),
+            _ => Ok(()),
         }
-        for token in tokens {
-            if token.pattern().len() != scheme.width() {
-                return Err(SlaError::WidthMismatch {
-                    expected: scheme.width(),
-                    actual: token.pattern().len(),
-                });
-            }
-        }
-        Ok(())
     }
 
-    /// The served matcher: evaluates *every* (token, ciphertext) pair —
-    /// the worst-case evaluation the paper's cost model counts
-    /// (`Σ_tokens (1+2·|J|) · n_ciphertexts`) — and returns who matched
-    /// and the pairings its sweeps performed. The engine's shared
-    /// counters advance by the same amount. Each token's keys are
-    /// resolved once per alert ([`HveScheme::prepare_token`]), not once
-    /// per shard.
-    ///
-    /// The shards are swept one after another on the calling thread, not
-    /// fanned out over threads: on a shared two-vCPU host a fan-out's
-    /// speed-up swings between none and 2× with the host's scheduling,
-    /// which makes alert latency unrepeatable, and writers would wait on
-    /// several read-locked shards at once.
+    /// [`Self::match_queries`] over reference tokens: each token's keys
+    /// are resolved once per alert ([`HveScheme::prepare_token`]), then
+    /// swept exactly as the Trusted Authority's queries are.
     ///
     /// Errors: `WidthMismatch` when a token, the scheme or a shard's
     /// stored rows disagree on the HVE width; `GroupMismatch` when the
@@ -627,19 +600,61 @@ impl ServiceProvider {
         scheme: &HveScheme<'_, G>,
         tokens: &[Token],
     ) -> SlaResult<AlertMatch> {
-        self.validate_tokens(scheme, tokens)?;
+        self.check_scheme_width(scheme)?;
+        for token in tokens {
+            if token.pattern().len() != scheme.width() {
+                return Err(SlaError::WidthMismatch {
+                    expected: scheme.width(),
+                    actual: token.pattern().len(),
+                });
+            }
+        }
+        let queries: Vec<PreparedQuery> = tokens.iter().map(|t| scheme.prepare_token(t)).collect();
+        self.match_queries(scheme, &queries)
+    }
+
+    /// The served matcher: evaluates *every* (query, ciphertext) pair —
+    /// the worst-case evaluation the paper's cost model counts
+    /// (`Σ_tokens (1+2·|J|) · n_ciphertexts`) — and returns who matched
+    /// and the pairings its sweeps performed. The engine's shared
+    /// counters advance by the same amount. The queries are the keys
+    /// GenToken wrote ([`TrustedAuthority::issue_queries`]), swept as
+    /// they are.
+    ///
+    /// The shards are swept one after another on the calling thread, not
+    /// fanned out over threads: on a shared two-vCPU host a fan-out's
+    /// speed-up swings between none and 2× with the host's scheduling,
+    /// which makes alert latency unrepeatable, and writers would wait on
+    /// several read-locked shards at once.
+    ///
+    /// Errors: `WidthMismatch` when the scheme or a shard's stored rows
+    /// disagree on the HVE width, or a query has a position outside the
+    /// scheme's width (`actual` is then the width that position needs);
+    /// `GroupMismatch` when the scheme's group is not the one the store
+    /// holds rows of.
+    pub fn match_queries<G: BilinearGroup>(
+        &self,
+        scheme: &HveScheme<'_, G>,
+        queries: &[PreparedQuery],
+    ) -> SlaResult<AlertMatch> {
+        self.check_scheme_width(scheme)?;
+        let needed = queries.iter().flat_map(|q| q.positions()).max();
+        if let Some(&position) = needed.filter(|&&i| i >= scheme.width()) {
+            return Err(SlaError::WidthMismatch {
+                expected: scheme.width(),
+                actual: position + 1,
+            });
+        }
         self.pin_group(scheme)?;
-        let queries: Vec<PreparedQuery<'_>> =
-            tokens.iter().map(|t| scheme.prepare_token(t)).collect();
         (0..self.store.shard_count())
-            .map(|shard| self.match_shard(shard, scheme, &queries))
+            .map(|shard| self.match_shard(shard, scheme, queries))
             .collect()
     }
 
     /// Exhaustively matches one whole shard under its read lock, sweeping
     /// its slab of rows in place.
     ///
-    /// Evaluation is **token-outer**: each prepared token sweeps every
+    /// Evaluation is **query-outer**: each query sweeps every
     /// row of the shard in one [`HveScheme::match_rows`] (the engine's
     /// fused query check), and per-record hits are OR-accumulated across
     /// tokens. Notified ids are pushed in record order, and the pairings
@@ -648,7 +663,7 @@ impl ServiceProvider {
         &self,
         shard: usize,
         scheme: &HveScheme<'_, G>,
-        queries: &[PreparedQuery<'_>],
+        queries: &[PreparedQuery],
     ) -> SlaResult<AlertMatch> {
         let mut found = Ok(AlertMatch::default());
         self.store.read_shard(shard, &mut |records| {
@@ -712,5 +727,69 @@ impl ServiceProvider {
     #[doc(hidden)]
     pub fn default_batch_chunk_size(&self) -> usize {
         self.store.len().max(1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sla_encoding::EncoderKind;
+    use sla_pairing::SimulatedGroup;
+
+    /// A TA that was never prepared readies its key at the first issue,
+    /// and issues what a prepared TA and the reference GenToken issue
+    /// under one seed.
+    #[test]
+    fn unprepared_ta_issues_what_a_prepared_one_does() {
+        let mut rng = StdRng::seed_from_u64(0x7a);
+        let group = SimulatedGroup::generate(40, &mut rng);
+        let codebook = CellCodebook::build(EncoderKind::Huffman, &[0.3, 0.1, 0.25, 0.05, 0.2, 0.1]);
+        let scheme = HveScheme::new(&group, codebook.width_bits());
+        let (_, sk) = scheme.setup(&mut rng);
+        let mut prepared = TrustedAuthority::new(sk.clone(), codebook.clone()).unwrap();
+        prepared.prepare(&scheme);
+        let lazy = TrustedAuthority::new(sk.clone(), codebook.clone()).unwrap();
+
+        for cells in [&[1, 4][..], &[0, 1, 2, 3, 4, 5], &[2]] {
+            let issue = |ta: &TrustedAuthority| {
+                ta.issue_queries(&scheme, cells, &mut StdRng::seed_from_u64(9))
+                    .unwrap()
+            };
+            let mut r = StdRng::seed_from_u64(9);
+            let reference: Vec<PreparedQuery> = codebook
+                .tokens_for(cells)
+                .iter()
+                .map(|cw| {
+                    let token = scheme.gen_token(&sk, &codeword_to_pattern(cw), &mut r);
+                    scheme.prepare_token(&token)
+                })
+                .collect();
+            assert_eq!(issue(&lazy), issue(&prepared), "cells {cells:?}");
+            assert_eq!(issue(&lazy), reference, "cells {cells:?}");
+        }
+    }
+
+    /// A query with a position outside the scheme's width is a typed
+    /// error before any pairing runs.
+    #[test]
+    fn query_wider_than_the_scheme_is_a_typed_error() {
+        let mut rng = StdRng::seed_from_u64(0x3a);
+        let group = SimulatedGroup::generate(40, &mut rng);
+        let (scheme3, scheme5) = (HveScheme::new(&group, 3), HveScheme::new(&group, 5));
+        let (_, sk5) = scheme5.setup(&mut rng);
+        let psk5 = scheme5.prepare_secret_key(&sk5);
+        let query = scheme5.gen_query(&psk5, &"1***0".parse().unwrap(), &mut rng);
+        let sp = ServiceProvider::new();
+        let before = group.counters().snapshot();
+        assert_eq!(
+            sp.match_queries(&scheme3, &[query]).unwrap_err(),
+            SlaError::WidthMismatch {
+                expected: 3,
+                actual: 5
+            }
+        );
+        assert_eq!(group.counters().snapshot(), before);
     }
 }

@@ -1,7 +1,8 @@
 //! [`SystemBuilder`] / [`AlertSystem`]: owns the bilinear group and wires
 //! the three parties together for long-lived service runs.
 
-use crate::entities::{AlertMatch, MobileUser, ServiceProvider, Subscription, TrustedAuthority};
+use crate::convert::index_to_attribute;
+use crate::entities::{AlertMatch, ServiceProvider, TrustedAuthority};
 use crate::error::{SlaError, SlaResult, MAX_GROUP_BITS, MIN_GROUP_BITS};
 use crate::store::{StoreBackend, StoreStats, UpsertOutcome};
 use rand::Rng;
@@ -81,9 +82,9 @@ impl SystemBuilder {
     }
 
     /// Runs system initialization (Fig. 3): build the codebook from the
-    /// probability map, generate the group and the HVE key pair, prepare
-    /// the fixed-base tables for both keys, and assemble the Service
-    /// Provider over the chosen store backend.
+    /// probability map, generate the group and the HVE key pair, ready
+    /// both keys' bases for the engine's flat Encrypt and GenToken, and
+    /// assemble the Service Provider over the chosen store backend.
     ///
     /// Every misconfiguration returns a typed [`SlaError`]:
     /// `ProbabilityMapMismatch` when the surface does not cover the grid,
@@ -141,10 +142,10 @@ pub struct AlertOutcome {
 /// The assembled system: group engine + TA + SP + codebook.
 ///
 /// Build one through [`SystemBuilder`] (or [`AlertSystem::builder`]).
-/// Setup also builds the fixed-base tables for both halves of the key
-/// pair (the prepared public key lives here, the prepared secret key in
-/// the TA), so every subscription encryption and every token issuance
-/// reuses the per-base precomputation.
+/// Setup also readies the bases of both halves of the key pair (the
+/// prepared public key lives here, the prepared secret key in the TA),
+/// so a subscribe writes its stored row and an alert its swept keys with
+/// the engine's flat loops, without building a group element.
 ///
 /// Every entry point that takes user-supplied input is fallible — no
 /// panic is reachable through the public service API. Every entry point
@@ -155,7 +156,7 @@ pub struct AlertOutcome {
 pub struct AlertSystem {
     group: SimulatedGroup,
     grid: Grid,
-    /// The public key plus its fixed-base tables, reused by every
+    /// The public key plus its readied bases, reused by every
     /// subscription (the plain key is a view into this).
     ppk: PreparedPublicKey,
     ta: TrustedAuthority,
@@ -223,9 +224,11 @@ impl AlertSystem {
 
     /// A user at `cell` encrypts and submits a location update; a
     /// re-subscribing user's previous ciphertext is **replaced** (the old
-    /// location stops matching alerts). Each caller supplies its own
-    /// `rng`, so writer threads can subscribe while an alert is being
-    /// matched.
+    /// location stops matching alerts). The flat Encrypt writes the row
+    /// the Service Provider stores ([`HveScheme::encrypt_for_user`]),
+    /// which goes in through the row half of [`ServiceProvider::upsert`];
+    /// no pairing is evaluated. Each caller supplies its own `rng`, so
+    /// writer threads can subscribe while an alert is being matched.
     ///
     /// Errors: `CellOutOfRange`, `MessageOutOfDomain` (ids double as HVE
     /// payloads and must fit the message domain).
@@ -242,19 +245,9 @@ impl AlertSystem {
             });
         }
         let scheme = self.scheme();
-        let ciphertext = MobileUser::new(user_id, cell).encrypt_update_prepared(
-            &scheme,
-            &self.ppk,
-            self.codebook(),
-            rng,
-        )?;
-        self.sp.upsert(
-            &scheme,
-            Subscription {
-                user_id,
-                ciphertext,
-            },
-        )
+        let attr = index_to_attribute(self.codebook().index_of(cell));
+        let row = scheme.encrypt_for_user(&self.ppk, &attr, user_id, rng)?;
+        self.sp.upsert_row(&scheme, user_id, row)
     }
 
     /// A user at a geographic point subscribes;
@@ -295,10 +288,12 @@ impl AlertSystem {
         self.sp.sync()
     }
 
-    /// Issues an alert for a set of cells: the TA minimizes and signs
-    /// tokens, the SP evaluates them exhaustively (the cost model's
-    /// regime) through [`ServiceProvider::match_alert`], and matched
-    /// users are notified.
+    /// Issues an alert for a set of cells: the TA minimizes the zone's
+    /// cover and its flat GenToken writes each token's keys
+    /// ([`TrustedAuthority::issue_queries`]), the SP sweeps them
+    /// exhaustively (the cost model's regime) through
+    /// [`ServiceProvider::match_queries`], and matched users are
+    /// notified. No token element is built and no token is prepared.
     ///
     /// Every call draws fresh tokens, as in the paper's protocol: no two
     /// alerts share token bytes, so the SP cannot link alerts whose
@@ -316,22 +311,23 @@ impl AlertSystem {
         rng: &mut R,
     ) -> SlaResult<AlertOutcome> {
         let scheme = self.scheme();
-        let tokens = self.ta.issue_tokens(&scheme, alert_cells, rng)?;
-        let non_star_bits: u64 = tokens.iter().map(|t| t.non_star_count() as u64).sum();
+        let queries = self.ta.issue_queries(&scheme, alert_cells, rng)?;
+        let non_star_bits: u64 = queries.iter().map(|q| q.positions().len() as u64).sum();
         // The analytic model `Σ_tokens (1 + 2·|J|) · n` evaluated on the
         // tokens already in hand, so the alert does not pay minimization
         // a second time.
-        let analytic = (tokens.len() as u64 + 2 * non_star_bits) * self.sp.n_subscriptions() as u64;
+        let analytic =
+            (queries.len() as u64 + 2 * non_star_bits) * self.sp.n_subscriptions() as u64;
 
         let AlertMatch {
             mut notified,
             pairings,
-        } = self.sp.match_alert(&scheme, &tokens)?;
+        } = self.sp.match_queries(&scheme, &queries)?;
         notified.sort_unstable();
 
         Ok(AlertOutcome {
             notified,
-            tokens_issued: tokens.len(),
+            tokens_issued: queries.len(),
             non_star_bits,
             pairings_used: pairings,
             analytic_pairings: analytic,
@@ -529,6 +525,65 @@ mod tests {
         assert_eq!(snapshot.store.inserted, 1);
         assert_eq!(snapshot.store.replaced, 1);
         assert_eq!(snapshot.store.unsubscribed, 1);
+    }
+
+    /// On a quiescent system an alert advances the shared counters by
+    /// exactly what the reference GenToken records for its cover plus
+    /// what the sweep records for its pairings, and a subscribe records
+    /// Encrypt's operations and no pairing.
+    #[test]
+    fn served_paths_count_exactly_the_reference() {
+        use crate::convert::{codeword_to_pattern, index_to_attribute};
+        use sla_pairing::CounterSnapshot;
+
+        let (system, mut rng) = small_system(EncoderKind::Huffman);
+        let scheme = system.scheme();
+        let messages: Vec<_> = (0..6).map(|id| scheme.encode_message(id)).collect();
+        let before = system.counters().snapshot();
+        for (cell, message) in messages.iter().enumerate() {
+            let attr = index_to_attribute(system.codebook().index_of(cell));
+            scheme.encrypt(system.public_key(), &attr, message, &mut rng);
+        }
+        let encrypt = system.counters().snapshot() - before;
+        let before = system.counters().snapshot();
+        for cell in 0..6 {
+            system.subscribe_cell(cell as u64, cell, &mut rng).unwrap();
+        }
+        let subscribes = system.counters().snapshot() - before;
+        assert_eq!(subscribes, encrypt);
+        assert_eq!(subscribes.pairings, 0);
+
+        let (_, sk) = scheme.setup(&mut rng);
+        for cells in [&[1, 4][..], &[0, 1, 2, 3, 4, 5], &[3]] {
+            let before = system.counters().snapshot();
+            let tokens: Vec<_> = system
+                .codebook()
+                .tokens_for(cells)
+                .iter()
+                .map(|cw| scheme.gen_token(&sk, &codeword_to_pattern(cw), &mut rng))
+                .collect();
+            let gen_token = system.counters().snapshot() - before;
+
+            let before = system.counters().snapshot();
+            let outcome = system.issue_alert(cells, &mut rng).unwrap();
+            let alert = system.counters().snapshot() - before;
+
+            let n = system.n_subscriptions() as u64;
+            let folds: u64 = tokens
+                .iter()
+                .map(|t| n * (2 * t.non_star_count() as u64 + 2))
+                .sum();
+            assert_eq!(outcome.pairings_used, outcome.analytic_pairings);
+            assert_eq!(
+                alert,
+                CounterSnapshot {
+                    pairings: gen_token.pairings + outcome.pairings_used,
+                    gt_mults: gen_token.gt_mults + folds,
+                    ..gen_token
+                },
+                "cells {cells:?}"
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::vector::SearchPattern;
 use serde::{Deserialize, Serialize};
 use sla_bigint::BigUint;
-use sla_pairing::{GElem, GtElem, PackedRow};
+use sla_pairing::{EncryptBases, GElem, GtElem, PackedRow, RowShape, TokenBases};
 
 /// HVE secret key (held by the Trusted Authority in the alert protocol).
 ///
@@ -26,6 +26,18 @@ impl SecretKey {
     pub fn width(&self) -> usize {
         self.width
     }
+
+    /// The bases GenToken exponentiates.
+    pub(crate) fn bases(&self) -> TokenBases<'_> {
+        TokenBases {
+            g: &self.g,
+            a: &self.a,
+            v: &self.v,
+            u: &self.u,
+            h: &self.h,
+            w: &self.w,
+        }
+    }
 }
 
 /// HVE public key (distributed to mobile users).
@@ -47,6 +59,17 @@ impl PublicKey {
     /// HVE width `l`.
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// The bases Encrypt exponentiates.
+    pub(crate) fn bases(&self) -> EncryptBases<'_> {
+        EncryptBases {
+            a: &self.a,
+            v: &self.v,
+            u: &self.u,
+            h: &self.h,
+            w: &self.w,
+        }
     }
 }
 
@@ -88,6 +111,21 @@ impl Ciphertext {
     /// no reduction ([`crate::HveScheme::pack`] packs for a group).
     pub fn to_row(&self, expected: &GtElem) -> PackedRow {
         PackedRow::from_elements(&self.c_prime, &self.c0, &self.c, expected)
+    }
+
+    /// The ciphertext a packed row holds, its operands as canonical logs
+    /// (the row's expected payload is dropped): the inverse of
+    /// [`Self::to_row`] and of [`crate::HveScheme::pack`].
+    pub(crate) fn from_row(row: &PackedRow) -> Self {
+        let log = |idx: usize| BigUint::from_limbs(row.operand(idx).to_vec());
+        let g = |idx: usize| GElem::from_canonical_log(log(idx));
+        Ciphertext {
+            c_prime: GtElem::from_canonical_log(log(RowShape::C_PRIME)),
+            c0: g(RowShape::C0),
+            c: (0..row.shape().width)
+                .map(|i| (g(RowShape::component(i, 0)), g(RowShape::component(i, 1))))
+                .collect(),
+        }
     }
 }
 

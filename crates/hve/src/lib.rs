@@ -24,6 +24,14 @@
 //!   pattern.
 //! * [`HveScheme::query`] — the evaluator applies a token to a ciphertext.
 //!
+//! These are the element reference. The alert service runs each phase
+//! through the group engine's flat loops instead, over keys readied once
+//! ([`PreparedPublicKey`], [`PreparedSecretKey`]), and builds no group
+//! element: [`HveScheme::encrypt_for_user`] writes the row a Service
+//! Provider stores, [`HveScheme::gen_query`] the keys its sweep reads,
+//! and [`HveScheme::match_rows`] sweeps the one under the other. Each is
+//! pinned to the reference for output, RNG draws and operation counts.
+//!
 //! ## Example
 //!
 //! ```

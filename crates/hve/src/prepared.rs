@@ -1,35 +1,36 @@
-//! Prepared key material: fixed-base tables over the HVE keys.
+//! Prepared key material: each key's bases readied once for the
+//! engine's flat Encrypt and GenToken loops.
 //!
-//! Every Encrypt exponentiates the *same* public-key bases (`V`, `A`,
-//! `H_i`, `W_i`) and every GenToken the same secret-key bases (`g`, `v`,
-//! `h_i`, `w_i`) — only the exponents change. Wrapping a key once with
+//! Every Encrypt exponentiates the *same* public-key bases (`A`, `V`,
+//! `U_i·H_i` or `H_i`, `W_i`, and the blinding generator of `G_q`) and
+//! every GenToken the same secret-key bases (`g^a`, `v`, `u_i·h_i` or
+//! `h_i`, `w_i`); only the exponents change. Wrapping a key once with
 //! [`HveScheme::prepare_public_key`](crate::HveScheme::prepare_public_key) /
 //! [`HveScheme::prepare_secret_key`](crate::HveScheme::prepare_secret_key)
-//! builds a [`PreparedG`]/[`PreparedGt`] fixed-base table per base, after
-//! which `encrypt_prepared`/`gen_token_prepared` reuse the precomputation
-//! across every ciphertext and token in a batch.
+//! has the engine ready those bases as flat limbs
+//! ([`BilinearGroup::prepare_encrypt_bases`],
+//! [`BilinearGroup::prepare_token_bases`]). Then
+//! [`HveScheme::encrypt_for_user`](crate::HveScheme::encrypt_for_user)
+//! writes the row a Service Provider stores, and
+//! [`HveScheme::gen_query`](crate::HveScheme::gen_query) writes the keys
+//! its sweep reads, without building a group element.
 //!
-//! The prepared paths perform **exactly the same metered operations** as
-//! the plain ones (the `u_i·h_i` combination for set bits is still a
-//! counted `mul_g` per call), draw randomness in the same order, and
-//! produce bit-identical ciphertexts/tokens — only the wall-clock cost of
-//! each exponentiation drops.
+//! The flat loops draw randomness in the reference's order, record the
+//! reference's operation counts (the `u_i·h_i` combination is still one
+//! counted multiplication per set bit), and write exactly the bytes the
+//! reference's elements pack or prepare to.
+//!
+//! [`BilinearGroup::prepare_encrypt_bases`]: sla_pairing::BilinearGroup::prepare_encrypt_bases
+//! [`BilinearGroup::prepare_token_bases`]: sla_pairing::BilinearGroup::prepare_token_bases
 
 use crate::keys::{PublicKey, SecretKey};
-use sla_pairing::{PreparedG, PreparedGt};
+use sla_pairing::ReadyBases;
 
-/// A [`PublicKey`] plus per-base fixed-base tables for the Encrypt phase.
+/// A [`PublicKey`] plus its bases readied for the flat Encrypt.
 #[derive(Debug, Clone)]
 pub struct PreparedPublicKey {
     pub(crate) pk: PublicKey,
-    /// Table over `V` (the `C_0` base).
-    pub(crate) v: PreparedG,
-    /// Table over `A = e(g,v)^a` (the `C'` base).
-    pub(crate) a: PreparedGt,
-    /// Tables over each `H_i` (the `C_{i,1}` base for clear bits).
-    pub(crate) h: Vec<PreparedG>,
-    /// Tables over each `W_i` (the `C_{i,2}` base).
-    pub(crate) w: Vec<PreparedG>,
+    pub(crate) ready: ReadyBases,
 }
 
 impl PreparedPublicKey {
@@ -44,18 +45,11 @@ impl PreparedPublicKey {
     }
 }
 
-/// A [`SecretKey`] plus per-base fixed-base tables for the GenToken phase.
+/// A [`SecretKey`] plus its bases readied for the flat GenToken.
 #[derive(Debug, Clone)]
 pub struct PreparedSecretKey {
     pub(crate) sk: SecretKey,
-    /// Table over `g` (the `g^a` factor of `K_0`).
-    pub(crate) g: PreparedG,
-    /// Table over `v` (the `K_{i,1}`/`K_{i,2}` base).
-    pub(crate) v: PreparedG,
-    /// Tables over each `h_i`.
-    pub(crate) h: Vec<PreparedG>,
-    /// Tables over each `w_i`.
-    pub(crate) w: Vec<PreparedG>,
+    pub(crate) ready: ReadyBases,
 }
 
 impl PreparedSecretKey {

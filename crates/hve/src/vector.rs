@@ -48,6 +48,11 @@ impl AttributeVector {
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         self.0.iter().copied()
     }
+
+    /// The bits, position 0 first.
+    pub(crate) fn bits(&self) -> &[bool] {
+        &self.0
+    }
 }
 
 impl fmt::Display for AttributeVector {
@@ -133,6 +138,11 @@ impl SearchPattern {
     /// Iterates over symbols.
     pub fn iter(&self) -> impl Iterator<Item = Option<bool>> + '_ {
         self.0.iter().copied()
+    }
+
+    /// The symbols, position 0 first (`None` is `*`).
+    pub(crate) fn symbols(&self) -> &[Option<bool>] {
+        &self.0
     }
 }
 

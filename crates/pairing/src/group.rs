@@ -1,11 +1,12 @@
 //! The [`BilinearGroup`] abstraction and its simulated implementation.
 
 use crate::element::Log;
+use crate::issue::{encrypt_reference, gen_token_reference};
 use crate::query::{check_sweep, match_query_reference, query_cost};
 use crate::table::FixedBaseMul;
 use crate::{
-    CounterSnapshot, GElem, GroupParams, GtElem, OpCounters, PreparedG, PreparedGt, PreparedQuery,
-    QueryRows,
+    CounterSnapshot, EncryptBases, GElem, GroupParams, GtElem, OpCounters, PackedRow,
+    PreparedQuery, QueryRows, ReadyBases, TokenBases,
 };
 use rand::Rng;
 use sla_bigint::{random_below, random_nonzero_below, BigUint, MontgomeryCtx};
@@ -56,15 +57,77 @@ pub trait BilinearGroup {
     fn pair(&self, a: &GElem, b: &GElem) -> GtElem;
 
     /// Resolves a token's keys `(K_0, [(i, K_{i,1}, K_{i,2})])` once, for
-    /// any number of [`Self::match_query_rows`] sweeps. Engines may
-    /// attach per-token precomputation; the default wraps the keys as
-    /// they are.
-    fn prepare_query<'t>(
+    /// any number of [`Self::match_query_rows`] sweeps. The default holds
+    /// their canonical logs; an engine holds them in the form its sweep
+    /// reads.
+    fn prepare_query(&self, k0: &GElem, k: &[(usize, GElem, GElem)]) -> PreparedQuery {
+        PreparedQuery::canonical(self.order(), k0, k)
+    }
+
+    /// Readies GenToken's secret-key bases for
+    /// [`Self::gen_token_query`], once per key. The default readies
+    /// nothing.
+    fn prepare_token_bases(&self, key: &TokenBases<'_>) -> ReadyBases {
+        let _ = key;
+        ReadyBases::default()
+    }
+
+    /// HVE's GenToken for `pattern` (`None` is `*`) straight into a
+    /// query the sweep reads: the token of
+    /// [`crate::gen_token_reference`] prepared by
+    /// [`Self::prepare_query`], which is the default body. `ready` comes
+    /// from [`Self::prepare_token_bases`] over the same `key`. An engine
+    /// may fuse the phase, but its keys, its draws from `rng` and its
+    /// counters must equal the reference's.
+    ///
+    /// # Panics
+    /// Panics if `pattern` is wider than the key.
+    fn gen_token_query<R: Rng>(
         &self,
-        k0: &'t GElem,
-        k: &'t [(usize, GElem, GElem)],
-    ) -> PreparedQuery<'t> {
-        PreparedQuery::unprepared(k0, k)
+        key: &TokenBases<'_>,
+        ready: &ReadyBases,
+        pattern: &[Option<bool>],
+        rng: &mut R,
+    ) -> PreparedQuery
+    where
+        Self: Sized,
+    {
+        let _ = ready;
+        let (k0, k) = gen_token_reference(self, key, pattern, rng);
+        self.prepare_query(&k0, &k)
+    }
+
+    /// Readies Encrypt's public-key bases for [`Self::encrypt_row`], once
+    /// per key. The default readies nothing.
+    fn prepare_encrypt_bases(&self, key: &EncryptBases<'_>) -> ReadyBases {
+        let _ = key;
+        ReadyBases::default()
+    }
+
+    /// HVE's Encrypt of `message` under the attribute `bits`, straight
+    /// into the row a Service Provider stores with `message` as its
+    /// expected payload: the ciphertext of [`crate::encrypt_reference`]
+    /// packed for this group ([`PackedRow::pack`]), which is the default
+    /// body. `ready` comes from [`Self::prepare_encrypt_bases`] over the
+    /// same `key`. An engine may fuse the phase, but its row, its draws
+    /// from `rng` and its counters must equal the reference's.
+    ///
+    /// # Panics
+    /// Panics if `bits` is wider than the key.
+    fn encrypt_row<R: Rng>(
+        &self,
+        key: &EncryptBases<'_>,
+        ready: &ReadyBases,
+        bits: &[bool],
+        message: &GtElem,
+        rng: &mut R,
+    ) -> PackedRow
+    where
+        Self: Sized,
+    {
+        let _ = ready;
+        let (c_prime, c0, c) = encrypt_reference(self, key, bits, message, rng);
+        PackedRow::pack(&c_prime, &c0, &c, message, self.order())
     }
 
     /// HVE's query check over packed rows under one prepared token:
@@ -87,7 +150,7 @@ pub trait BilinearGroup {
     /// component at a position of the token.
     fn match_query_rows(
         &self,
-        query: &PreparedQuery<'_>,
+        query: &PreparedQuery,
         rows: &QueryRows,
         hits: &mut [bool],
     ) -> CounterSnapshot {
@@ -113,30 +176,6 @@ pub trait BilinearGroup {
     /// is a single CIOS pass.)
     fn eq_gt(&self, a: &GtElem, b: &GtElem) -> bool {
         a == b
-    }
-
-    /// Prepares a base in `G` for repeated exponentiation (key material,
-    /// generators). Engines may attach per-base precomputation; the
-    /// default is a plain wrapper with no speedup.
-    fn prepare_g(&self, a: &GElem) -> PreparedG {
-        PreparedG::unprepared(a.clone())
-    }
-
-    /// Exponentiation through a prepared base — metered exactly like
-    /// [`BilinearGroup::pow_g`], so op-count invariants are unchanged.
-    fn pow_prepared_g(&self, base: &PreparedG, e: &BigUint) -> GElem {
-        self.pow_g(&base.base, e)
-    }
-
-    /// Prepares a base in `GT` for repeated exponentiation.
-    fn prepare_gt(&self, a: &GtElem) -> PreparedGt {
-        PreparedGt::unprepared(a.clone())
-    }
-
-    /// Exponentiation through a prepared `GT` base (metered like
-    /// [`BilinearGroup::pow_gt`]).
-    fn pow_prepared_gt(&self, base: &PreparedGt, e: &BigUint) -> GtElem {
-        self.pow_gt(&base.base, e)
     }
 
     /// Uniformly random element of the order-`P` subgroup `G_p` (excluding
@@ -173,10 +212,15 @@ pub trait BilinearGroup {
 /// single CIOS pass), the group law is one division-free `mod_add`, and
 /// nothing converts back per operation. It also builds fixed-base
 /// precomputations for the four generators, so `pow_g`/`pow_gt` on `g`,
-/// `g_p`, `g_q` or `gt` (and on any base wrapped via
-/// [`BilinearGroup::prepare_g`]) cost a single CIOS pass.
+/// `g_p`, `g_q` or `gt` cost a single CIOS pass.
 /// Canonical conversion happens at `discrete_log()`/serde only; operation
 /// counts and all algebraic invariants are unchanged.
+///
+/// For orders of up to eight limbs it runs HVE's Encrypt, GenToken and
+/// query check as flat limb loops over bases readied once per key
+/// ([`BilinearGroup::encrypt_row`], [`BilinearGroup::gen_token_query`],
+/// [`BilinearGroup::match_query_rows`]), monomorphized over the order's
+/// limb count; larger orders take the element reference.
 #[derive(Debug)]
 pub struct SimulatedGroup {
     params: GroupParams,
@@ -257,7 +301,7 @@ impl SimulatedGroup {
     /// Residue of `log(a) · e mod N`: fixed-base tables for the cached
     /// generators, otherwise one exponent conversion plus one domain
     /// product.
-    fn pow_log(&self, log: &Log, e: &BigUint) -> BigUint {
+    pub(crate) fn pow_log(&self, log: &Log, e: &BigUint) -> BigUint {
         let r = self.residue_of(log);
         for table in [&self.g_table, &self.gp_table, &self.gq_table] {
             if *r == *table.base_res() {
@@ -347,31 +391,53 @@ impl BilinearGroup for SimulatedGroup {
         self.gt_elem(self.ctx.mont_mul(&ra, &rb))
     }
 
-    fn prepare_query<'t>(
+    fn prepare_query(&self, k0: &GElem, k: &[(usize, GElem, GElem)]) -> PreparedQuery {
+        self.query_residues(k0, k)
+    }
+
+    fn prepare_token_bases(&self, key: &TokenBases<'_>) -> ReadyBases {
+        self.token_ready(key)
+    }
+
+    fn gen_token_query<R: Rng>(
         &self,
-        k0: &'t GElem,
-        k: &'t [(usize, GElem, GElem)],
-    ) -> PreparedQuery<'t> {
-        PreparedQuery {
-            residues: Some(self.query_residues(k0, k)),
-            ..PreparedQuery::unprepared(k0, k)
-        }
+        key: &TokenBases<'_>,
+        ready: &ReadyBases,
+        pattern: &[Option<bool>],
+        rng: &mut R,
+    ) -> PreparedQuery {
+        self.token_query(key, ready, pattern, rng)
+    }
+
+    fn prepare_encrypt_bases(&self, key: &EncryptBases<'_>) -> ReadyBases {
+        self.encrypt_ready(key)
+    }
+
+    fn encrypt_row<R: Rng>(
+        &self,
+        key: &EncryptBases<'_>,
+        ready: &ReadyBases,
+        bits: &[bool],
+        message: &GtElem,
+        rng: &mut R,
+    ) -> PackedRow {
+        self.encrypted_row(key, ready, bits, message, rng)
     }
 
     fn match_query_rows(
         &self,
-        query: &PreparedQuery<'_>,
+        query: &PreparedQuery,
         rows: &QueryRows,
         hits: &mut [bool],
     ) -> CounterSnapshot {
         // The fused kernel covers orders of up to eight limbs (512 bits,
         // the builder's largest group) on rows at the order's width, under
-        // keys prepared in this engine's domain; anything else (larger
+        // keys held in this engine's domain; anything else (larger
         // orders, rows no store has brought to the group, keys of another
         // engine or of the trait default) takes the reference evaluation.
         let ctx = &self.ctx;
         let k = ctx.limb_count();
-        let Some((domain, keys)) = &query.residues else {
+        let Some(domain) = &query.domain else {
             return match_query_reference(self, query, rows, hits);
         };
         if rows.shape().limbs != k || k > 8 || !self.same_domain(domain) {
@@ -379,52 +445,18 @@ impl BilinearGroup for SimulatedGroup {
         }
         check_sweep(query, rows, hits);
         match k {
-            1 => self.match_rows_fused::<1>(ctx, query, keys, rows, hits),
-            2 => self.match_rows_fused::<2>(ctx, query, keys, rows, hits),
-            3 => self.match_rows_fused::<3>(ctx, query, keys, rows, hits),
-            4 => self.match_rows_fused::<4>(ctx, query, keys, rows, hits),
-            5 => self.match_rows_fused::<5>(ctx, query, keys, rows, hits),
-            6 => self.match_rows_fused::<6>(ctx, query, keys, rows, hits),
-            7 => self.match_rows_fused::<7>(ctx, query, keys, rows, hits),
-            _ => self.match_rows_fused::<8>(ctx, query, keys, rows, hits),
+            1 => self.match_rows_fused::<1>(ctx, query, rows, hits),
+            2 => self.match_rows_fused::<2>(ctx, query, rows, hits),
+            3 => self.match_rows_fused::<3>(ctx, query, rows, hits),
+            4 => self.match_rows_fused::<4>(ctx, query, rows, hits),
+            5 => self.match_rows_fused::<5>(ctx, query, rows, hits),
+            6 => self.match_rows_fused::<6>(ctx, query, rows, hits),
+            7 => self.match_rows_fused::<7>(ctx, query, rows, hits),
+            _ => self.match_rows_fused::<8>(ctx, query, rows, hits),
         }
-        let cost = query_cost(query.k.len(), rows.len());
+        let cost = query_cost(query.positions.len(), rows.len());
         self.counters.record(&cost);
         cost
-    }
-
-    fn prepare_g(&self, a: &GElem) -> PreparedG {
-        let res = self.residue_of(&a.0).into_owned();
-        PreparedG {
-            base: a.clone(),
-            table: Some(FixedBaseMul::new(self.ctx.clone(), res)),
-        }
-    }
-
-    fn pow_prepared_g(&self, base: &PreparedG, e: &BigUint) -> GElem {
-        self.counters.record_g_exp();
-        let res = match &base.table {
-            Some(t) if self.same_domain(t.ctx()) => t.scalar_mul(e),
-            _ => self.pow_log(&base.base.0, e),
-        };
-        self.g_elem(res)
-    }
-
-    fn prepare_gt(&self, a: &GtElem) -> PreparedGt {
-        let res = self.residue_of(&a.0).into_owned();
-        PreparedGt {
-            base: a.clone(),
-            table: Some(FixedBaseMul::new(self.ctx.clone(), res)),
-        }
-    }
-
-    fn pow_prepared_gt(&self, base: &PreparedGt, e: &BigUint) -> GtElem {
-        self.counters.record_gt_exp();
-        let res = match &base.table {
-            Some(t) if self.same_domain(t.ctx()) => t.scalar_mul(e),
-            _ => self.pow_log(&base.base.0, e),
-        };
-        self.gt_elem(res)
     }
 
     fn random_gp<R: Rng>(&self, rng: &mut R) -> GElem {
@@ -568,34 +600,6 @@ mod tests {
         // Canonical-representation base (as after deserialization).
         let gp_canonical = GElem::canonical(grp.q().clone());
         assert_eq!(grp.pow_g(&gp_canonical, &e), grp.pow_g(&gp, &e));
-    }
-
-    #[test]
-    fn prepared_bases_match_generic_pow_and_count_identically() {
-        let (grp, mut rng) = setup();
-        let a = grp.random_gp(&mut rng);
-        let e = grp.random_zn(&mut rng);
-
-        let prepared = grp.prepare_g(&a);
-        let before = grp.counters().snapshot();
-        let fast = grp.pow_prepared_g(&prepared, &e);
-        let slow = grp.pow_g(&a, &e);
-        let delta = grp.counters().snapshot() - before;
-        assert_eq!(fast, slow);
-        assert_eq!(delta.g_exps, 2, "prepared pow meters like pow_g");
-
-        let gt = grp.pair(&a, &a);
-        let pgt = grp.prepare_gt(&gt);
-        assert_eq!(grp.pow_prepared_gt(&pgt, &e), grp.pow_gt(&gt, &e));
-    }
-
-    #[test]
-    fn unprepared_fallback_agrees() {
-        let (grp, mut rng) = setup();
-        let a = grp.random_gp(&mut rng);
-        let e = grp.random_zn(&mut rng);
-        let plain = PreparedG::unprepared(a.clone());
-        assert_eq!(grp.pow_prepared_g(&plain, &e), grp.pow_g(&a, &e));
     }
 
     #[test]

@@ -38,9 +38,7 @@
 //! trips. Canonical conversion happens only at `discrete_log()`,
 //! cross-representation equality, and serde (whose wire bytes are
 //! unchanged from the canonical-representation era). The engine
-//! precomputes a one-pass scalar product for `g`, `g_p`, `g_q` and `gt`,
-//! and [`BilinearGroup::prepare_g`]/[`BilinearGroup::prepare_gt`] extend
-//! the same speedup to arbitrary repeated bases such as HVE key material.
+//! precomputes a one-pass scalar product for `g`, `g_p`, `g_q` and `gt`.
 //! [`SimulatedGroup::new`] refuses an even order.
 //!
 //! ## Cost accounting
@@ -50,16 +48,28 @@
 //! cheaper than a curve pairing, so the counts, not the timings, are the
 //! portable cost.
 //!
-//! ## Query checks
+//! ## HVE phases as engine operations
 //!
-//! [`BilinearGroup::match_query_rows`] decides HVE's query check for a
-//! slab of ciphertexts packed as rows of canonical limbs ([`QueryRows`],
-//! one [`PackedRow`] per ciphertext and its expected payload) under one
-//! token whose keys [`BilinearGroup::prepare_query`] resolved once. Its
-//! default body is the reference fold over `GT` elements
-//! ([`match_query_reference`]); [`SimulatedGroup`] sweeps the rows in
-//! place, one CIOS pass per pairing of a canonical operand against a
-//! residue key, with identical decisions and counters.
+//! The three phases the alert service runs per request are
+//! [`BilinearGroup`] methods whose default bodies are the element
+//! reference, and which [`SimulatedGroup`] runs as flat limb loops with
+//! identical output, RNG draws and counters:
+//!
+//! * [`BilinearGroup::encrypt_row`] writes a user's ciphertext straight
+//!   into the [`PackedRow`] a Service Provider stores (reference:
+//!   [`encrypt_reference`], then [`PackedRow::pack`]);
+//! * [`BilinearGroup::gen_token_query`] writes a token's keys straight
+//!   into the [`PreparedQuery`] the sweep reads (reference:
+//!   [`gen_token_reference`], then [`BilinearGroup::prepare_query`]);
+//! * [`BilinearGroup::match_query_rows`] decides HVE's query check for a
+//!   slab of such rows ([`QueryRows`]) under one query (reference:
+//!   [`match_query_reference`], the fold over `GT` elements).
+//!
+//! The first two read key bases the engine readied once per key
+//! ([`ReadyBases`], from [`BilinearGroup::prepare_encrypt_bases`] and
+//! [`BilinearGroup::prepare_token_bases`]); the sweep makes one CIOS
+//! pass per pairing of a canonical operand against a residue key. No
+//! served phase builds a group element.
 //!
 //! ## Example
 //!
@@ -86,6 +96,7 @@
 mod counters;
 mod element;
 mod group;
+mod issue;
 mod params;
 mod query;
 mod rows;
@@ -94,9 +105,9 @@ mod table;
 pub use counters::{CounterSnapshot, OpCounters};
 pub use element::{GElem, GtElem};
 pub use group::{BilinearGroup, SimulatedGroup};
+pub use issue::{encrypt_reference, gen_token_reference, EncryptBases, ReadyBases, TokenBases};
 pub use params::GroupParams;
 pub use query::{match_query_reference, query_candidate, PreparedQuery};
 pub use rows::{PackedRow, QueryRows, RowShape};
 /// The integer type of group orders, exponents and discrete logs.
 pub use sla_bigint::BigUint;
-pub use table::{PreparedG, PreparedGt};

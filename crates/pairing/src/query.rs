@@ -8,8 +8,10 @@
 //!
 //! equals the payload the ciphertext is known to carry. The ciphertexts
 //! arrive as packed rows of canonical limbs ([`QueryRows`]) and the
-//! token as a [`PreparedQuery`], its keys resolved once for any number
-//! of sweeps. The reference evaluation ([`match_query_reference`])
+//! token as a [`PreparedQuery`] that owns its keys as flat limbs: as the
+//! engine's GenToken wrote them ([`BilinearGroup::gen_token_query`]), or
+//! as [`BilinearGroup::prepare_query`] resolved a token's elements, once
+//! for any number of sweeps. The reference evaluation ([`match_query_reference`])
 //! rebuilds each row's elements, builds every pairing as a `GT` element
 //! and folds them with the metered group law. The simulated engine
 //! decides the same predicate on the rows in place
@@ -20,34 +22,97 @@
 //! operand is ever lifted. Both record exactly the operations of
 //! [`query_cost`].
 
+use crate::element::Log;
 use crate::rows::below;
 use crate::{BilinearGroup, CounterSnapshot, GElem, GtElem, QueryRows, RowShape, SimulatedGroup};
 use sla_bigint::{BigUint, MontgomeryCtx};
 use std::sync::Arc;
 
-/// A token's keys `(K_0, [(i, K_{i,1}, K_{i,2})])` resolved once for any
-/// number of row sweeps (see [`BilinearGroup::prepare_query`]).
+/// A token's keys `(K_0, [(i, K_{i,1}, K_{i,2})])` as flat limbs, owned,
+/// for any number of row sweeps: what an engine's GenToken writes
+/// ([`BilinearGroup::gen_token_query`]), and what
+/// [`BilinearGroup::prepare_query`] makes of a token's elements.
 #[derive(Debug, Clone)]
-pub struct PreparedQuery<'t> {
-    pub(crate) k0: &'t GElem,
-    pub(crate) k: &'t [(usize, GElem, GElem)],
-    /// `K_0`, then `K_{i,1}` and `K_{i,2}` for every position of the
-    /// token: Montgomery residues of `domain`, `K` limbs each. `None`
-    /// when the preparing engine does not fuse the check.
-    pub(crate) residues: Option<(Arc<MontgomeryCtx>, Vec<u64>)>,
+pub struct PreparedQuery {
+    /// The token's non-star positions `J`, in order.
+    pub(crate) positions: Vec<usize>,
+    /// `K_0`, then `K_{i,1}` and `K_{i,2}` for every position, the same
+    /// number of limbs each: Montgomery residues of `domain`, or
+    /// canonical logs when `domain` is `None`.
+    pub(crate) keys: Vec<u64>,
+    pub(crate) domain: Option<Arc<MontgomeryCtx>>,
 }
 
-impl<'t> PreparedQuery<'t> {
-    /// Wraps a token's keys with no precomputation (the trait-default
-    /// preparation, which the reference evaluation uses).
-    pub fn unprepared(k0: &'t GElem, k: &'t [(usize, GElem, GElem)]) -> Self {
+impl PreparedQuery {
+    /// A token's keys as canonical logs at the width of `n` (the
+    /// trait-default preparation, which the reference evaluation uses).
+    pub(crate) fn canonical(n: &BigUint, k0: &GElem, k: &[(usize, GElem, GElem)]) -> Self {
+        let width = n.limbs().len();
+        let mut keys = vec![0u64; (1 + 2 * k.len()) * width];
+        let elems = std::iter::once(k0).chain(k.iter().flat_map(|(_, k1, k2)| [k1, k2]));
+        let mut domain = None;
+        for (key, out) in elems.zip(keys.chunks_exact_mut(width)) {
+            key.0.write_canonical(n, &mut domain, out);
+        }
         PreparedQuery {
-            k0,
-            k,
-            residues: None,
+            positions: k.iter().map(|(i, _, _)| *i).collect(),
+            keys,
+            domain: None,
         }
     }
+
+    /// The token's non-star positions `J`, in order; the query costs
+    /// `1 + 2·|J|` pairings per row.
+    pub fn positions(&self) -> &[usize] {
+        &self.positions
+    }
+
+    /// Limbs per key.
+    pub(crate) fn limbs(&self) -> usize {
+        self.keys.len() / (1 + 2 * self.positions.len())
+    }
+
+    /// The keys `(K_0, [(i, K_{i,1}, K_{i,2})])` as elements, the form
+    /// of a token: residues of the preparing engine, or canonical logs.
+    pub fn elements(&self) -> (GElem, Vec<(usize, GElem, GElem)>) {
+        let width = self.limbs();
+        let mut keys = self.keys.chunks_exact(width).map(|limbs| {
+            let log = BigUint::from_limbs(limbs.to_vec());
+            match &self.domain {
+                Some(ctx) => GElem(Log::Residue {
+                    value: log,
+                    ctx: ctx.clone(),
+                }),
+                None => GElem::from_canonical_log(log),
+            }
+        });
+        let k0 = keys.next().expect("K_0 is present");
+        let k = self
+            .positions
+            .iter()
+            .map(|&i| {
+                let k1 = keys.next().expect("K_{i,1} per position");
+                let k2 = keys.next().expect("K_{i,2} per position");
+                (i, k1, k2)
+            })
+            .collect();
+        (k0, k)
+    }
 }
+
+/// Equal positions and equal key limbs, in the same representation: the
+/// same domain (one modulus fixes `R`) or both canonical.
+impl PartialEq for PreparedQuery {
+    fn eq(&self, other: &Self) -> bool {
+        let same_domain = match (&self.domain, &other.domain) {
+            (Some(a), Some(b)) => a.modulus() == b.modulus(),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        same_domain && self.positions == other.positions && self.keys == other.keys
+    }
+}
+
+impl Eq for PreparedQuery {}
 
 /// HVE's query candidate `C' / (e_0 / Π_{j≥1} e_j)` from a ciphertext's
 /// `C'` and its query pairings `[e_0, e_1, …]`, numerator first. Meters
@@ -83,19 +148,20 @@ pub(crate) fn query_cost(j: usize, rows: usize) -> CounterSnapshot {
 
 /// Checks a sweep's arguments: one decision per row, and a component in
 /// the rows at every position of the token.
-pub(crate) fn check_sweep(query: &PreparedQuery<'_>, rows: &QueryRows, hits: &[bool]) {
+pub(crate) fn check_sweep(query: &PreparedQuery, rows: &QueryRows, hits: &[bool]) {
     assert_eq!(hits.len(), rows.len(), "one decision per row");
     let width = rows.shape().width;
     assert!(
-        rows.is_empty() || query.k.iter().all(|(i, _, _)| *i < width),
+        rows.is_empty() || query.positions.iter().all(|i| *i < width),
         "every position of the token has a component in the rows"
     );
 }
 
 /// The reference query check, the default body of
 /// [`BilinearGroup::match_query_rows`] and the oracle the fused kernel
-/// is tested against: per row, its elements rebuilt from their
-/// canonical logs, the `1 + 2·|J|` pairings through
+/// is tested against: the keys rebuilt as elements
+/// ([`PreparedQuery::elements`]), per row its elements rebuilt from
+/// their canonical logs, the `1 + 2·|J|` pairings through
 /// [`BilinearGroup::pair`], the candidate through
 /// [`query_candidate`], and the decision through
 /// [`BilinearGroup::eq_gt`]. Returns the operations it recorded.
@@ -105,11 +171,12 @@ pub(crate) fn check_sweep(query: &PreparedQuery<'_>, rows: &QueryRows, hits: &[b
 /// component at a position of the token.
 pub fn match_query_reference<G: BilinearGroup + ?Sized>(
     grp: &G,
-    query: &PreparedQuery<'_>,
+    query: &PreparedQuery,
     rows: &QueryRows,
     hits: &mut [bool],
 ) -> CounterSnapshot {
     check_sweep(query, rows, hits);
+    let (k0, k) = query.elements();
     let shape = rows.shape();
     let log = |row: &[u64], idx: usize| {
         BigUint::from_limbs(row[idx * shape.limbs..(idx + 1) * shape.limbs].to_vec())
@@ -118,14 +185,13 @@ pub fn match_query_reference<G: BilinearGroup + ?Sized>(
         let row = rows.row(i);
         let g = |idx| GElem::from_canonical_log(log(row, idx));
         let c0 = g(RowShape::C0);
-        let c: Vec<(GElem, GElem)> = query
-            .k
+        let c: Vec<(GElem, GElem)> = k
             .iter()
             .map(|(i, _, _)| (g(RowShape::component(*i, 0)), g(RowShape::component(*i, 1))))
             .collect();
-        let mut pairings = Vec::with_capacity(1 + 2 * query.k.len());
-        pairings.push(grp.pair(&c0, query.k0));
-        for ((c1, c2), (_, k1, k2)) in c.iter().zip(query.k) {
+        let mut pairings = Vec::with_capacity(1 + 2 * k.len());
+        pairings.push(grp.pair(&c0, &k0));
+        for ((c1, c2), (_, k1, k2)) in c.iter().zip(&k) {
             pairings.push(grp.pair(c1, k1));
             pairings.push(grp.pair(c2, k2));
         }
@@ -134,25 +200,25 @@ pub fn match_query_reference<G: BilinearGroup + ?Sized>(
         let expected = GtElem::from_canonical_log(log(row, shape.expected()));
         *hit = grp.eq_gt(&candidate, &expected);
     }
-    query_cost(query.k.len(), rows.len())
+    query_cost(query.positions.len(), rows.len())
 }
 
 impl SimulatedGroup {
-    /// `query`'s keys as Montgomery residues of this engine, `K` limbs
+    /// A token's keys as Montgomery residues of this engine, `K` limbs
     /// each.
-    pub(crate) fn query_residues(
-        &self,
-        k0: &GElem,
-        k: &[(usize, GElem, GElem)],
-    ) -> (Arc<MontgomeryCtx>, Vec<u64>) {
+    pub(crate) fn query_residues(&self, k0: &GElem, k: &[(usize, GElem, GElem)]) -> PreparedQuery {
         let width = self.ctx().limb_count();
-        let mut residues = vec![0u64; (1 + 2 * k.len()) * width];
-        let keys = std::iter::once(k0).chain(k.iter().flat_map(|(_, k1, k2)| [k1, k2]));
-        for (key, out) in keys.zip(residues.chunks_exact_mut(width)) {
+        let mut keys = vec![0u64; (1 + 2 * k.len()) * width];
+        let elems = std::iter::once(k0).chain(k.iter().flat_map(|(_, k1, k2)| [k1, k2]));
+        for (key, out) in elems.zip(keys.chunks_exact_mut(width)) {
             let r = self.residue_of(&key.0);
             out[..r.limbs().len()].copy_from_slice(r.limbs());
         }
-        (self.ctx().clone(), residues)
+        PreparedQuery {
+            positions: k.iter().map(|(i, _, _)| *i).collect(),
+            keys,
+            domain: Some(self.ctx().clone()),
+        }
     }
 
     /// The fused query check over rows `K` limbs wide (`K` is the limb
@@ -164,8 +230,7 @@ impl SimulatedGroup {
     pub(crate) fn match_rows_fused<const K: usize>(
         &self,
         ctx: &MontgomeryCtx,
-        query: &PreparedQuery<'_>,
-        keys: &[u64],
+        query: &PreparedQuery,
         rows: &QueryRows,
         hits: &mut [bool],
     ) {
@@ -173,7 +238,7 @@ impl SimulatedGroup {
         debug_assert_eq!(shape.limbs, K);
         let n: &[u64; K] = ctx.modulus().limbs().try_into().expect("N has K limbs");
         let key = |j: usize| -> &[u64; K] {
-            keys[j * K..(j + 1) * K]
+            query.keys[j * K..(j + 1) * K]
                 .try_into()
                 .expect("a key holds K limbs")
         };
@@ -188,7 +253,7 @@ impl SimulatedGroup {
             let mut acc = canonical(operand(RowShape::C_PRIME), n);
             ctx.mont_mul_limbs(operand(RowShape::C0), key(0), &mut product);
             ctx.sub_mod_limbs(&mut acc, &product);
-            for (t, (i, _, _)) in query.k.iter().enumerate() {
+            for (t, i) in query.positions.iter().enumerate() {
                 ctx.mont_mul_limbs(
                     operand(RowShape::component(*i, 0)),
                     key(1 + 2 * t),

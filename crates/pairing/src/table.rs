@@ -16,11 +16,11 @@
 //!
 //! [`SimulatedGroup`](crate::SimulatedGroup) builds a [`FixedBaseMul`]
 //! for its four fixed generators (`g`, `g_p`, `g_q`, `gt`) at
-//! construction, and hands them out for arbitrary bases — HVE key
-//! material, typically — through
-//! [`BilinearGroup::prepare_g`](crate::BilinearGroup::prepare_g).
+//! construction; they serve `pow_g`/`pow_gt` on a generator and the
+//! blinding factors of `random_gp`/`random_gq`. HVE key material takes
+//! the same double lift once per key, as flat limbs, in the engine's
+//! Encrypt and GenToken loops (`issue.rs`).
 
-use crate::{GElem, GtElem};
 use sla_bigint::{BigUint, MontgomeryCtx};
 use std::sync::Arc;
 
@@ -56,11 +56,6 @@ impl FixedBaseMul {
         &self.base_res
     }
 
-    /// The Montgomery context the precomputation was built for.
-    pub(crate) fn ctx(&self) -> &Arc<MontgomeryCtx> {
-        &self.ctx
-    }
-
     /// Montgomery residue of `log(base) · e mod N` — one CIOS pass.
     pub(crate) fn scalar_mul(&self, e: &BigUint) -> BigUint {
         let n = self.ctx.modulus();
@@ -73,50 +68,6 @@ impl FixedBaseMul {
             &folded
         };
         self.ctx.mont_mul(&self.mul_ready, e)
-    }
-}
-
-/// A base in `G` prepared for repeated exponentiation.
-///
-/// Obtained from [`BilinearGroup::prepare_g`](crate::BilinearGroup::prepare_g);
-/// engines that precompute (the simulated engine does) attach a
-/// `FixedBaseMul` table, others fall back to the plain element. Exponentiating
-/// through a prepared base is metered exactly like
-/// [`pow_g`](crate::BilinearGroup::pow_g).
-#[derive(Debug, Clone)]
-pub struct PreparedG {
-    pub(crate) base: GElem,
-    pub(crate) table: Option<FixedBaseMul>,
-}
-
-/// A base in `GT` prepared for repeated exponentiation (see [`PreparedG`]).
-#[derive(Debug, Clone)]
-pub struct PreparedGt {
-    pub(crate) base: GtElem,
-    pub(crate) table: Option<FixedBaseMul>,
-}
-
-impl PreparedG {
-    /// Wraps a base without precomputation (the trait-default fallback).
-    pub fn unprepared(base: GElem) -> Self {
-        PreparedG { base, table: None }
-    }
-
-    /// The underlying base element.
-    pub fn base(&self) -> &GElem {
-        &self.base
-    }
-}
-
-impl PreparedGt {
-    /// Wraps a base without precomputation (the trait-default fallback).
-    pub fn unprepared(base: GtElem) -> Self {
-        PreparedGt { base, table: None }
-    }
-
-    /// The underlying base element.
-    pub fn base(&self) -> &GtElem {
-        &self.base
     }
 }
 

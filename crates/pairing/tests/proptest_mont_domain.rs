@@ -89,18 +89,4 @@ proptest! {
             grp.p().mod_mul(&e, n)
         );
     }
-
-    #[test]
-    fn prepared_bases_agree_with_generic_pow(seed in any::<u64>()) {
-        let (grp, mut rng) = group(seed);
-        let a = grp.random_gp(&mut rng);
-        let prepared = grp.prepare_g(&a);
-        let gt = grp.pair(&a, &a);
-        let pgt = grp.prepare_gt(&gt);
-        for _ in 0..4 {
-            let e = grp.random_zn(&mut rng);
-            prop_assert_eq!(grp.pow_prepared_g(&prepared, &e), grp.pow_g(&a, &e));
-            prop_assert_eq!(grp.pow_prepared_gt(&pgt, &e), grp.pow_gt(&gt, &e));
-        }
-    }
 }
