@@ -63,6 +63,15 @@ impl std::ops::Div<f64> for Timing {
     }
 }
 
+/// Times `iters` calls of `f`, in ns per call.
+fn ns_per_call<R>(iters: usize, f: &mut impl FnMut() -> R) -> f64 {
+    let t = Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(f());
+    }
+    t.elapsed().as_nanos() as f64 / iters as f64
+}
+
 /// Timed samples behind every figure: each figure is the quartiles of
 /// this many samples, one per round.
 pub const SAMPLES: usize = 5;
@@ -97,12 +106,23 @@ impl<'a> Rounds<'a> {
     /// in ns per call. `f` is called once now, as a warmup.
     pub fn time<R>(&mut self, iters: usize, mut f: impl FnMut() -> R + 'a) -> Figure {
         std::hint::black_box(f());
+        self.sample(move || ns_per_call(iters, &mut f))
+    }
+
+    /// [`Self::time`] for a figure whose state the other figures of a
+    /// round disturb: every sample first calls `settle`, then makes its
+    /// `iters` calls untimed, then times them, so the timed calls follow
+    /// the same calls as they would in back-to-back samples.
+    pub fn time_settled<R>(
+        &mut self,
+        iters: usize,
+        mut settle: impl FnMut() + 'a,
+        mut f: impl FnMut() -> R + 'a,
+    ) -> Figure {
         self.sample(move || {
-            let t = Instant::now();
-            for _ in 0..iters {
-                std::hint::black_box(f());
-            }
-            t.elapsed().as_nanos() as f64 / iters as f64
+            settle();
+            ns_per_call(iters, &mut f);
+            ns_per_call(iters, &mut f)
         })
     }
 
@@ -508,6 +528,15 @@ pub fn measure_churn(
         ),
     ];
 
+    // A store sits idle while a round samples every other figure: its
+    // rows leave the caches, and under group commit the first append
+    // after an idle interval fsyncs. So every mutation sample first
+    // syncs, which restarts the commit interval, then repeats its
+    // mutations untimed before the timed ones ([`Rounds::time_settled`]).
+    let synced = |store: &Rc<dyn ConcurrentSubscriptionStore>| {
+        let store = store.clone();
+        move || store.sync().expect("scratch store syncs")
+    };
     let mut figures: Vec<ChurnFigures> = Vec::with_capacity(backends.len() + 1);
     for (name, store) in backends {
         for user in 0..CHURN_USERS {
@@ -517,14 +546,14 @@ pub fn measure_churn(
         let store: Rc<dyn ConcurrentSubscriptionStore> = Rc::from(store);
         let upsert_ns = {
             let (store, row, mut cursor) = (store.clone(), row.clone(), 0);
-            rounds.time(256, move || {
+            rounds.time_settled(256, synced(&store), move || {
                 cursor = (cursor + 1) % CHURN_USERS;
                 store.upsert(record(&row, cursor)) // replace path
             })
         };
         let remove_insert_ns = {
             let (store, row, mut cursor) = (store.clone(), row.clone(), 0);
-            rounds.time(128, move || {
+            rounds.time_settled(128, synced(&store), move || {
                 cursor = (cursor + 1) % CHURN_USERS;
                 store.remove(cursor);
                 store.upsert(record(&row, cursor))
@@ -616,10 +645,17 @@ fn measure_persistent_sharded_churn(
         t.elapsed().as_nanos() as f64 / (WRITERS * OPS_PER_WRITER) as f64
     };
 
+    // Each mutation sample syncs, then makes its pass untimed, then
+    // times it (as `Rounds::time_settled` does).
+    let settled = move |store: &PersistentStore, churn: &(dyn Fn(u64) + Sync)| {
+        store.sync().expect("scratch store syncs");
+        four_writer_ns(churn);
+        four_writer_ns(churn)
+    };
     let upsert_ns = {
         let (store, row) = (store.clone(), row.clone());
         rounds.sample(move || {
-            four_writer_ns(&|user| {
+            settled(&store, &|user| {
                 store.upsert(record(&row, user)).expect("one HVE width");
             })
         })
@@ -627,7 +663,7 @@ fn measure_persistent_sharded_churn(
     let remove_insert_ns = {
         let (store, row) = (store.clone(), row.clone());
         rounds.sample(move || {
-            four_writer_ns(&|user| {
+            settled(&store, &|user| {
                 store.remove(user);
                 store.upsert(record(&row, user)).expect("one HVE width");
             })

@@ -19,9 +19,10 @@
 //!   ladder [`BigUint::mod_pow_naive`] for them.
 //! * Primality — Miller–Rabin testing ([`is_probable_prime`]) and random
 //!   prime generation ([`gen_prime`]).
-//! * Random sampling — [`random_below`], [`random_bits`], and
-//!   [`random_below_limbs`]/[`random_nonzero_below_limbs`], which draw
-//!   the same values from the same stream into caller-owned limbs.
+//! * Random sampling — [`random_bits`], and the rejection sampler
+//!   [`random_below_limbs`]/[`random_nonzero_below_limbs`], which draws
+//!   into caller-owned limbs; [`random_below`] and
+//!   [`random_nonzero_below`] return its draw as a [`BigUint`].
 //!
 //! Every Montgomery product runs one scalar CIOS pass. Besides the
 //! `BigUint` API, [`MontgomeryCtx`] exposes the pass on caller-owned limb

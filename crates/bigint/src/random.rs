@@ -18,41 +18,32 @@ pub fn random_bits<R: Rng>(bits: usize, rng: &mut R) -> BigUint {
     BigUint::from_limbs(out)
 }
 
-/// A uniformly random integer in `[0, bound)` by rejection sampling.
+/// A uniformly random integer in `[0, bound)` by rejection sampling
+/// (see [`random_below_limbs`]).
 ///
 /// # Panics
 /// Panics if `bound` is zero.
 pub fn random_below<R: Rng>(bound: &BigUint, rng: &mut R) -> BigUint {
-    assert!(!bound.is_zero(), "bound must be positive");
-    let bits = bound.bit_len();
-    loop {
-        let candidate = random_bits(bits, rng);
-        if &candidate < bound {
-            return candidate;
-        }
-    }
+    let mut out = vec![0; bound.limbs().len()];
+    random_below_limbs(bound, rng, &mut out);
+    BigUint::from_limbs(out)
 }
 
-/// A uniformly random integer in `[1, bound)`.
+/// A uniformly random integer in `[1, bound)` (see
+/// [`random_nonzero_below_limbs`]).
 ///
 /// # Panics
 /// Panics if `bound <= 1`.
 pub fn random_nonzero_below<R: Rng>(bound: &BigUint, rng: &mut R) -> BigUint {
-    assert!(!bound.is_one() && !bound.is_zero(), "bound must exceed 1");
-    loop {
-        let candidate = random_below(bound, rng);
-        if !candidate.is_zero() {
-            return candidate;
-        }
-    }
+    let mut out = vec![0; bound.limbs().len()];
+    random_nonzero_below_limbs(bound, rng, &mut out);
+    BigUint::from_limbs(out)
 }
 
 /// [`random_below`] into caller-owned limbs: writes the draw into `out`,
-/// little-endian and zero-extended, without allocating. It consumes
-/// `rng` exactly as [`random_below`] does (one `u64` per limb of
-/// `bound`, low limb first, the top limb masked to `bound`'s bit length,
-/// the same rejections), so both yield the same value from the same
-/// stream.
+/// little-endian and zero-extended, without allocating. Each attempt
+/// takes one `u64` per limb of `bound`, low limb first, masks the top
+/// limb to `bound`'s bit length, and is rejected unless below `bound`.
 ///
 /// # Panics
 /// Panics if `bound` is zero or wider than `out`.
@@ -76,8 +67,8 @@ pub fn random_below_limbs<R: Rng>(bound: &BigUint, rng: &mut R, out: &mut [u64])
     }
 }
 
-/// [`random_nonzero_below`] into caller-owned limbs, consuming `rng`
-/// exactly as it does (see [`random_below_limbs`]).
+/// [`random_nonzero_below`] into caller-owned limbs: [`random_below_limbs`]
+/// until the draw is non-zero.
 ///
 /// # Panics
 /// Panics if `bound <= 1` or `bound` is wider than `out`.
@@ -130,6 +121,43 @@ mod tests {
             seen_distinct.insert(v.low_u64());
         }
         assert!(seen_distinct.len() > 50, "sampling looks degenerate");
+    }
+
+    /// The draws of one seed, through both forms: seeded keys, tokens
+    /// and ciphertexts rest on this stream, so it must not change.
+    /// Covers a bound whose top limb is one bit (rejections) and one of
+    /// all-ones limbs (no mask).
+    #[test]
+    fn draws_keep_their_stream() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let one_bit_top = BigUint::from_limbs(vec![0x1234_5678_9abc_def1, 1]);
+        let all_ones = BigUint::from_limbs(vec![u64::MAX, u64::MAX]);
+        let want: [&[u64]; 6] = [
+            &[4839874613846199058],
+            &[14553790721794834938],
+            &[5634002725903801820],
+            &[1884760351349877472, 15256576738695087982],
+            &[1435359488146124319, 11892888367298640305],
+            &[17234911850648455854, 8214623283993615682],
+        ];
+        let mut out = [u64::MAX; 3];
+        for (j, want) in want.iter().enumerate() {
+            let bound = if j < 3 { &one_bit_top } else { &all_ones };
+            if j % 2 == 0 {
+                assert_eq!(random_below(bound, &mut rng).limbs(), *want);
+            } else {
+                random_below_limbs(bound, &mut rng, &mut out);
+                assert_eq!(BigUint::from_limbs(out.to_vec()).limbs(), *want);
+            }
+        }
+        let small = BigUint::from_u64(1000);
+        for want in [402, 877, 89] {
+            assert_eq!(
+                random_nonzero_below(&small, &mut rng),
+                BigUint::from_u64(want)
+            );
+        }
+        assert_eq!(rng.gen::<u64>(), 14523538693163026661);
     }
 
     #[test]

@@ -455,9 +455,9 @@ impl ServiceProvider {
     /// old location stops matching alerts. The ciphertext is packed with
     /// its expected payload `gt^{id+1}` into one row of canonical limbs
     /// ([`HveScheme::pack_for_user`]), which the matcher sweeps in place,
-    /// and stored through the row half of the upsert, stamped with the
-    /// current epoch; a subscribe through [`crate::AlertSystem`] enters
-    /// at that half with the row the flat Encrypt wrote. Takes only the
+    /// and stored stamped with the current epoch; a subscribe through
+    /// [`crate::AlertSystem`] stores the row the flat Encrypt wrote after
+    /// the same checks. Takes only the
     /// target shard's write lock, so writer threads can call it while an
     /// alert is matched.
     ///
@@ -473,7 +473,7 @@ impl ServiceProvider {
         self.pin_group(scheme)?;
         self.check_width(scheme, subscription.ciphertext.width())?;
         let row = scheme.pack_for_user(&subscription.ciphertext, subscription.user_id)?;
-        self.upsert_row(scheme, subscription.user_id, row)
+        self.store_row(subscription.user_id, row)
     }
 
     /// The row half of [`Self::upsert`]: stores `row`, a ciphertext and
@@ -489,8 +489,14 @@ impl ServiceProvider {
         row: PackedRow,
     ) -> SlaResult<UpsertOutcome> {
         self.pin_group(scheme)?;
+        self.check_width(scheme, row.shape().width)?;
+        self.store_row(user_id, row)
+    }
+
+    /// Stores a validated row (group pinned, width checked) as
+    /// `user_id`'s record, pinning the width on the first one.
+    fn store_row(&self, user_id: u64, row: PackedRow) -> SlaResult<UpsertOutcome> {
         let width = row.shape().width;
-        self.check_width(scheme, width)?;
         // Pin only after the last fallible step, so a *rejected* upsert
         // (e.g. MessageOutOfDomain) leaves the width unpinned. Concurrent
         // first upserts race safely: one initializes, the others validate

@@ -1,7 +1,6 @@
 //! The [`BilinearGroup`] abstraction and its simulated implementation.
 
 use crate::element::Log;
-use crate::issue::{encrypt_reference, gen_token_reference};
 use crate::query::{check_sweep, match_query_reference, query_cost};
 use crate::table::FixedBaseMul;
 use crate::{
@@ -64,21 +63,15 @@ pub trait BilinearGroup {
         PreparedQuery::canonical(self.order(), k0, k)
     }
 
-    /// Readies GenToken's secret-key bases for
-    /// [`Self::gen_token_query`], once per key. The default readies
-    /// nothing.
-    fn prepare_token_bases(&self, key: &TokenBases<'_>) -> ReadyBases {
-        let _ = key;
-        ReadyBases::default()
-    }
+    /// Readies GenToken's secret-key bases for [`Self::gen_token_query`],
+    /// once per key.
+    fn prepare_token_bases(&self, key: &TokenBases<'_>) -> ReadyBases;
 
     /// HVE's GenToken for `pattern` (`None` is `*`) straight into a
-    /// query the sweep reads: the token of
-    /// [`crate::gen_token_reference`] prepared by
-    /// [`Self::prepare_query`], which is the default body. `ready` comes
-    /// from [`Self::prepare_token_bases`] over the same `key`. An engine
-    /// may fuse the phase, but its keys, its draws from `rng` and its
-    /// counters must equal the reference's.
+    /// query the sweep reads. `ready` is [`Self::prepare_token_bases`]
+    /// of the same `key`. The query's keys, the draws from `rng` and the
+    /// counters recorded must equal those of the reference: the token of
+    /// [`crate::gen_token_reference`] prepared by [`Self::prepare_query`].
     ///
     /// # Panics
     /// Panics if `pattern` is wider than the key.
@@ -90,27 +83,19 @@ pub trait BilinearGroup {
         rng: &mut R,
     ) -> PreparedQuery
     where
-        Self: Sized,
-    {
-        let _ = ready;
-        let (k0, k) = gen_token_reference(self, key, pattern, rng);
-        self.prepare_query(&k0, &k)
-    }
+        Self: Sized;
 
     /// Readies Encrypt's public-key bases for [`Self::encrypt_row`], once
-    /// per key. The default readies nothing.
-    fn prepare_encrypt_bases(&self, key: &EncryptBases<'_>) -> ReadyBases {
-        let _ = key;
-        ReadyBases::default()
-    }
+    /// per key.
+    fn prepare_encrypt_bases(&self, key: &EncryptBases<'_>) -> ReadyBases;
 
     /// HVE's Encrypt of `message` under the attribute `bits`, straight
     /// into the row a Service Provider stores with `message` as its
-    /// expected payload: the ciphertext of [`crate::encrypt_reference`]
-    /// packed for this group ([`PackedRow::pack`]), which is the default
-    /// body. `ready` comes from [`Self::prepare_encrypt_bases`] over the
-    /// same `key`. An engine may fuse the phase, but its row, its draws
-    /// from `rng` and its counters must equal the reference's.
+    /// expected payload. `ready` is [`Self::prepare_encrypt_bases`] of the
+    /// same `key`. The row, the draws from `rng` and the counters
+    /// recorded must equal those of the reference: the ciphertext of
+    /// [`crate::encrypt_reference`] packed for this group
+    /// ([`PackedRow::pack`]).
     ///
     /// # Panics
     /// Panics if `bits` is wider than the key.
@@ -123,12 +108,7 @@ pub trait BilinearGroup {
         rng: &mut R,
     ) -> PackedRow
     where
-        Self: Sized,
-    {
-        let _ = ready;
-        let (c_prime, c0, c) = encrypt_reference(self, key, bits, message, rng);
-        PackedRow::pack(&c_prime, &c0, &c, message, self.order())
-    }
+        Self: Sized;
 
     /// HVE's query check over packed rows under one prepared token:
     /// `hits[r]` becomes whether

@@ -4,22 +4,23 @@
 //! request: a user's Encrypt, whose ciphertext the Service Provider
 //! stores as a packed row, and the Trusted Authority's GenToken, whose
 //! keys the Service Provider sweeps. Each is a [`BilinearGroup`] method
-//! whose default body is the element reference ([`encrypt_reference`],
+//! ([`BilinearGroup::encrypt_row`], [`BilinearGroup::gen_token_query`])
+//! held to the element reference ([`encrypt_reference`],
 //! [`gen_token_reference`]): every exponentiation and product through
 //! the metered group law, then the ciphertext packed
 //! ([`PackedRow::pack`]) or the token prepared
 //! ([`BilinearGroup::prepare_query`]).
 //!
-//! The simulated engine runs both phases as flat limb loops instead,
-//! against bases it readied once per key ([`ReadyBases`]). A base whose
-//! log is held as `log·R` gives `mont_mul(log·R, s) = log·s`, the
-//! canonical log a row stores; held as `log·R²` it gives `log·r·R`, the
-//! residue a swept key is. Either way one CIOS pass is one
-//! exponentiation, and a product of group elements is one modular
-//! addition of logs. The loops draw their scalars exactly as the
-//! reference does ([`sla_bigint::random_below_limbs`]), so their output,
-//! the RNG state they leave and the counters they record all equal the
-//! reference's.
+//! The simulated engine runs both phases as flat limb loops against
+//! bases it readied once per key ([`ReadyBases`]), and the reference for
+//! orders above eight limbs. A base whose log is held as `log·R` gives
+//! `mont_mul(log·R, s) = log·s`, the canonical log a row stores; held as
+//! `log·R²` it gives `log·r·R`, the residue a swept key is. Either way
+//! one CIOS pass is one exponentiation, and a product of group elements
+//! is one modular addition of logs. The loops draw their scalars with
+//! the sampler the reference's draws wrap
+//! ([`sla_bigint::random_below_limbs`]), so their output, the RNG state
+//! they leave and the counters they record all equal the reference's.
 
 use crate::{BilinearGroup, GElem, GtElem, PackedRow, PreparedQuery, SimulatedGroup};
 use crate::{CounterSnapshot, RowShape};
@@ -68,18 +69,18 @@ pub struct EncryptBases<'k> {
 
 /// A key's bases as an engine readied them for its Encrypt or GenToken
 /// loop ([`BilinearGroup::prepare_encrypt_bases`],
-/// [`BilinearGroup::prepare_token_bases`]). Empty from an engine that
-/// runs the reference.
-#[derive(Debug, Clone, Default)]
+/// [`BilinearGroup::prepare_token_bases`]).
+#[derive(Debug, Clone)]
 pub struct ReadyBases {
-    /// The domain, and the bases' limbs in the order the loop reads
-    /// them, the order's limb count each.
-    pub(crate) limbs: Option<(Arc<MontgomeryCtx>, Vec<u64>)>,
+    /// The domain the bases were readied in.
+    pub(crate) ctx: Arc<MontgomeryCtx>,
+    /// The bases' limbs in the order the loop reads them, the order's
+    /// limb count each.
+    pub(crate) limbs: Vec<u64>,
 }
 
-/// The reference GenToken, the default body of
-/// [`BilinearGroup::gen_token_query`] and the oracle of the engine's
-/// loop: for each non-star position of `pattern` (`None` is `*`) in
+/// The reference GenToken, which [`BilinearGroup::gen_token_query`] must
+/// equal: for each non-star position of `pattern` (`None` is `*`) in
 /// order, `r_{i,1}` then `r_{i,2}` drawn through
 /// [`BilinearGroup::random_zp`], and every exponentiation and product
 /// through the metered group law. Per token it records `1 + 4·|J|`
@@ -111,10 +112,9 @@ pub fn gen_token_reference<G: BilinearGroup, R: Rng>(
     (k0, k)
 }
 
-/// The reference Encrypt, the default body of
-/// [`BilinearGroup::encrypt_row`] and the oracle of the engine's loop:
-/// `s` drawn through [`BilinearGroup::random_zn`], then `Z`, and
-/// `Z_{i,1}`, `Z_{i,2}` per position, through
+/// The reference Encrypt, which [`BilinearGroup::encrypt_row`] must
+/// equal once packed: `s` drawn through [`BilinearGroup::random_zn`],
+/// then `Z`, and `Z_{i,1}`, `Z_{i,2}` per position, through
 /// [`BilinearGroup::random_gq`]; every exponentiation and product
 /// through the metered group law. It records one exponentiation and one
 /// multiplication in `GT`, `1 + 2l` exponentiations and `1 + 2l`
@@ -182,7 +182,8 @@ impl SimulatedGroup {
             limbs[at..at + v.limbs().len()].copy_from_slice(v.limbs());
         }
         ReadyBases {
-            limbs: Some((self.ctx().clone(), limbs)),
+            ctx: self.ctx().clone(),
+            limbs,
         }
     }
 
@@ -190,12 +191,7 @@ impl SimulatedGroup {
     /// readied in this engine's domain, for an order of at most eight
     /// limbs (512 bits, the builder's largest group).
     fn ready_limbs<'r>(&self, ready: &'r ReadyBases) -> Option<&'r [u64]> {
-        match &ready.limbs {
-            Some((ctx, limbs)) if self.ctx().limb_count() <= 8 && self.same_domain(ctx) => {
-                Some(limbs)
-            }
-            _ => None,
-        }
+        (self.ctx().limb_count() <= 8 && self.same_domain(&ready.ctx)).then_some(&ready.limbs)
     }
 
     /// GenToken's ready limbs: the `g^a` residue, `log·R²` of `v`, then

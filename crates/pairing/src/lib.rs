@@ -51,9 +51,10 @@
 //! ## HVE phases as engine operations
 //!
 //! The three phases the alert service runs per request are
-//! [`BilinearGroup`] methods whose default bodies are the element
-//! reference, and which [`SimulatedGroup`] runs as flat limb loops with
-//! identical output, RNG draws and counters:
+//! [`BilinearGroup`] methods held to an element reference, which
+//! [`SimulatedGroup`] runs as flat limb loops with identical output, RNG
+//! draws and counters (the reference itself for orders above eight
+//! limbs):
 //!
 //! * [`BilinearGroup::encrypt_row`] writes a user's ciphertext straight
 //!   into the [`PackedRow`] a Service Provider stores (reference:
