@@ -160,8 +160,9 @@ pub struct PrimitiveTimings {
     /// `a^e mod N` via the windowed Montgomery ladder (what
     /// `BigUint::mod_pow` takes for odd moduli).
     pub mod_pow_mont_ns: Timing,
-    /// One simulated pairing on a `SimulatedGroup` of this order (a single
-    /// residue-domain product under the Montgomery representation).
+    /// One simulated pairing on a `SimulatedGroup` of this order: the
+    /// product of two canonical logs mod `N` through the Montgomery
+    /// context.
     pub pairing_ns: Timing,
 }
 
@@ -331,8 +332,8 @@ pub fn measure_phases(
 
     // Query: one token against a pool of 16 ciphertexts with a single
     // match — the exhaustive-matching regime, where almost every pair is
-    // ⊥. The reference path converts every candidate out of the residue
-    // domain.
+    // ⊥. The reference path decodes every candidate through
+    // `gt_canonical`.
     let token = scheme.gen_token(&sk, &pattern, &mut rng);
     let pool: Vec<sla_hve::Ciphertext> = (0..16u64)
         .map(|i| {

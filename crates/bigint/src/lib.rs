@@ -27,9 +27,9 @@
 //! Every Montgomery product runs one scalar CIOS pass. Besides the
 //! `BigUint` API, [`MontgomeryCtx`] exposes the pass on caller-owned limb
 //! buffers ([`MontgomeryCtx::mont_mul_limbs`], with
-//! [`MontgomeryCtx::from_mont_limbs`], [`MontgomeryCtx::add_mod_limbs`]
-//! and [`MontgomeryCtx::sub_mod_limbs`]), so a hot loop over fixed-width
-//! arrays can chain products and sums without allocating.
+//! [`MontgomeryCtx::add_mod_limbs`] and [`MontgomeryCtx::sub_mod_limbs`]),
+//! so a hot loop over fixed-width arrays can chain products and sums
+//! without allocating.
 //!
 //! The crate is `#![forbid(unsafe_code)]` and deterministic given a
 //! seeded RNG, which the experiment harness relies on for

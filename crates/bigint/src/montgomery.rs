@@ -82,7 +82,7 @@ impl MontgomeryCtx {
     }
 
     /// The Montgomery form of 1 (`R mod N`).
-    pub fn one_mont(&self) -> BigUint {
+    fn one_mont(&self) -> BigUint {
         self.r1.clone()
     }
 
@@ -196,31 +196,19 @@ impl MontgomeryCtx {
     /// Montgomery product `a·b·R^{-1} mod N` of two reduced `k`-limb
     /// residues, written into `out`: one CIOS pass with no allocation.
     /// Called with fixed-size arrays, the pass runs at a constant width.
+    /// Always inlined, as the pass itself is: a call left out of line
+    /// runs the pass at the run-time width `k` whatever its callers
+    /// hold.
     ///
     /// # Panics
     /// Panics if a buffer is not `k` limbs wide.
-    #[inline]
+    #[inline(always)]
     pub fn mont_mul_limbs(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         assert!(
             a.len() == self.k && b.len() == self.k && out.len() == self.k,
             "limb buffers must be k limbs wide"
         );
         self.cios(a, b, out);
-    }
-
-    /// Returns a Montgomery-domain value of at most `k` limbs to standard
-    /// form, `out = a·R⁻¹ mod N`: one CIOS pass against 1, which also
-    /// reduces values in `[N, R)`.
-    ///
-    /// # Panics
-    /// Panics if `a` is wider than `k` limbs or `out` is not `k` limbs.
-    #[inline]
-    pub fn from_mont_limbs(&self, a: &[u64], out: &mut [u64]) {
-        assert!(
-            a.len() <= self.k && out.len() == self.k,
-            "limb buffers must be at most (a) and exactly (out) k limbs wide"
-        );
-        self.cios(a, &[1], out);
     }
 
     /// `acc = (acc + b) mod N` on reduced `k`-limb values, in place.

@@ -321,12 +321,13 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
     /// Convenience: query and decode; `Some(id)` on match, `None` (⊥)
     /// otherwise (up to negligible false-positive probability).
     ///
-    /// Pays one residue → canonical conversion per call, match or not
-    /// (the decode must inspect the canonical log). When the expected
-    /// payload is known in advance — the alert protocol's SP stores the
-    /// submitting user's id next to each ciphertext — pack it with the
-    /// ciphertext ([`Self::pack_for_user`]) and sweep the rows with
-    /// [`Self::match_rows`], which decides without any conversion.
+    /// Meters one canonicalization per call, match or not (the decode
+    /// reads the candidate's log through
+    /// [`BilinearGroup::gt_canonical`]). When the expected payload is
+    /// known in advance — the alert protocol's SP stores the submitting
+    /// user's id next to each ciphertext — pack it with the ciphertext
+    /// ([`Self::pack_for_user`]) and sweep the rows with
+    /// [`Self::match_rows`], which decides with one comparison per row.
     pub fn query_decode(&self, token: &Token, ct: &Ciphertext) -> Option<u64> {
         self.decode_message(&self.query(token, ct))
     }
@@ -430,8 +431,9 @@ impl<'g, G: BilinearGroup> HveScheme<'g, G> {
     /// Inverse of [`Self::encode_message`]; `None` when the element lies
     /// outside the valid message domain (the ⊥ outcome).
     ///
-    /// This is a **conversion boundary**: the element's canonical log is
-    /// requested through the engine, which meters one canonicalization.
+    /// The element's canonical log is read through the engine
+    /// ([`BilinearGroup::gt_canonical`]), which meters one
+    /// canonicalization.
     pub fn decode_message(&self, m: &GtElem) -> Option<u64> {
         let log = self.group.gt_canonical(m);
         let id_plus_1 = log.to_u64()?;

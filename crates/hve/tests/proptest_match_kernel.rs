@@ -10,66 +10,19 @@
 //! are `N − 1`, and rows narrow enough to pack below the order's limb
 //! count, which enter a slab at their own width and are widened when the
 //! slab is brought to the group (as a store does at its pin);
-//! ciphertexts, payloads and tokens in three forms — residues of the
-//! engine that made them, canonical logs after a serde round trip (the
-//! state of recovered material), and residues of a second engine over
-//! the same group.
+//! ciphertexts, payloads and tokens as the engine made them and after a
+//! serde round trip (the state of recovered material).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sla_bigint::BigUint;
-use sla_hve::{AttributeVector, Ciphertext, HveScheme, SearchPattern, Token};
+use sla_hve::{AttributeVector, Ciphertext, HveScheme, SearchPattern};
 use sla_pairing::{match_query_reference, BilinearGroup, GElem, GtElem, QueryRows, SimulatedGroup};
 
-/// How a row's material is held when it reaches the matcher.
-#[derive(Debug, Clone, Copy)]
-enum Form {
-    /// As the producing engine left it.
-    Residue,
-    /// Canonical logs, after a serde round trip.
-    Canonical,
-    /// Residues of another engine over the same parameters.
-    Foreign,
-}
-
-impl Form {
-    fn of(i: usize) -> Self {
-        [Form::Residue, Form::Canonical, Form::Foreign][i % 3]
-    }
-}
-
-fn foreign_g(other: &SimulatedGroup, x: &GElem) -> GElem {
-    other.mul_g(x, &GElem::identity())
-}
-
-fn foreign_gt(other: &SimulatedGroup, x: &GtElem) -> GtElem {
-    other.mul_gt(x, &GtElem::identity())
-}
-
-fn ciphertext_in(form: Form, other: &SimulatedGroup, ct: &Ciphertext) -> Ciphertext {
-    match form {
-        Form::Residue => ct.clone(),
-        Form::Canonical => serde_json::from_str(&serde_json::to_string(ct).unwrap()).unwrap(),
-        Form::Foreign => {
-            let (c_prime, c0, c) = ct.parts();
-            Ciphertext::from_parts(
-                foreign_gt(other, c_prime),
-                foreign_g(other, c0),
-                c.iter()
-                    .map(|(a, b)| (foreign_g(other, a), foreign_g(other, b)))
-                    .collect(),
-            )
-        }
-    }
-}
-
-fn payload_in(form: Form, other: &SimulatedGroup, m: &GtElem) -> GtElem {
-    match form {
-        Form::Residue => m.clone(),
-        Form::Canonical => GtElem::from_canonical_log(m.discrete_log()),
-        Form::Foreign => foreign_gt(other, m),
-    }
+/// `x` after a serde round trip: the state of recovered material.
+fn recovered<T: serde::Serialize + for<'de> serde::Deserialize<'de>>(x: &T) -> T {
+    serde_json::from_str(&serde_json::to_string(x).unwrap()).unwrap()
 }
 
 /// A ciphertext of `width` positions with every operand `log`.
@@ -91,12 +44,11 @@ proptest! {
         width in 1usize..7,
         symbols in prop::collection::vec(0usize..3, 6),
         n in 0usize..34,
-        token_form in 0usize..3,
+        token_recovered in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let grp = SimulatedGroup::generate(32 * limbs - 6, &mut rng);
         prop_assert_eq!(grp.order().limbs().len(), limbs);
-        let other = SimulatedGroup::new(grp.params().clone());
         let scheme = HveScheme::new(&grp, width);
         let (pk, sk) = scheme.setup(&mut rng);
         let n_minus_1 = grp.order() - &BigUint::one();
@@ -107,16 +59,9 @@ proptest! {
                 .map(|&s| [Some(false), Some(true), None][s])
                 .collect::<Vec<_>>(),
         );
-        // The token in one of the three forms too: a second engine's
-        // scheme derives it from the same secret key.
-        let tk = match Form::of(token_form) {
-            Form::Residue => scheme.gen_token(&sk, &pattern, &mut rng),
-            Form::Canonical => {
-                let tk = scheme.gen_token(&sk, &pattern, &mut rng);
-                serde_json::from_str::<Token>(&serde_json::to_string(&tk).unwrap()).unwrap()
-            }
-            Form::Foreign => HveScheme::new(&other, width).gen_token(&sk, &pattern, &mut rng),
-        };
+        // The token as made, or recovered too.
+        let tk = scheme.gen_token(&sk, &pattern, &mut rng);
+        let tk = if token_recovered { recovered(&tk) } else { tk };
 
         // (ciphertext, payload, narrow): narrow rows pack below the
         // order's limb count when it has more than one limb.
@@ -178,8 +123,11 @@ proptest! {
                         GtElem::from_canonical_log(payload)
                     }
                 };
-                let form = Form::of(rng.gen_range(0, 3) as usize);
-                (ciphertext_in(form, &other, &ct), payload_in(form, &other, &expected), narrow)
+                if rng.gen::<bool>() {
+                    (recovered(&ct), recovered(&expected), narrow)
+                } else {
+                    (ct, expected, narrow)
+                }
             })
             .collect();
 

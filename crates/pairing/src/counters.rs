@@ -86,9 +86,9 @@ impl OpCounters {
         self.gt_exps.load(Ordering::Relaxed)
     }
 
-    /// Total residue-domain → canonical conversions requested through the
-    /// engine (the `from_residue` passes a Montgomery-domain element pays
-    /// when its canonical log is actually needed, e.g. message decoding).
+    /// Total canonical logs read through the engine
+    /// ([`crate::BilinearGroup::gt_canonical`] calls, one per message
+    /// decode).
     pub fn canonicalizations(&self) -> u64 {
         self.canonicalizations.load(Ordering::Relaxed)
     }
@@ -130,7 +130,7 @@ pub struct CounterSnapshot {
     pub gt_mults: u64,
     /// Exponentiations in `GT`.
     pub gt_exps: u64,
-    /// Residue → canonical conversions.
+    /// [`crate::BilinearGroup::gt_canonical`] calls.
     pub canonicalizations: u64,
 }
 

@@ -13,7 +13,8 @@
 //!
 //! The simulated engine runs both phases as flat limb loops against
 //! bases it readied once per key ([`ReadyBases`]), and the reference for
-//! orders above eight limbs. A base whose log is held as `log·R` gives
+//! orders above eight limbs. The bases are Montgomery residues of the
+//! engine's context: a base whose log is held as `log·R` gives
 //! `mont_mul(log·R, s) = log·s`, the canonical log a row stores; held as
 //! `log·R²` it gives `log·r·R`, the residue a swept key is. Either way
 //! one CIOS pass is one exponentiation, and a product of group elements
@@ -22,11 +23,11 @@
 //! ([`sla_bigint::random_below_limbs`]), so their output, the RNG state
 //! they leave and the counters they record all equal the reference's.
 
+use crate::rows::write_reduced;
 use crate::{BilinearGroup, GElem, GtElem, PackedRow, PreparedQuery, SimulatedGroup};
 use crate::{CounterSnapshot, RowShape};
 use rand::Rng;
-use sla_bigint::{random_below_limbs, random_nonzero_below_limbs, BigUint, MontgomeryCtx};
-use std::sync::Arc;
+use sla_bigint::{random_below_limbs, random_nonzero_below_limbs, BigUint};
 
 /// The secret-key bases of GenToken, as elements. The token for a
 /// pattern `I*` with non-star positions `J` is
@@ -72,8 +73,9 @@ pub struct EncryptBases<'k> {
 /// [`BilinearGroup::prepare_token_bases`]).
 #[derive(Debug, Clone)]
 pub struct ReadyBases {
-    /// The domain the bases were readied in.
-    pub(crate) ctx: Arc<MontgomeryCtx>,
+    /// The canonical log of the key's `v` (GenToken) or `V` (Encrypt),
+    /// which the loop checks against the key it is given.
+    pub(crate) v: BigUint,
     /// The bases' limbs in the order the loop reads them, the order's
     /// limb count each.
     pub(crate) limbs: Vec<u64>,
@@ -172,68 +174,80 @@ fn limbs_at<const K: usize>(limbs: &[u64], j: usize) -> &[u64; K] {
 
 impl SimulatedGroup {
     /// `values` as this engine's ready limbs, the order's limb count
-    /// each.
-    fn ready(&self, values: impl IntoIterator<Item = BigUint>) -> ReadyBases {
+    /// each, readied from a key whose `v` or `V` is `v`.
+    fn ready(&self, v: &GElem, values: impl IntoIterator<Item = BigUint>) -> ReadyBases {
         let k = self.ctx().limb_count();
         let mut limbs = Vec::new();
-        for v in values {
+        for value in values {
             let at = limbs.len();
             limbs.resize(at + k, 0);
-            limbs[at..at + v.limbs().len()].copy_from_slice(v.limbs());
+            limbs[at..at + value.limbs().len()].copy_from_slice(value.limbs());
         }
         ReadyBases {
-            ctx: self.ctx().clone(),
+            v: v.0.clone(),
             limbs,
         }
     }
 
-    /// The limbs of `ready` when this engine's flat loops can read them:
-    /// readied in this engine's domain, for an order of at most eight
-    /// limbs (512 bits, the builder's largest group).
-    fn ready_limbs<'r>(&self, ready: &'r ReadyBases) -> Option<&'r [u64]> {
-        (self.ctx().limb_count() <= 8 && self.same_domain(&ready.ctx)).then_some(&ready.limbs)
+    /// The limbs of `ready` for a key with `v` as its `v` or `V` and
+    /// `bases` ready bases, when this engine's flat loops can read them:
+    /// for an order of at most eight limbs (512 bits, `SystemBuilder`'s
+    /// largest group).
+    ///
+    /// # Panics
+    /// Panics if `ready` was readied from a key with another `v` or with
+    /// another number of bases.
+    fn ready_limbs<'r>(&self, ready: &'r ReadyBases, v: &GElem, bases: usize) -> Option<&'r [u64]> {
+        assert!(ready.v == v.0, "bases readied from another key");
+        let k = self.ctx().limb_count();
+        assert_eq!(
+            ready.limbs.len(),
+            bases * k,
+            "ready limbs of a key of this width"
+        );
+        (k <= 8).then_some(&ready.limbs)
     }
 
     /// GenToken's ready limbs: the `g^a` residue, `log·R²` of `v`, then
     /// `log·R²` of `h_i`, `u_i·h_i` and `w_i` per position.
     pub(crate) fn token_ready(&self, key: &TokenBases<'_>) -> ReadyBases {
         let (ctx, n) = (self.ctx(), self.order());
-        let lift = |e: &GElem| ctx.to_mont(&self.residue_of(&e.0));
+        let lift = |log: &BigUint| ctx.to_mont(&ctx.to_mont(log));
         let per_position = (0..key.h.len()).flat_map(|i| {
-            let h = self.residue_of(&key.h[i].0);
-            let uh = self.residue_of(&key.u[i].0).mod_add(&h, n);
-            [ctx.to_mont(&h), ctx.to_mont(&uh), lift(&key.w[i])]
+            let (u, h) = (&key.u[i].0, &key.h[i].0);
+            [lift(h), lift(&u.mod_add(h, n)), lift(&key.w[i].0)]
         });
-        self.ready(
-            [self.pow_log(&key.g.0, key.a), lift(key.v)]
-                .into_iter()
-                .chain(per_position),
-        )
+        let g_a = ctx.to_mont(&ctx.mod_mul(&key.g.0, key.a));
+        self.ready(key.v, [g_a, lift(&key.v.0)].into_iter().chain(per_position))
     }
 
     /// Encrypt's ready limbs: the residues `log·R` of `A`, `V` and the
     /// `G_q` generator (log `P`), then of `H_i`, `U_i·H_i` and `W_i` per
     /// position.
     pub(crate) fn encrypt_ready(&self, key: &EncryptBases<'_>) -> ReadyBases {
-        let n = self.order();
+        let (ctx, n) = (self.ctx(), self.order());
         let per_position = (0..key.h.len()).flat_map(|i| {
-            let h = self.residue_of(&key.h[i].0).into_owned();
-            let uh = self.residue_of(&key.u[i].0).mod_add(&h, n);
-            [h, uh, self.residue_of(&key.w[i].0).into_owned()]
+            let (u, h) = (&key.u[i].0, &key.h[i].0);
+            [
+                ctx.to_mont(h),
+                ctx.to_mont(&u.mod_add(h, n)),
+                ctx.to_mont(&key.w[i].0),
+            ]
         });
         self.ready(
+            key.v,
             [
-                self.residue_of(&key.a.0).into_owned(),
-                self.residue_of(&key.v.0).into_owned(),
-                self.residue_of(&self.gq_generator().0).into_owned(),
+                ctx.to_mont(&key.a.0),
+                ctx.to_mont(&key.v.0),
+                ctx.to_mont(self.p()),
             ]
             .into_iter()
             .chain(per_position),
         )
     }
 
-    /// GenToken through the flat loop when `ready` is readable, through
-    /// the reference otherwise.
+    /// GenToken through the flat loop when the order has at most eight
+    /// limbs, through the reference otherwise.
     pub(crate) fn token_query<R: Rng>(
         &self,
         key: &TokenBases<'_>,
@@ -241,15 +255,10 @@ impl SimulatedGroup {
         pattern: &[Option<bool>],
         rng: &mut R,
     ) -> PreparedQuery {
-        let Some(bases) = self.ready_limbs(ready) else {
+        let Some(bases) = self.ready_limbs(ready, key.v, 2 + 3 * key.h.len()) else {
             let (k0, k) = gen_token_reference(self, key, pattern, rng);
             return self.prepare_query(&k0, &k);
         };
-        assert_eq!(
-            bases.len(),
-            (2 + 3 * key.h.len()) * self.ctx().limb_count(),
-            "ready limbs of a token key of this width"
-        );
         assert!(pattern.len() <= key.h.len(), "pattern wider than the key");
         match self.ctx().limb_count() {
             1 => self.gen_token_flat::<1, R>(bases, pattern, rng),
@@ -263,8 +272,8 @@ impl SimulatedGroup {
         }
     }
 
-    /// Encrypt through the flat loop when `ready` is readable, through
-    /// the reference otherwise.
+    /// Encrypt through the flat loop when the order has at most eight
+    /// limbs, through the reference otherwise.
     pub(crate) fn encrypted_row<R: Rng>(
         &self,
         key: &EncryptBases<'_>,
@@ -273,15 +282,10 @@ impl SimulatedGroup {
         message: &GtElem,
         rng: &mut R,
     ) -> PackedRow {
-        let Some(bases) = self.ready_limbs(ready) else {
+        let Some(bases) = self.ready_limbs(ready, key.v, 3 + 3 * key.h.len()) else {
             let (c_prime, c0, c) = encrypt_reference(self, key, bits, message, rng);
             return PackedRow::pack(&c_prime, &c0, &c, message, self.order());
         };
-        assert_eq!(
-            bases.len(),
-            (3 + 3 * key.h.len()) * self.ctx().limb_count(),
-            "ready limbs of a public key of this width"
-        );
         assert!(bits.len() <= key.h.len(), "attribute wider than the key");
         match self.ctx().limb_count() {
             1 => self.encrypt_flat::<1, R>(bases, bits, message, rng),
@@ -336,7 +340,7 @@ impl SimulatedGroup {
         PreparedQuery {
             positions,
             keys,
-            domain: Some(self.ctx().clone()),
+            ctx: self.ctx().clone(),
         }
     }
 
@@ -365,7 +369,7 @@ impl SimulatedGroup {
         random_below_limbs(n, rng, &mut s);
 
         let mut m = [0u64; K];
-        message.0.write_canonical(n, &mut None, &mut m);
+        write_reduced(&message.0, n, &mut m);
         row.operand_mut(shape.expected()).copy_from_slice(&m);
         let c_prime = row.operand_mut(RowShape::C_PRIME);
         ctx.mont_mul_limbs(base(0), &s, c_prime);
@@ -401,5 +405,58 @@ impl SimulatedGroup {
             ..CounterSnapshot::default()
         });
         row
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A key of width 2: `[g, v, u_0, u_1, h_0, h_1, w_0, w_1]` drawn
+    /// from `G_p`, then `a` and `A = e(g, v)^a`.
+    type Key = (Vec<GElem>, BigUint, GtElem);
+
+    fn key(grp: &SimulatedGroup, rng: &mut StdRng) -> Key {
+        let e: Vec<GElem> = (0..8).map(|_| grp.random_gp(rng)).collect();
+        let a = grp.random_zp(rng);
+        let big_a = grp.pow_gt(&grp.pair(&e[0], &e[1]), &a);
+        (e, a, big_a)
+    }
+
+    fn token((e, a, _): &Key) -> TokenBases<'_> {
+        let (g, v, u, h, w) = (&e[0], &e[1], &e[2..4], &e[4..6], &e[6..8]);
+        TokenBases { g, a, v, u, h, w }
+    }
+
+    fn encrypt((e, _, a): &Key) -> EncryptBases<'_> {
+        let (v, u, h, w) = (&e[1], &e[2..4], &e[4..6], &e[6..8]);
+        EncryptBases { a, v, u, h, w }
+    }
+
+    /// A group and two keys of the same width.
+    fn two_keys() -> (SimulatedGroup, Key, Key, StdRng) {
+        let mut rng = StdRng::seed_from_u64(0x6b65);
+        let grp = SimulatedGroup::generate(48, &mut rng);
+        let (one, two) = (key(&grp, &mut rng), key(&grp, &mut rng));
+        (grp, one, two, rng)
+    }
+
+    #[test]
+    #[should_panic(expected = "bases readied from another key")]
+    fn gen_token_refuses_bases_readied_from_another_key() {
+        let (grp, one, two, mut rng) = two_keys();
+        let ready = grp.prepare_token_bases(&token(&two));
+        grp.gen_token_query(&token(&one), &ready, &[Some(true), None], &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "bases readied from another key")]
+    fn encrypt_refuses_bases_readied_from_another_key() {
+        let (grp, one, two, mut rng) = two_keys();
+        let ready = grp.prepare_encrypt_bases(&encrypt(&two));
+        let message = GtElem::from_canonical_log(BigUint::from_u64(8));
+        grp.encrypt_row(&encrypt(&one), &ready, &[true, false], &message, &mut rng);
     }
 }

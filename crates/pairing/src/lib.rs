@@ -28,17 +28,16 @@
 //! cryptographic instantiation; the [`BilinearGroup`] trait is the seam
 //! where a curve-based engine would slot in.
 //!
-//! ## Montgomery-domain representation
+//! ## Representation: canonical logs, residues in the flat limbs
 //!
-//! The group order `N = P·Q` is odd, and the engine's one reduction
-//! context is a shared [`sla_bigint::MontgomeryCtx`]. Engine-produced
-//! elements keep their discrete log in its **Montgomery domain**
-//! (`x·R mod N`), so every pairing is a single CIOS pass and the group
-//! law is a division-free addition — no per-operation domain round
-//! trips. Canonical conversion happens only at `discrete_log()`,
-//! cross-representation equality, and serde (whose wire bytes are
-//! unchanged from the canonical-representation era). The engine
-//! precomputes a one-pass scalar product for `g`, `g_p`, `g_q` and `gt`.
+//! An element holds its canonical discrete log ([`GElem`], [`GtElem`]);
+//! the group law is a division-free `mod_add`/`mod_sub`, and a pairing
+//! or an exponentiation is one product mod `N` through the engine's
+//! [`sla_bigint::MontgomeryCtx`] for the odd order `N = P·Q`. Elements
+//! serve setup and the reference phases. Montgomery residues
+//! (`x·R mod N`) live only in the limbs the served flat loops read: the
+//! key bases readied once per key ([`ReadyBases`]) and a query's keys
+//! ([`PreparedQuery`]). Stored rows hold canonical logs.
 //! [`SimulatedGroup::new`] refuses an even order.
 //!
 //! ## Cost accounting
@@ -101,7 +100,6 @@ mod issue;
 mod params;
 mod query;
 mod rows;
-mod table;
 
 pub use counters::{CounterSnapshot, OpCounters};
 pub use element::{GElem, GtElem};

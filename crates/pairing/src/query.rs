@@ -8,21 +8,21 @@
 //!
 //! equals the payload the ciphertext is known to carry. The ciphertexts
 //! arrive as packed rows of canonical limbs ([`QueryRows`]) and the
-//! token as a [`PreparedQuery`] that owns its keys as flat limbs: as the
-//! engine's GenToken wrote them ([`BilinearGroup::gen_token_query`]), or
-//! as [`BilinearGroup::prepare_query`] resolved a token's elements, once
-//! for any number of sweeps. The reference evaluation ([`match_query_reference`])
-//! rebuilds each row's elements, builds every pairing as a `GT` element
-//! and folds them with the metered group law. The simulated engine
-//! decides the same predicate on the rows in place
-//! (`SimulatedGroup`'s [`BilinearGroup::match_query_rows`]): against
-//! keys held as Montgomery residues `k·R`, one CIOS pass per pairing
-//! yields the canonical `c·k mod N`, so the folds, the start value `C'`
-//! and the comparison with the payload all stay canonical and no stored
-//! operand is ever lifted. Both record exactly the operations of
-//! [`query_cost`].
+//! token as a [`PreparedQuery`] that owns its keys as Montgomery residue
+//! limbs: as the engine's GenToken wrote them
+//! ([`BilinearGroup::gen_token_query`]), or as
+//! [`BilinearGroup::prepare_query`] resolved a token's elements, once
+//! for any number of sweeps. The reference evaluation
+//! ([`match_query_reference`]) rebuilds each row's elements and the
+//! keys' canonical logs, builds every pairing as a `GT` element and
+//! folds them with the metered group law. The simulated engine decides
+//! the same predicate on the rows in place (`SimulatedGroup`'s
+//! [`BilinearGroup::match_query_rows`]): against a key held as the
+//! residue `k·R`, one CIOS pass per pairing yields the canonical
+//! `c·k mod N`, so the folds, the start value `C'` and the comparison
+//! with the payload all stay canonical and no stored operand is ever
+//! lifted. Both record exactly the operations of [`query_cost`].
 
-use crate::element::Log;
 use crate::rows::below;
 use crate::{BilinearGroup, CounterSnapshot, GElem, GtElem, QueryRows, RowShape, SimulatedGroup};
 use sla_bigint::{BigUint, MontgomeryCtx};
@@ -36,31 +36,14 @@ use std::sync::Arc;
 pub struct PreparedQuery {
     /// The token's non-star positions `J`, in order.
     pub(crate) positions: Vec<usize>,
-    /// `K_0`, then `K_{i,1}` and `K_{i,2}` for every position, the same
-    /// number of limbs each: Montgomery residues of `domain`, or
-    /// canonical logs when `domain` is `None`.
+    /// `K_0`, then `K_{i,1}` and `K_{i,2}` for every position, the
+    /// order's limb count each: Montgomery residues of `ctx`.
     pub(crate) keys: Vec<u64>,
-    pub(crate) domain: Option<Arc<MontgomeryCtx>>,
+    /// The Montgomery context of the order the keys were prepared for.
+    pub(crate) ctx: Arc<MontgomeryCtx>,
 }
 
 impl PreparedQuery {
-    /// A token's keys as canonical logs at the width of `n` (the
-    /// trait-default preparation, which the reference evaluation uses).
-    pub(crate) fn canonical(n: &BigUint, k0: &GElem, k: &[(usize, GElem, GElem)]) -> Self {
-        let width = n.limbs().len();
-        let mut keys = vec![0u64; (1 + 2 * k.len()) * width];
-        let elems = std::iter::once(k0).chain(k.iter().flat_map(|(_, k1, k2)| [k1, k2]));
-        let mut domain = None;
-        for (key, out) in elems.zip(keys.chunks_exact_mut(width)) {
-            key.0.write_canonical(n, &mut domain, out);
-        }
-        PreparedQuery {
-            positions: k.iter().map(|(i, _, _)| *i).collect(),
-            keys,
-            domain: None,
-        }
-    }
-
     /// The token's non-star positions `J`, in order; the query costs
     /// `1 + 2·|J|` pairings per row.
     pub fn positions(&self) -> &[usize] {
@@ -73,19 +56,13 @@ impl PreparedQuery {
     }
 
     /// The keys `(K_0, [(i, K_{i,1}, K_{i,2})])` as elements, the form
-    /// of a token: residues of the preparing engine, or canonical logs.
+    /// of a token: each residue returned to its canonical log.
     pub fn elements(&self) -> (GElem, Vec<(usize, GElem, GElem)>) {
         let width = self.limbs();
-        let mut keys = self.keys.chunks_exact(width).map(|limbs| {
-            let log = BigUint::from_limbs(limbs.to_vec());
-            match &self.domain {
-                Some(ctx) => GElem(Log::Residue {
-                    value: log,
-                    ctx: ctx.clone(),
-                }),
-                None => GElem::from_canonical_log(log),
-            }
-        });
+        let mut keys = self
+            .keys
+            .chunks_exact(width)
+            .map(|limbs| GElem(self.ctx.from_mont(&BigUint::from_limbs(limbs.to_vec()))));
         let k0 = keys.next().expect("K_0 is present");
         let k = self
             .positions
@@ -100,15 +77,13 @@ impl PreparedQuery {
     }
 }
 
-/// Equal positions and equal key limbs, in the same representation: the
-/// same domain (one modulus fixes `R`) or both canonical.
+/// Equal positions and equal key limbs, prepared for the same order (one
+/// modulus fixes `R`, and with it the residues).
 impl PartialEq for PreparedQuery {
     fn eq(&self, other: &Self) -> bool {
-        let same_domain = match (&self.domain, &other.domain) {
-            (Some(a), Some(b)) => a.modulus() == b.modulus(),
-            (a, b) => a.is_none() && b.is_none(),
-        };
-        same_domain && self.positions == other.positions && self.keys == other.keys
+        self.ctx.modulus() == other.ctx.modulus()
+            && self.positions == other.positions
+            && self.keys == other.keys
     }
 }
 
@@ -146,9 +121,14 @@ pub(crate) fn query_cost(j: usize, rows: usize) -> CounterSnapshot {
     }
 }
 
-/// Checks a sweep's arguments: one decision per row, and a component in
-/// the rows at every position of the token.
-pub(crate) fn check_sweep(query: &PreparedQuery, rows: &QueryRows, hits: &[bool]) {
+/// Checks a sweep's arguments: a query prepared for the group of order
+/// `n`, one decision per row, and a component in the rows at every
+/// position of the token.
+pub(crate) fn check_sweep(n: &BigUint, query: &PreparedQuery, rows: &QueryRows, hits: &[bool]) {
+    assert!(
+        query.ctx.modulus() == n,
+        "a query prepared for a group of another order"
+    );
     assert_eq!(hits.len(), rows.len(), "one decision per row");
     let width = rows.shape().width;
     assert!(
@@ -159,7 +139,7 @@ pub(crate) fn check_sweep(query: &PreparedQuery, rows: &QueryRows, hits: &[bool]
 
 /// The reference query check, the default body of
 /// [`BilinearGroup::match_query_rows`] and the oracle the fused kernel
-/// is tested against: the keys rebuilt as elements
+/// is tested against: the keys returned to elements
 /// ([`PreparedQuery::elements`]), per row its elements rebuilt from
 /// their canonical logs, the `1 + 2·|J|` pairings through
 /// [`BilinearGroup::pair`], the candidate through
@@ -167,15 +147,16 @@ pub(crate) fn check_sweep(query: &PreparedQuery, rows: &QueryRows, hits: &[bool]
 /// [`BilinearGroup::eq_gt`]. Returns the operations it recorded.
 ///
 /// # Panics
-/// Panics if `hits` and `rows` differ in length, or the rows have no
-/// component at a position of the token.
+/// Panics if `query` was prepared for a group of another order, `hits`
+/// and `rows` differ in length, or the rows have no component at a
+/// position of the token.
 pub fn match_query_reference<G: BilinearGroup + ?Sized>(
     grp: &G,
     query: &PreparedQuery,
     rows: &QueryRows,
     hits: &mut [bool],
 ) -> CounterSnapshot {
-    check_sweep(query, rows, hits);
+    check_sweep(grp.order(), query, rows, hits);
     let (k0, k) = query.elements();
     let shape = rows.shape();
     let log = |row: &[u64], idx: usize| {
@@ -207,17 +188,18 @@ impl SimulatedGroup {
     /// A token's keys as Montgomery residues of this engine, `K` limbs
     /// each.
     pub(crate) fn query_residues(&self, k0: &GElem, k: &[(usize, GElem, GElem)]) -> PreparedQuery {
-        let width = self.ctx().limb_count();
+        let ctx = self.ctx();
+        let width = ctx.limb_count();
         let mut keys = vec![0u64; (1 + 2 * k.len()) * width];
         let elems = std::iter::once(k0).chain(k.iter().flat_map(|(_, k1, k2)| [k1, k2]));
         for (key, out) in elems.zip(keys.chunks_exact_mut(width)) {
-            let r = self.residue_of(&key.0);
+            let r = ctx.to_mont(&key.0);
             out[..r.limbs().len()].copy_from_slice(r.limbs());
         }
         PreparedQuery {
             positions: k.iter().map(|(i, _, _)| *i).collect(),
             keys,
-            domain: Some(self.ctx().clone()),
+            ctx: ctx.clone(),
         }
     }
 
@@ -391,6 +373,16 @@ mod tests {
             assert_eq!(grp.order().limbs().len(), limbs);
             check_engine_against_reference(&grp, &mut rng);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a query prepared for a group of another order")]
+    fn a_query_of_another_order_is_refused() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let grp = SimulatedGroup::generate(20, &mut rng);
+        let other = SimulatedGroup::generate(20, &mut rng);
+        let query = other.prepare_query(&other.random_gp(&mut rng), &[]);
+        grp.match_query_rows(&query, &QueryRows::new(), &mut []);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //!
 //! [`BilinearGroup::match_query_rows`]: crate::BilinearGroup::match_query_rows
 
-use crate::element::Log;
 use crate::{GElem, GtElem};
 use sla_bigint::BigUint;
 
@@ -115,7 +114,8 @@ impl PackedRow {
     /// Packs `(C', C_0, [(C_{i,1}, C_{i,2})], expected)` for the group of
     /// order `n`: each canonical log reduced mod `n`, at `n`'s limb
     /// count — the row [`Self::from_elements`] and [`Self::fit`] give,
-    /// written in place without an intermediate integer per operand.
+    /// written in place without an intermediate integer per operand
+    /// below `n`.
     pub fn pack(
         c_prime: &GtElem,
         c0: &GElem,
@@ -127,12 +127,8 @@ impl PackedRow {
             width: c.len(),
             limbs: n.limbs().len(),
         };
-        let k = shape.limbs;
         let mut row = PackedRow::zeroed(shape);
-        let mut domain = None;
-        let mut put = |idx: usize, log| {
-            Log::write_canonical(log, n, &mut domain, &mut row.limbs[idx * k..(idx + 1) * k]);
-        };
+        let mut put = |idx: usize, log| write_reduced(log, n, row.operand_mut(idx));
         put(RowShape::C_PRIME, &c_prime.0);
         put(RowShape::C0, &c0.0);
         for (i, (c1, c2)) in c.iter().enumerate() {
@@ -368,6 +364,20 @@ fn fit_limbs(shape: &mut RowShape, limbs: &mut Vec<u64>, n: &BigUint) {
     restride(shape, limbs, nl.len());
 }
 
+/// Writes `log mod n` into `out`, which is `n`'s limb count wide: one
+/// copy for a log below `n`, a division otherwise.
+pub(crate) fn write_reduced(log: &BigUint, n: &BigUint, out: &mut [u64]) {
+    let reduced;
+    let log = if below(log.limbs(), n.limbs()) {
+        log
+    } else {
+        reduced = log % n;
+        &reduced
+    };
+    out.fill(0);
+    out[..log.limbs().len()].copy_from_slice(log.limbs());
+}
+
 /// `a < n` for little-endian `a` of any width against normalized `n`.
 #[inline]
 pub(crate) fn below(a: &[u64], n: &[u64]) -> bool {
@@ -416,8 +426,8 @@ mod tests {
             let grp = SimulatedGroup::generate(bits, &mut rng);
             let other = SimulatedGroup::generate(bits, &mut rng);
             let n = grp.order();
-            // Residues of this engine and of another, canonical logs
-            // below and not below N, and identities.
+            // Logs of this group and of another, logs below and not
+            // below N, and identities.
             let c_prime = grp.pair(&grp.g(), &grp.random_gp(&mut rng));
             let c0 = GElem::from_canonical_log(n + &BigUint::from_u64(3));
             let c = vec![

@@ -8,10 +8,8 @@
 //! recovery. The durable store instead uses a fixed binary layout:
 //! every integer is little-endian, every big integer is its minimal
 //! little-endian byte string behind a `u32` length prefix. Group-element
-//! logs are encoded **canonically**, never as Montgomery residues:
-//! residues are representation-dependent (they change with the
-//! reducer's `R`), canonical logs are exactly the wire bytes serde
-//! already pins. A record's logs are the operands of its packed row
+//! logs are encoded **canonically**, the values serde's hex strings
+//! carry. A record's logs are the operands of its packed row
 //! ([`PackedRow`], canonical limbs), so encoding reads them straight off
 //! the row and decoding writes them straight into one, at the width of
 //! the record's widest log.

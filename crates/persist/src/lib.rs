@@ -11,11 +11,10 @@
 //! * [`codec`] — a canonical little-endian binary codec for stored
 //!   subscriptions and WAL operations, CRC-framed
 //!   (`[len][payload][crc32]`, the CRC covering the length too). Group
-//!   elements are encoded by their **canonical** discrete logs — the
-//!   same representation-independent bytes serde pins — never the
-//!   Montgomery residues, which depend on the in-memory reducer. A
-//!   [`Record`] holds them as one packed row of canonical limbs, which
-//!   the codec encodes from and decodes into directly.
+//!   elements are encoded by their **canonical** discrete logs, the
+//!   values they hold and serde writes. A [`Record`] holds them as one
+//!   packed row of canonical limbs, which the codec encodes from and
+//!   decodes into directly.
 //! * [`wal`] — an append-only write-ahead log with group-commit fsync
 //!   batching ([`FlushPolicy`]); recovery tolerates a torn final record
 //!   by truncating to the last complete CRC-valid frame.
