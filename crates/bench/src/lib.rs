@@ -5,8 +5,9 @@
 //! series; the `repro` binary prints them as tables and writes
 //! `results/figNN.csv`. The [`primitives`] module times the arithmetic,
 //! the HVE phases and the store backends for
-//! `results/BENCH_primitives.json`; the end-to-end service benchmark
-//! lives in `perfbench/`.
+//! `results/BENCH_primitives.json`, and `repro --smoke` runs it at its
+//! smallest size. That is all `repro` does: the served protocol is timed
+//! end to end by `perfbench/` and checked by the workspace tests.
 //!
 //! | Module | Paper artifact |
 //! |--------|----------------|
@@ -31,7 +32,6 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod primitives;
-pub mod scenarios;
 pub mod table;
 
 /// Number of stored ciphertexts the cost model charges each alert against

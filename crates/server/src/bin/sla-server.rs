@@ -46,7 +46,6 @@ struct Opts {
     /// not given.
     shards: Option<usize>,
     workers: usize,
-    inflight: usize,
     seed: u64,
     /// Permit TCP binds beyond loopback (the wire protocol carries no
     /// authentication, so off-host exposure must be explicit).
@@ -113,7 +112,6 @@ OPTIONS:
                         persistent store always runs 16)
     --workers <n>       Worker threads = max concurrent connections, at least 1
                         (default 8)
-    --inflight <n>      Max data-plane requests in flight (default 64)
     --seed <n>          Base RNG seed (default 20210323)
     --help              This text";
 
@@ -136,7 +134,6 @@ fn parse_opts(args: impl Iterator<Item = String>) -> Result<Option<Opts>, ArgErr
         group_bits: 40,
         shards: None,
         workers: 8,
-        inflight: 64,
         seed: 20_210_323,
         allow_remote: false,
     };
@@ -170,7 +167,6 @@ fn parse_opts(args: impl Iterator<Item = String>) -> Result<Option<Opts>, ArgErr
                     ));
                 }
             }
-            "--inflight" => opts.inflight = parse_number("--inflight", args.next())?,
             "--seed" => opts.seed = parse_number("--seed", args.next())?,
             "--allow-remote" => opts.allow_remote = true,
             other => return Err(ArgError::Unknown(other.to_string())),
@@ -245,9 +241,7 @@ fn run(opts: Opts) -> Result<(), Box<dyn std::error::Error>> {
 
     let config = ServerConfig {
         workers: opts.workers,
-        max_in_flight: opts.inflight,
         seed: opts.seed,
-        ..ServerConfig::default()
     };
     let server = match &opts.endpoint {
         Endpoint::Unix(path) => SlaServer::bind_unix(service, path, config)?,

@@ -19,11 +19,11 @@
 //! * [`server`] — the transport. Unix-domain *and* TCP listeners in
 //!   front of a hand-rolled blocking worker pool; per-connection logic
 //!   lives in the standalone [`serve_connection`], the function an
-//!   epoll reactor would call instead. Backpressure is explicit at both
-//!   levels (connection hand-off and a bounded in-flight request
-//!   budget, both answering typed [`Response::Busy`]), and shutdown is
-//!   graceful: drain connections, flush the durable store's WAL,
-//!   remove the socket file.
+//!   epoll reactor would call instead. Backpressure is explicit: a
+//!   connection that finds the pool and its hand-off queue full is
+//!   answered with a typed [`Response::Busy`]. Shutdown is graceful:
+//!   drain connections, flush the durable store's WAL, remove the
+//!   socket file.
 //!
 //! The `sla-server` binary wires these to a command line;
 //! `tests/live_server.rs` runs that binary as a child process and checks
@@ -36,10 +36,7 @@ pub mod server;
 pub mod service;
 pub mod wire;
 
-pub use server::{
-    serve_connection, ConnOutcome, InflightGauge, InflightPermit, ServeReport, ServerConfig,
-    SlaServer,
-};
+pub use server::{serve_connection, ConnOutcome, ServeReport, ServerConfig, SlaServer};
 pub use service::AlertService;
 pub use wire::{
     decode_request, decode_response, encode_request, encode_response, read_frame,

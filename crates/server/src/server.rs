@@ -1,5 +1,5 @@
-//! The blocking server: listeners, a hand-rolled worker pool, the
-//! in-flight request budget, and graceful drain.
+//! The blocking server: listeners, a hand-rolled worker pool, and
+//! graceful drain.
 //!
 //! ## Shape
 //!
@@ -8,34 +8,28 @@
 //! connection at a time and runs [`serve_connection`] — a standalone
 //! function over any `Read + Write` stream, which is the seam an epoll
 //! reactor would replace: the poll loop would own the streams and call
-//! the same per-frame logic, and everything above it (service, codec,
-//! budget) is already non-blocking-agnostic.
+//! the same per-frame logic, and everything above it (service, codec)
+//! is already non-blocking-agnostic.
 //!
-//! ## Backpressure, two levels
+//! ## Backpressure
 //!
-//! * **Connections**: when every worker is occupied and the hand-off
-//!   queue is full, a new connection is answered with one
-//!   [`Response::Busy`] frame and closed — never queued invisibly.
-//! * **Requests**: executing a data-plane request requires a permit
-//!   from the [`InflightGauge`]; an exhausted budget yields a typed
-//!   [`Response::Busy`] on that connection (the connection stays open,
-//!   the client retries). Control-plane requests (`stats`, `shutdown`)
-//!   bypass the budget so an overloaded server can still be observed
-//!   and drained.
+//! A worker serves one request at a time, so at most `workers`
+//! requests are ever in flight. When every worker is occupied and the
+//! hand-off queue is full, a new connection is answered with one
+//! [`Response::Busy`] frame and closed — never queued invisibly.
 //!
 //! ## Shutdown
 //!
 //! A `shutdown` RPC flips the service's drain flag. The accept loop
-//! stops, every worker's blocking read times out within the configured
-//! read timeout and observes the flag, in-flight requests finish, the
-//! workers are joined, the durable store's WAL is flushed via
-//! `AlertSystem::sync`, the Unix socket file is removed, and `serve`
-//! returns.
+//! stops, every worker's blocking read times out within 25 ms and
+//! observes the flag, in-flight requests finish, the workers are
+//! joined, the durable store's WAL is flushed via `AlertSystem::sync`,
+//! the Unix socket file is removed, and `serve` returns.
 
 use crate::service::AlertService;
 use crate::wire::{
     decode_request, encode_response, error_response, read_frame_abortable, write_frame, FrameIn,
-    Request, Response,
+    Response,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,24 +38,21 @@ use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
+
+/// Socket read timeout: the interval at which a blocked worker polls
+/// the drain flag, and therefore the worst-case lag between a
+/// `shutdown` RPC and idle connections noticing it.
+const READ_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Tuning for one [`SlaServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads = maximum concurrently served connections.
     pub workers: usize,
-    /// Data-plane requests allowed in flight at once across all
-    /// connections (the [`InflightGauge`] budget).
-    pub max_in_flight: usize,
-    /// Socket read timeout — the interval at which a blocked worker
-    /// polls the drain flag, and therefore the worst-case lag between a
-    /// `shutdown` RPC and idle connections noticing it.
-    pub read_timeout: Duration,
     /// Base seed for the per-connection RNGs (each connection derives
     /// its own deterministic stream from this and its connection id).
     pub seed: u64,
@@ -71,68 +62,8 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 8,
-            max_in_flight: 64,
-            read_timeout: Duration::from_millis(25),
             seed: 0x51a_5e41e5,
         }
-    }
-}
-
-/// The global data-plane request budget: a saturating counting
-/// semaphore. `try_acquire` never blocks — callers translate exhaustion
-/// into a typed [`Response::Busy`] instead of queueing.
-#[derive(Debug)]
-pub struct InflightGauge {
-    limit: usize,
-    current: AtomicUsize,
-}
-
-impl InflightGauge {
-    /// A gauge admitting at most `limit` concurrent holders.
-    pub fn new(limit: usize) -> Self {
-        InflightGauge {
-            limit,
-            current: AtomicUsize::new(0),
-        }
-    }
-
-    /// The configured budget.
-    pub fn limit(&self) -> usize {
-        self.limit
-    }
-
-    /// Requests currently holding a permit.
-    pub fn in_flight(&self) -> usize {
-        self.current.load(Ordering::Acquire)
-    }
-
-    /// Takes a permit if the budget allows, without blocking.
-    pub fn try_acquire(&self) -> Option<InflightPermit<'_>> {
-        let mut cur = self.current.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.limit {
-                return None;
-            }
-            match self.current.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(InflightPermit(self)),
-                Err(now) => cur = now,
-            }
-        }
-    }
-}
-
-/// RAII permit from an [`InflightGauge`]; dropping it releases the slot.
-#[derive(Debug)]
-pub struct InflightPermit<'a>(&'a InflightGauge);
-
-impl Drop for InflightPermit<'_> {
-    fn drop(&mut self) {
-        self.0.current.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -151,9 +82,9 @@ pub enum ConnOutcome {
 }
 
 /// Serves one connection to completion: a loop of read frame → decode →
-/// budget check → execute → write frame. Standalone and generic over
-/// the stream so it works identically under the thread pool, in unit
-/// tests over `UnixStream::pair`, or beneath a future epoll reactor.
+/// execute → write frame. Standalone and generic over the stream so it
+/// works identically under the thread pool, in unit tests over
+/// `UnixStream::pair`, or beneath a future epoll reactor.
 ///
 /// Torn or undecodable input ends the connection (a best-effort typed
 /// error frame is sent first when the framing itself was intact);
@@ -162,7 +93,6 @@ pub enum ConnOutcome {
 pub fn serve_connection<S: Read + Write, R: Rng>(
     io: &mut S,
     service: &AlertService,
-    gauge: &InflightGauge,
     rng: &mut R,
 ) -> io::Result<ConnOutcome> {
     loop {
@@ -191,20 +121,7 @@ pub fn serve_connection<S: Read + Write, R: Rng>(
                 return Ok(ConnOutcome::Torn(e.0));
             }
         };
-        let control_plane = matches!(req, Request::Stats | Request::Shutdown);
-        let resp = if control_plane {
-            service.handle(&req, rng)
-        } else {
-            match gauge.try_acquire() {
-                Some(_permit) => service.handle(&req, rng),
-                None => {
-                    service.note_busy();
-                    Response::Busy {
-                        in_flight_limit: gauge.limit() as u32,
-                    }
-                }
-            }
-        };
+        let resp = service.handle(&req, rng);
         let shutdown = matches!(resp, Response::ShuttingDown);
         write_frame(io, &encode_response(&resp))?;
         if shutdown {
@@ -360,21 +277,18 @@ impl SlaServer {
     /// file. Blocks the calling thread for the server's whole life.
     pub fn serve(self) -> SlaResult<ServeReport> {
         self.listener.set_nonblocking()?;
-        let gauge = Arc::new(InflightGauge::new(self.config.max_in_flight));
         // Bounded hand-off: room for one burst of `workers` connections
         // beyond the ones being served; anything past that is Busy.
         let (tx, rx) = sync_channel::<(StreamKind, u64)>(self.config.workers);
         let rx = Arc::new(Mutex::new(rx));
-        let poll = self.config.read_timeout;
 
         let mut pool = Vec::with_capacity(self.config.workers);
         for _ in 0..self.config.workers {
             let rx = Arc::clone(&rx);
             let service = Arc::clone(&self.service);
-            let gauge = Arc::clone(&gauge);
             let seed = self.config.seed;
             pool.push(thread::spawn(move || {
-                worker_loop(&rx, &service, &gauge, seed, poll);
+                worker_loop(&rx, &service, seed);
             }));
         }
 
@@ -386,7 +300,7 @@ impl SlaServer {
         while !self.service.is_draining() {
             match self.listener.accept() {
                 Ok(stream) => {
-                    if stream.set_timeouts(self.config.read_timeout).is_err() {
+                    if stream.set_timeouts(READ_TIMEOUT).is_err() {
                         continue; // peer already gone
                     }
                     next_conn += 1;
@@ -403,7 +317,7 @@ impl SlaServer {
                         Err(TrySendError::Disconnected(_)) => break,
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(poll),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(READ_TIMEOUT),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -414,7 +328,7 @@ impl SlaServer {
         }
 
         // Drain: stop handing out work, let every worker observe the
-        // flag (their reads time out within `read_timeout`), join them,
+        // flag (their reads time out within `READ_TIMEOUT`), join them,
         // then flush the WAL so a restart recovers everything.
         drop(tx);
         for handle in pool {
@@ -430,13 +344,7 @@ impl SlaServer {
 
 /// One pool worker: pull a connection, serve it to completion, repeat;
 /// exit when the server drains or the accept loop hangs up.
-fn worker_loop(
-    rx: &Mutex<Receiver<(StreamKind, u64)>>,
-    service: &AlertService,
-    gauge: &InflightGauge,
-    seed: u64,
-    poll: Duration,
-) {
+fn worker_loop(rx: &Mutex<Receiver<(StreamKind, u64)>>, service: &AlertService, seed: u64) {
     loop {
         if service.is_draining() {
             return;
@@ -445,7 +353,7 @@ fn worker_loop(
         let next = rx
             .lock()
             .expect("receiver lock poisoned")
-            .recv_timeout(poll);
+            .recv_timeout(READ_TIMEOUT);
         match next {
             Ok((mut stream, conn_id)) => {
                 let mut rng = StdRng::seed_from_u64(
@@ -453,7 +361,7 @@ fn worker_loop(
                 );
                 // Transport errors end the connection; the next one is
                 // independent.
-                let _ = serve_connection(&mut stream, service, gauge, &mut rng);
+                let _ = serve_connection(&mut stream, service, &mut rng);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return,
@@ -464,7 +372,9 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode_response, encode_request, read_frame, ErrorCode, MAX_FRAME_BYTES};
+    use crate::wire::{
+        decode_response, encode_request, read_frame, ErrorCode, Request, MAX_FRAME_BYTES,
+    };
     use sla_core::{StoreBackend, SystemBuilder};
     use sla_grid::{Grid, ProbabilityMap};
 
@@ -482,11 +392,7 @@ mod tests {
 
     /// Runs one client script against `serve_connection` over a real
     /// socketpair and returns the decoded responses plus the outcome.
-    fn roundtrip(
-        service: &AlertService,
-        gauge: &InflightGauge,
-        requests: &[Request],
-    ) -> (Vec<Response>, ConnOutcome) {
+    fn roundtrip(service: &AlertService, requests: &[Request]) -> (Vec<Response>, ConnOutcome) {
         let (mut client, mut server) = UnixStream::pair().expect("socketpair");
         client
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -497,7 +403,7 @@ mod tests {
         let outcome = thread::scope(|s| {
             let handle = s.spawn(|| {
                 let mut rng = StdRng::seed_from_u64(9);
-                serve_connection(&mut server, service, gauge, &mut rng).expect("serve")
+                serve_connection(&mut server, service, &mut rng).expect("serve")
             });
             let mut responses = Vec::new();
             for req in requests {
@@ -516,10 +422,8 @@ mod tests {
     #[test]
     fn serves_a_session_end_to_end() {
         let service = service();
-        let gauge = InflightGauge::new(4);
         let (responses, outcome) = roundtrip(
             &service,
-            &gauge,
             &[
                 Request::Subscribe {
                     user_id: 42,
@@ -536,39 +440,11 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(responses[2], Response::Unsubscribed);
-        assert_eq!(gauge.in_flight(), 0);
-    }
-
-    #[test]
-    fn zero_budget_yields_busy_but_control_plane_passes() {
-        let service = service();
-        let gauge = InflightGauge::new(0);
-        let (responses, outcome) = roundtrip(
-            &service,
-            &gauge,
-            &[
-                Request::Subscribe {
-                    user_id: 1,
-                    cell: 0,
-                },
-                Request::Stats,
-            ],
-        );
-        assert_eq!(outcome, ConnOutcome::Closed);
-        assert_eq!(responses[0], Response::Busy { in_flight_limit: 0 });
-        match &responses[1] {
-            Response::Stats(stats) => {
-                assert_eq!(stats.busy_rejections, 1);
-                assert_eq!(stats.subscriptions, 0, "rejected op must not execute");
-            }
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]
     fn torn_client_write_gets_protocol_error_and_drop() {
         let service = service();
-        let gauge = InflightGauge::new(4);
         let (mut client, mut server) = UnixStream::pair().expect("socketpair");
         client
             .set_read_timeout(Some(Duration::from_secs(5)))
@@ -579,7 +455,7 @@ mod tests {
         thread::scope(|s| {
             let handle = s.spawn(|| {
                 let mut rng = StdRng::seed_from_u64(9);
-                serve_connection(&mut server, &service, &gauge, &mut rng).expect("serve")
+                serve_connection(&mut server, &service, &mut rng).expect("serve")
             });
             // A frame claiming more than the cap.
             client
@@ -602,8 +478,7 @@ mod tests {
     #[test]
     fn shutdown_rpc_ends_the_connection_and_flags_drain() {
         let service = service();
-        let gauge = InflightGauge::new(4);
-        let (responses, outcome) = roundtrip(&service, &gauge, &[Request::Shutdown]);
+        let (responses, outcome) = roundtrip(&service, &[Request::Shutdown]);
         assert_eq!(outcome, ConnOutcome::ShutdownRequested);
         assert_eq!(responses, vec![Response::ShuttingDown]);
         assert!(service.is_draining());
@@ -613,25 +488,68 @@ mod tests {
     fn draining_service_aborts_idle_connections() {
         let service = service();
         service.begin_drain();
-        let gauge = InflightGauge::new(4);
         let (_client, mut server) = UnixStream::pair().expect("socketpair");
         server
             .set_read_timeout(Some(Duration::from_millis(5)))
             .unwrap();
         let mut rng = StdRng::seed_from_u64(9);
-        let outcome = serve_connection(&mut server, &service, &gauge, &mut rng).expect("serve");
+        let outcome = serve_connection(&mut server, &service, &mut rng).expect("serve");
         assert_eq!(outcome, ConnOutcome::Drained);
     }
 
+    /// One worker busy with connection A and B waiting in the one-slot
+    /// hand-off queue: connection C is answered `busy` and closed, and
+    /// `stats` counts the rejection.
     #[test]
-    fn gauge_budget_is_exact() {
-        let gauge = InflightGauge::new(2);
-        let a = gauge.try_acquire().expect("slot 1");
-        let _b = gauge.try_acquire().expect("slot 2");
-        assert!(gauge.try_acquire().is_none());
-        assert_eq!(gauge.in_flight(), 2);
-        drop(a);
-        assert_eq!(gauge.in_flight(), 1);
-        assert!(gauge.try_acquire().is_some());
+    fn full_pool_answers_busy_and_counts_it() {
+        let socket =
+            std::env::temp_dir().join(format!("sla-full-pool-{}.sock", std::process::id()));
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = SlaServer::bind_unix(service(), &socket, config).expect("bind");
+        let serving = thread::spawn(move || server.serve().expect("serve"));
+        let call = |conn: &mut UnixStream, req: &Request| {
+            write_frame(conn, &encode_request(req)).unwrap();
+            match read_frame(conn).unwrap() {
+                FrameIn::Frame(p) => decode_response(&p).unwrap(),
+                other => panic!("{other:?}"),
+            }
+        };
+        let connect = || {
+            let conn = UnixStream::connect(&socket).expect("connect");
+            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            conn
+        };
+
+        // An answer on A means the only worker has taken A off the queue.
+        let mut a = connect();
+        assert!(matches!(call(&mut a, &Request::Stats), Response::Stats(_)));
+        let _b = connect();
+        let mut c = connect();
+        match read_frame(&mut c).unwrap() {
+            FrameIn::Frame(p) => assert_eq!(
+                decode_response(&p).unwrap(),
+                Response::Busy { in_flight_limit: 1 }
+            ),
+            other => panic!("{other:?}"),
+        }
+        assert!(matches!(read_frame(&mut c).unwrap(), FrameIn::Closed));
+        match call(&mut a, &Request::Stats) {
+            Response::Stats(stats) => assert_eq!(stats.busy_rejections, 1),
+            other => panic!("{other:?}"),
+        }
+
+        assert_eq!(call(&mut a, &Request::Shutdown), Response::ShuttingDown);
+        let report = serving.join().expect("server thread panicked");
+        assert_eq!(
+            report,
+            ServeReport {
+                connections: 2,
+                rejected_connections: 1,
+            }
+        );
+        assert!(!socket.exists(), "the drain removes the socket file");
     }
 }

@@ -50,9 +50,9 @@ impl AlertService {
         self.draining.store(true, Ordering::Release);
     }
 
-    /// Records one [`Response::Busy`] rejection (the server's
-    /// backpressure gate calls this; it lives here so the count shows
-    /// up in `stats`).
+    /// Records one [`Response::Busy`] rejection (the server's accept
+    /// loop calls this when the pool is full; it lives here so the
+    /// count shows up in `stats`).
     pub fn note_busy(&self) {
         self.busy_rejections.fetch_add(1, Ordering::Relaxed);
     }

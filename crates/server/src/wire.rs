@@ -103,12 +103,14 @@ pub enum Response {
     Stats(WireStats),
     /// Shutdown acknowledged; the server drains and exits after this.
     ShuttingDown,
-    /// **Backpressure**: the server's bounded in-flight request budget
-    /// is exhausted. The request was *not* executed; retry after a
-    /// backoff. Typed instead of queueing, so overload degrades into
-    /// explicit rejections rather than unbounded latency.
+    /// **Backpressure**: every worker is occupied and the hand-off
+    /// queue is full. The connection is closed after this frame and
+    /// nothing on it was executed; reconnect after a backoff. Typed
+    /// instead of queueing, so overload degrades into explicit
+    /// rejections rather than unbounded latency.
     Busy {
-        /// The budget that was exhausted (requests in flight).
+        /// The limit that was reached: the server's worker count, and
+        /// so the most requests it ever has in flight.
         in_flight_limit: u32,
     },
     /// The request failed with a typed error.
@@ -150,7 +152,7 @@ pub struct WireStats {
     pub ops_alert: u64,
     /// Stats requests served.
     pub ops_stats: u64,
-    /// Requests rejected with [`Response::Busy`].
+    /// Connections rejected with [`Response::Busy`].
     pub busy_rejections: u64,
     /// Per-lane durability stats in shard order (lane index == shard
     /// index). Empty on volatile backends.

@@ -129,7 +129,7 @@ fn sweep_identical_for_every_shard_count() {
 /// backend's sixteen) serves what the whole store swept as one shard
 /// serves.
 #[test]
-fn batch_identical_to_serial_on_large_store() {
+fn sharded_sweep_identical_to_one_shard_on_large_store() {
     let scratch = ScratchStore::new();
     let backends = vec![
         StoreBackend::ConcurrentSharded { shards: 1 },
@@ -140,7 +140,7 @@ fn batch_identical_to_serial_on_large_store() {
 }
 
 #[test]
-fn batch_holds_analytic_invariant_across_encoders() {
+fn sweep_holds_analytic_invariant_across_encoders() {
     for encoder in [
         EncoderKind::Huffman,
         EncoderKind::Balanced,
@@ -163,7 +163,7 @@ fn batch_holds_analytic_invariant_across_encoders() {
 }
 
 #[test]
-fn batch_on_empty_store_is_a_noop() {
+fn sweep_on_empty_store_is_a_noop() {
     on_both_backends(|backend| {
         let mut rng = StdRng::seed_from_u64(3);
         let grid = Grid::new(BoundingBox::chicago_downtown(), 4, 4);
@@ -182,7 +182,7 @@ fn batch_on_empty_store_is_a_noop() {
 }
 
 #[test]
-fn batch_matches_ground_truth_membership() {
+fn sweep_matches_ground_truth_membership() {
     // Track the plaintext population alongside the encrypted store, then
     // check the sweep notifies exactly the users whose cells fall
     // inside each zone.

@@ -148,7 +148,7 @@ fn fingerprint(o: &AlertOutcome) -> (Vec<u64>, usize, u64, u64) {
 /// matched — completes without deadlock or data race, with a
 /// deterministic quiescent state.
 #[test]
-fn four_writers_churn_while_batch_matching() {
+fn four_writers_churn_while_matching() {
     run_stress(4, 6, 8, 1);
 }
 
@@ -263,7 +263,7 @@ fn stress_churn_while_evicting_persistent() {
 /// agrees field-for-field (`notified`, `tokens_issued`, `pairings_used`,
 /// `analytic_pairings`) with the one-shard store's.
 #[test]
-fn quiescent_serial_vs_batch_identity_across_all_backends() {
+fn quiescent_outcome_identity_across_all_backends() {
     let persist_dir = temp_dir("quiescent");
     let mut reference: Option<(Vec<u64>, usize, u64, u64)> = None;
     for backend in [

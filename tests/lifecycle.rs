@@ -37,7 +37,7 @@ fn small_grid_system(backend: StoreBackend, seed: u64) -> (AlertSystem, StdRng) 
 /// does NOT notify the user and an alert on the new cell does — for both
 /// shard layouts, at the analytic pairing cost.
 #[test]
-fn upsert_moves_user_on_both_backends_serial_and_batch() {
+fn upsert_moves_user_on_both_backends() {
     for backend in BACKENDS {
         let (system, mut rng) = small_grid_system(backend.clone(), 0xc4a2);
         // Bystanders on the old and new cells keep both alerts non-empty.
@@ -143,7 +143,7 @@ fn ttl_eviction_drops_stale_subscriptions_and_refresh_renews() {
 /// every epoch at the analytic pairing cost, and both layouts notify
 /// identical user sets at identical pairing cost.
 #[test]
-fn churn_workload_replays_identically_across_backends_and_paths() {
+fn churn_workload_replays_identically_across_backends() {
     let mut gen_rng = StdRng::seed_from_u64(0xc0de);
     let grid = Grid::new(BoundingBox::chicago_downtown(), 8, 8);
     let probs = ProbabilityMap::sigmoid_synthetic(

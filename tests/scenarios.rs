@@ -5,9 +5,9 @@
 //! non-empty zone has users to notify and every cell outside it a user
 //! who must not be notified: a matcher that drops or adds one id fails.
 //!
-//! Also pins the boundary case the matrix bench never hits: a zone that
-//! leaves the grid entirely yields an empty cell set, zero tokens, zero
-//! pairings and an empty notified set.
+//! Also pins a boundary case: a zone that leaves the grid entirely
+//! yields an empty cell set, zero tokens, zero pairings and an empty
+//! notified set.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
