@@ -31,6 +31,8 @@ enum ArgError {
     BadZones(String),
     /// A figure name outside `fig7`..`fig14`, `primitives`.
     UnknownFigure(String),
+    /// A `-`-prefixed argument that is neither a flag nor a figure.
+    UnknownFlag(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -42,6 +44,7 @@ impl std::fmt::Display for ArgError {
                 f,
                 "unknown figure '{s}' (expected fig7..fig14 or primitives)"
             ),
+            ArgError::UnknownFlag(s) => write!(f, "unknown flag '{s}'"),
         }
     }
 }
@@ -84,10 +87,13 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Opts, ArgError> 
             "all" => figures.clear(),
             other => {
                 let name = other.trim_start_matches("--");
-                if !FIGURES.contains(&name) {
+                if FIGURES.contains(&name) {
+                    figures.push(name.to_string());
+                } else if other.starts_with('-') {
+                    return Err(ArgError::UnknownFlag(other.to_string()));
+                } else {
                     return Err(ArgError::UnknownFigure(other.to_string()));
                 }
-                figures.push(name.to_string());
             }
         }
     }
@@ -331,12 +337,21 @@ mod tests {
             parse(&["fig99"]).err(),
             Some(ArgError::UnknownFigure("fig99".into()))
         );
-        assert_eq!(
-            parse(&["--bogus"]).err(),
-            Some(ArgError::UnknownFigure("--bogus".into()))
-        );
         let opts = parse(&["fig9", "--fig10", "primitives"]).unwrap();
         assert_eq!(opts.figures, ["fig9", "fig10", "primitives"]);
+    }
+
+    #[test]
+    fn unknown_flag_is_a_typed_error() {
+        for (args, flag) in [
+            (&["--smoke", "--store", "persistent"][..], "--store"),
+            (&["--bogus"][..], "--bogus"),
+            (&["fig9", "-q"][..], "-q"),
+        ] {
+            let err = parse(args).err();
+            assert_eq!(err, Some(ArgError::UnknownFlag(flag.into())));
+            assert_eq!(err.unwrap().to_string(), format!("unknown flag '{flag}'"));
+        }
     }
 
     #[test]

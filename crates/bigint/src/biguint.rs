@@ -346,19 +346,6 @@ impl From<u128> for BigUint {
     }
 }
 
-impl serde::Serialize for BigUint {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(&self.to_hex_str())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for BigUint {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        BigUint::from_hex_str(&s).map_err(serde::de::Error::custom)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,13 +452,5 @@ mod tests {
         let a: BigUint = "0xff".parse().unwrap();
         let b: BigUint = "255".parse().unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let v = BigUint::from_u128(0x1234_5678_9abc_def0_1122_3344_5566_7788);
-        let json = serde_json::to_string(&v).unwrap();
-        let back: BigUint = serde_json::from_str(&json).unwrap();
-        assert_eq!(v, back);
     }
 }

@@ -6,7 +6,6 @@ use crate::store::{
     ConcurrentSubscriptionStore, DurabilityLaneStats, StoreBackend, StoreStats, UpsertOutcome,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use sla_encoding::CellCodebook;
 use sla_hve::{
     Ciphertext, HveScheme, PreparedPublicKey, PreparedSecretKey, RegenStats, SearchPattern,
@@ -144,7 +143,7 @@ impl TrustedAuthority {
 
 /// A mobile user: knows its own cell, encrypts the cell's index under the
 /// public key, and submits the ciphertext.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MobileUser {
     /// Application-level identifier (also the HVE message payload, so a
     /// successful match reveals *whom* to notify and nothing else).
@@ -188,7 +187,7 @@ impl MobileUser {
 
 /// A location update as submitted to the SP: the user's id (routing
 /// metadata) and the opaque ciphertext.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Subscription {
     /// Routing identifier (who to push the notification to).
     pub user_id: u64,

@@ -8,11 +8,10 @@
 //! without running cryptography; `AlertSystem` tests prove these numbers
 //! equal the live engine's counters.
 
-use serde::{Deserialize, Serialize};
 use sla_encoding::CellCodebook;
 
 /// Cost of one encoder on one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadCost {
     /// Encoder name.
     pub encoder: String,

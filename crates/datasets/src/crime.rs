@@ -5,12 +5,11 @@
 //! volumes of the same order as the 2015 CLEAR extract the paper uses.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use sla_grid::{BoundingBox, CellId, Grid, Point};
 
 /// The four crime categories the paper selects (§7: "homicide, sexual
 /// assault, sex offense, and kidnapping").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrimeCategory {
     /// Homicide.
     Homicide,
@@ -60,7 +59,7 @@ impl CrimeCategory {
 }
 
 /// A single incident.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrimeIncident {
     /// Category.
     pub category: CrimeCategory,
@@ -71,7 +70,7 @@ pub struct CrimeIncident {
 }
 
 /// Generator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrimeGeneratorConfig {
     /// Spatial domain; defaults to the central-Chicago district so the
     /// alert radii of §7 span one to a few grid cells.
@@ -100,7 +99,7 @@ impl Default for CrimeGeneratorConfig {
 }
 
 /// The generated dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrimeDataset {
     /// All incidents, in generation order.
     pub incidents: Vec<CrimeIncident>,

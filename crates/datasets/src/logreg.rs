@@ -12,11 +12,10 @@
 //! December probabilities become the per-cell alert likelihoods.
 
 use crate::crime::{CrimeCategory, CrimeDataset};
-use serde::{Deserialize, Serialize};
 use sla_grid::{Grid, ProbabilityMap};
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Gradient-descent step size.
     pub learning_rate: f64,
@@ -37,7 +36,7 @@ impl Default for TrainConfig {
 }
 
 /// Plain binary logistic regression with feature standardization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     weights: Vec<f64>,
     bias: f64,

@@ -2,11 +2,10 @@
 //! mixed short/long workloads W1–W4 (Fig. 11).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use sla_grid::{AlertZone, ZoneSampler};
 
 /// A batch of alert zones to evaluate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Label used in result tables (e.g. `"r=300m"` or `"W1"`).
     pub label: String,
@@ -25,7 +24,7 @@ impl Workload {
 }
 
 /// Radius sweep: `zones_per_radius` disk zones at each radius.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadiusSweep {
     /// Radii in meters (the paper's x-axis).
     pub radii_m: Vec<f64>,
@@ -62,7 +61,7 @@ impl RadiusSweep {
 /// Mixed workload: a fraction of short-radius (compact, contact-tracing
 /// style) zones and the rest long-radius (§7.2: "W1 (90% short-10% long);
 /// W2 (75%-25%); W3 (25%-75%); W4 (10%-90%)").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedWorkload {
     /// Workload label (`"W1"`…).
     pub label: String,

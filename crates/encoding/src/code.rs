@@ -1,11 +1,10 @@
 //! Code representations: binary strings, ternary `{0,1,*}` codewords and
 //! B-ary symbol strings.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A symbol of the extended binary alphabet `Σ* = {0, 1, *}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Symbol {
     /// Binary zero.
     Zero,
@@ -51,7 +50,7 @@ impl fmt::Display for Symbol {
 }
 
 /// A variable-length binary string (a prefix code or padded index).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct BitString(Vec<bool>);
 
 impl BitString {
@@ -155,7 +154,7 @@ impl fmt::Display for BitString {
 
 /// A codeword over the extended alphabet `{0, 1, *}` — the objects living
 /// on the paper's *coding tree*, and the shape of HVE token patterns.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Codeword(Vec<Symbol>);
 
 impl Codeword {

@@ -5,7 +5,6 @@
 
 use crate::code::{BitString, Codeword, Symbol};
 use crate::prefix_tree::PrefixTree;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -13,7 +12,7 @@ use std::fmt;
 /// `c ∈ 0..B`, `None` is the star character. For the binary alphabet this
 /// coincides with [`Codeword`]; for `B > 2` it is the pre-expansion form of
 /// §4.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CharWord(Vec<Option<u8>>);
 
 impl CharWord {
@@ -81,32 +80,10 @@ impl fmt::Display for CharWord {
     }
 }
 
-mod parent_dict_serde {
-    use super::CharWord;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::collections::HashMap;
-
-    pub fn serialize<S: Serializer>(
-        map: &HashMap<CharWord, usize>,
-        ser: S,
-    ) -> Result<S::Ok, S::Error> {
-        let mut entries: Vec<(&CharWord, &usize)> = map.iter().collect();
-        entries.sort_by(|a, b| a.0.chars().cmp(b.0.chars()));
-        entries.serialize(ser)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        de: D,
-    ) -> Result<HashMap<CharWord, usize>, D::Error> {
-        let entries: Vec<(CharWord, usize)> = Vec::deserialize(de)?;
-        Ok(entries.into_iter().collect())
-    }
-}
-
 /// The full coding scheme produced by Algorithm 1 from a prefix tree:
 /// per-cell indexes, the coding tree (leaf codewords + `parentDict`) and
 /// the expansion machinery for B-ary alphabets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CodingScheme {
     arity: usize,
     rl: usize,
@@ -123,9 +100,7 @@ pub struct CodingScheme {
     /// Leaf position of each cell (the Thm 2 bijection).
     leaf_pos_of_cell: Vec<usize>,
     /// Algorithm 3's `parentDict`: padded internal-node codeword →
-    /// number of descendant leaves. (Serialized as an association list —
-    /// JSON map keys must be strings.)
-    #[serde(with = "parent_dict_serde")]
+    /// number of descendant leaves.
     parent_dict: HashMap<CharWord, usize>,
 }
 

@@ -9,10 +9,9 @@ use crate::fixed::{gray_sgo_assignment, natural_assignment, unused_codes};
 use crate::huffman::{build_bary_huffman_tree, build_huffman_tree};
 use crate::minimize::minimize_to_patterns;
 use crate::qm::minimize_boolean;
-use serde::{Deserialize, Serialize};
 
 /// Which encoding scheme to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EncoderKind {
     /// Fixed-length natural binary codes with boolean minimization —
     /// the baseline of \[14\] (all cells equally likely).
@@ -55,7 +54,7 @@ impl EncoderKind {
 }
 
 /// How tokens are generated for an alert set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum TokenStrategy {
     /// Algorithm 3 over a coding tree (variable-length schemes).
     Tree(CodingScheme),
@@ -71,7 +70,7 @@ enum TokenStrategy {
 /// A complete cell codebook: per-cell indexes plus a token-generation
 /// strategy. This is the artifact the Trusted Authority builds at system
 /// initialization (Fig. 3) and the single API the protocol layer needs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellCodebook {
     kind: EncoderKind,
     width_bits: usize,
@@ -188,14 +187,6 @@ impl CellCodebook {
         &self.indexes
     }
 
-    /// The underlying coding scheme, for variable-length codebooks.
-    pub fn coding_scheme(&self) -> Option<&CodingScheme> {
-        match &self.strategy {
-            TokenStrategy::Tree(s) => Some(s),
-            TokenStrategy::Boolean { .. } => None,
-        }
-    }
-
     /// Generates minimized token patterns for an alert set.
     ///
     /// # Panics
@@ -245,25 +236,14 @@ impl CellCodebook {
         crate::minimize::pairing_cost(&self.tokens_for(alert_cells), num_ciphertexts)
     }
 
-    /// Verification helper: token set must cover exactly the alert set.
+    /// Verification helper: token set must cover exactly the alert set
+    /// ([`crate::minimize::coverage_errors`] over this codebook's indexes).
     pub fn coverage_errors(
         &self,
         tokens: &[Codeword],
         alert_cells: &[usize],
     ) -> (Vec<usize>, Vec<usize>) {
-        let alerted: std::collections::HashSet<usize> = alert_cells.iter().copied().collect();
-        let mut missed = Vec::new();
-        let mut false_pos = Vec::new();
-        for cell in 0..self.n_cells() {
-            let covered = tokens.iter().any(|t| t.matches(self.index_of(cell)));
-            if alerted.contains(&cell) && !covered {
-                missed.push(cell);
-            }
-            if !alerted.contains(&cell) && covered {
-                false_pos.push(cell);
-            }
-        }
-        (missed, false_pos)
+        crate::minimize::coverage_errors(&self.indexes, tokens, alert_cells)
     }
 }
 
@@ -344,18 +324,6 @@ mod tests {
         let cb1 = CellCodebook::build(EncoderKind::BasicFixed, &[0.9, 0.05, 0.05]);
         let cb2 = CellCodebook::build(EncoderKind::BasicFixed, &[0.05, 0.05, 0.9]);
         assert_eq!(cb1.indexes(), cb2.indexes());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let cb = CellCodebook::build(EncoderKind::Huffman, &FIG4_PROBS);
-        let json = serde_json::to_string(&cb).unwrap();
-        let back: CellCodebook = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.indexes(), cb.indexes());
-        assert_eq!(back.width_bits(), cb.width_bits());
-        let t1 = cb.tokens_for(&[0, 2, 4]);
-        let t2 = back.tokens_for(&[0, 2, 4]);
-        assert_eq!(t1, t2);
     }
 
     #[test]

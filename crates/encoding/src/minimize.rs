@@ -8,7 +8,7 @@
 //! fully alerted — "all leaves under a common subtree root must be alerted;
 //! otherwise ... a user would be falsely notified".
 
-use crate::code::Codeword;
+use crate::code::{BitString, Codeword};
 use crate::coding_tree::{CharWord, CodingScheme};
 
 /// Runs Algorithm 3: returns the minimized token codewords (character
@@ -83,19 +83,19 @@ pub fn minimize_to_patterns(scheme: &CodingScheme, alert_cells: &[usize]) -> Vec
 }
 
 /// Test/verification helper: checks that a token set covers **exactly** the
-/// alert set — every alerted cell's index matches some token, and no
-/// non-alerted cell's index matches any token. Returns the misclassified
-/// cells `(missed, false_positives)`.
+/// alert set over a code's per-cell `indexes` — every alerted cell's index
+/// matches some token, and no non-alerted cell's index matches any token.
+/// Returns the misclassified cells `(missed, false_positives)`.
 pub fn coverage_errors(
-    scheme: &CodingScheme,
+    indexes: &[BitString],
     tokens: &[Codeword],
     alert_cells: &[usize],
 ) -> (Vec<usize>, Vec<usize>) {
     let alerted: std::collections::HashSet<usize> = alert_cells.iter().copied().collect();
     let mut missed = Vec::new();
     let mut false_pos = Vec::new();
-    for cell in 0..scheme.n_cells() {
-        let covered = tokens.iter().any(|t| t.matches(scheme.index_of(cell)));
+    for (cell, index) in indexes.iter().enumerate() {
+        let covered = tokens.iter().any(|t| t.matches(index));
         if alerted.contains(&cell) && !covered {
             missed.push(cell);
         }
@@ -209,7 +209,7 @@ mod tests {
         for mask in 0u32..32 {
             let alert: Vec<usize> = (0..5).filter(|&c| (mask >> c) & 1 == 1).collect();
             let patterns = minimize_to_patterns(&scheme, &alert);
-            let (missed, false_pos) = coverage_errors(&scheme, &patterns, &alert);
+            let (missed, false_pos) = coverage_errors(scheme.indexes(), &patterns, &alert);
             assert!(missed.is_empty(), "mask {mask:#b}: missed {missed:?}");
             assert!(
                 false_pos.is_empty(),
@@ -225,7 +225,7 @@ mod tests {
         for mask in 0u32..32 {
             let alert: Vec<usize> = (0..5).filter(|&c| (mask >> c) & 1 == 1).collect();
             let patterns = minimize_to_patterns(&scheme, &alert);
-            let (missed, false_pos) = coverage_errors(&scheme, &patterns, &alert);
+            let (missed, false_pos) = coverage_errors(scheme.indexes(), &patterns, &alert);
             assert!(missed.is_empty() && false_pos.is_empty(), "mask {mask:#b}");
         }
     }

@@ -6,14 +6,12 @@
 //! B-ary Huffman (§4). Codes are assigned by the `Traverse` procedure of
 //! Algorithm 1: following the `i`-th child edge appends character `i`.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node within its [`PrefixTree`] arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// One node of a prefix tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Child nodes, ordered; empty for leaves.
     pub children: Vec<NodeId>,
@@ -38,7 +36,7 @@ impl Node {
 }
 
 /// A prefix tree over a `B`-character alphabet.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PrefixTree {
     nodes: Vec<Node>,
     root: Option<NodeId>,
@@ -148,11 +146,6 @@ impl PrefixTree {
     /// `true` iff the arena is empty.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// All node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
     }
 
     /// Reference length RL: the depth of the tree in characters (§3.1 —

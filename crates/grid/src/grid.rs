@@ -1,13 +1,12 @@
 //! Uniform grid partitioning with geographic coordinates.
 
 use crate::error::GridError;
-use serde::{Deserialize, Serialize};
 
 /// Mean Earth radius in meters (spherical approximation).
 const EARTH_RADIUS_M: f64 = 6_371_000.0;
 
 /// A geographic point (degrees).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// Latitude in degrees.
     pub lat: f64,
@@ -32,7 +31,7 @@ impl Point {
 }
 
 /// Axis-aligned geographic bounding box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Southern edge (min latitude, degrees).
     pub min_lat: f64,
@@ -110,12 +109,12 @@ impl BoundingBox {
 }
 
 /// Identifier of a grid cell: row-major position `row * cols + col`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(pub usize);
 
 /// A uniform rows×cols partitioning of a bounding box (§2: "equal-size
 /// square cells are most likely in practice").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     bbox: BoundingBox,
     rows: usize,
@@ -397,12 +396,5 @@ mod tests {
             GridError::ZeroGridDimension { rows: 0, cols: 4 }
         );
         assert!(Grid::try_new(bbox, 2, 2).is_ok());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let g = Grid::chicago_32();
-        let back: Grid = serde_json::from_str(&serde_json::to_string(&g).unwrap()).unwrap();
-        assert_eq!(g, back);
     }
 }

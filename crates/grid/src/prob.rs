@@ -5,14 +5,13 @@
 
 use crate::error::GridError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the sigmoid `S(x) = 1 / (1 + e^{-b(x-a)})`.
 ///
 /// `a` is the inflection point (the paper sweeps 0.90/0.95/0.99) and `b`
 /// the gradient (10/20/100/200). Higher `a` and `b` yield more skewed
 /// probability surfaces, which is where Huffman encoding shines (§7.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SigmoidParams {
     /// Inflection point `a`.
     pub a: f64,
@@ -52,7 +51,7 @@ pub const MIN_LIKELIHOOD: f64 = 1e-3;
 /// probability-vector view used by analytics ("Normalizing the cell
 /// probability values over the domain space reveals how likely a cell is
 /// to be alerted compared to others", §2.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProbabilityMap {
     probs: Vec<f64>,
 }

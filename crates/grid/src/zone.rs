@@ -9,10 +9,9 @@
 use crate::grid::{CellId, Grid, Point};
 use crate::prob::ProbabilityMap;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A set of alerted cells.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlertZone {
     cells: Vec<CellId>,
 }

@@ -1,7 +1,6 @@
 //! Key, ciphertext and token material.
 
 use crate::vector::SearchPattern;
-use serde::{Deserialize, Serialize};
 use sla_bigint::BigUint;
 use sla_pairing::{EncryptBases, GElem, GtElem, PackedRow, RowShape, TokenBases};
 
@@ -9,7 +8,7 @@ use sla_pairing::{EncryptBases, GElem, GtElem, PackedRow, RowShape, TokenBases};
 ///
 /// Matches §2.1 of the paper:
 /// `SK = (g_q ∈ G_q, a ∈ Z_p, ∀i: u_i, h_i, w_i, g, v ∈ G_p)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SecretKey {
     pub(crate) width: usize,
     pub(crate) a: BigUint,
@@ -44,7 +43,7 @@ impl SecretKey {
 ///
 /// `PK = (g_q, V = v·R_v, A = e(g,v)^a, ∀i: U_i, H_i, W_i)` with each
 /// `G_p` base blinded by a random `G_q` element.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicKey {
     pub(crate) width: usize,
     pub(crate) gq: GElem,
@@ -75,7 +74,7 @@ impl PublicKey {
 
 /// An HVE ciphertext:
 /// `C = (C' = M·A^s, C_0 = V^s·Z, ∀i: C_{i,1}, C_{i,2})`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext {
     pub(crate) c_prime: GtElem,
     pub(crate) c0: GElem,
@@ -136,7 +135,7 @@ impl Ciphertext {
 /// The pattern itself is carried in the clear — this is inherent to HVE
 /// tokens (the paper's §6 security discussion: the SP learns the predicate,
 /// not the data).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     pub(crate) pattern: SearchPattern,
     pub(crate) k0: GElem,

@@ -53,11 +53,6 @@ pub struct PreparedSecretKey {
 }
 
 impl PreparedSecretKey {
-    /// The underlying secret key.
-    pub fn secret_key(&self) -> &SecretKey {
-        &self.sk
-    }
-
     /// HVE width `l`.
     pub fn width(&self) -> usize {
         self.sk.width()

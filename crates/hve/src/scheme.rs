@@ -589,8 +589,9 @@ mod tests {
     fn benchmark_wrappers_equal_the_reference() {
         // encrypt_prepared and gen_token_prepared_batch wrap the flat
         // loops' output back into elements: the same RNG stream, the same
-        // OpCounters deltas and the same bytes as encrypt and serial
-        // gen_token calls.
+        // OpCounters deltas and the same logs as encrypt and serial
+        // gen_token calls (elements hold canonical logs, so `==` compares
+        // every one).
         let (grp, mut rng) = fixture(6);
         let scheme = HveScheme::new(&grp, 6);
         let (pk, sk) = scheme.setup(&mut rng);
@@ -624,11 +625,6 @@ mod tests {
         assert_eq!(tks_flat, tks_ref);
         assert_eq!(delta_flat, delta_ref, "op counts must be identical");
         assert_eq!(r1.next_u64(), r2.next_u64(), "RNG streams must agree");
-        assert_eq!(
-            serde_json::to_string(&(&ct_flat, &tks_flat)).unwrap(),
-            serde_json::to_string(&(&ct_ref, &tks_ref)).unwrap(),
-            "wire bytes must be identical"
-        );
         // and the wrapped material still decrypts
         assert_eq!(scheme.query_decode(&tks_flat[0], &ct_flat), Some(99));
     }
@@ -704,26 +700,5 @@ mod tests {
             scheme.pack_for_user(&ct, big).unwrap_err(),
             HveError::MessageOutOfDomain { id: big }
         );
-    }
-
-    #[test]
-    fn serde_roundtrip_of_all_material() {
-        let (grp, mut rng) = fixture(3);
-        let scheme = HveScheme::new(&grp, 3);
-        let (pk, sk) = scheme.setup(&mut rng);
-        let index: AttributeVector = "101".parse().unwrap();
-        let ct = scheme.encrypt(&pk, &index, &scheme.encode_message(3), &mut rng);
-        let tk = scheme.gen_token(&sk, &"1*1".parse().unwrap(), &mut rng);
-
-        let pk2: PublicKey = serde_json::from_str(&serde_json::to_string(&pk).unwrap()).unwrap();
-        let sk2: SecretKey = serde_json::from_str(&serde_json::to_string(&sk).unwrap()).unwrap();
-        let ct2: Ciphertext = serde_json::from_str(&serde_json::to_string(&ct).unwrap()).unwrap();
-        let tk2: Token = serde_json::from_str(&serde_json::to_string(&tk).unwrap()).unwrap();
-        assert_eq!(pk, pk2);
-        assert_eq!(sk, sk2);
-        assert_eq!(ct, ct2);
-        assert_eq!(tk, tk2);
-        // deserialized material still decrypts
-        assert_eq!(scheme.query_decode(&tk2, &ct2), Some(3));
     }
 }

@@ -1,6 +1,5 @@
 //! Attribute vectors (`{0,1}^l`) and search patterns (`{0,1,*}^l`).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error for textual vector/pattern parsing.
@@ -20,7 +19,7 @@ impl std::error::Error for ParseVectorError {}
 
 /// A binary attribute vector `I ∈ {0,1}^l` — the encrypted "index" of a
 /// ciphertext (in the alert protocol: the user's padded cell index).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AttributeVector(Vec<bool>);
 
 impl AttributeVector {
@@ -79,7 +78,7 @@ impl std::str::FromStr for AttributeVector {
 }
 
 /// A search pattern `I* ∈ {0,1,*}^l`; `None` encodes the wildcard `*`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SearchPattern(Vec<Option<bool>>);
 
 impl SearchPattern {

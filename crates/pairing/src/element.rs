@@ -10,10 +10,10 @@
 //!
 //! An element holds its **canonical** log, the integer `x` of `g^x`, as a
 //! plain [`BigUint`]; the engine keeps the logs it produces in `[0, N)`.
-//! Equality and hashing compare logs as they are, and serde writes the
-//! log's hex string. Material built from outside the engine (serde, the
-//! `sla-persist` codec, [`GElem::from_canonical_log`]) may carry a log
-//! not below `N`; every engine operation reduces such a log, and
+//! Equality and hashing compare logs as they are. Material built from
+//! outside the engine (the `sla-persist` codec,
+//! [`GElem::from_canonical_log`]) may carry a log not below `N`; every
+//! engine operation reduces such a log, and
 //! [`crate::BilinearGroup::eq_gt`] compares logs reduced mod `N`.
 //!
 //! Elements are the currency of key generation and of the reference
@@ -27,7 +27,6 @@
 //! [`GElem::from_canonical_log`]. Montgomery residues exist only in the
 //! flat loops' limbs ([`crate::ReadyBases`], [`crate::PreparedQuery`]).
 
-use serde::{Deserialize, Serialize};
 use sla_bigint::BigUint;
 
 macro_rules! element_impls {
@@ -40,7 +39,7 @@ macro_rules! element_impls {
 
             /// Reconstructs an element from its canonical discrete log —
             /// the inverse of [`Self::discrete_log`], and the entry point
-            /// deserializers (serde, the `sla-persist` binary codec) use.
+            /// the `sla-persist` binary codec decodes through.
             pub fn from_canonical_log(log: BigUint) -> Self {
                 $ty(log)
             }
@@ -64,11 +63,11 @@ macro_rules! element_impls {
 }
 
 /// Element of the source group `G` (stored as `log_g`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GElem(pub(crate) BigUint);
 
 /// Element of the target group `GT` (stored as `log_gt`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GtElem(pub(crate) BigUint);
 
 element_impls!(GElem, "g");
@@ -83,25 +82,5 @@ mod tests {
         assert!(GElem::identity().is_identity());
         assert!(GtElem::identity().is_identity());
         assert_eq!(GElem::identity().discrete_log(), BigUint::zero());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        // An element's JSON is its log's: the hex string of the
-        // canonical `BigUint`.
-        for log in [
-            BigUint::zero(),
-            BigUint::from_u64(123456),
-            BigUint::from_limbs(vec![u64::MAX, 3, 1 << 40]),
-        ] {
-            let e = GElem::from_canonical_log(log.clone());
-            let json = serde_json::to_string(&e).unwrap();
-            assert_eq!(json, serde_json::to_string(&log).unwrap());
-            assert_eq!(serde_json::from_str::<GElem>(&json).unwrap(), e);
-            let gt = GtElem::from_canonical_log(log.clone());
-            let json = serde_json::to_string(&gt).unwrap();
-            assert_eq!(json, serde_json::to_string(&log).unwrap());
-            assert_eq!(serde_json::from_str::<GtElem>(&json).unwrap(), gt);
-        }
     }
 }

@@ -1,7 +1,6 @@
 //! Group parameter generation: the composite modulus `N = P · Q`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use sla_bigint::{gen_prime, BigUint};
 
 /// Public parameters of a composite-order bilinear group.
@@ -9,7 +8,7 @@ use sla_bigint::{gen_prime, BigUint};
 /// `P` and `Q` are equal-bit-length primes and `N = P · Q` is the group
 /// order, mirroring the setup of Boneh–Waters (TCC 2007) referenced by the
 /// paper (§2.1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupParams {
     /// Prime factor `P` (the "payload" subgroup order in HVE).
     pub p: BigUint,
@@ -97,14 +96,5 @@ mod tests {
     #[should_panic(expected = "must be odd")]
     fn even_factor_rejected() {
         GroupParams::from_factors(BigUint::from_u64(2), BigUint::from_u64(1_000_003));
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(43);
-        let params = GroupParams::generate(32, &mut rng);
-        let json = serde_json::to_string(&params).unwrap();
-        let back: GroupParams = serde_json::from_str(&json).unwrap();
-        assert_eq!(params, back);
     }
 }

@@ -1,18 +1,17 @@
 //! The canonical little-endian binary codec for stored subscriptions and
 //! WAL operations.
 //!
-//! ## Why not serde?
+//! ## The workspace's only serialization
 //!
-//! The serde shim renders group elements as canonical hex **JSON** —
-//! fine for interchange, 2–3× larger than necessary and slow to scan for
-//! recovery. The durable store instead uses a fixed binary layout:
-//! every integer is little-endian, every big integer is its minimal
-//! little-endian byte string behind a `u32` length prefix. Group-element
-//! logs are encoded **canonically**, the values serde's hex strings
-//! carry. A record's logs are the operands of its packed row
-//! ([`PackedRow`], canonical limbs), so encoding reads them straight off
-//! the row and decoding writes them straight into one, at the width of
-//! the record's widest log.
+//! Nothing else in the workspace serializes: the WAL and snapshots
+//! store records in this codec, and `sla-server` sends its wire messages
+//! in its frames. The layout is fixed and binary: every integer is
+//! little-endian, every big integer is its minimal little-endian byte
+//! string behind a `u32` length prefix. Group-element logs are encoded
+//! **canonically**, the values elements hold. A record's logs are the
+//! operands of its packed row ([`PackedRow`], canonical limbs), so
+//! encoding reads them straight off the row and decoding writes them
+//! straight into one, at the width of the record's widest log.
 //!
 //! ## Framing
 //!

@@ -10,11 +10,12 @@
 //!
 //! * [`codec`] — a canonical little-endian binary codec for stored
 //!   subscriptions and WAL operations, CRC-framed
-//!   (`[len][payload][crc32]`, the CRC covering the length too). Group
-//!   elements are encoded by their **canonical** discrete logs, the
-//!   values they hold and serde writes. A [`Record`] holds them as one
-//!   packed row of canonical limbs, which the codec encodes from and
-//!   decodes into directly.
+//!   (`[len][payload][crc32]`, the CRC covering the length too), and the
+//!   workspace's only serialization (`sla-server` frames its wire
+//!   messages with it). Group elements are encoded by their
+//!   **canonical** discrete logs, the values they hold. A [`Record`]
+//!   holds them as one packed row of canonical limbs, which the codec
+//!   encodes from and decodes into directly.
 //! * [`wal`] — an append-only write-ahead log with group-commit fsync
 //!   batching ([`FlushPolicy`]); recovery tolerates a torn final record
 //!   by truncating to the last complete CRC-valid frame.

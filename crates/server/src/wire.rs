@@ -3,8 +3,8 @@
 //!
 //! ## Framing
 //!
-//! Every message on the wire is one frame, in the exact style of the
-//! `sla-persist` on-disk codec:
+//! Every message on the wire is one frame of the `sla-persist` codec
+//! ([`sla_persist::codec::frame`], the framing of every WAL record):
 //!
 //! ```text
 //! [len: u32 LE] [payload: len bytes] [crc: u32 LE]
@@ -28,7 +28,7 @@
 //! rather than resynced.
 
 use sla_core::{ServiceStats, SlaError};
-use sla_persist::crc::crc32;
+use sla_persist::codec::{self, FrameRead};
 use std::io::{self, ErrorKind, Read, Write};
 
 /// Hard ceiling on one frame (length field), applied on both sides
@@ -697,34 +697,26 @@ pub fn read_frame_abortable(
             "frame claims {len} bytes, cap is {MAX_FRAME_BYTES}"
         )));
     }
-    let mut body = vec![0u8; len as usize + 4]; // payload + crc trailer
-    match read_full(r, &mut body, abort)? {
+    // The whole frame in one buffer: length, payload and CRC trailer.
+    let mut frame = vec![0u8; len as usize + 8];
+    frame[..4].copy_from_slice(&header);
+    match read_full(r, &mut frame[4..], abort)? {
         ReadFull::Complete => {}
         ReadFull::Eof(n) => {
             return Ok(FrameIn::Torn(format!(
                 "disconnect after {n} of {} frame body bytes",
-                body.len()
+                frame.len() - 4
             )))
         }
         ReadFull::Aborted => return Ok(FrameIn::Aborted),
     }
-    let stored = u32::from_le_bytes([
-        body[len as usize],
-        body[len as usize + 1],
-        body[len as usize + 2],
-        body[len as usize + 3],
-    ]);
-    let mut checked = Vec::with_capacity(4 + len as usize);
-    checked.extend_from_slice(&header);
-    checked.extend_from_slice(&body[..len as usize]);
-    let actual = crc32(&checked);
-    if stored != actual {
-        return Ok(FrameIn::Torn(format!(
-            "crc mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
-    body.truncate(len as usize);
-    Ok(FrameIn::Frame(body))
+    Ok(match codec::read_frame(&frame) {
+        FrameRead::Frame { payload, .. } => FrameIn::Frame(payload.to_vec()),
+        FrameRead::Torn { detail } => FrameIn::Torn(detail),
+        // `read_frame` ends the stream only on an empty buffer, and this
+        // one holds at least the 8 framing bytes.
+        FrameRead::End => FrameIn::Torn("empty frame buffer".into()),
+    })
 }
 
 /// [`read_frame_abortable`] with no abort condition — the client side,
@@ -738,12 +730,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<FrameIn> {
 /// with a socket write timeout to bound how long a dead peer can hold a
 /// worker).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut frame, payload.len() as u32);
-    frame.extend_from_slice(payload);
-    let crc = crc32(&frame);
-    put_u32(&mut frame, crc);
-    w.write_all(&frame)?;
+    w.write_all(&codec::frame(payload))?;
     w.flush()
 }
 
@@ -833,6 +820,21 @@ mod tests {
         // After the frame: clean close.
         let mut rest = &buf[buf.len()..];
         assert!(matches!(read_frame(&mut rest).unwrap(), FrameIn::Closed));
+    }
+
+    #[test]
+    fn wire_frames_are_persist_codec_frames() {
+        let payload = encode_request(&Request::Alert { cells: vec![3, 9] });
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        assert_eq!(buf, codec::frame(&payload));
+        match codec::read_frame(&buf) {
+            FrameRead::Frame { payload: p, rest } => {
+                assert_eq!(p, &payload[..]);
+                assert!(rest.is_empty());
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -1,500 +1,9 @@
-//! Offline stand-in for the subset of `serde` this workspace uses.
+//! Empty package: no crate in this workspace serializes through serde.
+//! The rows the Service Provider stores and the requests and alerts on
+//! the wire all go through `sla-persist`'s CRC-framed binary codec.
 //!
-//! The real serde streams through a visitor-based data model; this shim
-//! routes everything through an owned [`Value`] tree instead, which is
-//! ample for the configuration/material (de)serialization the alert stack
-//! performs and keeps the shim small. The public items mirror serde's
-//! paths (`serde::Serialize`, `serde::Deserializer`, `serde::de::Error`,
-//! `#[derive(Serialize, Deserialize)]`, `#[serde(with = "module")]`) so
-//! the protocol crates compile unchanged against either implementation.
-
-#![forbid(unsafe_code)]
-
-use std::fmt;
-
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Owned data-model tree (the shim's equivalent of serde's data model).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Null / `None`.
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// Unsigned integer.
-    UInt(u64),
-    /// Signed integer.
-    Int(i64),
-    /// Floating point.
-    Float(f64),
-    /// String.
-    Str(String),
-    /// Ordered sequence.
-    Array(Vec<Value>),
-    /// Ordered string-keyed map.
-    Object(Vec<(String, Value)>),
-}
-
-/// Error produced by the in-memory [`value`] serializer/deserializer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ValueError(pub String);
-
-impl fmt::Display for ValueError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for ValueError {}
-
-/// Serialization-side error support (mirrors `serde::ser`).
-pub mod ser {
-    /// Trait every serializer error implements.
-    pub trait Error: Sized {
-        /// Builds an error from a display-able message.
-        fn custom<T: std::fmt::Display>(msg: T) -> Self;
-    }
-
-    impl Error for super::ValueError {
-        fn custom<T: std::fmt::Display>(msg: T) -> Self {
-            super::ValueError(msg.to_string())
-        }
-    }
-}
-
-/// Deserialization-side error support (mirrors `serde::de`).
-pub mod de {
-    /// Trait every deserializer error implements.
-    pub trait Error: Sized {
-        /// Builds an error from a display-able message.
-        fn custom<T: std::fmt::Display>(msg: T) -> Self;
-    }
-
-    impl Error for super::ValueError {
-        fn custom<T: std::fmt::Display>(msg: T) -> Self {
-            super::ValueError(msg.to_string())
-        }
-    }
-}
-
-/// A serializer sink. Unlike real serde's 30-method trait, everything is
-/// funnelled through [`Serializer::serialize_value`]; the named
-/// convenience methods exist because handwritten impls in this workspace
-/// call them.
-pub trait Serializer: Sized {
-    /// Output type on success.
-    type Ok;
-    /// Error type.
-    type Error: ser::Error;
-
-    /// Consumes a fully-built data-model value.
-    fn serialize_value(self, v: Value) -> Result<Self::Ok, Self::Error>;
-
-    /// Serializes a string slice.
-    fn serialize_str(self, v: &str) -> Result<Self::Ok, Self::Error> {
-        self.serialize_value(Value::Str(v.to_string()))
-    }
-
-    /// Serializes a boolean.
-    fn serialize_bool(self, v: bool) -> Result<Self::Ok, Self::Error> {
-        self.serialize_value(Value::Bool(v))
-    }
-
-    /// Serializes an unsigned integer.
-    fn serialize_u64(self, v: u64) -> Result<Self::Ok, Self::Error> {
-        self.serialize_value(Value::UInt(v))
-    }
-
-    /// Serializes a signed integer.
-    fn serialize_i64(self, v: i64) -> Result<Self::Ok, Self::Error> {
-        self.serialize_value(Value::Int(v))
-    }
-
-    /// Serializes a float.
-    fn serialize_f64(self, v: f64) -> Result<Self::Ok, Self::Error> {
-        self.serialize_value(Value::Float(v))
-    }
-}
-
-/// A deserializer source; hands over the full data-model value.
-pub trait Deserializer<'de>: Sized {
-    /// Error type.
-    type Error: de::Error;
-
-    /// Yields the underlying data-model value.
-    fn take_value(self) -> Result<Value, Self::Error>;
-}
-
-/// Types that can serialize themselves.
-pub trait Serialize {
-    /// Serializes `self` into the given serializer.
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error>;
-}
-
-/// Types that can deserialize themselves.
-pub trait Deserialize<'de>: Sized {
-    /// Deserializes from the given deserializer.
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error>;
-}
-
-/// In-memory [`Value`]-backed serializer/deserializer pair.
-pub mod value {
-    use super::{de, Deserializer, Serializer, Value, ValueError};
-
-    /// Serializer whose output *is* the data-model [`Value`].
-    pub struct ValueSerializer;
-
-    impl Serializer for ValueSerializer {
-        type Ok = Value;
-        type Error = ValueError;
-        fn serialize_value(self, v: Value) -> Result<Value, ValueError> {
-            Ok(v)
-        }
-    }
-
-    /// Deserializer reading from an owned [`Value`].
-    pub struct ValueDeserializer(pub Value);
-
-    impl<'de> Deserializer<'de> for ValueDeserializer {
-        type Error = ValueError;
-        fn take_value(self) -> Result<Value, ValueError> {
-            Ok(self.0)
-        }
-    }
-
-    impl ValueDeserializer {
-        /// Wraps a value (mirrors `serde::de::value::*Deserializer::new`).
-        pub fn new(v: Value) -> Self {
-            ValueDeserializer(v)
-        }
-    }
-
-    /// Convenience: type-checked extraction helpers used by derived code.
-    pub fn expect_object(v: Value) -> Result<Vec<(String, Value)>, ValueError> {
-        match v {
-            Value::Object(o) => Ok(o),
-            other => Err(ValueError(format!("expected object, got {other:?}"))),
-        }
-    }
-
-    /// Extracts an array or errors.
-    pub fn expect_array(v: Value) -> Result<Vec<Value>, ValueError> {
-        match v {
-            Value::Array(a) => Ok(a),
-            other => Err(ValueError(format!("expected array, got {other:?}"))),
-        }
-    }
-
-    /// Removes `key` from an object field list.
-    pub fn take_field(obj: &mut Vec<(String, Value)>, key: &str) -> Option<Value> {
-        obj.iter()
-            .position(|(k, _)| k == key)
-            .map(|i| obj.remove(i).1)
-    }
-
-    /// Used by `de::Error` plumbing in derived code.
-    pub fn missing_field(key: &str) -> ValueError {
-        ValueError(format!("missing field `{key}`"))
-    }
-
-    #[allow(unused_imports)]
-    use de::Error as _;
-}
-
-/// Serializes any value into an owned [`Value`] tree.
-pub fn to_value<T: Serialize + ?Sized>(v: &T) -> Result<Value, ValueError> {
-    v.serialize(value::ValueSerializer)
-}
-
-/// Deserializes any type from an owned [`Value`] tree.
-pub fn from_value<T: for<'de> Deserialize<'de>>(v: Value) -> Result<T, ValueError> {
-    T::deserialize(value::ValueDeserializer(v))
-}
-
-// ---------------------------------------------------------------------------
-// Serialize impls for std types
-// ---------------------------------------------------------------------------
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        (**self).serialize(s)
-    }
-}
-
-impl Serialize for bool {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_bool(*self)
-    }
-}
-
-macro_rules! serialize_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                s.serialize_u64(*self as u64)
-            }
-        }
-    )*};
-}
-serialize_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! serialize_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                s.serialize_i64(*self as i64)
-            }
-        }
-    )*};
-}
-serialize_int!(i8, i16, i32, i64, isize);
-
-impl Serialize for f64 {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_f64(*self)
-    }
-}
-
-impl Serialize for f32 {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_f64(*self as f64)
-    }
-}
-
-impl Serialize for str {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(self)
-    }
-}
-
-impl Serialize for String {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(self)
-    }
-}
-
-fn seq_to_value<'a, T: Serialize + 'a, E: ser::Error>(
-    items: impl Iterator<Item = &'a T>,
-) -> Result<Value, E> {
-    let mut out = Vec::new();
-    for it in items {
-        out.push(to_value(it).map_err(E::custom)?);
-    }
-    Ok(Value::Array(out))
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let v = seq_to_value::<T, S::Error>(self.iter())?;
-        s.serialize_value(v)
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let v = seq_to_value::<T, S::Error>(self.iter())?;
-        s.serialize_value(v)
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        match self {
-            None => s.serialize_value(Value::Null),
-            Some(v) => v.serialize(s),
-        }
-    }
-}
-
-macro_rules! serialize_tuple {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                let items = vec![
-                    $(to_value(&self.$idx).map_err(<S::Error as ser::Error>::custom)?,)+
-                ];
-                s.serialize_value(Value::Array(items))
-            }
-        }
-    )*};
-}
-serialize_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, Z: 3)
-}
-
-// ---------------------------------------------------------------------------
-// Deserialize impls for std types
-// ---------------------------------------------------------------------------
-
-fn wrong_type<E: de::Error>(expected: &str, got: &Value) -> E {
-    E::custom(format!("expected {expected}, got {got:?}"))
-}
-
-impl<'de> Deserialize<'de> for bool {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        match d.take_value()? {
-            Value::Bool(b) => Ok(b),
-            other => Err(wrong_type("bool", &other)),
-        }
-    }
-}
-
-fn value_as_u64<E: de::Error>(v: Value) -> Result<u64, E> {
-    match v {
-        Value::UInt(u) => Ok(u),
-        Value::Int(i) if i >= 0 => Ok(i as u64),
-        Value::Float(f) if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 => Ok(f as u64),
-        other => Err(wrong_type("unsigned integer", &other)),
-    }
-}
-
-macro_rules! deserialize_uint {
-    ($($t:ty),*) => {$(
-        impl<'de> Deserialize<'de> for $t {
-            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                let u = value_as_u64::<D::Error>(d.take_value()?)?;
-                <$t>::try_from(u).map_err(|_| {
-                    <D::Error as de::Error>::custom(format!(
-                        "integer {u} out of range for {}",
-                        stringify!($t)
-                    ))
-                })
-            }
-        }
-    )*};
-}
-deserialize_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! deserialize_int {
-    ($($t:ty),*) => {$(
-        impl<'de> Deserialize<'de> for $t {
-            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                let i = match d.take_value()? {
-                    Value::Int(i) => i,
-                    Value::UInt(u) if u <= i64::MAX as u64 => u as i64,
-                    other => return Err(wrong_type("integer", &other)),
-                };
-                <$t>::try_from(i).map_err(|_| {
-                    <D::Error as de::Error>::custom(format!(
-                        "integer {i} out of range for {}",
-                        stringify!($t)
-                    ))
-                })
-            }
-        }
-    )*};
-}
-deserialize_int!(i8, i16, i32, i64, isize);
-
-impl<'de> Deserialize<'de> for f64 {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        match d.take_value()? {
-            Value::Float(f) => Ok(f),
-            Value::UInt(u) => Ok(u as f64),
-            Value::Int(i) => Ok(i as f64),
-            other => Err(wrong_type("float", &other)),
-        }
-    }
-}
-
-impl<'de> Deserialize<'de> for f32 {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        f64::deserialize(d).map(|f| f as f32)
-    }
-}
-
-impl<'de> Deserialize<'de> for String {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        match d.take_value()? {
-            Value::Str(s) => Ok(s),
-            other => Err(wrong_type("string", &other)),
-        }
-    }
-}
-
-impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for Vec<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        match d.take_value()? {
-            Value::Array(items) => items
-                .into_iter()
-                .map(|v| from_value(v).map_err(<D::Error as de::Error>::custom))
-                .collect(),
-            other => Err(wrong_type("array", &other)),
-        }
-    }
-}
-
-impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for Option<T> {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        match d.take_value()? {
-            Value::Null => Ok(None),
-            other => from_value(other)
-                .map(Some)
-                .map_err(<D::Error as de::Error>::custom),
-        }
-    }
-}
-
-macro_rules! deserialize_tuple {
-    ($(($len:expr; $($name:ident : $idx:tt),+))*) => {$(
-        impl<'de, $($name: for<'a> Deserialize<'a>),+> Deserialize<'de> for ($($name,)+) {
-            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                let items = match d.take_value()? {
-                    Value::Array(items) => items,
-                    other => return Err(wrong_type("tuple array", &other)),
-                };
-                if items.len() != $len {
-                    return Err(<D::Error as de::Error>::custom(format!(
-                        "expected tuple of length {}, got {}",
-                        $len,
-                        items.len()
-                    )));
-                }
-                let mut it = items.into_iter();
-                Ok((
-                    $({
-                        let _ = $idx;
-                        from_value::<$name>(it.next().expect("length checked"))
-                            .map_err(<D::Error as de::Error>::custom)?
-                    },)+
-                ))
-            }
-        }
-    )*};
-}
-deserialize_tuple! {
-    (1; A: 0)
-    (2; A: 0, B: 1)
-    (3; A: 0, B: 1, C: 2)
-    (4; A: 0, B: 1, C: 2, Z: 3)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_scalars() {
-        assert_eq!(to_value(&42u64).unwrap(), Value::UInt(42));
-        assert_eq!(from_value::<u64>(Value::UInt(42)).unwrap(), 42);
-        assert_eq!(from_value::<f64>(Value::UInt(2)).unwrap(), 2.0);
-        assert!(from_value::<u8>(Value::UInt(300)).is_err());
-    }
-
-    #[test]
-    fn roundtrip_compound() {
-        let v = vec![(1usize, Some(true)), (2, None)];
-        let tree = to_value(&v).unwrap();
-        let back: Vec<(usize, Option<bool>)> = from_value(tree).unwrap();
-        assert_eq!(back, v);
-    }
-
-    #[test]
-    fn option_null() {
-        assert_eq!(to_value(&Option::<u32>::None).unwrap(), Value::Null);
-        assert_eq!(from_value::<Option<u32>>(Value::Null).unwrap(), None);
-    }
-}
+//! The package remains only because the benchmark's frozen
+//! `perfbench/Cargo.lock` names it, as a dependency of seven `sla-*`
+//! crates whose manifests therefore keep their `serde` line. The
+//! benchmark change that rewrites that lock drops those lines and
+//! deletes this package with `serde_derive`.

@@ -1,538 +1,6 @@
-//! Offline `#[derive(Serialize, Deserialize)]` for the in-repo serde shim.
+//! Empty package: no crate in this workspace derives serde's traits.
 //!
-//! Implemented directly on `proc_macro::TokenStream` (no `syn`/`quote`,
-//! which cannot be fetched in this environment). Supports exactly the
-//! shapes this workspace derives on:
-//!
-//! * structs with named fields (incl. `#[serde(with = "module")]` fields),
-//! * tuple structs (newtype structs serialize transparently),
-//! * enums with unit, tuple and struct variants (externally tagged).
-//!
-//! Generics on derive targets are intentionally unsupported.
-
-use proc_macro::{Delimiter, TokenStream, TokenTree};
-use std::fmt::Write as _;
-use std::iter::Peekable;
-
-// ---------------------------------------------------------------------------
-// Parsed item model
-// ---------------------------------------------------------------------------
-
-struct Field {
-    name: String,
-    with: Option<String>,
-}
-
-enum Fields {
-    Named(Vec<Field>),
-    Tuple(usize),
-    Unit,
-}
-
-struct Variant {
-    name: String,
-    fields: Fields,
-}
-
-enum Item {
-    Struct {
-        name: String,
-        fields: Fields,
-    },
-    Enum {
-        name: String,
-        variants: Vec<Variant>,
-    },
-}
-
-type Toks = Peekable<proc_macro::token_stream::IntoIter>;
-
-/// Consumes attributes (`#[...]`), returning the `with = "..."` path if a
-/// `#[serde(with = "path")]` attribute is among them.
-fn skip_attrs(toks: &mut Toks) -> Option<String> {
-    let mut with = None;
-    while matches!(toks.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
-        toks.next();
-        if let Some(TokenTree::Group(g)) = toks.next() {
-            let mut inner = g.stream().into_iter();
-            if let Some(TokenTree::Ident(id)) = inner.next() {
-                if id.to_string() == "serde" {
-                    if let Some(TokenTree::Group(args)) = inner.next() {
-                        with = parse_with_arg(args.stream()).or(with);
-                    }
-                }
-            }
-        }
-    }
-    with
-}
-
-fn parse_with_arg(stream: TokenStream) -> Option<String> {
-    let mut it = stream.into_iter();
-    match it.next() {
-        Some(TokenTree::Ident(id)) if id.to_string() == "with" => {}
-        _ => return None,
-    }
-    match it.next() {
-        Some(TokenTree::Punct(p)) if p.as_char() == '=' => {}
-        _ => return None,
-    }
-    if let Some(TokenTree::Literal(lit)) = it.next() {
-        let s = lit.to_string();
-        Some(s.trim_matches('"').to_string())
-    } else {
-        None
-    }
-}
-
-/// Consumes a visibility qualifier (`pub`, `pub(crate)`, ...).
-fn skip_vis(toks: &mut Toks) {
-    if matches!(toks.peek(), Some(TokenTree::Ident(id)) if id.to_string() == "pub") {
-        toks.next();
-        if matches!(toks.peek(), Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis)
-        {
-            toks.next();
-        }
-    }
-}
-
-/// Skips type tokens until a top-level `,` (consumed) or end of stream,
-/// tracking `<...>` nesting since commas inside generics are not grouped.
-fn skip_type(toks: &mut Toks) {
-    let mut angle = 0i32;
-    while let Some(tt) = toks.peek() {
-        if let TokenTree::Punct(p) = tt {
-            let c = p.as_char();
-            if c == '<' {
-                angle += 1;
-            } else if c == '>' {
-                angle -= 1;
-            } else if c == ',' && angle == 0 {
-                toks.next();
-                return;
-            }
-        }
-        toks.next();
-    }
-}
-
-fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
-    let mut toks: Toks = stream.into_iter().peekable();
-    let mut fields = Vec::new();
-    loop {
-        let with = skip_attrs(&mut toks);
-        skip_vis(&mut toks);
-        let name = match toks.next() {
-            Some(TokenTree::Ident(id)) => id.to_string(),
-            Some(other) => panic!("serde_derive shim: expected field name, got {other}"),
-            None => break,
-        };
-        match toks.next() {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
-            other => panic!("serde_derive shim: expected ':' after field {name}, got {other:?}"),
-        }
-        skip_type(&mut toks);
-        fields.push(Field { name, with });
-    }
-    fields
-}
-
-/// Counts top-level fields of a tuple struct/variant.
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    let mut toks: Toks = stream.into_iter().peekable();
-    let mut count = 0;
-    loop {
-        let _ = skip_attrs(&mut toks);
-        skip_vis(&mut toks);
-        if toks.peek().is_none() {
-            break;
-        }
-        count += 1;
-        skip_type(&mut toks);
-    }
-    count
-}
-
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
-    let mut toks: Toks = stream.into_iter().peekable();
-    let mut variants = Vec::new();
-    loop {
-        let _ = skip_attrs(&mut toks);
-        let name = match toks.next() {
-            Some(TokenTree::Ident(id)) => id.to_string(),
-            Some(other) => panic!("serde_derive shim: expected variant name, got {other}"),
-            None => break,
-        };
-        let fields = match toks.peek() {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                let n = count_tuple_fields(g.stream());
-                toks.next();
-                Fields::Tuple(n)
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                let f = parse_named_fields(g.stream());
-                toks.next();
-                Fields::Named(f)
-            }
-            _ => Fields::Unit,
-        };
-        if matches!(toks.peek(), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
-            toks.next();
-        }
-        variants.push(Variant { name, fields });
-    }
-    variants
-}
-
-fn parse_item(input: TokenStream) -> Item {
-    let mut toks: Toks = input.into_iter().peekable();
-    let kind = loop {
-        let _ = skip_attrs(&mut toks);
-        skip_vis(&mut toks);
-        match toks.next() {
-            Some(TokenTree::Ident(id)) => {
-                let s = id.to_string();
-                if s == "struct" || s == "enum" {
-                    break s;
-                }
-                // e.g. `union` or stray modifiers — keep scanning.
-            }
-            Some(_) => {}
-            None => panic!("serde_derive shim: no struct/enum found in derive input"),
-        }
-    };
-    let name = match toks.next() {
-        Some(TokenTree::Ident(id)) => id.to_string(),
-        other => panic!("serde_derive shim: expected item name, got {other:?}"),
-    };
-    if matches!(toks.peek(), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        panic!("serde_derive shim: generic derive targets are not supported ({name})");
-    }
-    match toks.next() {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-            if kind == "struct" {
-                Item::Struct {
-                    name,
-                    fields: Fields::Named(parse_named_fields(g.stream())),
-                }
-            } else {
-                Item::Enum {
-                    name,
-                    variants: parse_variants(g.stream()),
-                }
-            }
-        }
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => Item::Struct {
-            name,
-            fields: Fields::Tuple(count_tuple_fields(g.stream())),
-        },
-        Some(TokenTree::Punct(p)) if p.as_char() == ';' => Item::Struct {
-            name,
-            fields: Fields::Unit,
-        },
-        other => panic!("serde_derive shim: unexpected item body {other:?}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Codegen helpers
-// ---------------------------------------------------------------------------
-
-const SER_ERR: &str = "<__S::Error as ::serde::ser::Error>::custom";
-const DE_ERR: &str = "<__D::Error as ::serde::de::Error>::custom";
-
-fn ser_named_fields(out: &mut String, fields: &[Field], accessor: &str) {
-    for f in fields {
-        let access = format!("{}{}", accessor, f.name);
-        match &f.with {
-            None => {
-                let _ = writeln!(
-                    out,
-                    "__obj.push((\"{n}\".to_string(), ::serde::to_value(&{access}).map_err({SER_ERR})?));",
-                    n = f.name,
-                );
-            }
-            Some(path) => {
-                let _ = writeln!(
-                    out,
-                    "__obj.push((\"{n}\".to_string(), {path}::serialize(&{access}, ::serde::value::ValueSerializer).map_err({SER_ERR})?));",
-                    n = f.name,
-                );
-            }
-        }
-    }
-}
-
-fn de_named_fields(out: &mut String, fields: &[Field]) {
-    for f in fields {
-        let take = format!(
-            "::serde::value::take_field(&mut __obj, \"{n}\").ok_or_else(|| {DE_ERR}(\"missing field `{n}`\"))?",
-            n = f.name,
-        );
-        match &f.with {
-            None => {
-                let _ = writeln!(
-                    out,
-                    "{n}: ::serde::from_value({take}).map_err({DE_ERR})?,",
-                    n = f.name,
-                );
-            }
-            Some(path) => {
-                let _ = writeln!(
-                    out,
-                    "{n}: {path}::deserialize(::serde::value::ValueDeserializer::new({take})).map_err({DE_ERR})?,",
-                    n = f.name,
-                );
-            }
-        }
-    }
-}
-
-fn gen_serialize(item: &Item) -> String {
-    let name = match item {
-        Item::Struct { name, .. } | Item::Enum { name, .. } => name.clone(),
-    };
-    let mut body = String::new();
-    match item {
-        Item::Struct { fields, .. } => match fields {
-            Fields::Named(fs) => {
-                body.push_str(
-                    "let mut __obj: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-                );
-                ser_named_fields(&mut body, fs, "self.");
-                body.push_str("__s.serialize_value(::serde::Value::Object(__obj))\n");
-            }
-            Fields::Tuple(1) => {
-                let _ = writeln!(
-                    body,
-                    "__s.serialize_value(::serde::to_value(&self.0).map_err({SER_ERR})?)"
-                );
-            }
-            Fields::Tuple(n) => {
-                body.push_str("let __items = vec![\n");
-                for i in 0..*n {
-                    let _ = writeln!(body, "::serde::to_value(&self.{i}).map_err({SER_ERR})?,");
-                }
-                body.push_str("];\n__s.serialize_value(::serde::Value::Array(__items))\n");
-            }
-            Fields::Unit => {
-                let _ = writeln!(body, "__s.serialize_value(::serde::Value::Null)");
-            }
-        },
-        Item::Enum { variants, .. } => {
-            body.push_str("match self {\n");
-            for v in variants {
-                match &v.fields {
-                    Fields::Unit => {
-                        let _ = writeln!(
-                            body,
-                            "{name}::{v} => __s.serialize_value(::serde::Value::Str(\"{v}\".to_string())),",
-                            v = v.name,
-                        );
-                    }
-                    Fields::Tuple(n) => {
-                        let binders: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let pat = binders.join(", ");
-                        let inner = if *n == 1 {
-                            format!("::serde::to_value(__f0).map_err({SER_ERR})?")
-                        } else {
-                            let items: Vec<String> = binders
-                                .iter()
-                                .map(|b| format!("::serde::to_value({b}).map_err({SER_ERR})?"))
-                                .collect();
-                            format!("::serde::Value::Array(vec![{}])", items.join(", "))
-                        };
-                        let _ = writeln!(
-                            body,
-                            "{name}::{v}({pat}) => {{ let __inner = {inner}; __s.serialize_value(::serde::Value::Object(vec![(\"{v}\".to_string(), __inner)])) }},",
-                            v = v.name,
-                        );
-                    }
-                    Fields::Named(fs) => {
-                        let pat: Vec<String> = fs.iter().map(|f| f.name.clone()).collect();
-                        let mut inner = String::from(
-                            "let mut __obj: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-                        );
-                        ser_named_fields(&mut inner, fs, "");
-                        let _ = writeln!(
-                            body,
-                            "{name}::{v} {{ {pat} }} => {{ {inner} __s.serialize_value(::serde::Value::Object(vec![(\"{v}\".to_string(), ::serde::Value::Object(__obj))])) }},",
-                            v = v.name,
-                            pat = pat.join(", "),
-                        );
-                    }
-                }
-            }
-            body.push_str("}\n");
-        }
-    }
-    format!(
-        "#[automatically_derived]\n\
-         #[allow(unused_mut, unused_variables, clippy::all)]\n\
-         impl ::serde::Serialize for {name} {{\n\
-             fn serialize<__S: ::serde::Serializer>(&self, __s: __S) -> ::core::result::Result<__S::Ok, __S::Error> {{\n\
-                 {body}\n\
-             }}\n\
-         }}\n"
-    )
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    let name = match item {
-        Item::Struct { name, .. } | Item::Enum { name, .. } => name.clone(),
-    };
-    let mut body = String::new();
-    match item {
-        Item::Struct { fields, .. } => match fields {
-            Fields::Named(fs) => {
-                let _ = writeln!(
-                    body,
-                    "let mut __obj = ::serde::value::expect_object(__d.take_value()?).map_err({DE_ERR})?;"
-                );
-                let _ = writeln!(body, "::core::result::Result::Ok({name} {{");
-                de_named_fields(&mut body, fs);
-                body.push_str("})\n");
-            }
-            Fields::Tuple(1) => {
-                let _ = writeln!(
-                    body,
-                    "::core::result::Result::Ok({name}(::serde::from_value(__d.take_value()?).map_err({DE_ERR})?))"
-                );
-            }
-            Fields::Tuple(n) => {
-                let _ = writeln!(
-                    body,
-                    "let __items = ::serde::value::expect_array(__d.take_value()?).map_err({DE_ERR})?;"
-                );
-                let _ = writeln!(
-                    body,
-                    "if __items.len() != {n} {{ return ::core::result::Result::Err({DE_ERR}(\"wrong tuple arity for {name}\")); }}"
-                );
-                body.push_str("let mut __it = __items.into_iter();\n");
-                let _ = writeln!(body, "::core::result::Result::Ok({name}(");
-                for _ in 0..*n {
-                    let _ = writeln!(
-                        body,
-                        "::serde::from_value(__it.next().expect(\"arity checked\")).map_err({DE_ERR})?,"
-                    );
-                }
-                body.push_str("))\n");
-            }
-            Fields::Unit => {
-                let _ = writeln!(
-                    body,
-                    "let _ = __d.take_value()?; ::core::result::Result::Ok({name})"
-                );
-            }
-        },
-        Item::Enum { variants, .. } => {
-            body.push_str("match __d.take_value()? {\n");
-            // Unit variants arrive as plain strings.
-            body.push_str("::serde::Value::Str(__vname) => match __vname.as_str() {\n");
-            for v in variants {
-                if matches!(v.fields, Fields::Unit) {
-                    let _ = writeln!(
-                        body,
-                        "\"{v}\" => ::core::result::Result::Ok({name}::{v}),",
-                        v = v.name,
-                    );
-                }
-            }
-            let _ = writeln!(
-                body,
-                "__other => ::core::result::Result::Err({DE_ERR}(format!(\"unknown unit variant `{{__other}}` for {name}\"))),"
-            );
-            body.push_str("},\n");
-            // Data variants arrive as single-key objects.
-            body.push_str("::serde::Value::Object(mut __o) if __o.len() == 1 => {\n");
-            body.push_str("let (__vname, __inner) = __o.remove(0);\n");
-            body.push_str("match __vname.as_str() {\n");
-            for v in variants {
-                match &v.fields {
-                    Fields::Unit => {}
-                    Fields::Tuple(1) => {
-                        let _ = writeln!(
-                            body,
-                            "\"{v}\" => ::core::result::Result::Ok({name}::{v}(::serde::from_value(__inner).map_err({DE_ERR})?)),",
-                            v = v.name,
-                        );
-                    }
-                    Fields::Tuple(n) => {
-                        let mut arm = format!(
-                            "\"{v}\" => {{ let __items = ::serde::value::expect_array(__inner).map_err({DE_ERR})?;\n",
-                            v = v.name,
-                        );
-                        let _ = writeln!(
-                            arm,
-                            "if __items.len() != {n} {{ return ::core::result::Result::Err({DE_ERR}(\"wrong arity for variant {v}\")); }}",
-                            v = v.name,
-                        );
-                        arm.push_str("let mut __it = __items.into_iter();\n");
-                        let _ =
-                            writeln!(arm, "::core::result::Result::Ok({name}::{v}(", v = v.name);
-                        for _ in 0..*n {
-                            let _ = writeln!(
-                                arm,
-                                "::serde::from_value(__it.next().expect(\"arity checked\")).map_err({DE_ERR})?,"
-                            );
-                        }
-                        arm.push_str("))}\n");
-                        body.push_str(&arm);
-                    }
-                    Fields::Named(fs) => {
-                        let mut arm = format!(
-                            "\"{v}\" => {{ let mut __obj = ::serde::value::expect_object(__inner).map_err({DE_ERR})?;\n",
-                            v = v.name,
-                        );
-                        let _ =
-                            writeln!(arm, "::core::result::Result::Ok({name}::{v} {{", v = v.name);
-                        de_named_fields(&mut arm, fs);
-                        arm.push_str("})}\n");
-                        body.push_str(&arm);
-                    }
-                }
-            }
-            let _ = writeln!(
-                body,
-                "__other => ::core::result::Result::Err({DE_ERR}(format!(\"unknown variant `{{__other}}` for {name}\"))),"
-            );
-            body.push_str("}\n},\n");
-            let _ = writeln!(
-                body,
-                "__other => ::core::result::Result::Err({DE_ERR}(format!(\"unexpected value {{__other:?}} for enum {name}\"))),"
-            );
-            body.push_str("}\n");
-        }
-    }
-    format!(
-        "#[automatically_derived]\n\
-         #[allow(unused_mut, unused_variables, clippy::all)]\n\
-         impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
-             fn deserialize<__D: ::serde::Deserializer<'de>>(__d: __D) -> ::core::result::Result<Self, __D::Error> {{\n\
-                 {body}\n\
-             }}\n\
-         }}\n"
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Entry points
-// ---------------------------------------------------------------------------
-
-/// Derives `serde::Serialize` (shim).
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_serialize(&item)
-        .parse()
-        .expect("serde_derive shim generated invalid Serialize impl")
-}
-
-/// Derives `serde::Deserialize` (shim).
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    gen_deserialize(&item)
-        .parse()
-        .expect("serde_derive shim generated invalid Deserialize impl")
-}
+//! The package remains only because the benchmark's frozen
+//! `perfbench/Cargo.lock` names it, as the dependency of the empty
+//! `serde` package. The benchmark change that rewrites that lock deletes
+//! both.

@@ -7,12 +7,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use secure_location_alerts::core::{codeword_to_pattern, index_to_attribute};
 use secure_location_alerts::encoding::{CellCodebook, EncoderKind};
-use secure_location_alerts::hve::{Ciphertext, HveScheme};
+use secure_location_alerts::hve::HveScheme;
 use secure_location_alerts::pairing::SimulatedGroup;
 
 /// §2: "All indexes must have the same length for security purposes (to
 /// prevent an adversary from distinguishing cells based on length)" —
-/// and the resulting ciphertexts must be structurally identical in size.
+/// and the resulting ciphertexts, and the rows the SP stores for them,
+/// must be structurally identical in size.
 #[test]
 fn ciphertexts_are_length_uniform_across_cells() {
     let mut rng = StdRng::seed_from_u64(1);
@@ -27,28 +28,21 @@ fn ciphertexts_are_length_uniform_across_cells() {
         let scheme = HveScheme::new(&group, cb.width_bits());
         let (pk, _) = scheme.setup(&mut rng);
 
-        let sizes: Vec<(usize, usize)> = (0..cb.n_cells())
+        let shapes: Vec<_> = (0..cb.n_cells())
             .map(|cell| {
-                let ct = scheme.encrypt(
-                    &pk,
-                    &index_to_attribute(cb.index_of(cell)),
-                    &scheme.encode_message(cell as u64),
-                    &mut rng,
-                );
-                (ct.width(), serialized_len(&ct))
+                let msg = scheme.encode_message(cell as u64);
+                let ct =
+                    scheme.encrypt(&pk, &index_to_attribute(cb.index_of(cell)), &msg, &mut rng);
+                (ct.width(), scheme.pack(&ct, &msg).shape())
             })
             .collect();
-        // identical widths and identical serialized sizes modulo the
-        // variable-length integer encodings (same component count)
+        // identical widths, and stored rows of one shape: the same
+        // component count and limbs per operand for every cell
         assert!(
-            sizes.iter().all(|(w, _)| *w == sizes[0].0),
-            "{kind:?}: ciphertext widths differ: {sizes:?}"
+            shapes.iter().all(|s| *s == shapes[0]),
+            "{kind:?}: ciphertext widths or stored row shapes differ: {shapes:?}"
         );
     }
-}
-
-fn serialized_len(ct: &Ciphertext) -> usize {
-    serde_json::to_vec(ct).map(|v| v.len()).unwrap_or(0)
 }
 
 /// §6: "the SP learns only whether the user is included in the alert
